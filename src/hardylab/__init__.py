@@ -28,7 +28,6 @@ from .symbols import (
 )
 from .operators import (
     MultilinearOperator,
-    OutputSpectrum,
     apply_general,
     apply_mixed,
     apply_oracle,
@@ -62,6 +61,7 @@ from .verify import (
     ExperimentConfig,
     ExperimentReport,
     IndexData,
+    apply_to_atoms,
     check_cancellation,
     check_decay_lemma,
     check_fs_inequality,
@@ -69,5 +69,6 @@ from .verify import (
     check_pointwise_majorant,
     index_arithmetic,
     run_boundedness_ensemble,
+    run_context,
     scale_invariance_test,
 )

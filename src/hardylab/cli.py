@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .grid import make_grid
+from .atoms import _monomial_exponents, make_atom
 from .symbols import (
     BUILTIN_NAMES,
     builtin_symbol,
@@ -41,7 +41,11 @@ from .symbols import (
     sphere_directions,
 )
 from .verify import (
+    DecayReport,
     ExperimentConfig,
+    RunContext,
+    TrialRecord,
+    apply_to_atoms,
     check_cancellation,
     check_decay_lemma,
     check_fs_inequality,
@@ -49,13 +53,12 @@ from .verify import (
     check_pointwise_majorant,
     draw_trial_entries,
     replay_trial,
-    resolve_index,
-    resolve_operator,
     run_boundedness_ensemble,
+    run_context,
+    run_trial,
     scale_invariance_test,
     trial_seed,
 )
-from .atoms import make_atom
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -123,10 +126,7 @@ def cmd_verify_symbol(args) -> int:
 
     shells = dyadic_shells(-args.shells, args.shells)
     dirs = sphere_directions(sym.m, sym.n, 64, seed=0)
-    alphas = [
-        alpha
-        for alpha in _multi_indices(sym.m * sym.n, args.orders)
-    ]
+    alphas = _monomial_exponents(sym.m * sym.n, args.orders)
     failed: list[str] = []
 
     header = "alpha".ljust(12) + "".join(f"{s:>12.4g}" for s in shells)
@@ -158,22 +158,6 @@ def cmd_verify_symbol(args) -> int:
         return EXIT_FAIL
     print("PASS")
     return EXIT_PASS
-
-
-def _multi_indices(length: int, max_order: int):
-    out = []
-    def rec(prefix, remaining, budget):
-        if remaining == 0:
-            out.append(tuple(prefix))
-            return
-        for k in range(budget + 1):
-            rec(prefix + [k], remaining - 1, budget - k)
-    for total in range(max_order + 1):
-        before = len(out)
-        rec([], length, total)
-        # rec enumerates |alpha| <= total; keep only the new exact-order ones
-        out[before:] = [a for a in out[before:] if sum(a) == total]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -261,32 +245,30 @@ def load_config(path: str) -> tuple[ExperimentConfig, dict]:
     return config, {"checks": checks, "tolerances": tolerances}
 
 
-def _single_atoms_for_checks(config: ExperimentConfig, partner_order: int | None = None):
-    """One deterministic atom per input slot, drawn from the trial-0 stream.
-
-    ``partner_order`` lowers the cancellation order of every slot after the
-    first (the decay fit only relies on the first atom's moments).
+def _check_atoms(ctx: RunContext, partner_order: int):
+    """One atom per input slot, from the first entry of each input of the
+    trial-0 draw.  Slot 0 has cancellation order N, every other slot
+    ``partner_order`` (the decay fit only relies on the first atom's moments).
     """
-    grid = make_grid(config.n, config.L, config.M)
-    idx = resolve_index(config)
-    entries = draw_trial_entries(config, trial_seed(config.seed, 0), idx.m, grid)
-    atoms = []
-    for slot, (inp, p_l) in enumerate(zip(entries, idx.exponents)):
-        lam, cube, seed = inp[0]
-        order = idx.N if (slot == 0 or partner_order is None) else partner_order
-        atoms.append(make_atom(cube, p_l, order, seed, grid))
-    return grid, idx, atoms
+    idx = ctx.idx
+    entries = draw_trial_entries(ctx.config, trial_seed(ctx.config.seed, 0), idx.m, ctx.grid)
+    first = [inp[0] for inp in entries]
+    return [
+        make_atom(cube, p_l, idx.N if slot == 0 else partner_order, seed, ctx.grid)
+        for slot, ((_, cube, seed), p_l) in enumerate(zip(first, idx.exponents))
+    ]
 
 
-def _run_checks(config: ExperimentConfig, options: dict, jobs: int, out: Path) -> dict:
+def _run_checks(ctx: RunContext, options: dict, jobs: int, out: Path) -> dict:
+    config, idx = ctx.config, ctx.idx
     checks = options["checks"]
     tolerances = options["tolerances"]
     results: dict[str, dict] = {}
-    trials_payload: list[dict] = []
+    records: tuple[TrialRecord, ...] = ()
 
     if checks["boundedness"]:
         report = run_boundedness_ensemble(config, jobs=jobs)
-        trials_payload = [t.to_dict() for t in report.trials]
+        records = report.trials
         results["boundedness"] = {
             "pass": report.passed,
             "ratio_sup": report.ratio_sup,
@@ -298,7 +280,12 @@ def _run_checks(config: ExperimentConfig, options: dict, jobs: int, out: Path) -
 
     if checks["scale_invariance"]:
         tol = tolerances.get("scale_invariance", 0.2)
-        rep = scale_invariance_test(config, 2.0, trials=min(config.trials, 20))
+        count = min(config.trials, 20)
+        if checks["boundedness"]:
+            base = records[:count]
+        else:
+            base = [run_trial(ctx, i) for i in range(count)]
+        rep = scale_invariance_test(ctx, base, 2.0)
         results["scale_invariance"] = {
             "pass": rep.max_deviation < tol,
             "max_deviation": rep.max_deviation,
@@ -306,11 +293,14 @@ def _run_checks(config: ExperimentConfig, options: dict, jobs: int, out: Path) -
             "tolerance": tol,
         }
 
+    # T applied once to the full-order atoms, for the three checks that
+    # measure it, and once to the decay atoms.
+    if checks["cancellation"] or checks["local_estimate"] or checks["pointwise_majorant"]:
+        full = apply_to_atoms(ctx.op, _check_atoms(ctx, partner_order=idx.N))
+
     if checks["cancellation"]:
-        grid, idx, atoms = _single_atoms_for_checks(config)
-        op = resolve_operator(config, grid)
         tol = tolerances.get("cancellation", 1e-5)
-        rep = check_cancellation(op, atoms, idx.s, tolerance=tol)
+        rep = check_cancellation(full, idx.s, tolerance=tol)
         results["cancellation"] = {
             "pass": rep.passed,
             "max_normalized": rep.max_normalized,
@@ -318,21 +308,18 @@ def _run_checks(config: ExperimentConfig, options: dict, jobs: int, out: Path) -
         }
 
     if checks["decay"]:
-        grid, idx, atoms = _single_atoms_for_checks(config, partner_order=0)
-        op = resolve_operator(config, grid)
-        rep = check_decay_lemma(op, atoms, idx.N)
+        decay = apply_to_atoms(ctx.op, _check_atoms(ctx, partner_order=0))
+        rep = check_decay_lemma(decay, idx.N)
         results["decay"] = {
             "pass": rep.passed,
             "slope": rep.slope,
             "slope_bound": rep.slope_bound,
             "ratio_sup": rep.ratio_sup,
         }
-        _write_decay_points(out / "decay_fit.dat", op, atoms)
+        _write_decay_points(out / "decay_fit.dat", rep)
 
     if checks["local_estimate"]:
-        grid, idx, atoms = _single_atoms_for_checks(config)
-        op = resolve_operator(config, grid)
-        rep = check_local_estimate(op, atoms, r=2.0, N=idx.N)
+        rep = check_local_estimate(full, r=2.0, N=idx.N)
         finite = math.isfinite(rep.ratio_direct) and math.isfinite(rep.ratio_maximal)
         results["local_estimate"] = {
             "pass": finite,
@@ -341,9 +328,7 @@ def _run_checks(config: ExperimentConfig, options: dict, jobs: int, out: Path) -
         }
 
     if checks["pointwise_majorant"]:
-        grid, idx, atoms = _single_atoms_for_checks(config)
-        op = resolve_operator(config, grid)
-        rep = check_pointwise_majorant(config.kind, op, atoms, idx)
+        rep = check_pointwise_majorant(full, idx)
         results["pointwise_majorant"] = {
             "pass": rep.passed,
             "ratio_sup": rep.ratio_sup,
@@ -351,14 +336,12 @@ def _run_checks(config: ExperimentConfig, options: dict, jobs: int, out: Path) -
         }
 
     if checks["fs_inequality"]:
-        grid = make_grid(config.n, config.L, config.M)
-        idx = resolve_index(config)
-        entries = draw_trial_entries(config, trial_seed(config.seed, 1), 1, grid)[0]
+        entries = draw_trial_entries(config, trial_seed(config.seed, 1), 1, ctx.grid)[0]
         cubes = [cube for _, cube, _ in entries]
         lambdas = [lam for lam, _, _ in entries]
         p_eff = min(idx.p, 1.0) if math.isfinite(idx.p) else 1.0
         gamma = max(1.0, 1.0 / p_eff) + 1.0
-        rep = check_fs_inequality(cubes, lambdas, gamma, p_eff, grid)
+        rep = check_fs_inequality(cubes, lambdas, gamma, p_eff, ctx.grid)
         results["fs_inequality"] = {
             "pass": rep.passed,
             "ratio": rep.ratio,
@@ -367,7 +350,7 @@ def _run_checks(config: ExperimentConfig, options: dict, jobs: int, out: Path) -
             "vacuous": rep.vacuous,
         }
 
-    return {"checks": results, "trials": trials_payload}
+    return {"checks": results, "trials": [t.to_dict() for t in records]}
 
 
 def _write_summary_csv(path: Path, trials) -> None:
@@ -403,24 +386,9 @@ def _write_ratio_histogram(path: Path, ratios) -> None:
     path.write_text("\n".join(lines) + "\n", newline="\n")
 
 
-def _write_decay_points(path: Path, op, atoms) -> None:
-    from .atoms import dilate_cube
-    from .operators import apply_operator
-
-    grid = op.grid
-    out = apply_operator(op, [a.values for a in atoms])
-    pts = grid.points()
-    eligible = np.ones(grid.shape, dtype=bool)
-    for a in atoms:
-        eligible &= ~dilate_cube(a.cube, "star").contains(pts)
-    centers = [np.asarray(a.cube.center) for a in atoms]
-    dist = np.zeros(grid.shape)
-    for c in centers:
-        dist += np.linalg.norm(pts - c, axis=-1)
-    mags = np.abs(out.values)
-    keep = eligible & (mags > 0)
+def _write_decay_points(path: Path, rep: DecayReport) -> None:
     lines = ["# log10_distance log10_magnitude"]
-    for d, v in zip(dist[keep], mags[keep]):
+    for d, v in zip(rep.point_distance, rep.point_magnitude):
         lines.append(f"{_format_float(float(np.log10(d)))} {_format_float(float(np.log10(v)))}")
     path.write_text("\n".join(lines) + "\n", newline="\n")
 
@@ -430,8 +398,7 @@ def cmd_run(args) -> int:
         config, options = load_config(args.config)
         if args.seed is not None:
             config = ExperimentConfig.from_dict({**config.to_dict(), "seed": args.seed})
-        resolve_index(config)  # surface exponent/type conflicts as config errors
-        builtin_symbol(config.symbol)
+        ctx = run_context(config)  # surfaces exponent/type conflicts as config errors
     except (ValueError, KeyError, configparser.Error) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -445,7 +412,6 @@ def cmd_run(args) -> int:
         "config_sha256": config_hash,
         "checks": options["checks"],
         "tolerances": options["tolerances"],
-        "output_dir": str(out),
         "created_unix": time.time(),
         "version": __version__,
         "jobs": args.jobs,
@@ -453,7 +419,7 @@ def cmd_run(args) -> int:
     (out / "manifest.json").write_text(dumps_17g(manifest) + "\n")
 
     try:
-        payload = _run_checks(config, options, args.jobs, out)
+        payload = _run_checks(ctx, options, args.jobs, out)
     except ValueError as exc:
         (out / "FAILED").write_text(f"error: {exc}\n")
         print(f"config error: {exc}", file=sys.stderr)
@@ -500,13 +466,9 @@ def cmd_replay(args) -> int:
     if not match:
         print(f"trial {args.trial_id} not found in report", file=sys.stderr)
         return EXIT_USAGE
-    record = match[0]
-
-    from .verify import TrialRecord
-
-    trial = TrialRecord.from_dict(record)
+    trial = TrialRecord.from_dict(match[0])
     try:
-        lhs, rhs, ratio = replay_trial(config, trial)
+        lhs, rhs, ratio = replay_trial(run_context(config), trial)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -36,7 +36,6 @@ from .symbols import Partition, Symbol
 
 __all__ = [
     "MultilinearOperator",
-    "OutputSpectrum",
     "MomentEstimate",
     "apply_general",
     "apply_oracle",
@@ -80,27 +79,6 @@ class MultilinearOperator:
         return self.symbol.m
 
 
-@dataclass(frozen=True)
-class OutputSpectrum:
-    """Frequency-side output g(eta), indexed like Grid.frequencies().
-
-    g(eta) collects the symbol-weighted products of input coefficients over
-    all frequency tuples whose (wrapped) slot sum equals eta, carrying the
-    quadrature weight of the m-1 free frequency integrals, so idft(g) is the
-    spatial output.
-    """
-
-    grid: Grid
-    coefficients: np.ndarray
-
-    def as_spectrum(self) -> Spectrum:
-        return Spectrum(self.grid, self.coefficients)
-
-    def at_zero(self) -> complex:
-        center = (self.grid.M // 2,) * self.grid.n
-        return complex(self.coefficients[center])
-
-
 def _flat_freq_ints(grid: Grid) -> np.ndarray:
     """Integer frequency vectors k in [-M/2, M/2)^n, flat lexicographic order."""
     ks = np.arange(-grid.M // 2, grid.M // 2, dtype=np.int32)
@@ -129,11 +107,14 @@ _MAX_CHUNK_ELEMENTS = 2**22
 
 def apply_general(
     op: MultilinearOperator, *fs: SampledFunction
-) -> tuple[SampledFunction, OutputSpectrum]:
+) -> tuple[SampledFunction, Spectrum]:
     """Apply the operator by exhaustive frequency summation.
 
     Returns the spatial output together with the grouped output spectrum
-    g(eta); the spatial output is exactly idft(g).
+    g(eta): for each eta, the symbol-weighted products of input coefficients
+    over all frequency tuples whose (wrapped) slot sum equals eta, carrying the
+    quadrature weight of the m-1 free frequency integrals.  The spatial output
+    is exactly idft(g).
     """
     _check_inputs(op, fs)
     grid = op.grid
@@ -199,9 +180,8 @@ def apply_general(
         g_flat[start:stop] = terms.sum(axis=1)
 
     g_flat *= grid.dxi ** ((m - 1) * n)
-    g = OutputSpectrum(grid, g_flat.reshape(grid.shape))
-    out = idft(g.as_spectrum())
-    return out, g
+    g = Spectrum(grid, g_flat.reshape(grid.shape))
+    return idft(g), g
 
 
 def _quadrature_dft(f: SampledFunction) -> np.ndarray:
@@ -340,11 +320,6 @@ def apply_operator(op: MultilinearOperator, fs: Sequence[SampledFunction]) -> Sa
     return apply_general(op, *fs)[0]
 
 
-def output_spectrum(f: SampledFunction) -> OutputSpectrum:
-    """Output spectrum of an already-computed spatial output."""
-    return OutputSpectrum(f.grid, dft(f).coefficients)
-
-
 @dataclass(frozen=True)
 class MomentEstimate:
     """A moment of the operator output, computed two independent ways."""
@@ -354,7 +329,7 @@ class MomentEstimate:
     spatial: complex
 
 
-def spectral_moment(g: OutputSpectrum, alpha: Sequence[int]) -> MomentEstimate:
+def spectral_moment(g: Spectrum, alpha: Sequence[int]) -> MomentEstimate:
     """Moment integral of x^alpha times the output, |alpha| <= 4.
 
     The spectral route reads the alpha-derivative of g at the zero frequency
@@ -385,8 +360,7 @@ def spectral_moment(g: OutputSpectrum, alpha: Sequence[int]) -> MomentEstimate:
             window = (upper - lower) / (2.0 * grid.dxi)
     spectral = complex(window.reshape(-1)[window.size // 2]) * (-2j * np.pi) ** (-order)
 
-    out = idft(g.as_spectrum())
-    vals = out.values
+    vals = idft(g).values
     mask = np.abs(vals) > 1e-13 * np.max(np.abs(vals)) if np.any(vals) else np.zeros_like(vals, bool)
     pts = grid.points()
     weight = np.ones(grid.shape)

@@ -12,22 +12,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
-from .atoms import Atom, Cube, cube_indicator, dilate_cube, make_atomic_sum
-from .grid import Grid, SampledFunction, lp_quasinorm, make_grid
+from .atoms import Atom, Cube, _monomial_exponents, cube_indicator, dilate_cube, make_atomic_sum
+from .grid import Grid, SampledFunction, Spectrum, dft, lp_quasinorm, make_grid
 from .maximal import BumpProfile, ScaleLadder, hp_quasinorm, hl_maximal, make_bump, make_ladder, power_maximal, smooth_maximal
 from .operators import (
     DEFAULT_COST_BUDGET,
     MultilinearOperator,
-    OutputSpectrum,
     apply_general,
     apply_linear,
     apply_operator,
     default_cutoff,
-    output_spectrum,
     spectral_moment,
 )
 from .symbols import Partition, Symbol, builtin_symbol
@@ -35,7 +34,11 @@ from .symbols import Partition, Symbol, builtin_symbol
 __all__ = [
     "IndexData",
     "index_arithmetic",
+    "AtomOutput",
+    "apply_to_atoms",
     "ExperimentConfig",
+    "RunContext",
+    "run_context",
     "TrialRecord",
     "ExperimentReport",
     "CancellationReport",
@@ -139,19 +142,39 @@ def index_arithmetic(
 
 
 # ---------------------------------------------------------------------------
-# Cancellation
+# The operator applied to one set of atoms
 # ---------------------------------------------------------------------------
 
 
-def _alphas_up_to(n: int, order: int) -> list[tuple[int, ...]]:
-    out: list[tuple[int, ...]] = []
-    for total in range(order + 1):
-        if n == 1:
-            out.append((total,))
-        else:
-            for i in range(total + 1):
-                out.append((i, total - i))
-    return out
+@dataclass(frozen=True)
+class AtomOutput:
+    """T(a_1, ..., a_m) for one set of atoms, which every check measures.
+
+    ``spectrum`` is the exhaustive engine's grouped output spectrum for the
+    general kind (``out`` is exactly its inverse transform) and ``dft(out)``
+    for the product and mixed kinds.
+    """
+
+    op: MultilinearOperator
+    atoms: tuple[Atom, ...]
+    out: SampledFunction
+    spectrum: Spectrum
+
+
+def apply_to_atoms(op: MultilinearOperator, atoms: Sequence[Atom]) -> AtomOutput:
+    """Apply the operator once to the atoms' values."""
+    inputs = [a.values for a in atoms]
+    if op.symbol.kind == "general":
+        out, g = apply_general(op, *inputs)
+    else:
+        out = apply_operator(op, inputs)
+        g = dft(out)
+    return AtomOutput(op, tuple(atoms), out, g)
+
+
+# ---------------------------------------------------------------------------
+# Cancellation
+# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -183,8 +206,7 @@ class CancellationReport:
 
 
 def check_cancellation(
-    op: MultilinearOperator,
-    atoms: Sequence[Atom],
+    t: AtomOutput,
     s: int,
     tolerance: float = 1e-5,
 ) -> CancellationReport:
@@ -193,18 +215,12 @@ def check_cancellation(
     For each |alpha| <= s both the spectral finite-difference moment and the
     spatial quadrature companion are computed, normalized by the output L^1
     norm times ell^|alpha| (ell = smallest atom side)."""
-    inputs = [a.values for a in atoms]
-    if op.symbol.kind == "general":
-        out, g = apply_general(op, *inputs)
-    else:
-        out = apply_operator(op, inputs)
-        g = output_spectrum(out)
-    norm1 = lp_quasinorm(out, 1.0)
-    ell = min(a.cube.side for a in atoms)
+    norm1 = lp_quasinorm(t.out, 1.0)
+    ell = min(a.cube.side for a in t.atoms)
     scale = max(norm1, np.finfo(float).tiny)
     checks = []
-    for alpha in _alphas_up_to(op.grid.n, s):
-        est = spectral_moment(g, alpha)
+    for alpha in _monomial_exponents(t.op.grid.n, s):
+        est = spectral_moment(t.spectrum, alpha)
         denom = scale * ell ** sum(alpha)
         checks.append(
             MomentCheck(
@@ -225,6 +241,11 @@ def check_cancellation(
 
 @dataclass(frozen=True)
 class DecayReport:
+    """The fit, plus the points it was drawn from: every grid point outside
+    the dilated supports where the output is nonzero, as distance sum and
+    magnitude (the probes are the part of these inside the margins and
+    above the noise floor)."""
+
     slope: float
     slope_stderr: float
     slope_bound: float
@@ -232,6 +253,8 @@ class DecayReport:
     ratio_median: float
     probe_count: int
     excluded_below_floor: int
+    point_distance: np.ndarray
+    point_magnitude: np.ndarray
 
     @property
     def passed(self) -> bool:
@@ -247,8 +270,7 @@ def _distance_sum(points: np.ndarray, centers: Sequence[np.ndarray]) -> np.ndarr
 
 
 def check_decay_lemma(
-    op: MultilinearOperator,
-    atoms: Sequence[Atom],
+    t: AtomOutput,
     N: int,
     boundary_margin_factor: float = 4.0,
     max_distance: float | None = None,
@@ -264,28 +286,31 @@ def check_decay_lemma(
     |T| to the predicted majorant must stay within three decades of its
     median.
     """
-    grid = op.grid
-    out = apply_operator(op, [a.values for a in atoms])
+    atoms = t.atoms
+    grid = t.op.grid
     pts = grid.points()
-    eligible = np.ones(grid.shape, dtype=bool)
+    outside = np.ones(grid.shape, dtype=bool)
     ell_max = max(a.cube.side for a in atoms)
     for a in atoms:
         star = dilate_cube(a.cube, "star")
-        eligible &= ~star.contains(pts)
-    eligible &= np.all(
+        outside &= ~star.contains(pts)
+    eligible = outside & np.all(
         np.abs(pts) <= grid.L - boundary_margin_factor * ell_max, axis=-1
     )
     if not np.any(eligible):
         raise ValueError("no probe points outside the dilated supports")
 
     centers = [np.asarray(a.cube.center) for a in atoms]
-    dist = _distance_sum(pts, centers)[eligible]
-    mags = np.abs(out.values)[eligible]
+    dist_all = _distance_sum(pts, centers)
+    mags_all = np.abs(t.out.values)
+    plotted = outside & (mags_all > 0)
+    dist = dist_all[eligible]
+    mags = mags_all[eligible]
     if max_distance is not None:
         window = dist <= max_distance
         dist, mags = dist[window], mags[window]
 
-    floor = NOISE_FLOOR_FACTOR * np.finfo(float).eps * float(np.max(np.abs(out.values)))
+    floor = NOISE_FLOOR_FACTOR * np.finfo(float).eps * float(np.max(mags_all))
     keep = mags > floor
     excluded = int(np.sum(~keep))
     dist, mags = dist[keep], mags[keep]
@@ -318,6 +343,8 @@ def check_decay_lemma(
         float(np.median(ratios)),
         int(dist.size),
         excluded,
+        dist_all[plotted],
+        mags_all[plotted],
     )
 
 
@@ -344,8 +371,7 @@ class LocalEstimateReport:
 
 
 def check_local_estimate(
-    op: MultilinearOperator,
-    atoms: Sequence[Atom],
+    t: AtomOutput,
     r: float,
     N: int,
     ladder: ScaleLadder | None = None,
@@ -357,11 +383,9 @@ def check_local_estimate(
     """
     if not (r > 1):
         raise ValueError(f"need r > 1, got {r}")
-    grid = op.grid
+    grid = t.op.grid
     ladder = ladder or make_ladder(grid)
-    ordered = sorted(atoms, key=lambda a: a.cube.side)
-    q1 = ordered[0].cube
-    out = apply_operator(op, [a.values for a in atoms])
+    q1 = min(t.atoms, key=lambda a: a.cube.side).cube
 
     pts = grid.points()
     mask_ss = dilate_cube(q1, "starstar").contains(pts)
@@ -369,14 +393,14 @@ def check_local_estimate(
     if not np.any(star_mask):
         raise ValueError("the 3 sqrt(n)-dilate of the smallest cube contains no grid point")
 
-    lhs_direct = _local_lp(out.values, mask_ss, r, grid)
-    mt = hl_maximal(out, ladder)
+    lhs_direct = _local_lp(t.out.values, mask_ss, r, grid)
+    mt = hl_maximal(t.out, ladder)
     lhs_maximal = _local_lp(mt.values, mask_ss, r, grid)
 
-    m, n = op.m, grid.n
+    m, n = t.op.m, grid.n
     exponent = (n + N + 1) / (m * n)
     rhs = q1.volume ** (1.0 / r)
-    for a in atoms:
+    for a in t.atoms:
         mx = _maximal_indicator(a.cube, grid, ladder)
         rhs *= float(np.min(mx[star_mask])) ** exponent
     return LocalEstimateReport(
@@ -401,41 +425,37 @@ class MajorantReport:
         return np.isfinite(self.ratio_sup)
 
 
-def _general_majorant(
-    atoms: Sequence[Atom], idx: IndexData, grid: Grid, ladder: ScaleLadder
-) -> np.ndarray:
-    n, m, N, s = grid.n, len(atoms), idx.N, idx.s
-    ordered = sorted(range(m), key=lambda i: atoms[i].cube.side)
-    q1 = atoms[ordered[0]].cube
-    star_mask = dilate_cube(q1, "star").contains(grid.points())
-    mchis = [_maximal_indicator(a.cube, grid, ladder) for a in atoms]
+# Each builder returns one (first, inf_prod) pair per term of the operator;
+# the majorant is the sum over terms of first + M(chi_Q1)^((n+s+1)/n) inf_prod.
 
-    first = np.ones(grid.shape)
+
+def _general_majorant(
+    mchis: Sequence[np.ndarray], star_mask: np.ndarray, idx: IndexData, n: int
+) -> list[tuple[np.ndarray, float]]:
+    m, N, s = len(mchis), idx.N, idx.s
+    first = np.ones(star_mask.shape)
     for mx in mchis:
         first = first * mx ** ((n + N + 1) / (m * n))
     inf_prod = 1.0
     for mx in mchis:
         inf_prod *= float(np.min(mx[star_mask])) ** ((N - s) / (m * n))
-    second = mchis[ordered[0]] ** ((n + s + 1) / n) * inf_prod
-    return first + second
+    return [(first, inf_prod)]
 
 
 def _product_majorant(
-    op: MultilinearOperator, atoms: Sequence[Atom], idx: IndexData, ladder: ScaleLadder
-) -> np.ndarray:
-    grid = op.grid
-    n, m, N, s = grid.n, len(atoms), idx.N, idx.s
-    terms = op.symbol.product_terms
-    ordered = sorted(range(m), key=lambda i: atoms[i].cube.side)
-    q1 = atoms[ordered[0]].cube
-    star_mask = dilate_cube(q1, "star").contains(grid.points())
-    mchis = [_maximal_indicator(a.cube, grid, ladder) for a in atoms]
-
-    total = np.zeros(grid.shape)
-    for term in terms:
+    t: AtomOutput,
+    mchis: Sequence[np.ndarray],
+    star_mask: np.ndarray,
+    idx: IndexData,
+    ladder: ScaleLadder,
+) -> list[tuple[np.ndarray, float]]:
+    grid = t.op.grid
+    n, m, N = grid.n, len(t.atoms), idx.N
+    terms = []
+    for term in t.op.symbol.product_terms:
         factors = []
-        for sym, a in zip(term, atoms):
-            applied = apply_linear(sym, a.values, cutoff=op.cutoff)
+        for sym, a in zip(term, t.atoms):
+            applied = apply_linear(sym, a.values, cutoff=t.op.cutoff)
             mpow = np.abs(power_maximal(applied, float(m), ladder).values)
             factors.append(1.0 + mpow)
         first = np.ones(grid.shape)
@@ -445,22 +465,21 @@ def _product_majorant(
         for mx, fac in zip(mchis, factors):
             piece = mx ** ((n + N + 1) / (m * n)) * fac
             inf_prod *= float(np.min(piece[star_mask]))
-        second = mchis[ordered[0]] ** ((n + s + 1) / n) * inf_prod
-        total += first + second
-    return total
+        terms.append((first, inf_prod))
+    return terms
 
 
 def _mixed_majorant(
-    op: MultilinearOperator, atoms: Sequence[Atom], idx: IndexData, ladder: ScaleLadder
-) -> np.ndarray:
+    t: AtomOutput,
+    mchis: Sequence[np.ndarray],
+    star_mask: np.ndarray,
+    idx: IndexData,
+    ladder: ScaleLadder,
+) -> list[tuple[np.ndarray, float]]:
+    op, atoms = t.op, t.atoms
     grid = op.grid
-    n, m, N, s = grid.n, len(atoms), idx.N, idx.s
-    ordered = sorted(range(m), key=lambda i: atoms[i].cube.side)
-    q1 = atoms[ordered[0]].cube
-    star_mask = dilate_cube(q1, "star").contains(grid.points())
-    mchis = [_maximal_indicator(a.cube, grid, ladder) for a in atoms]
-
-    total = np.zeros(grid.shape)
+    n, m, N = grid.n, len(atoms), idx.N
+    terms = []
     for part in op.symbol.mixed_terms:
         G = part.group_count
         b_factors = []
@@ -483,9 +502,8 @@ def _mixed_majorant(
         for b in b_factors:
             first = first * b
             inf_prod *= float(np.min(b[star_mask]))
-        second = mchis[ordered[0]] ** ((n + s + 1) / n) * inf_prod
-        total += first + second
-    return total
+        terms.append((first, inf_prod))
+    return terms
 
 
 def _is_degenerate_mixed(sym: Symbol) -> bool:
@@ -495,39 +513,37 @@ def _is_degenerate_mixed(sym: Symbol) -> bool:
 
 
 def check_pointwise_majorant(
-    kind: str,
-    op: MultilinearOperator,
-    atoms: Sequence[Atom],
+    t: AtomOutput,
     idx: IndexData,
     bump: BumpProfile | None = None,
     ladder: ScaleLadder | None = None,
 ) -> MajorantReport:
-    """sup over the grid of M_phi(T(a)) over the kind-specific majorant.
+    """sup over the grid of M_phi(T(a)) over the majorant of the operator's kind.
 
     Points where the majorant sits below 1e3 times the noise floor are
     excluded from the ratio.  A mixed operator whose every term is the
     single-group partition is the general operator in disguise and is
     measured against the general majorant.
     """
+    op, atoms = t.op, t.atoms
     grid = op.grid
-    bump = bump or make_bump(grid.n)
+    n = grid.n
+    bump = bump or make_bump(n)
     ladder = ladder or make_ladder(grid)
-    if kind not in ("general", "product", "mixed"):
-        raise ValueError(f"unknown operator kind {kind!r}")
+    lhs = np.abs(smooth_maximal(t.out, bump, ladder).values)
 
-    out = apply_operator(op, [a.values for a in atoms])
-    lhs = np.abs(smooth_maximal(out, bump, ladder).values)
-
-    if kind == "mixed" and _is_degenerate_mixed(op.symbol):
-        kind_used = "general"
+    smallest = min(range(len(atoms)), key=lambda i: atoms[i].cube.side)
+    star_mask = dilate_cube(atoms[smallest].cube, "star").contains(grid.points())
+    mchis = [_maximal_indicator(a.cube, grid, ladder) for a in atoms]
+    kind = op.symbol.kind
+    if kind == "general" or _is_degenerate_mixed(op.symbol):
+        terms = _general_majorant(mchis, star_mask, idx, n)
+    elif kind == "product":
+        terms = _product_majorant(t, mchis, star_mask, idx, ladder)
     else:
-        kind_used = kind
-    if kind_used == "general":
-        rhs = _general_majorant(atoms, idx, grid, ladder)
-    elif kind_used == "product":
-        rhs = _product_majorant(op, atoms, idx, ladder)
-    else:
-        rhs = _mixed_majorant(op, atoms, idx, ladder)
+        terms = _mixed_majorant(t, mchis, star_mask, idx, ladder)
+    lead = mchis[smallest] ** ((n + idx.s + 1) / n)
+    rhs = sum((first + lead * inf_prod for first, inf_prod in terms), np.zeros(grid.shape))
 
     scale = max(float(np.max(rhs)), float(np.max(lhs)), np.finfo(float).tiny)
     floor = 1e3 * np.finfo(float).eps * scale
@@ -634,10 +650,9 @@ class ExperimentConfig:
 def resolve_operator(config: ExperimentConfig, grid: Grid) -> MultilinearOperator:
     sym = builtin_symbol(config.symbol)
     if sym.kind != config.kind:
-        if not (config.kind == "general" and sym.kind == "general"):
-            raise ValueError(
-                f"symbol {config.symbol!r} is of kind {sym.kind}, config says {config.kind}"
-            )
+        raise ValueError(
+            f"symbol {config.symbol!r} is of kind {sym.kind}, config says {config.kind}"
+        )
     cutoff = default_cutoff(grid) if config.use_cutoff else None
     return MultilinearOperator(sym, grid, cutoff=cutoff, budget=config.budget)
 
@@ -651,6 +666,33 @@ def resolve_index(config: ExperimentConfig) -> IndexData:
         N_override=config.N_override,
         kind=config.kind,
         partitions=partitions,
+    )
+
+
+@dataclass(frozen=True)
+class RunContext:
+    """What every trial and check of one config shares, built once per config."""
+
+    config: ExperimentConfig
+    grid: Grid
+    op: MultilinearOperator
+    idx: IndexData
+    bump: BumpProfile
+    ladder: ScaleLadder
+
+
+@lru_cache(maxsize=8)
+def run_context(config: ExperimentConfig) -> RunContext:
+    """The run context of a config; repeated calls return the same object,
+    so the ensemble, its pool workers and the checks each build it once."""
+    grid = make_grid(config.n, config.L, config.M)
+    return RunContext(
+        config,
+        grid,
+        resolve_operator(config, grid),
+        resolve_index(config),
+        make_bump(grid.n),
+        make_ladder(grid, half_steps=config.half_steps),
     )
 
 
@@ -764,37 +806,30 @@ def _entries_from_record(
 
 
 def compute_trial_values(
-    config: ExperimentConfig,
+    ctx: RunContext,
     entries: Sequence[Sequence[tuple[float, Cube, int]]],
 ) -> tuple[float, float, float, str]:
     """LHS, RHS, ratio for one trial given its atom entries."""
-    grid = make_grid(config.n, config.L, config.M)
-    op = resolve_operator(config, grid)
-    idx = resolve_index(config)
-    bump = make_bump(grid.n)
-    ladder = make_ladder(grid, half_steps=config.half_steps)
-
+    idx = ctx.idx
     sums = [
-        make_atomic_sum(inp, p_l, idx.N, grid)
+        make_atomic_sum(inp, p_l, idx.N, ctx.grid)
         for inp, p_l in zip(entries, idx.exponents)
     ]
     rhs = 1.0
     for s, p_l in zip(sums, idx.exponents):
         rhs *= lp_quasinorm(s.majorant, p_l)
-    out = apply_operator(op, [s.realized for s in sums])
-    lhs = hp_quasinorm(out, idx.p, bump, ladder)
+    out = apply_operator(ctx.op, [s.realized for s in sums])
+    lhs = hp_quasinorm(out, idx.p, ctx.bump, ctx.ladder)
     if rhs == 0.0:
         return lhs, rhs, 0.0, "vacuous"
     return lhs, rhs, lhs / rhs, ""
 
 
-def run_trial(config: ExperimentConfig, trial_index: int) -> TrialRecord:
-    seed = trial_seed(config.seed, trial_index)
+def run_trial(ctx: RunContext, trial_index: int) -> TrialRecord:
+    seed = trial_seed(ctx.config.seed, trial_index)
     try:
-        entries = draw_trial_entries(
-            config, seed, len(config.exponents), make_grid(config.n, config.L, config.M)
-        )
-        lhs, rhs, ratio, flags = compute_trial_values(config, entries)
+        entries = draw_trial_entries(ctx.config, seed, ctx.idx.m, ctx.grid)
+        lhs, rhs, ratio, flags = compute_trial_values(ctx, entries)
     except ValueError as exc:
         # Precondition failure aborts just this trial; the seed in the record
         # is enough to reproduce the draw.
@@ -810,13 +845,17 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> TrialRecord:
 
 def _run_trial_from_dict(args: tuple[dict, int]) -> dict:
     config_dict, trial_index = args
-    return run_trial(ExperimentConfig.from_dict(config_dict), trial_index).to_dict()
+    ctx = run_context(ExperimentConfig.from_dict(config_dict))
+    return run_trial(ctx, trial_index).to_dict()
 
 
 def run_boundedness_ensemble(config: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
     """Run the ratio ensemble: per trial, the maximal-function quasinorm of the
-    output over the product of majorant quasinorms, with replayable records."""
-    resolve_index(config)  # validate exponents against the operator type
+    output over the product of majorant quasinorms, with replayable records.
+
+    The ensemble fails when any trial aborts: an abort is a ValueError, which
+    an inadmissible draw raises but so can a fault in the program."""
+    ctx = run_context(config)
     indices = list(range(config.trials))
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -827,26 +866,27 @@ def run_boundedness_ensemble(config: ExperimentConfig, jobs: int = 1) -> Experim
             ))
         records = [TrialRecord.from_dict(d) for d in dicts]
     else:
-        records = [run_trial(config, i) for i in indices]
+        records = [run_trial(ctx, i) for i in indices]
     records.sort(key=lambda r: r.trial_id)
 
     ratios = [r.ratio for r in records if not r.flags]
     vacuous = sum(1 for r in records if r.flags == "vacuous")
+    aborted = any(r.flags.startswith("aborted") for r in records)
     if ratios:
         sup = float(np.max(ratios))
         med = float(np.median(ratios))
     else:
         sup = med = 0.0
-    passed = bool(ratios) and all(np.isfinite(r) for r in ratios)
+    passed = bool(ratios) and all(np.isfinite(r) for r in ratios) and not aborted
     return ExperimentReport(config, tuple(records), sup, med, vacuous, passed)
 
 
-def replay_trial(config: ExperimentConfig, record: TrialRecord) -> tuple[float, float, float]:
+def replay_trial(ctx: RunContext, record: TrialRecord) -> tuple[float, float, float]:
     """Recompute a trial from its recorded atom entries (bit-for-bit contract)."""
     if record.flags.startswith("aborted"):
         raise ValueError(f"trial {record.trial_id} aborted at construction; nothing to replay")
     entries = _entries_from_record(record.inputs)
-    lhs, rhs, ratio, _ = compute_trial_values(config, entries)
+    lhs, rhs, ratio, _ = compute_trial_values(ctx, entries)
     return lhs, rhs, ratio
 
 
@@ -866,38 +906,37 @@ class ScaleInvarianceReport:
 
 
 def scale_invariance_test(
-    config: ExperimentConfig, dilation: float, trials: int | None = None
+    ctx: RunContext, records: Sequence[TrialRecord], dilation: float
 ) -> ScaleInvarianceReport:
-    """Compare per-trial ratios before and after dilating every cube.
+    """Compare each recorded trial's ratio with the ratio after dilating every
+    cube of the trial.
 
     Only valid for degree-zero homogeneous symbols, where the continuum ratio
     is exactly dilation invariant; the reported deviations measure pure
-    discretization error."""
-    sym = builtin_symbol(config.symbol)
-    if not sym.homogeneous_degree_zero:
+    discretization error.  Vacuous trials are skipped; an aborted one raises
+    ValueError with its reason."""
+    config = ctx.config
+    if not ctx.op.symbol.homogeneous_degree_zero:
         raise ValueError(
             f"symbol {config.symbol!r} is not flagged degree-zero homogeneous"
         )
     if dilation not in (0.5, 1.0, 2.0):
         raise ValueError(f"dilation must be one of 1/2, 1, 2, got {dilation}")
-    grid = make_grid(config.n, config.L, config.M)
-    count = config.trials if trials is None else trials
     deviations = []
-    for i in range(count):
-        seed = trial_seed(config.seed, i)
-        entries = draw_trial_entries(config, seed, len(config.exponents), grid)
-        _, _, base, flags = compute_trial_values(config, entries)
-        if flags == "vacuous":
+    for record in records:
+        if record.flags.startswith("aborted"):
+            raise ValueError(f"trial {record.trial_id} {record.flags}")
+        if record.flags == "vacuous":
             continue
         dilated = [
             [
                 (lam, Cube(tuple(dilation * c for c in cube.center), dilation * cube.side), s)
                 for lam, cube, s in inp
             ]
-            for inp in entries
+            for inp in _entries_from_record(record.inputs)
         ]
-        _, _, scaled, _ = compute_trial_values(config, dilated)
-        deviations.append(abs(scaled - base) / base)
+        _, _, scaled, _ = compute_trial_values(ctx, dilated)
+        deviations.append(abs(scaled - record.ratio) / record.ratio)
     if not deviations:
         raise ValueError("all trials vacuous; nothing to compare")
     return ScaleInvarianceReport(dilation, tuple(deviations))

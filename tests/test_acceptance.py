@@ -50,6 +50,7 @@ from hardylab.symbols import (
 )
 from hardylab.verify import (
     ExperimentConfig,
+    apply_to_atoms,
     check_cancellation,
     check_decay_lemma,
     check_fs_inequality,
@@ -57,6 +58,8 @@ from hardylab.verify import (
     check_pointwise_majorant,
     index_arithmetic,
     run_boundedness_ensemble,
+    run_context,
+    run_trial,
     scale_invariance_test,
 )
 
@@ -281,7 +284,7 @@ class TestCriterion5Cancellation:
         worst = 0.0
         for _ in range(20):
             atoms = _trilinear_atoms(grid, rng, N=6)
-            rep = check_cancellation(op, atoms, s=0, tolerance=1e-10)
+            rep = check_cancellation(apply_to_atoms(op, atoms), s=0, tolerance=1e-10)
             worst = max(worst, rep.max_normalized)
         report_line("5 sigma1 (s=0) zeroth moment", worst < 1e-10, f"max normalized {worst:.2e}")
         assert worst < 1e-10
@@ -297,7 +300,7 @@ class TestCriterion5Cancellation:
         worst = 0.0
         for _ in range(3):
             atoms = _trilinear_atoms(grid, rng, N=2, span=1.0)
-            rep = check_cancellation(op, atoms, s=1, tolerance=1e-5)
+            rep = check_cancellation(apply_to_atoms(op, atoms), s=1, tolerance=1e-5)
             worst = max(worst, rep.max_normalized)
         report_line("5 sigma1^2 (s=1) moments |alpha| <= 1", worst < 1e-5, f"max normalized {worst:.2e}")
         assert worst < 1e-5
@@ -306,7 +309,7 @@ class TestCriterion5Cancellation:
         grid = make_grid(1, 8.0, 256)
         op = MultilinearOperator(builtin_symbol("constant_one", m=2), grid)
         atom = make_atom(Cube((0.0,), 1.0), 1.0, 6, seed=7, grid=grid)
-        rep = check_cancellation(op, [atom, atom], s=0, tolerance=1e-2)
+        rep = check_cancellation(apply_to_atoms(op, [atom, atom]), s=0, tolerance=1e-2)
         ok = rep.max_normalized > 1e-2 and not rep.passed
         report_line("5 negative control flagged", ok, f"normalized {rep.max_normalized:.2e}")
         assert ok
@@ -329,7 +332,7 @@ class TestCriterion6Decay:
     @pytest.mark.parametrize("N", [0, 2, 4])
     def test_slope_bound(self, N):
         op = MultilinearOperator(builtin_symbol("sigma1_bilinear"), self.GRID)
-        rep = check_decay_lemma(op, self._atoms(N), N)
+        rep = check_decay_lemma(apply_to_atoms(op, self._atoms(N)), N)
         ok = rep.passed
         report_line(
             f"6 decay slope (N={N})",
@@ -341,7 +344,7 @@ class TestCriterion6Decay:
     @pytest.mark.parametrize("N", [2, 4])
     def test_negative_control(self, N):
         op = MultilinearOperator(builtin_symbol("sigma1_bilinear"), self.GRID)
-        rep = check_decay_lemma(op, self._atoms(N, skip=True), N)
+        rep = check_decay_lemma(apply_to_atoms(op, self._atoms(N, skip=True)), N)
         violated = rep.slope > rep.slope_bound
         rose = rep.slope > -(1 + 1) - 0.5
         report_line(
@@ -509,7 +512,7 @@ class TestCriterion8Majorants:
         def runner(grid, rng, dilation):
             op = MultilinearOperator(sym, grid)
             atoms = self._draw_atoms(grid, rng, 2, dilation)
-            rep = check_local_estimate(op, atoms, r=2.0, N=idx.N)
+            rep = check_local_estimate(apply_to_atoms(op, atoms), r=2.0, N=idx.N)
             return max(rep.ratio_direct, rep.ratio_maximal)
 
         self._stability("local estimate", runner)
@@ -521,7 +524,7 @@ class TestCriterion8Majorants:
         def runner(grid, rng, dilation):
             op = MultilinearOperator(sym, grid)
             atoms = self._draw_atoms(grid, rng, 2, dilation)
-            return check_pointwise_majorant("general", op, atoms, idx).ratio_sup
+            return check_pointwise_majorant(apply_to_atoms(op, atoms), idx).ratio_sup
 
         self._stability("pointwise majorant (general)", runner)
 
@@ -532,7 +535,7 @@ class TestCriterion8Majorants:
         def runner(grid, rng, dilation):
             op = MultilinearOperator(sym, grid)
             atoms = self._draw_atoms(grid, rng, 2, dilation)
-            return check_pointwise_majorant("product", op, atoms, idx).ratio_sup
+            return check_pointwise_majorant(apply_to_atoms(op, atoms), idx).ratio_sup
 
         self._stability("pointwise majorant (product)", runner)
 
@@ -543,7 +546,7 @@ class TestCriterion8Majorants:
         def runner(grid, rng, dilation):
             op = MultilinearOperator(sym, grid)
             atoms = self._draw_atoms(grid, rng, 3, dilation)
-            return check_pointwise_majorant("mixed", op, atoms, idx).ratio_sup
+            return check_pointwise_majorant(apply_to_atoms(op, atoms), idx).ratio_sup
 
         self._stability("pointwise majorant (mixed)", runner)
 
@@ -597,7 +600,8 @@ class TestCriterion9Boundedness:
         assert ok
 
     def test_dilation_invariance(self):
-        rep = scale_invariance_test(self.CONFIG, 2.0, trials=20)
+        ctx = run_context(self.CONFIG)
+        rep = scale_invariance_test(ctx, [run_trial(ctx, i) for i in range(20)], 2.0)
         ok = rep.max_deviation < 0.2
         report_line(
             "9 per-trial dilation invariance",

@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+import hardylab.operators
+import hardylab.verify
 from hardylab.cli import dumps_17g, load_config, main
 
 BASE_CONFIG = """
@@ -122,6 +124,16 @@ class TestRunCommand:
     def test_missing_config(self, tmp_path):
         assert main(["run", str(tmp_path / "none.ini"), "--out", str(tmp_path / "o")]) == 2
 
+    def test_report_independent_of_output_directory(self, config_file, tmp_path):
+        reports = []
+        for name in ("a", "nested/b"):
+            out = tmp_path / name
+            assert main(["run", str(config_file), "--out", str(out)]) == 0
+            report = json.loads((out / "report.json").read_text())
+            del report["manifest"]["created_unix"]
+            reports.append(report)
+        assert reports[0] == reports[1]
+
     def test_manifest_written_before_results(self, config_file, tmp_path):
         out = tmp_path / "out"
         assert main(["run", str(config_file), "--out", str(out)]) == 0
@@ -185,6 +197,33 @@ class TestAllChecksThroughCli:
         assert all(entry["pass"] for entry in checks.values())
         assert (out / "decay_fit.dat").exists()
         assert report["manifest"]["config_sha256"]
+
+
+class TestOneApplicationPerAtomSet:
+    def test_apply_general_call_count(self, tmp_path, monkeypatch):
+        # Each ensemble trial and each dilated scale-invariance trial applies
+        # T once; the checks apply it once to the full-order atoms and once
+        # to the decay atoms.  The base trials of scale invariance are the
+        # ensemble's own records.
+        original = hardylab.operators.apply_general
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(hardylab.operators, "apply_general", counting)
+        monkeypatch.setattr(hardylab.verify, "apply_general", counting)
+        cfg = tmp_path / "full.ini"
+        cfg.write_text(FULL_CONFIG.replace("M = 4096", "M = 512"))
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out), "--jobs", "1"]) in (0, 1)
+        report = json.loads((out / "report.json").read_text())
+        assert len(report["summary"]["checks"]) == 7
+        trials = len(report["trials"])
+        scale_trials = min(trials, 20)
+        assert trials == 3
+        assert len(calls) == trials + scale_trials + 2
 
 
 class TestReplayCommand:

@@ -67,7 +67,7 @@ class TestApplyGeneral:
         op = MultilinearOperator(builtin_symbol("sigma1"), grid32)
         fs = [band_limited(grid32, s) for s in (4, 5, 6)]
         out, spec = apply_general(op, *fs)
-        back = idft(spec.as_spectrum())
+        back = idft(spec)
         err = np.max(np.abs(back.values - out.values))
         assert err <= 1e-10 * max(np.max(np.abs(out.values)), 1e-300)
 

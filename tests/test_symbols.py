@@ -3,6 +3,7 @@ import pytest
 
 from hardylab.symbols import (
     Partition,
+    Symbol,
     builtin_symbol,
     cm_condition_ratio,
     dyadic_shells,
@@ -57,6 +58,10 @@ class TestBuiltins:
         assert builtin_symbol("sigma2").kind == "mixed"
         assert builtin_symbol("sigma3").kind == "product"
         assert builtin_symbol("sigma4").kind == "mixed"
+
+    def test_unknown_kind(self):
+        with pytest.raises(ValueError, match="kind"):
+            Symbol(m=2, n=1, evaluate=lambda a, b: a[..., 0] * b[..., 0], kind="weird")
 
     def test_sigma4_group_counts_vary(self):
         s4 = builtin_symbol("sigma4")

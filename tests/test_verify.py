@@ -9,6 +9,7 @@ from hardylab.operators import MultilinearOperator, default_cutoff
 from hardylab.symbols import Partition, builtin_symbol
 from hardylab.verify import (
     ExperimentConfig,
+    apply_to_atoms,
     check_cancellation,
     check_decay_lemma,
     check_fs_inequality,
@@ -17,6 +18,7 @@ from hardylab.verify import (
     index_arithmetic,
     replay_trial,
     run_boundedness_ensemble,
+    run_context,
     run_trial,
     scale_invariance_test,
     trial_seed,
@@ -97,7 +99,7 @@ class TestCancellation:
         op = MultilinearOperator(
             builtin_symbol("sigma1"), grid256, cutoff=default_cutoff(grid256)
         )
-        rep = check_cancellation(op, trilinear_atoms, s=0)
+        rep = check_cancellation(apply_to_atoms(op, trilinear_atoms), s=0)
         assert rep.max_normalized < 1e-10
         assert rep.passed
 
@@ -106,7 +108,7 @@ class TestCancellation:
         # so its mean cannot cancel.
         a = make_atom(Cube((0.0,), 1.0), 1.0, 6, seed=5, grid=grid256)
         op = MultilinearOperator(builtin_symbol("constant_one", m=2), grid256)
-        rep = check_cancellation(op, [a, a], s=0, tolerance=1e-2)
+        rep = check_cancellation(apply_to_atoms(op, [a, a]), s=0, tolerance=1e-2)
         assert rep.max_normalized > 1e-2
         assert not rep.passed
 
@@ -118,7 +120,7 @@ class TestCancellation:
             make_atom(Cube((0.5,), 1.0), 1.0, 4, seed=7, grid=grid256),
             make_atom(Cube((-0.5,), 1.0), 1.0, 4, seed=8, grid=grid256),
         ]
-        rep = check_cancellation(op, atoms, s=0, tolerance=1e-10)
+        rep = check_cancellation(apply_to_atoms(op, atoms), s=0, tolerance=1e-10)
         assert rep.passed
 
 
@@ -129,7 +131,7 @@ class TestDecay:
         q = Cube((0.0,), 0.5)
         a1 = make_atom(q, 1.0, 2, seed=11, grid=g)
         a2 = make_atom(q, 1.0, 0, seed=12, grid=g)
-        rep = check_decay_lemma(op, [a1, a2], N=2)
+        rep = check_decay_lemma(apply_to_atoms(op, [a1, a2]), N=2)
         assert rep.slope <= -(1 + 2 + 1) + 0.75
         assert rep.passed
 
@@ -139,7 +141,7 @@ class TestDecay:
         q = Cube((0.0,), 0.5)
         b1 = make_atom(q, 1.0, 2, seed=11, grid=g, skip_projection=True)
         b2 = make_atom(q, 1.0, 0, seed=12, grid=g, skip_projection=True)
-        rep = check_decay_lemma(op, [b1, b2], N=2)
+        rep = check_decay_lemma(apply_to_atoms(op, [b1, b2]), N=2)
         assert rep.slope > -(1 + 1) - 0.5
         assert not rep.passed
 
@@ -150,7 +152,7 @@ class TestDecay:
         a1 = make_atom(q, 1.0, 0, seed=1, grid=g)
         a2 = make_atom(q, 1.0, 0, seed=2, grid=g)
         with pytest.raises(ValueError, match="octave"):
-            check_decay_lemma(op, [a1, a2], N=0, max_distance=3.5)
+            check_decay_lemma(apply_to_atoms(op, [a1, a2]), N=0, max_distance=3.5)
 
 
 @pytest.fixture(scope="module")
@@ -174,19 +176,19 @@ class TestLocalEstimate:
             make_atom(Cube((0.0,), 1.0), 2.0, 2, seed=3, grid=grid1024),
             make_atom(Cube((0.0,), 1.0), 2.0, 2, seed=4, grid=grid1024),
         ]
-        rep = check_local_estimate(op, atoms, r=2.0, N=2)
+        rep = check_local_estimate(apply_to_atoms(op, atoms), r=2.0, N=2)
         assert np.isfinite(rep.ratio_direct) and rep.ratio_direct > 0
         assert np.isfinite(rep.ratio_maximal)
 
     def test_disjoint_geometry(self, grid1024, bilinear_atoms):
         op = MultilinearOperator(builtin_symbol("sigma1_bilinear"), grid1024)
-        rep = check_local_estimate(op, bilinear_atoms, r=2.0, N=2)
+        rep = check_local_estimate(apply_to_atoms(op, bilinear_atoms), r=2.0, N=2)
         assert np.isfinite(rep.ratio_direct)
 
     def test_r_guard(self, grid1024, bilinear_atoms):
         op = MultilinearOperator(builtin_symbol("sigma1_bilinear"), grid1024)
         with pytest.raises(ValueError):
-            check_local_estimate(op, bilinear_atoms, r=1.0, N=2)
+            check_local_estimate(apply_to_atoms(op, bilinear_atoms), r=1.0, N=2)
 
     def test_zero_atoms_trivially_pass(self, grid1024):
         from hardylab.atoms import Atom
@@ -198,7 +200,7 @@ class TestLocalEstimate:
             Atom(Cube((0.5,), 1.0), zero, 2.0, 2, None),
         ]
         op = MultilinearOperator(builtin_symbol("sigma1_bilinear"), grid1024)
-        rep = check_local_estimate(op, atoms, r=2.0, N=2)
+        rep = check_local_estimate(apply_to_atoms(op, atoms), r=2.0, N=2)
         assert rep.lhs_direct == 0.0 and rep.ratio_direct == 0.0
 
 
@@ -222,7 +224,7 @@ class TestPointwiseMajorant:
     def test_general_kind(self, grid1024, bilinear_atoms):
         op = MultilinearOperator(builtin_symbol("sigma1_bilinear"), grid1024)
         idx = index_arithmetic((2.0, 2.0), 1, N_override=2)
-        rep = check_pointwise_majorant("general", op, bilinear_atoms, idx)
+        rep = check_pointwise_majorant(apply_to_atoms(op, bilinear_atoms), idx)
         assert rep.passed
         assert rep.ratio_sup > 0
 
@@ -243,7 +245,7 @@ class TestPointwiseMajorant:
 
         out = apply_product(sym.product_terms, [a.values for a in atoms])
         assert np.max(np.abs(out.values)) < 1e-15  # zero up to transform rounding
-        rep = check_pointwise_majorant("product", op, atoms, idx)
+        rep = check_pointwise_majorant(apply_to_atoms(op, atoms), idx)
         assert rep.ratio_sup < 1e-12
         assert rep.passed
 
@@ -251,7 +253,7 @@ class TestPointwiseMajorant:
         sym = _product_pair_symbol()
         op = MultilinearOperator(sym, grid1024)
         idx = index_arithmetic((2.0, 2.0), 1, N_override=2)
-        rep = check_pointwise_majorant("product", op, bilinear_atoms, idx)
+        rep = check_pointwise_majorant(apply_to_atoms(op, bilinear_atoms), idx)
         assert rep.passed
 
     def test_mixed_kind(self, grid1024):
@@ -263,7 +265,7 @@ class TestPointwiseMajorant:
             make_atom(Cube((-1.0,), 0.5), 2.0, 2, seed=2, grid=grid1024),
             make_atom(Cube((1.5,), 0.5), 2.0, 2, seed=3, grid=grid1024),
         ]
-        rep = check_pointwise_majorant("mixed", op, atoms, idx)
+        rep = check_pointwise_majorant(apply_to_atoms(op, atoms), idx)
         assert rep.passed
 
     def test_degenerate_mixed_reproduces_general(self, grid1024, bilinear_atoms):
@@ -274,15 +276,9 @@ class TestPointwiseMajorant:
         idx = index_arithmetic((2.0, 2.0), 1, N_override=2)
         op_gen = MultilinearOperator(sb, grid1024)
         op_mix = MultilinearOperator(degenerate, grid1024)
-        rep_gen = check_pointwise_majorant("general", op_gen, bilinear_atoms, idx)
-        rep_mix = check_pointwise_majorant("mixed", op_mix, bilinear_atoms, idx)
+        rep_gen = check_pointwise_majorant(apply_to_atoms(op_gen, bilinear_atoms), idx)
+        rep_mix = check_pointwise_majorant(apply_to_atoms(op_mix, bilinear_atoms), idx)
         assert abs(rep_mix.ratio_sup - rep_gen.ratio_sup) <= 1e-10 * rep_gen.ratio_sup
-
-    def test_unknown_kind(self, grid1024, bilinear_atoms):
-        op = MultilinearOperator(builtin_symbol("sigma1_bilinear"), grid1024)
-        idx = index_arithmetic((2.0, 2.0), 1, N_override=2)
-        with pytest.raises(ValueError, match="kind"):
-            check_pointwise_majorant("weird", op, bilinear_atoms, idx)
 
 
 class TestFsInequality:
@@ -366,12 +362,12 @@ class TestBoundednessEnsemble:
         cfg = _ensemble_config(trials=3)
         rep = run_boundedness_ensemble(cfg)
         for trial in rep.trials:
-            lhs, rhs, ratio = replay_trial(cfg, trial)
+            lhs, rhs, ratio = replay_trial(run_context(cfg), trial)
             assert lhs == trial.lhs and rhs == trial.rhs and ratio == trial.ratio
 
     def test_trial_record_roundtrip(self):
         cfg = _ensemble_config(trials=2)
-        rec = run_trial(cfg, 1)
+        rec = run_trial(run_context(cfg), 1)
         from hardylab.verify import TrialRecord
 
         again = TrialRecord.from_dict(rec.to_dict())
@@ -389,21 +385,40 @@ class TestBoundednessEnsemble:
         assert all(t.flags.startswith("aborted") for t in rep.trials)
         assert not rep.passed
         with pytest.raises(ValueError, match="aborted"):
-            replay_trial(cfg, rep.trials[0])
+            replay_trial(run_context(cfg), rep.trials[0])
+
+    def test_some_aborted_trials_fail_the_ensemble(self):
+        # Side 1.0 has no room for the twofold dilation, side 0.5 has: on
+        # this seed one trial draws only half-unit cubes and three abort.
+        cfg = _ensemble_config(trials=4, seed=0, ell_choices=(0.5, 1.0), dilatable=True)
+        rep = run_boundedness_ensemble(cfg)
+        aborted = [t.flags.startswith("aborted") for t in rep.trials]
+        assert any(aborted) and not all(aborted)
+        assert np.isfinite(rep.ratio_sup) and rep.ratio_sup > 0
+        assert rep.passed is False
 
 
 class TestScaleInvariance:
     def test_requires_homogeneous_symbol(self):
         cfg = _ensemble_config(symbol="sigma2", kind="mixed", exponents=(2.0, 2.0, 2.0))
         with pytest.raises(ValueError, match="homogeneous"):
-            scale_invariance_test(cfg, 2.0)
+            scale_invariance_test(run_context(cfg), (), 2.0)
+
+    def test_aborted_base_trial_raises_its_reason(self):
+        cfg = _ensemble_config(trials=4, seed=0, ell_choices=(0.5, 1.0), dilatable=True)
+        records = run_boundedness_ensemble(cfg).trials
+        assert records[0].flags.startswith("aborted")
+        with pytest.raises(ValueError, match="cannot fit"):
+            scale_invariance_test(run_context(cfg), records, 2.0)
 
     def test_identity_dilation(self):
         cfg = _ensemble_config(trials=2, dilatable=True)
-        rep = scale_invariance_test(cfg, 1.0, trials=2)
+        records = run_boundedness_ensemble(cfg).trials
+        rep = scale_invariance_test(run_context(cfg), records, 1.0)
         assert rep.max_deviation == 0.0
 
     def test_doubling_small_deviation(self):
         cfg = _ensemble_config(M=2048, trials=3, dilatable=True)
-        rep = scale_invariance_test(cfg, 2.0, trials=3)
+        records = run_boundedness_ensemble(cfg).trials
+        rep = scale_invariance_test(run_context(cfg), records, 2.0)
         assert rep.max_deviation < 0.2
