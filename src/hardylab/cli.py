@@ -319,7 +319,7 @@ def _run_checks(ctx: RunContext, options: dict, jobs: int, out: Path) -> dict:
         _write_decay_points(out / "decay_fit.dat", rep)
 
     if checks["local_estimate"]:
-        rep = check_local_estimate(full, r=2.0, N=idx.N)
+        rep = check_local_estimate(full, r=2.0, N=idx.N, ladder=ctx.ladder)
         finite = math.isfinite(rep.ratio_direct) and math.isfinite(rep.ratio_maximal)
         results["local_estimate"] = {
             "pass": finite,
@@ -328,7 +328,7 @@ def _run_checks(ctx: RunContext, options: dict, jobs: int, out: Path) -> dict:
         }
 
     if checks["pointwise_majorant"]:
-        rep = check_pointwise_majorant(full, idx)
+        rep = check_pointwise_majorant(full, idx, bump=ctx.bump, ladder=ctx.ladder)
         results["pointwise_majorant"] = {
             "pass": rep.passed,
             "ratio_sup": rep.ratio_sup,
@@ -341,7 +341,7 @@ def _run_checks(ctx: RunContext, options: dict, jobs: int, out: Path) -> dict:
         lambdas = [lam for lam, _, _ in entries]
         p_eff = min(idx.p, 1.0) if math.isfinite(idx.p) else 1.0
         gamma = max(1.0, 1.0 / p_eff) + 1.0
-        rep = check_fs_inequality(cubes, lambdas, gamma, p_eff, ctx.grid)
+        rep = check_fs_inequality(cubes, lambdas, gamma, p_eff, ctx.grid, ladder=ctx.ladder)
         results["fs_inequality"] = {
             "pass": rep.passed,
             "ratio": rep.ratio,

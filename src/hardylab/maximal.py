@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy import fft as sp_fft
 
 from .grid import Grid, SampledFunction, Spectrum, dft, idft, lp_quasinorm
 
@@ -117,15 +117,19 @@ def _periodized_kernel(bump: BumpProfile, t: float, grid: Grid) -> np.ndarray:
     return vals / mass
 
 
+@lru_cache(maxsize=32)
+def _kernel_spectrum(bump: BumpProfile, t: float, grid: Grid) -> np.ndarray:
+    """The transform of the scale-t kernel (read-only), computed once per scale."""
+    return dft(SampledFunction(grid, _periodized_kernel(bump, t, grid))).coefficients
+
+
 def smooth_maximal(f: SampledFunction, bump: BumpProfile, ladder: ScaleLadder) -> SampledFunction:
     """sup over ladder scales of |phi_t * f|, convolution done spectrally."""
     grid = f.grid
     spec_f = dft(f).coefficients
     best = np.zeros(grid.shape)
     for t in ladder.scales:
-        kern = _periodized_kernel(bump, t, grid)
-        spec_k = dft(SampledFunction(grid, kern)).coefficients
-        conv = idft(Spectrum(grid, spec_f * spec_k))
+        conv = idft(Spectrum(grid, spec_f * _kernel_spectrum(bump, t, grid)))
         best = np.maximum(best, np.abs(conv.values))
     return SampledFunction(grid, best)
 
@@ -139,6 +143,19 @@ def _ball_offsets(r: float, grid: Grid) -> np.ndarray:
     return (dist2 < r * r).astype(np.float64)
 
 
+def _convolve_same(a: np.ndarray, kern: np.ndarray) -> np.ndarray:
+    """Zero-padded linear convolution of real arrays, cropped to a's shape
+    about the centre of the full result (``scipy.signal.fftconvolve``'s
+    "same" mode, computed as it does it)."""
+    full = [sa + sk - 1 for sa, sk in zip(a.shape, kern.shape)]
+    fshape = [sp_fft.next_fast_len(s, True) for s in full]
+    axes = tuple(range(a.ndim))
+    spec = sp_fft.rfftn(a, fshape, axes=axes) * sp_fft.rfftn(kern, fshape, axes=axes)
+    conv = sp_fft.irfftn(spec, fshape, axes=axes)
+    start = [(s - sa) // 2 for s, sa in zip(full, a.shape)]
+    return conv[tuple(slice(b, b + sa) for b, sa in zip(start, a.shape))]
+
+
 def hl_maximal(f: SampledFunction, ladder: ScaleLadder) -> SampledFunction:
     """sup over ladder radii of r^{-n} * integral of |f| over B(x, r) within the box.
 
@@ -150,7 +167,7 @@ def hl_maximal(f: SampledFunction, ladder: ScaleLadder) -> SampledFunction:
     best = np.zeros(grid.shape)
     for r in ladder.scales:
         kern = _ball_offsets(r, grid)
-        summed = fftconvolve(mags, kern, mode="same")
+        summed = _convolve_same(mags, kern)
         np.maximum(best, summed * (grid.dx**grid.n / r**grid.n), out=best)
     np.clip(best, 0.0, None, out=best)
     return SampledFunction(grid, best)

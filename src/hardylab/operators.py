@@ -7,10 +7,17 @@ Three application routes:
   frequency is determined by the constraint xi_m = eta - (xi_1 + ... +
   xi_{m-1}), wrapped periodically into the frequency box.  Cost is M^(m n)
   symbol evaluations.
-* ``apply_product`` — sums of products of 1-linear multipliers, one transform
-  round trip per factor: cost O(T m M^n log M).
+* ``apply_product`` — sums of products of 1-linear multipliers: one forward
+  transform per input, shared by every term, and one inverse transform per
+  factor; cost O(T m M^n log M).
 * ``apply_mixed`` — partition-factorized terms, each group applied through
   the general engine restricted to its own slots.
+
+``operator_factors`` returns what the last two routes multiply, per term:
+T_j^rho f_j for each slot of a product term, T_{I_g} for each group of a
+mixed term.  The pointwise majorants are built from these factor outputs, and
+the routes' output is one shared sum over terms of their products, so the
+factors and the output come from a single application.
 
 ``apply_oracle`` evaluates the same frequency sum literally, term by term in
 lexicographic order with exactly-rounded accumulation, at a handful of
@@ -42,12 +49,14 @@ __all__ = [
     "apply_product",
     "apply_mixed",
     "apply_operator",
+    "operator_factors",
     "spectral_moment",
     "default_cutoff",
     "DEFAULT_COST_BUDGET",
 ]
 
 DEFAULT_COST_BUDGET = 2**26
+Factors = tuple[tuple[SampledFunction, ...], ...]  # per operator term, its factor outputs
 
 
 def default_cutoff(grid: Grid) -> float:
@@ -248,17 +257,62 @@ def apply_oracle(
     return out
 
 
-def apply_linear(sym: Symbol, f: SampledFunction, cutoff: float | None = None) -> SampledFunction:
-    """One-transform round trip for a 1-linear multiplier."""
+def apply_linear(sym: Symbol, spec: Spectrum, cutoff: float | None = None) -> SampledFunction:
+    """A 1-linear multiplier applied to an input given by its spectrum."""
     if sym.m != 1:
         raise ValueError(f"expected a 1-linear symbol, got arity {sym.m}")
-    grid = f.grid
+    grid = spec.grid
     freqs = grid.frequencies()
     weights = np.asarray(sym.evaluate(freqs))
     if cutoff is not None:
         weights = weights * (np.linalg.norm(freqs, axis=-1) <= cutoff)
-    spec = dft(f)
     return idft(Spectrum(grid, spec.coefficients * weights))
+
+
+def _product_factors(
+    terms: Sequence[Sequence[Symbol]], fs: Sequence[SampledFunction], cutoff: float | None
+) -> Factors:
+    if not terms:
+        raise ValueError("need at least one product term")
+    if any(f.grid != fs[0].grid for f in fs):
+        raise ValueError("all inputs must share one grid")
+    for term in terms:
+        if len(term) != len(fs):
+            raise ValueError(f"term arity {len(term)} does not match {len(fs)} inputs")
+    spectra = [dft(f) for f in fs]
+    return tuple(
+        tuple(apply_linear(sym, spec, cutoff) for sym, spec in zip(term, spectra)) for term in terms
+    )
+
+
+def _mixed_factors(
+    terms: Sequence[Partition], fs: Sequence[SampledFunction], cutoff: float | None, budget: int
+) -> Factors:
+    if not terms:
+        raise ValueError("need at least one partition term")
+    for part in terms:
+        if part.m != len(fs):
+            raise ValueError(f"partition covers {part.m} slots, got {len(fs)} inputs")
+    grid = fs[0].grid
+    return tuple(
+        tuple(
+            apply_general(MultilinearOperator(sym, grid, cutoff, budget), *[fs[l] for l in grp])[0]
+            for grp, sym in zip(part.groups, part.symbols)
+        )
+        for part in terms
+    )
+
+
+def _sum_of_products(factors: Factors) -> SampledFunction:
+    """Sum over terms of the pointwise product of each term's factors."""
+    grid = factors[0][0].grid
+    total = np.zeros(grid.shape, dtype=np.complex128)
+    for term in factors:
+        prod = None
+        for f in term:
+            prod = f.values if prod is None else prod * f.values
+        total = total + prod
+    return SampledFunction(grid, total)
 
 
 def apply_product(
@@ -268,22 +322,7 @@ def apply_product(
 ) -> SampledFunction:
     """Apply a product-type operator: sum over terms of the pointwise product
     of per-slot 1-linear multiplier applications."""
-    if not terms:
-        raise ValueError("need at least one product term")
-    grid = fs[0].grid
-    for f in fs:
-        if f.grid != grid:
-            raise ValueError("all inputs must share one grid")
-    total = np.zeros(grid.shape, dtype=np.complex128)
-    for term in terms:
-        if len(term) != len(fs):
-            raise ValueError(f"term arity {len(term)} does not match {len(fs)} inputs")
-        prod = None
-        for sym, f in zip(term, fs):
-            applied = apply_linear(sym, f, cutoff=cutoff).values
-            prod = applied if prod is None else prod * applied
-        total = total + prod
-    return SampledFunction(grid, total)
+    return _sum_of_products(_product_factors(terms, fs, cutoff))
 
 
 def apply_mixed(
@@ -294,21 +333,17 @@ def apply_mixed(
 ) -> SampledFunction:
     """Apply a mixed-type operator: sum over partition terms of the product
     of per-group applications, each routed through the general engine."""
-    if not terms:
-        raise ValueError("need at least one partition term")
-    grid = fs[0].grid
-    m = len(fs)
-    total = np.zeros(grid.shape, dtype=np.complex128)
-    for part in terms:
-        if part.m != m:
-            raise ValueError(f"partition covers {part.m} slots, got {m} inputs")
-        prod = None
-        for grp, sym in zip(part.groups, part.symbols):
-            sub_op = MultilinearOperator(sym, grid, cutoff=cutoff, budget=budget)
-            applied, _ = apply_general(sub_op, *[fs[l] for l in grp])
-            prod = applied.values if prod is None else prod * applied.values
-        total = total + prod
-    return SampledFunction(grid, total)
+    return _sum_of_products(_mixed_factors(terms, fs, cutoff, budget))
+
+
+def operator_factors(op: MultilinearOperator, fs: Sequence[SampledFunction]) -> Factors:
+    """Per term, T_j^rho f_j for each slot j (product kind, one forward
+    transform per input) or T_{I_g} on each partition group (mixed kind)."""
+    if op.symbol.kind == "product":
+        return _product_factors(op.symbol.product_terms, fs, op.cutoff)
+    if op.symbol.kind == "mixed":
+        return _mixed_factors(op.symbol.mixed_terms, fs, op.cutoff, op.budget)
+    raise ValueError("a general operator has no factors; apply it with apply_general")
 
 
 def apply_operator(op: MultilinearOperator, fs: Sequence[SampledFunction]) -> SampledFunction:

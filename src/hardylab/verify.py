@@ -23,10 +23,11 @@ from .maximal import BumpProfile, ScaleLadder, hp_quasinorm, hl_maximal, make_bu
 from .operators import (
     DEFAULT_COST_BUDGET,
     MultilinearOperator,
+    _sum_of_products,
     apply_general,
-    apply_linear,
     apply_operator,
     default_cutoff,
+    operator_factors,
     spectral_moment,
 )
 from .symbols import Partition, Symbol, builtin_symbol
@@ -152,13 +153,15 @@ class AtomOutput:
 
     ``spectrum`` is the exhaustive engine's grouped output spectrum for the
     general kind (``out`` is exactly its inverse transform) and ``dft(out)``
-    for the product and mixed kinds.
+    for the product and mixed kinds, where ``factors`` holds each term's
+    factor outputs (``operator_factors``) that ``out`` sums the products of.
     """
 
     op: MultilinearOperator
     atoms: tuple[Atom, ...]
     out: SampledFunction
     spectrum: Spectrum
+    factors: tuple[tuple[SampledFunction, ...], ...] = ()
 
 
 def apply_to_atoms(op: MultilinearOperator, atoms: Sequence[Atom]) -> AtomOutput:
@@ -166,10 +169,10 @@ def apply_to_atoms(op: MultilinearOperator, atoms: Sequence[Atom]) -> AtomOutput
     inputs = [a.values for a in atoms]
     if op.symbol.kind == "general":
         out, g = apply_general(op, *inputs)
-    else:
-        out = apply_operator(op, inputs)
-        g = dft(out)
-    return AtomOutput(op, tuple(atoms), out, g)
+        return AtomOutput(op, tuple(atoms), out, g)
+    factors = operator_factors(op, inputs)
+    out = _sum_of_products(factors)
+    return AtomOutput(op, tuple(atoms), out, dft(out), factors)
 
 
 # ---------------------------------------------------------------------------
@@ -451,20 +454,15 @@ def _product_majorant(
 ) -> list[tuple[np.ndarray, float]]:
     grid = t.op.grid
     n, m, N = grid.n, len(t.atoms), idx.N
+    e = (n + N + 1) / (m * n)
     terms = []
-    for term in t.op.symbol.product_terms:
-        factors = []
-        for sym, a in zip(term, t.atoms):
-            applied = apply_linear(sym, a.values, cutoff=t.op.cutoff)
-            mpow = np.abs(power_maximal(applied, float(m), ladder).values)
-            factors.append(1.0 + mpow)
+    for applied_term in t.factors:
         first = np.ones(grid.shape)
-        for mx, fac in zip(mchis, factors):
-            first = first * mx ** ((n + N + 1) / (m * n)) * fac
         inf_prod = 1.0
-        for mx, fac in zip(mchis, factors):
-            piece = mx ** ((n + N + 1) / (m * n)) * fac
-            inf_prod *= float(np.min(piece[star_mask]))
+        for mx, applied in zip(mchis, applied_term):
+            fac = 1.0 + np.abs(power_maximal(applied, float(m), ladder).values)
+            first = first * mx ** e * fac
+            inf_prod *= float(np.min((mx ** e * fac)[star_mask]))
         terms.append((first, inf_prod))
     return terms
 
@@ -476,30 +474,22 @@ def _mixed_majorant(
     idx: IndexData,
     ladder: ScaleLadder,
 ) -> list[tuple[np.ndarray, float]]:
-    op, atoms = t.op, t.atoms
-    grid = op.grid
+    atoms, grid = t.atoms, t.op.grid
     n, m, N = grid.n, len(atoms), idx.N
+    e = (n + N + 1) / (m * n)
     terms = []
-    for part in op.symbol.mixed_terms:
-        G = part.group_count
-        b_factors = []
-        for grp, sym in zip(part.groups, part.symbols):
-            m_g = len(grp)
-            smallest = min(grp, key=lambda l: atoms[l].cube.side)
-            group_op = MultilinearOperator(sym, grid, cutoff=op.cutoff, budget=op.budget)
-            applied, _ = apply_general(group_op, *[atoms[l].values for l in grp])
-            mg_pow = np.abs(power_maximal(applied, float(G), ladder).values)
-            star_small = _maximal_indicator(
-                dilate_cube(atoms[smallest].cube, "star"), grid, ladder
-            )
-            b = star_small ** (m_g * (n + N + 1) / (m * n)) * mg_pow
-            prod = np.ones(grid.shape)
-            for l in grp:
-                prod = prod * mchis[l] ** ((n + N + 1) / (m * n))
-            b_factors.append(b + prod)
+    for part, applied_part in zip(t.op.symbol.mixed_terms, t.factors):
         first = np.ones(grid.shape)
         inf_prod = 1.0
-        for b in b_factors:
+        for grp, applied in zip(part.groups, applied_part):
+            smallest = min(grp, key=lambda l: atoms[l].cube.side)
+            mg_pow = np.abs(power_maximal(applied, float(part.group_count), ladder).values)
+            star_small = _maximal_indicator(dilate_cube(atoms[smallest].cube, "star"), grid, ladder)
+            b = star_small ** (len(grp) * (n + N + 1) / (m * n)) * mg_pow
+            prod = np.ones(grid.shape)
+            for l in grp:
+                prod = prod * mchis[l] ** e
+            b = b + prod
             first = first * b
             inf_prod *= float(np.min(b[star_mask]))
         terms.append((first, inf_prod))
@@ -836,6 +826,10 @@ def run_trial(ctx: RunContext, trial_index: int) -> TrialRecord:
         return TrialRecord(
             trial_index, seed, (), math.nan, math.nan, math.nan, f"aborted: {exc}"
         )
+    except Exception as exc:
+        # Anything else is a fault, reported with the trial that met it (a
+        # pool worker's exception reaches the parent with this message).
+        raise RuntimeError(f"trial {trial_index} (seed {seed}): {exc!r}") from exc
     record_inputs = tuple(
         tuple((lam, cube.center, cube.side, aseed) for lam, cube, aseed in inp)
         for inp in entries

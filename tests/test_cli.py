@@ -199,12 +199,58 @@ class TestAllChecksThroughCli:
         assert report["manifest"]["config_sha256"]
 
 
+MIXED_CONFIG = """
+[operator]
+kind = mixed
+symbol = sigma4
+cutoff = default
+
+[indices]
+p = 2, 2, 2
+
+[grid]
+n = 1
+L = 8
+M = 256
+
+[ensemble]
+trials = 2
+max_atoms = 2
+seed = 5
+ell = 1
+center_span = 0.25
+
+[checks]
+boundedness = true
+cancellation = true
+pointwise_majorant = true
+"""
+
+
 class TestOneApplicationPerAtomSet:
-    def test_apply_general_call_count(self, tmp_path, monkeypatch):
-        # Each ensemble trial and each dilated scale-invariance trial applies
-        # T once; the checks apply it once to the full-order atoms and once
-        # to the decay atoms.  The base trials of scale invariance are the
-        # ensemble's own records.
+    @pytest.mark.parametrize(
+        "config, checks, trials, expected",
+        [
+            # Each ensemble trial and each dilated scale-invariance trial
+            # applies T once; the checks apply it once to the full-order
+            # atoms and once to the decay atoms.  The base trials of scale
+            # invariance are the ensemble's own records.
+            (
+                FULL_CONFIG.replace("M = 4096", "M = 512"),
+                7,
+                3,
+                lambda trials: trials + min(trials, 20) + 2,
+            ),
+            # sigma4 has three partition groups over its two terms, each
+            # applied once per trial and once to the check atoms; the
+            # majorant reads those group outputs instead of applying them.
+            (MIXED_CONFIG, 3, 2, lambda trials: 3 * (trials + 1)),
+        ],
+        ids=["general", "mixed"],
+    )
+    def test_apply_general_call_count(
+        self, tmp_path, monkeypatch, config, checks, trials, expected
+    ):
         original = hardylab.operators.apply_general
         calls = []
 
@@ -214,16 +260,37 @@ class TestOneApplicationPerAtomSet:
 
         monkeypatch.setattr(hardylab.operators, "apply_general", counting)
         monkeypatch.setattr(hardylab.verify, "apply_general", counting)
-        cfg = tmp_path / "full.ini"
-        cfg.write_text(FULL_CONFIG.replace("M = 4096", "M = 512"))
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(config)
         out = tmp_path / "out"
         assert main(["run", str(cfg), "--out", str(out), "--jobs", "1"]) in (0, 1)
         report = json.loads((out / "report.json").read_text())
-        assert len(report["summary"]["checks"]) == 7
-        trials = len(report["trials"])
-        scale_trials = min(trials, 20)
-        assert trials == 3
-        assert len(calls) == trials + scale_trials + 2
+        assert len(report["summary"]["checks"]) == checks
+        assert len(report["trials"]) == trials
+        assert len(calls) == expected(trials)
+
+
+class TestLadderReachesTheChecks:
+    def test_half_steps_change_local_estimate_and_majorant(self, tmp_path):
+        # The config's ladder is the one the checks use: refining it by
+        # half steps moves the maximal-function ratios.
+        base = FULL_CONFIG.replace("M = 4096", "M = 512").split("[checks]")[0]
+        results = {}
+        for half in ("true", "false"):
+            cfg = tmp_path / f"half_{half}.ini"
+            cfg.write_text(
+                base
+                + "[checks]\nboundedness = false\nlocal_estimate = true\n"
+                + "pointwise_majorant = true\n\n[ladder]\nhalf_steps = "
+                + half
+                + "\n"
+            )
+            out = tmp_path / half
+            assert main(["run", str(cfg), "--out", str(out)]) == 0
+            results[half] = json.loads((out / "report.json").read_text())["summary"]["checks"]
+        on, off = results["true"], results["false"]
+        assert on["local_estimate"]["ratio_maximal"] != off["local_estimate"]["ratio_maximal"]
+        assert on["pointwise_majorant"]["ratio_sup"] != off["pointwise_majorant"]["ratio_sup"]
 
 
 class TestReplayCommand:

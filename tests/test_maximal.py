@@ -1,5 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import hardylab
+import hardylab.maximal
 
 from hardylab.atoms import Cube, make_atom
 from hardylab.grid import SampledFunction, lp_quasinorm, make_grid, sample
@@ -99,6 +107,23 @@ class TestSmoothMaximal:
         out = smooth_maximal(f, bump, ladder)
         assert np.max(out.values.real) <= f.max_abs() * (1 + 1e-8)
 
+    def test_kernel_spectra_cached_per_scale(self, grid1024, bump, ladder, monkeypatch):
+        f = make_atom(Cube((0.5,), 1.0), 1.0, 2, seed=3, grid=grid1024).values
+        first = smooth_maximal(f, bump, ladder)
+        original = hardylab.maximal._periodized_kernel
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(hardylab.maximal, "_periodized_kernel", counting)
+        second = smooth_maximal(f, bump, ladder)
+        assert calls == []
+        assert np.array_equal(first.values, second.values)
+        spec = hardylab.maximal._kernel_spectrum(bump, ladder.scales[0], grid1024)
+        assert not spec.flags.writeable
+
     def test_plateau_value_with_conv_oracle(self, grid1024, bump, ladder):
         # For t <= 1 the whole bump mass sits inside the plateau of the
         # indicator of [-1, soft 1], so the small-scale average is 1; oracle =
@@ -164,6 +189,38 @@ class TestHlMaximal:
         assert np.all(
             rough.values.real >= smooth.values.real / (2.0 * const) - 1e-12
         )
+
+
+    @pytest.mark.parametrize("n, M", [(1, 4096), (2, 64)])
+    def test_matches_fftconvolve_reference(self, n, M):
+        # The ball sums are scipy.signal.fftconvolve's "same" mode computed
+        # with the same transforms, so they agree bit for bit.
+        from scipy.signal import fftconvolve
+
+        from hardylab.maximal import _ball_offsets
+
+        grid = make_grid(n, 8.0, M)
+        rng = np.random.default_rng(n)
+        f = SampledFunction(grid, rng.standard_normal(grid.shape))
+        ladder = make_ladder(grid, half_steps=True)
+        mags = np.abs(f.values)
+        ref = np.zeros(grid.shape)
+        for r in ladder.scales:
+            summed = fftconvolve(mags, _ball_offsets(r, grid), mode="same")
+            np.maximum(ref, summed * (grid.dx**grid.n / r**grid.n), out=ref)
+        np.clip(ref, 0.0, None, out=ref)
+        assert np.array_equal(hl_maximal(f, ladder).values, ref)
+
+
+def test_cli_import_leaves_scipy_signal_out():
+    # scipy.signal costs most of a start-up; the maximal functions use scipy.fft.
+    src = str(Path(hardylab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, hardylab.cli; print('scipy.signal' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "False"
 
 
 class TestPowerMaximal:

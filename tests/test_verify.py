@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+import hardylab.operators
+import hardylab.verify
 from hardylab.atoms import Cube, make_atom
 from hardylab.grid import make_grid
-from hardylab.operators import MultilinearOperator, default_cutoff
+from hardylab.operators import MultilinearOperator, apply_operator, default_cutoff
 from hardylab.symbols import Partition, builtin_symbol
 from hardylab.verify import (
     ExperimentConfig,
@@ -281,6 +283,35 @@ class TestPointwiseMajorant:
         assert abs(rep_mix.ratio_sup - rep_gen.ratio_sup) <= 1e-10 * rep_gen.ratio_sup
 
 
+class TestMajorantReadsTheFactors:
+    @pytest.mark.parametrize("name", ["sigma3", "sigma4"])
+    def test_output_is_the_applied_operator(self, grid256, trilinear_atoms, name):
+        op = MultilinearOperator(builtin_symbol(name), grid256)
+        t = apply_to_atoms(op, trilinear_atoms)
+        assert np.array_equal(t.out.values, apply_operator(op, [a.values for a in t.atoms]).values)
+
+    @pytest.mark.parametrize("name", ["sigma3", "sigma4"])
+    def test_majorant_applies_no_factor(self, grid256, trilinear_atoms, monkeypatch, name):
+        # The product and mixed majorants are built from the factor outputs
+        # apply_to_atoms computed; measuring them applies nothing again.
+        op = MultilinearOperator(builtin_symbol(name), grid256)
+        t = apply_to_atoms(op, trilinear_atoms)
+        calls = []
+        for fname in ("apply_linear", "apply_general"):
+            original = getattr(hardylab.operators, fname)
+
+            def counting(*args, _original=original, _name=fname, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(hardylab.operators, fname, counting)
+            monkeypatch.setattr(hardylab.verify, fname, counting, raising=False)
+        idx = index_arithmetic((2.0, 2.0, 2.0), 1, N_override=6)
+        rep = check_pointwise_majorant(t, idx)
+        assert calls == []
+        assert rep.kind == op.symbol.kind and rep.passed
+
+
 class TestFsInequality:
     def test_single_unit_cube_value(self, grid1024):
         # Continuum oracle: M chi_[-1/2,1/2] is 2 inside and 1/(1/2 + dist)
@@ -396,6 +427,21 @@ class TestBoundednessEnsemble:
         assert any(aborted) and not all(aborted)
         assert np.isfinite(rep.ratio_sup) and rep.ratio_sup > 0
         assert rep.passed is False
+
+    def test_fault_in_a_trial_names_the_trial(self, monkeypatch):
+        # A ValueError aborts the trial; any other exception is a fault and
+        # propagates with the trial id and seed.
+        def failing(*args, **kwargs):
+            raise AssertionError("atomic sum broken")
+
+        monkeypatch.setattr(hardylab.verify, "make_atomic_sum", failing)
+        cfg = _ensemble_config(trials=2)
+        seed = trial_seed(cfg.seed, 1)
+        with pytest.raises(RuntimeError, match=rf"trial 1 \(seed {seed}\): AssertionError") as info:
+            run_trial(run_context(cfg), 1)
+        assert isinstance(info.value.__cause__, AssertionError)
+        with pytest.raises(RuntimeError, match="trial 0"):
+            run_boundedness_ensemble(cfg)
 
 
 class TestScaleInvariance:
