@@ -6,7 +6,9 @@ Three application routes:
   integral, grouped by output frequency eta.  For each eta the last input
   frequency is determined by the constraint xi_m = eta - (xi_1 + ... +
   xi_{m-1}), wrapped periodically into the frequency box.  Cost is M^(m n)
-  symbol evaluations.
+  symbol evaluations.  One path serves every arity and dimension: the m-1
+  free slots run over their tuples in lexicographic order (one empty tuple
+  when m = 1), and the cutoff is folded into every slot's spectrum.
 * ``apply_product`` — sums of products of 1-linear multipliers: one forward
   transform per input, shared by every term, and one inverse transform per
   factor; cost O(T m M^n log M).
@@ -124,6 +126,10 @@ def apply_general(
     over all frequency tuples whose (wrapped) slot sum equals eta, carrying the
     quadrature weight of the m-1 free frequency integrals.  The spatial output
     is exactly idft(g).
+
+    The same code runs for every m >= 1 and n >= 1.  The cutoff multiplies
+    every slot's spectrum once, so a masked free slot contributes zero and a
+    wrapped last slot that lands on a masked frequency does too.
     """
     _check_inputs(op, fs)
     grid = op.grid
@@ -137,38 +143,26 @@ def apply_general(
         )
 
     k_flat = _flat_freq_ints(grid)  # (S, n)
-    spectra = [dft(f).coefficients.ravel() for f in fs]
+    xi_flat = k_flat * grid.dxi  # (S, n) float
+    mask = _slot_mask(k_flat, grid, op.cutoff)
+    spectra = [dft(f).coefficients.ravel() * mask for f in fs]
 
-    # Free slots 0..m-2 in lexicographic order; slot m-1 is wrapped.
-    if m == 1:
-        free_prod = np.ones(1, dtype=np.complex128)
-        free_ksum = np.zeros((1, n), dtype=np.int64)
-        free_xis: list[np.ndarray] = []
-        F = 1
-    else:
-        free_idx = np.meshgrid(*([np.arange(S)] * (m - 1)), indexing="ij")
-        free_idx = [ix.ravel() for ix in free_idx]
-        F = free_idx[0].size
-        free_prod = np.ones(F, dtype=np.complex128)
-        free_ksum = np.zeros((F, n), dtype=np.int64)
-        free_xis = []
-        for slot, idx in enumerate(free_idx):
-            k_slot = k_flat[idx]  # (F, n)
-            free_prod *= spectra[slot][idx] * _slot_mask(k_slot, grid, op.cutoff)
-            free_ksum += k_slot
-            free_xis.append(k_slot * grid.dxi)
+    # Free slots 0..m-2 as tuples in lexicographic order (one empty tuple
+    # when m = 1); slot m-1 is wrapped.
+    free_idx = np.indices((S,) * (m - 1)).reshape(m - 1, S ** (m - 1))
+    F = free_idx.shape[1]
+    free_prod = np.ones(F, dtype=np.complex128)
+    free_ksum = np.zeros((F, n), dtype=np.int64)
+    for spec, idx in zip(spectra, free_idx):
+        free_prod *= spec[idx]
+        free_ksum += k_flat[idx]
+    free_xis = [xi_flat[idx][None, :, :] for idx in free_idx]
 
     g_flat = np.empty(S, dtype=np.complex128)
-    chunk = max(1, min(S, _MAX_CHUNK_ELEMENTS // max(F, 1)))
-    axis_weights = M ** np.arange(n - 1, -1, -1, dtype=np.int32)
-    last_spec = spectra[m - 1].copy()
+    chunk = max(1, min(S, _MAX_CHUNK_ELEMENTS // F))
+    last_spec = spectra[m - 1].reshape(grid.shape)
+    xi_grid = xi_flat.reshape(grid.shape + (n,))
     half = M // 2
-    if op.cutoff is not None:
-        # Fold the last-slot cutoff into its spectrum: dropped tuples are
-        # exactly those whose wrapped slot lands on a masked frequency.
-        allowed = np.linalg.norm(k_flat * grid.dxi, axis=1) <= op.cutoff
-        last_spec *= allowed
-    xi_flat = k_flat * grid.dxi  # (S, n) float
 
     for start in range(0, S, chunk):
         stop = min(start + chunk, S)
@@ -176,16 +170,11 @@ def apply_general(
         # Wrapped last slot: k_last = eta - sum(free), folded into [-M/2, M/2).
         # M is a power of two, so the fold is a bitwise AND.
         wrapped = (k_eta[:, None, :] - free_ksum[None, :, :] + half) & (M - 1)
-        if n == 1:
-            flat_last = wrapped[..., 0]  # (C, F)
-        else:
-            flat_last = (wrapped * axis_weights).sum(axis=2)
-        xi_last = xi_flat[flat_last]
+        last = tuple(np.moveaxis(wrapped, -1, 0))  # per-axis (C, F) indices
 
-        slot_args = [xi[None, :, :] for xi in free_xis] + [xi_last]
-        sigma = np.asarray(op.symbol.evaluate(*slot_args))
+        sigma = np.asarray(op.symbol.evaluate(*free_xis, xi_grid[last]))
         terms = sigma * free_prod[None, :]
-        terms *= last_spec[flat_last]
+        terms *= last_spec[last]
         g_flat[start:stop] = terms.sum(axis=1)
 
     g_flat *= grid.dxi ** ((m - 1) * n)

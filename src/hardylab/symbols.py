@@ -122,19 +122,6 @@ class Partition:
         return len(self.groups)
 
 
-def _product_evaluator(terms: tuple[tuple[Symbol, ...], ...]):
-    def evaluate(*xis):
-        total = None
-        for term in terms:
-            prod = term[0].evaluate(xis[0])
-            for j in range(1, len(term)):
-                prod = prod * term[j].evaluate(xis[j])
-            total = prod if total is None else total + prod
-        return total
-
-    return evaluate
-
-
 def _mixed_evaluator(terms: tuple[Partition, ...]):
     def evaluate(*xis):
         total = None
@@ -168,10 +155,11 @@ def make_product_symbol(
                 raise ValueError(f"product factors must be 1-linear, got arity {s.m}")
             if s.n != n:
                 raise ValueError("dimension mismatch among factors")
+    singletons = tuple((j,) for j in range(m))
     return Symbol(
         m=m,
         n=n,
-        evaluate=_product_evaluator(terms_t),
+        evaluate=_mixed_evaluator(tuple(Partition(singletons, term) for term in terms_t)),
         kind="product",
         name=name,
         homogeneous_degree_zero=homogeneous_degree_zero,

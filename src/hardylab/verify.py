@@ -360,8 +360,12 @@ def _local_lp(values: np.ndarray, mask: np.ndarray, r: float, grid: Grid) -> flo
     return float((np.sum(np.abs(values) ** r * mask) * grid.dx**grid.n) ** (1.0 / r))
 
 
+@lru_cache(maxsize=16)
 def _maximal_indicator(cube: Cube, grid: Grid, ladder: ScaleLadder) -> np.ndarray:
-    return np.abs(hl_maximal(cube_indicator(cube, grid), ladder).values)
+    """|M chi_Q| on the grid (read-only), computed once per cube, grid and ladder."""
+    mx = np.abs(hl_maximal(cube_indicator(cube, grid), ladder).values)
+    mx.setflags(write=False)
+    return mx
 
 
 @dataclass(frozen=True)
@@ -736,7 +740,7 @@ def draw_trial_entries(
 class TrialRecord:
     trial_id: int
     seed: int
-    inputs: tuple[tuple[tuple[float, tuple[float, ...], float, int], ...], ...]
+    inputs: tuple[tuple[tuple[float, Cube, int], ...], ...]  # per input, the drawn entries
     lhs: float
     rhs: float
     ratio: float
@@ -747,7 +751,7 @@ class TrialRecord:
             "trial_id": self.trial_id,
             "seed": self.seed,
             "inputs": [
-                [[lam, list(center), side, seed] for lam, center, side, seed in inp]
+                [[lam, list(cube.center), cube.side, seed] for lam, cube, seed in inp]
                 for inp in self.inputs
             ],
             "lhs": self.lhs,
@@ -760,7 +764,7 @@ class TrialRecord:
     def from_dict(cls, d: dict) -> "TrialRecord":
         inputs = tuple(
             tuple(
-                (float(lam), tuple(float(c) for c in center), float(side), int(seed))
+                (float(lam), Cube(center, float(side)), int(seed))
                 for lam, center, side, seed in inp
             )
             for inp in d["inputs"]
@@ -784,15 +788,6 @@ class ExperimentReport:
     ratio_median: float
     vacuous_trials: int
     passed: bool
-
-
-def _entries_from_record(
-    record_inputs,
-) -> list[list[tuple[float, Cube, int]]]:
-    return [
-        [(lam, Cube(tuple(center), side), seed) for lam, center, side, seed in inp]
-        for inp in record_inputs
-    ]
 
 
 def compute_trial_values(
@@ -830,17 +825,12 @@ def run_trial(ctx: RunContext, trial_index: int) -> TrialRecord:
         # Anything else is a fault, reported with the trial that met it (a
         # pool worker's exception reaches the parent with this message).
         raise RuntimeError(f"trial {trial_index} (seed {seed}): {exc!r}") from exc
-    record_inputs = tuple(
-        tuple((lam, cube.center, cube.side, aseed) for lam, cube, aseed in inp)
-        for inp in entries
-    )
-    return TrialRecord(trial_index, seed, record_inputs, lhs, rhs, ratio, flags)
+    inputs = tuple(tuple(inp) for inp in entries)
+    return TrialRecord(trial_index, seed, inputs, lhs, rhs, ratio, flags)
 
 
-def _run_trial_from_dict(args: tuple[dict, int]) -> dict:
-    config_dict, trial_index = args
-    ctx = run_context(ExperimentConfig.from_dict(config_dict))
-    return run_trial(ctx, trial_index).to_dict()
+def _run_trial_in_worker(config: ExperimentConfig, trial_index: int) -> TrialRecord:
+    return run_trial(run_context(config), trial_index)
 
 
 def run_boundedness_ensemble(config: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
@@ -855,13 +845,9 @@ def run_boundedness_ensemble(config: ExperimentConfig, jobs: int = 1) -> Experim
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            dicts = list(pool.map(
-                _run_trial_from_dict, [(config.to_dict(), i) for i in indices]
-            ))
-        records = [TrialRecord.from_dict(d) for d in dicts]
+            records = list(pool.map(_run_trial_in_worker, [config] * len(indices), indices))
     else:
         records = [run_trial(ctx, i) for i in indices]
-    records.sort(key=lambda r: r.trial_id)
 
     ratios = [r.ratio for r in records if not r.flags]
     vacuous = sum(1 for r in records if r.flags == "vacuous")
@@ -879,8 +865,7 @@ def replay_trial(ctx: RunContext, record: TrialRecord) -> tuple[float, float, fl
     """Recompute a trial from its recorded atom entries (bit-for-bit contract)."""
     if record.flags.startswith("aborted"):
         raise ValueError(f"trial {record.trial_id} aborted at construction; nothing to replay")
-    entries = _entries_from_record(record.inputs)
-    lhs, rhs, ratio, _ = compute_trial_values(ctx, entries)
+    lhs, rhs, ratio, _ = compute_trial_values(ctx, record.inputs)
     return lhs, rhs, ratio
 
 
@@ -927,7 +912,7 @@ def scale_invariance_test(
                 (lam, Cube(tuple(dilation * c for c in cube.center), dilation * cube.side), s)
                 for lam, cube, s in inp
             ]
-            for inp in _entries_from_record(record.inputs)
+            for inp in record.inputs
         ]
         _, _, scaled, _ = compute_trial_values(ctx, dilated)
         deviations.append(abs(scaled - record.ratio) / record.ratio)

@@ -11,7 +11,7 @@ from hardylab.operators import (
     default_cutoff,
     spectral_moment,
 )
-from hardylab.symbols import Partition, builtin_symbol, power_symbol
+from hardylab.symbols import Partition, Symbol, builtin_symbol, power_symbol
 from hardylab.atoms import Cube, make_atom
 
 
@@ -38,6 +38,27 @@ def spectral_dilate_two(f):
     for k in range(-M // 4, M // 4):
         out[c + k] = 2.0 * spec[c + 2 * k]
     return idft(Spectrum(grid, out))
+
+
+def planar_symbol(m):
+    """A non-separable m-linear symbol on (R^2)^m (every builtin is n = 1)."""
+
+    def evaluate(*xis):
+        total = sum(xis)
+        out = np.cos(total[..., 0] - 0.5 * total[..., 1])
+        for j, xi in enumerate(xis):
+            u, v = xi[..., 0], xi[..., 1]
+            out = out * (1.0 + (j + 1) * u * v) / (1.0 + u * u + 2.0 * v * v)
+        return out
+
+    return Symbol(m=m, n=2, evaluate=evaluate, name=f"planar{m}")
+
+
+def random_inputs(grid, m, seed):
+    rng = np.random.default_rng(seed)
+    shape = (m,) + grid.shape
+    values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return [SampledFunction(grid, v) for v in values]
 
 
 @pytest.fixture(scope="module")
@@ -109,12 +130,21 @@ class TestApplyGeneral:
         with pytest.raises(ValueError, match="grid"):
             apply_general(op, band_limited(grid32, 1), band_limited(other, 2))
 
-    def test_chunking_is_bitwise_invariant(self, grid32, monkeypatch):
+    @pytest.mark.parametrize("cut", [False, True], ids=["uncut", "cut"])
+    @pytest.mark.parametrize("n", [1, 2], ids=["n1", "n2"])
+    def test_chunking_is_bitwise_invariant(self, n, cut, monkeypatch):
         # Partitioning the output-frequency range must not change a single bit.
         import hardylab.operators as ops
 
-        op = MultilinearOperator(builtin_symbol("sigma1"), grid32)
-        fs = [band_limited(grid32, s) for s in (12, 13, 14)]
+        if n == 1:
+            grid = make_grid(1, 8.0, 32)
+            sym = builtin_symbol("sigma1")
+            fs = [band_limited(grid, s) for s in (12, 13, 14)]
+        else:
+            grid = make_grid(2, 4.0, 8)
+            sym = planar_symbol(3)
+            fs = random_inputs(grid, 3, 12)
+        op = MultilinearOperator(sym, grid, cutoff=default_cutoff(grid) if cut else None)
         base, _ = apply_general(op, *fs)
         monkeypatch.setattr(ops, "_MAX_CHUNK_ELEMENTS", 2048)
         chunked, _ = apply_general(op, *fs)
@@ -173,6 +203,26 @@ class TestOracle:
         oracle = apply_oracle(op, fs, pts)
         scale = np.max(np.abs(oracle))
         assert np.max(np.abs(oracle - out.values[idx])) < 1e-10 * scale
+
+    @pytest.mark.parametrize("cut", [False, True], ids=["uncut", "cut"])
+    @pytest.mark.parametrize("n", [1, 2], ids=["n1", "n2"])
+    @pytest.mark.parametrize("m", [1, 2, 3], ids=["m1", "m2", "m3"])
+    def test_general_matches_oracle(self, m, n, cut):
+        # Every arity, dimension and cutoff runs through one engine path.
+        grid = make_grid(n, 4.0, 16 if m <= 2 else 8)
+        if n == 1:
+            sym = builtin_symbol({1: "constant_one", 2: "sigma1_bilinear", 3: "sigma1"}[m], m=m)
+        else:
+            sym = planar_symbol(m)
+        op = MultilinearOperator(sym, grid, cutoff=default_cutoff(grid) if cut else None)
+        fs = random_inputs(grid, m, 10 * m + n)
+        out, _ = apply_general(op, *fs)
+        rng = np.random.default_rng(m + n)
+        idx = rng.choice(grid.size, size=5, replace=False)
+        pts = grid.points().reshape(-1, n)[idx]
+        oracle = apply_oracle(op, fs, pts)
+        scale = np.max(np.abs(oracle))
+        assert np.max(np.abs(oracle - out.values.ravel()[idx])) < 1e-10 * scale
 
     def test_point_limit(self, grid32):
         op = MultilinearOperator(builtin_symbol("constant_one", m=2), grid32)

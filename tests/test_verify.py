@@ -7,6 +7,7 @@ import hardylab.operators
 import hardylab.verify
 from hardylab.atoms import Cube, make_atom
 from hardylab.grid import make_grid
+from hardylab.maximal import make_ladder
 from hardylab.operators import MultilinearOperator, apply_operator, default_cutoff
 from hardylab.symbols import Partition, builtin_symbol
 from hardylab.verify import (
@@ -281,6 +282,33 @@ class TestPointwiseMajorant:
         rep_gen = check_pointwise_majorant(apply_to_atoms(op_gen, bilinear_atoms), idx)
         rep_mix = check_pointwise_majorant(apply_to_atoms(op_mix, bilinear_atoms), idx)
         assert abs(rep_mix.ratio_sup - rep_gen.ratio_sup) <= 1e-10 * rep_gen.ratio_sup
+
+
+class TestMaximalIndicatorOnce:
+    def test_majorant_reuses_the_local_estimates_indicators(
+        self, grid1024, bilinear_atoms, monkeypatch
+    ):
+        op = MultilinearOperator(builtin_symbol("sigma1_bilinear"), grid1024)
+        idx = index_arithmetic((2.0, 2.0), 1, N_override=2)
+        t = apply_to_atoms(op, bilinear_atoms)
+        hardylab.verify._maximal_indicator.cache_clear()
+        expected = check_pointwise_majorant(t, idx)
+        hardylab.verify._maximal_indicator.cache_clear()
+        check_local_estimate(t, r=2.0, N=2)
+        calls = []
+        original = hardylab.verify.hl_maximal
+
+        def counting(f, ladder):
+            calls.append(f)
+            return original(f, ladder)
+
+        monkeypatch.setattr(hardylab.verify, "hl_maximal", counting)
+        rep = check_pointwise_majorant(t, idx)
+        assert calls == []
+        assert rep.ratio_sup == expected.ratio_sup
+        mx = hardylab.verify._maximal_indicator(t.atoms[0].cube, grid1024, make_ladder(grid1024))
+        with pytest.raises(ValueError):
+            mx[0] = 0.0
 
 
 class TestMajorantReadsTheFactors:
