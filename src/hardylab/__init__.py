@@ -4,7 +4,6 @@ atoms with vanishing moments, and maximal functions on periodic grids."""
 __version__ = "0.1.0"
 
 from .grid import (
-    Box,
     Grid,
     SampledFunction,
     Spectrum,
@@ -32,7 +31,6 @@ from .operators import (
     apply_mixed,
     apply_oracle,
     apply_operator,
-    apply_product,
     default_cutoff,
     spectral_moment,
 )

@@ -31,6 +31,7 @@ import numpy as np
 
 from . import __version__
 from .atoms import _monomial_exponents, make_atom
+from .operators import DEFAULT_COST_BUDGET
 from .symbols import (
     BUILTIN_NAMES,
     builtin_symbol,
@@ -212,8 +213,8 @@ def load_config(path: str) -> tuple[ExperimentConfig, dict]:
         symbol=op.get("symbol", "sigma1_bilinear").strip(),
         exponents=exponents,
         n=int(grid.get("n", "1")),
-        L=float(grid.get("l", grid.get("L", "8"))),
-        M=int(grid.get("m", grid.get("M", "512"))),
+        L=float(grid.get("l", "8")),
+        M=int(grid.get("m", "512")),
         trials=int(ens.get("trials", "50")),
         max_atoms=int(ens.get("max_atoms", "4")),
         seed=int(ens.get("seed", "0")),
@@ -222,7 +223,7 @@ def load_config(path: str) -> tuple[ExperimentConfig, dict]:
         N_override=int(n_override) if n_override is not None else None,
         use_cutoff=(cutoff_text == "default"),
         half_steps=_parse_bool(ladder.get("half_steps", "false")),
-        budget=int(ens.get("budget", str(2**26))),
+        budget=int(ens.get("budget", str(DEFAULT_COST_BUDGET))),
         dilatable=_parse_bool(ens.get("dilatable", "false")),
     )
 

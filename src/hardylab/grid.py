@@ -18,7 +18,6 @@ from typing import Callable
 import numpy as np
 
 __all__ = [
-    "Box",
     "Grid",
     "SampledFunction",
     "Spectrum",
@@ -36,55 +35,34 @@ def _is_power_of_two(m: int) -> bool:
 
 
 @dataclass(frozen=True)
-class Box:
-    """Periodic domain [-L, L)^n."""
-
-    n: int
-    L: float
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"dimension must be a positive integer, got {self.n}")
-        if not (self.L > 0):
-            raise ValueError(f"half-width must be positive, got {self.L}")
-
-    @property
-    def volume(self) -> float:
-        return (2.0 * self.L) ** self.n
-
-
-@dataclass(frozen=True)
 class Grid:
-    """Uniform periodic grid with M (a power of two) points per axis.
+    """Uniform periodic grid on [-L, L)^n with M (a power of two) points per axis.
 
     Spatial points per axis are dx * {-M/2, ..., M/2 - 1} with dx = 2L/M;
     frequency points per axis are {-M/2, ..., M/2 - 1} / (2L).  The frequency
     set is symmetric apart from the single Nyquist row at -M/(4L).
     """
 
-    box: Box
+    n: int
+    L: float
     M: int
 
     def __post_init__(self) -> None:
+        if self.n < 1:
+            raise ValueError(f"dimension must be a positive integer, got {self.n}")
+        if not (self.L > 0):
+            raise ValueError(f"half-width must be positive, got {self.L}")
         if not _is_power_of_two(self.M):
             raise ValueError(f"points per axis must be a power of two, got {self.M}")
 
     @property
-    def n(self) -> int:
-        return self.box.n
-
-    @property
-    def L(self) -> float:
-        return self.box.L
-
-    @property
     def dx(self) -> float:
-        return 2.0 * self.box.L / self.M
+        return 2.0 * self.L / self.M
 
     @property
     def dxi(self) -> float:
         """Frequency spacing 1/(2L)."""
-        return 1.0 / (2.0 * self.box.L)
+        return 1.0 / (2.0 * self.L)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -100,7 +78,7 @@ class Grid:
 
     def axis_frequencies(self) -> np.ndarray:
         """Frequency coordinates along one axis, ascending from -M/(4L)."""
-        return np.arange(-self.M // 2, self.M // 2, dtype=np.float64) / (2.0 * self.box.L)
+        return np.arange(-self.M // 2, self.M // 2, dtype=np.float64) / (2.0 * self.L)
 
     def points(self) -> np.ndarray:
         """All grid points, shape (M,)*n + (n,)."""
@@ -185,7 +163,7 @@ def make_grid(n: int, L: float, M: int) -> Grid:
         raise ValueError(f"dimension must be 1 or 2, got {n}")
     if M < 8:
         raise ValueError(f"need at least 8 points per axis, got {M}")
-    return Grid(Box(n, float(L)), int(M))
+    return Grid(n, float(L), int(M))
 
 
 def sample(f: Callable[..., complex], grid: Grid) -> SampledFunction:

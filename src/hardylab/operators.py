@@ -1,6 +1,6 @@
 """Application of multilinear multiplier operators to sampled functions.
 
-Three application routes:
+Two application routes:
 
 * ``apply_general`` — exhaustive summation over the discretized frequency
   integral, grouped by output frequency eta.  For each eta the last input
@@ -9,17 +9,16 @@ Three application routes:
   symbol evaluations.  One path serves every arity and dimension: the m-1
   free slots run over their tuples in lexicographic order (one empty tuple
   when m = 1), and the cutoff is folded into every slot's spectrum.
-* ``apply_product`` — sums of products of 1-linear multipliers: one forward
-  transform per input, shared by every term, and one inverse transform per
-  factor; cost O(T m M^n log M).
-* ``apply_mixed`` — partition-factorized terms, each group applied through
-  the general engine restricted to its own slots.
+* ``apply_mixed`` — the one factorized route, for sums of partition-factorized
+  terms (a product operator's groups are all single slots).  A one-slot group
+  is a 1-linear multiplier on its input's forward transform, computed once per
+  input and shared by every term; a larger group runs through the general
+  engine restricted to its own slots.
 
-``operator_factors`` returns what the last two routes multiply, per term:
-T_j^rho f_j for each slot of a product term, T_{I_g} for each group of a
-mixed term.  The pointwise majorants are built from these factor outputs, and
-the routes' output is one shared sum over terms of their products, so the
-factors and the output come from a single application.
+``operator_factors`` returns what ``apply_mixed`` multiplies: per term, the
+output of each partition group.  The pointwise majorants are built from these
+factor outputs, and the route's output is one shared sum over terms of their
+products, so the factors and the output come from a single application.
 
 ``apply_oracle`` evaluates the same frequency sum literally, term by term in
 lexicographic order with exactly-rounded accumulation, at a handful of
@@ -48,7 +47,6 @@ __all__ = [
     "MomentEstimate",
     "apply_general",
     "apply_oracle",
-    "apply_product",
     "apply_mixed",
     "apply_operator",
     "operator_factors",
@@ -258,34 +256,26 @@ def apply_linear(sym: Symbol, spec: Spectrum, cutoff: float | None = None) -> Sa
     return idft(Spectrum(grid, spec.coefficients * weights))
 
 
-def _product_factors(
-    terms: Sequence[Sequence[Symbol]], fs: Sequence[SampledFunction], cutoff: float | None
-) -> Factors:
-    if not terms:
-        raise ValueError("need at least one product term")
-    if any(f.grid != fs[0].grid for f in fs):
-        raise ValueError("all inputs must share one grid")
-    for term in terms:
-        if len(term) != len(fs):
-            raise ValueError(f"term arity {len(term)} does not match {len(fs)} inputs")
-    spectra = [dft(f) for f in fs]
-    return tuple(
-        tuple(apply_linear(sym, spec, cutoff) for sym, spec in zip(term, spectra)) for term in terms
-    )
-
-
-def _mixed_factors(
+def _factors(
     terms: Sequence[Partition], fs: Sequence[SampledFunction], cutoff: float | None, budget: int
 ) -> Factors:
     if not terms:
         raise ValueError("need at least one partition term")
+    if any(f.grid != fs[0].grid for f in fs):
+        raise ValueError("all inputs must share one grid")
     for part in terms:
         if part.m != len(fs):
             raise ValueError(f"partition covers {part.m} slots, got {len(fs)} inputs")
     grid = fs[0].grid
+    singles = sorted({grp[0] for part in terms for grp in part.groups if len(grp) == 1})
+    spectra = {l: dft(fs[l]) for l in singles}
     return tuple(
         tuple(
-            apply_general(MultilinearOperator(sym, grid, cutoff, budget), *[fs[l] for l in grp])[0]
+            apply_linear(sym, spectra[grp[0]], cutoff)
+            if len(grp) == 1
+            else apply_general(
+                MultilinearOperator(sym, grid, cutoff, budget), *[fs[l] for l in grp]
+            )[0]
             for grp, sym in zip(part.groups, part.symbols)
         )
         for part in terms
@@ -304,44 +294,32 @@ def _sum_of_products(factors: Factors) -> SampledFunction:
     return SampledFunction(grid, total)
 
 
-def apply_product(
-    terms: Sequence[Sequence[Symbol]],
-    fs: Sequence[SampledFunction],
-    cutoff: float | None = None,
-) -> SampledFunction:
-    """Apply a product-type operator: sum over terms of the pointwise product
-    of per-slot 1-linear multiplier applications."""
-    return _sum_of_products(_product_factors(terms, fs, cutoff))
-
-
 def apply_mixed(
     terms: Sequence[Partition],
     fs: Sequence[SampledFunction],
     cutoff: float | None = None,
     budget: int = DEFAULT_COST_BUDGET,
 ) -> SampledFunction:
-    """Apply a mixed-type operator: sum over partition terms of the product
-    of per-group applications, each routed through the general engine."""
-    return _sum_of_products(_mixed_factors(terms, fs, cutoff, budget))
+    """Apply a factorized operator: sum over partition terms of the product
+    of per-group applications.  A product operator's groups are single slots,
+    each a 1-linear multiplier; a larger group runs through the general
+    engine on its own slots."""
+    return _sum_of_products(_factors(terms, fs, cutoff, budget))
 
 
 def operator_factors(op: MultilinearOperator, fs: Sequence[SampledFunction]) -> Factors:
-    """Per term, T_j^rho f_j for each slot j (product kind, one forward
-    transform per input) or T_{I_g} on each partition group (mixed kind)."""
-    if op.symbol.kind == "product":
-        return _product_factors(op.symbol.product_terms, fs, op.cutoff)
-    if op.symbol.kind == "mixed":
-        return _mixed_factors(op.symbol.mixed_terms, fs, op.cutoff, op.budget)
-    raise ValueError("a general operator has no factors; apply it with apply_general")
+    """Per term, the output of each partition group: T_j^rho f_j for a
+    one-slot group, T_{I_g} on its own inputs for a larger one."""
+    if op.symbol.terms is None:
+        raise ValueError("a general operator has no factors; apply it with apply_general")
+    return _factors(op.symbol.terms, fs, op.cutoff, op.budget)
 
 
 def apply_operator(op: MultilinearOperator, fs: Sequence[SampledFunction]) -> SampledFunction:
     """Route an operator through the path matching its symbol's structure."""
-    if op.symbol.kind == "product":
-        return apply_product(op.symbol.product_terms, fs, cutoff=op.cutoff)
-    if op.symbol.kind == "mixed":
-        return apply_mixed(op.symbol.mixed_terms, fs, cutoff=op.cutoff, budget=op.budget)
-    return apply_general(op, *fs)[0]
+    if op.symbol.terms is None:
+        return apply_general(op, *fs)[0]
+    return apply_mixed(op.symbol.terms, fs, cutoff=op.cutoff, budget=op.budget)
 
 
 @dataclass(frozen=True)

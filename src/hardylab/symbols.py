@@ -4,9 +4,10 @@ A symbol is an m-linear multiplier on (R^n)^m with a vectorized pointwise
 evaluator plus structural metadata: *general* (only the evaluator is known),
 *product* (a finite sum of rank-one products of 1-linear multipliers), or
 *mixed* (a finite sum of partition-factorized terms).  Product and mixed
-symbols carry their term structure and a synthesized dense evaluator, so the
-same object can be applied through the fast factorized path or the exhaustive
-general path.
+symbols carry their terms as partitions in ``Symbol.terms`` (a product term
+is the partition of the slots into singletons) and a synthesized dense
+evaluator, so the same object can be applied through the fast factorized path
+or the exhaustive general path.
 
 Singular builtins (rational with a 0/0 at the frequency origin) evaluate to 0
 at the all-zero tuple; the constant symbol stays 1 everywhere.
@@ -62,16 +63,17 @@ class Symbol:
     kind: str = "general"
     name: str = ""
     homogeneous_degree_zero: bool = False
-    product_terms: tuple[tuple["Symbol", ...], ...] | None = None
-    mixed_terms: tuple["Partition", ...] | None = None
+    terms: tuple["Partition", ...] | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in ("general", "product", "mixed"):
             raise ValueError(f"unknown symbol kind {self.kind!r}")
-        if self.kind == "product" and not self.product_terms:
-            raise ValueError("product symbol requires product_terms")
-        if self.kind == "mixed" and not self.mixed_terms:
-            raise ValueError("mixed symbol requires mixed_terms")
+        if self.kind == "general" and self.terms is not None:
+            raise ValueError("a general symbol carries no terms")
+        if self.kind != "general" and not self.terms:
+            raise ValueError(f"{self.kind} symbol requires terms")
+        if self.kind == "product" and any(len(g) > 1 for part in self.terms for g in part.groups):
+            raise ValueError("product symbol terms must group every slot alone")
 
     def __call__(self, *xis) -> np.ndarray:
         if len(xis) != self.m:
@@ -136,35 +138,40 @@ def _mixed_evaluator(terms: tuple[Partition, ...]):
     return evaluate
 
 
+def _factorized_symbol(
+    kind: str, terms: Sequence[Partition], name: str, homogeneous_degree_zero: bool
+) -> Symbol:
+    terms_t = tuple(terms)
+    if not terms_t:
+        raise ValueError("need at least one term")
+    m = terms_t[0].m
+    n = terms_t[0].symbols[0].n
+    for part in terms_t:
+        if part.m != m:
+            raise ValueError("all terms must cover the same slots")
+        for s in part.symbols:
+            if s.n != n:
+                raise ValueError("dimension mismatch among term symbols")
+    return Symbol(
+        m=m,
+        n=n,
+        evaluate=_mixed_evaluator(terms_t),
+        kind=kind,
+        name=name,
+        homogeneous_degree_zero=homogeneous_degree_zero,
+        terms=terms_t,
+    )
+
+
 def make_product_symbol(
     terms: Sequence[Sequence[Symbol]],
     name: str = "",
     homogeneous_degree_zero: bool = False,
 ) -> Symbol:
-    """Assemble a product-type symbol sum_rho prod_j sigma_j^rho(xi_j)."""
-    terms_t = tuple(tuple(t) for t in terms)
-    if not terms_t:
-        raise ValueError("need at least one term")
-    m = len(terms_t[0])
-    n = terms_t[0][0].n
-    for term in terms_t:
-        if len(term) != m:
-            raise ValueError("all terms must have the same arity")
-        for s in term:
-            if s.m != 1:
-                raise ValueError(f"product factors must be 1-linear, got arity {s.m}")
-            if s.n != n:
-                raise ValueError("dimension mismatch among factors")
-    singletons = tuple((j,) for j in range(m))
-    return Symbol(
-        m=m,
-        n=n,
-        evaluate=_mixed_evaluator(tuple(Partition(singletons, term) for term in terms_t)),
-        kind="product",
-        name=name,
-        homogeneous_degree_zero=homogeneous_degree_zero,
-        product_terms=terms_t,
-    )
+    """Assemble a product-type symbol sum_rho prod_j sigma_j^rho(xi_j); each
+    term is stored as the partition of its slots into singletons."""
+    parts = [Partition(tuple((j,) for j in range(len(t))), tuple(t)) for t in terms]
+    return _factorized_symbol("product", parts, name, homogeneous_degree_zero)
 
 
 def make_mixed_symbol(
@@ -173,26 +180,7 @@ def make_mixed_symbol(
     homogeneous_degree_zero: bool = False,
 ) -> Symbol:
     """Assemble a mixed-type symbol sum_rho prod_g sigma_{I_g}({xi_l})."""
-    terms_t = tuple(terms)
-    if not terms_t:
-        raise ValueError("need at least one term")
-    m = terms_t[0].m
-    n = terms_t[0].symbols[0].n
-    for part in terms_t:
-        if part.m != m:
-            raise ValueError("all partition terms must cover the same slots")
-        for s in part.symbols:
-            if s.n != n:
-                raise ValueError("dimension mismatch among group symbols")
-    return Symbol(
-        m=m,
-        n=n,
-        evaluate=_mixed_evaluator(terms_t),
-        kind="mixed",
-        name=name,
-        homogeneous_degree_zero=homogeneous_degree_zero,
-        mixed_terms=terms_t,
-    )
+    return _factorized_symbol("mixed", terms, name, homogeneous_degree_zero)
 
 
 def power_symbol(sym: Symbol, k: int) -> Symbol:

@@ -167,7 +167,7 @@ class AtomOutput:
 def apply_to_atoms(op: MultilinearOperator, atoms: Sequence[Atom]) -> AtomOutput:
     """Apply the operator once to the atoms' values."""
     inputs = [a.values for a in atoms]
-    if op.symbol.kind == "general":
+    if op.symbol.terms is None:
         out, g = apply_general(op, *inputs)
         return AtomOutput(op, tuple(atoms), out, g)
     factors = operator_factors(op, inputs)
@@ -482,7 +482,7 @@ def _mixed_majorant(
     n, m, N = grid.n, len(atoms), idx.N
     e = (n + N + 1) / (m * n)
     terms = []
-    for part, applied_part in zip(t.op.symbol.mixed_terms, t.factors):
+    for part, applied_part in zip(t.op.symbol.terms, t.factors):
         first = np.ones(grid.shape)
         inf_prod = 1.0
         for grp, applied in zip(part.groups, applied_part):
@@ -501,9 +501,7 @@ def _mixed_majorant(
 
 
 def _is_degenerate_mixed(sym: Symbol) -> bool:
-    return sym.kind == "mixed" and all(
-        part.group_count == 1 for part in sym.mixed_terms
-    )
+    return sym.kind == "mixed" and all(part.group_count == 1 for part in sym.terms)
 
 
 def check_pointwise_majorant(
@@ -617,8 +615,8 @@ class ExperimentConfig:
     trials: int = 50
     max_atoms: int = 4
     seed: int = 0
-    ell_choices: tuple[float, ...] = (0.5, 1.0)
-    center_span: float = 0.5
+    ell_choices: tuple[float, ...] = (0.5,)
+    center_span: float = 0.25
     N_override: int | None = None
     use_cutoff: bool = False
     half_steps: bool = False
@@ -652,14 +650,12 @@ def resolve_operator(config: ExperimentConfig, grid: Grid) -> MultilinearOperato
 
 
 def resolve_index(config: ExperimentConfig) -> IndexData:
-    sym = builtin_symbol(config.symbol)
-    partitions = sym.mixed_terms if sym.kind == "mixed" else None
     return index_arithmetic(
         config.exponents,
         config.n,
         N_override=config.N_override,
         kind=config.kind,
-        partitions=partitions,
+        partitions=builtin_symbol(config.symbol).terms,
     )
 
 

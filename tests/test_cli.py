@@ -5,6 +5,7 @@ import pytest
 import hardylab.operators
 import hardylab.verify
 from hardylab.cli import dumps_17g, load_config, main
+from hardylab.verify import ExperimentConfig
 
 BASE_CONFIG = """
 [operator]
@@ -65,6 +66,14 @@ class TestConfigParsing:
         path.write_text(BASE_CONFIG.replace("p = 1, 1", "p = inf, inf"))
         config, _ = load_config(str(path))
         assert config.exponents == (float("inf"), float("inf"))
+
+    def test_omitted_keys_take_the_library_defaults(self, tmp_path):
+        # A command-line run and a library run of the same config agree on
+        # every key the file leaves out.
+        path = tmp_path / "minimal.ini"
+        path.write_text("[operator]\nkind = mixed\nsymbol = sigma4\n\n[indices]\np = 2, 2, 2\n")
+        config, _ = load_config(str(path))
+        assert config == ExperimentConfig("mixed", "sigma4", (2.0, 2.0, 2.0))
 
     def test_unknown_check_rejected(self, tmp_path):
         path = tmp_path / "bad.ini"
@@ -229,7 +238,7 @@ pointwise_majorant = true
 
 class TestOneApplicationPerAtomSet:
     @pytest.mark.parametrize(
-        "config, checks, trials, expected",
+        "config, checks, trials, expected, expected_linear",
         [
             # Each ensemble trial and each dilated scale-invariance trial
             # applies T once; the checks apply it once to the full-order
@@ -240,26 +249,35 @@ class TestOneApplicationPerAtomSet:
                 7,
                 3,
                 lambda trials: trials + min(trials, 20) + 2,
+                lambda trials: 0,
             ),
             # sigma4 has three partition groups over its two terms, each
-            # applied once per trial and once to the check atoms; the
-            # majorant reads those group outputs instead of applying them.
-            (MIXED_CONFIG, 3, 2, lambda trials: 3 * (trials + 1)),
+            # applied once per trial and once to the check atoms: the two
+            # multi-slot groups through the general engine, the one-slot
+            # group as a 1-linear multiplier.  The majorant reads those
+            # group outputs instead of applying them.
+            (MIXED_CONFIG, 3, 2, lambda trials: 2 * (trials + 1), lambda trials: trials + 1),
         ],
         ids=["general", "mixed"],
     )
     def test_apply_general_call_count(
-        self, tmp_path, monkeypatch, config, checks, trials, expected
+        self, tmp_path, monkeypatch, config, checks, trials, expected, expected_linear
     ):
-        original = hardylab.operators.apply_general
-        calls = []
+        calls = {"apply_general": [], "apply_linear": []}
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
+        def counting(name):
+            original = getattr(hardylab.operators, name)
 
-        monkeypatch.setattr(hardylab.operators, "apply_general", counting)
-        monkeypatch.setattr(hardylab.verify, "apply_general", counting)
+            def wrapper(*args, **kwargs):
+                calls[name].append(1)
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        general = counting("apply_general")
+        monkeypatch.setattr(hardylab.operators, "apply_general", general)
+        monkeypatch.setattr(hardylab.verify, "apply_general", general)
+        monkeypatch.setattr(hardylab.operators, "apply_linear", counting("apply_linear"))
         cfg = tmp_path / "run.ini"
         cfg.write_text(config)
         out = tmp_path / "out"
@@ -267,7 +285,8 @@ class TestOneApplicationPerAtomSet:
         report = json.loads((out / "report.json").read_text())
         assert len(report["summary"]["checks"]) == checks
         assert len(report["trials"]) == trials
-        assert len(calls) == expected(trials)
+        assert len(calls["apply_general"]) == expected(trials)
+        assert len(calls["apply_linear"]) == expected_linear(trials)
 
 
 class TestLadderReachesTheChecks:

@@ -6,12 +6,20 @@ from hardylab.operators import (
     MultilinearOperator,
     apply_general,
     apply_mixed,
+    apply_linear,
     apply_oracle,
-    apply_product,
     default_cutoff,
     spectral_moment,
 )
-from hardylab.symbols import Partition, Symbol, builtin_symbol, power_symbol
+from hardylab.symbols import (
+    Partition,
+    Symbol,
+    _sigma2_terms,
+    _sigma4_terms,
+    builtin_symbol,
+    make_product_symbol,
+    power_symbol,
+)
 from hardylab.atoms import Cube, make_atom
 
 
@@ -236,7 +244,7 @@ class TestProductPath:
     def test_single_term_identity_symbols(self, grid32):
         one1 = builtin_symbol("constant_one", m=1)
         fs = [band_limited(grid32, s) for s in (30, 31, 32)]
-        out = apply_product([(one1, one1, one1)], fs)
+        out = apply_mixed(make_product_symbol([(one1, one1, one1)]).terms, fs)
         prod = pointwise_product(pointwise_product(fs[0], fs[1]), fs[2])
         err = np.max(np.abs(out.values - prod.values)) / np.max(np.abs(prod.values))
         assert err < 1e-12
@@ -248,13 +256,13 @@ class TestProductPath:
 
         minus = Symbol(m=1, n=1, evaluate=_lift1(lambda u: -np.ones_like(u)), name="-1")
         fs = [band_limited(grid32, s) for s in (33, 34)]
-        out = apply_product([(one1, one1), (minus, one1)], fs)
+        out = apply_mixed(make_product_symbol([(one1, one1), (minus, one1)]).terms, fs)
         assert np.max(np.abs(out.values)) < 1e-12
 
     def test_sigma3_structure_matches_general(self, grid32):
         s3 = builtin_symbol("sigma3")
         fs = [band_limited(grid32, s) for s in (35, 36, 37)]
-        fast = apply_product(s3.product_terms, fs)
+        fast = apply_mixed(s3.terms, fs)
         dense, _ = apply_general(MultilinearOperator(s3, grid32), *fs)
         scale = np.max(np.abs(dense.values))
         assert np.max(np.abs(fast.values - dense.values)) < 1e-9 * scale
@@ -263,7 +271,7 @@ class TestProductPath:
         s3 = builtin_symbol("sigma3")
         op = MultilinearOperator(s3, grid32)
         fs = [band_limited(grid32, s) for s in (38, 39, 40)]
-        fast = apply_product(s3.product_terms, fs)
+        fast = apply_mixed(s3.terms, fs)
         idx = [2, 9, 16, 23, 30]
         pts = grid32.axis_points()[idx][:, None]
         oracle = apply_oracle(op, fs, pts)
@@ -292,7 +300,7 @@ class TestMixedPath:
     def test_sigma4_structure_matches_general(self, grid32):
         s4 = builtin_symbol("sigma4")
         fs = [band_limited(grid32, s) for s in (47, 48, 49)]
-        fast = apply_mixed(s4.mixed_terms, fs)
+        fast = apply_mixed(s4.terms, fs)
         dense, _ = apply_general(MultilinearOperator(s4, grid32), *fs)
         scale = np.max(np.abs(dense.values))
         assert np.max(np.abs(fast.values - dense.values)) < 1e-9 * scale
@@ -300,7 +308,7 @@ class TestMixedPath:
     def test_sigma2_structure_matches_general(self, grid32):
         s2 = builtin_symbol("sigma2")
         fs = [band_limited(grid32, s) for s in (50, 51, 52)]
-        fast = apply_mixed(s2.mixed_terms, fs)
+        fast = apply_mixed(s2.terms, fs)
         dense, _ = apply_general(MultilinearOperator(s2, grid32), *fs)
         scale = np.max(np.abs(dense.values))
         assert np.max(np.abs(fast.values - dense.values)) < 1e-9 * scale
@@ -309,7 +317,7 @@ class TestMixedPath:
         s4 = builtin_symbol("sigma4")
         op = MultilinearOperator(s4, grid32)
         fs = [band_limited(grid32, s) for s in (53, 54, 55)]
-        fast = apply_mixed(s4.mixed_terms, fs)
+        fast = apply_mixed(s4.terms, fs)
         idx = [1, 8, 15, 22, 29]
         pts = grid32.axis_points()[idx][:, None]
         oracle = apply_oracle(op, fs, pts)
@@ -322,6 +330,33 @@ class TestMixedPath:
         fs = [band_limited(grid32, s) for s in (56, 57)]
         with pytest.raises(ValueError, match="slots"):
             apply_mixed([part], fs)
+
+
+class TestOneSlotGroups:
+    # apply_mixed sends a one-slot group to apply_linear on the input's
+    # transform; that output must equal the general engine's at m = 1 bit for
+    # bit (compared as uint64 views, so the sign of zero counts).
+    @pytest.mark.parametrize("terms", [_sigma2_terms, _sigma4_terms], ids=["sigma2", "sigma4"])
+    @pytest.mark.parametrize("cut", [False, True])
+    @pytest.mark.parametrize("source", ["atom", "random"])
+    def test_linear_equals_general_bitwise(self, terms, cut, source):
+        grid = make_grid(1, 8.0, 256)
+        cutoff = default_cutoff(grid) if cut else None
+        if source == "atom":
+            f = make_atom(Cube((0.5,), 1.0), 1.0, 2, seed=7, grid=grid).values
+        else:
+            (f,) = random_inputs(grid, 1, 8)
+        singles = {
+            id(sym): sym
+            for part in terms()
+            for grp, sym in zip(part.groups, part.symbols)
+            if len(grp) == 1
+        }
+        assert singles
+        for sym in singles.values():
+            fast = apply_linear(sym, dft(f), cutoff).values
+            dense = apply_general(MultilinearOperator(sym, grid, cutoff), f)[0].values
+            assert np.array_equal(fast.view(np.uint64), dense.view(np.uint64))
 
 
 class TestSpectralMoment:

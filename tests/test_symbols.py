@@ -9,6 +9,7 @@ from hardylab.symbols import (
     dyadic_shells,
     forms_agree,
     homogeneity_deviation,
+    make_product_symbol,
     plane_samples,
     plane_vanishing_order,
     power_symbol,
@@ -65,8 +66,30 @@ class TestBuiltins:
 
     def test_sigma4_group_counts_vary(self):
         s4 = builtin_symbol("sigma4")
-        counts = sorted(part.group_count for part in s4.mixed_terms)
+        counts = sorted(part.group_count for part in s4.terms)
         assert counts == [1, 2]
+
+    def test_product_terms_are_singleton_partitions(self):
+        one = builtin_symbol("constant_one", m=1)
+        cube = power_symbol(one, 3)
+        terms = [(one, cube), (cube, one), (one, one)]
+        sym = make_product_symbol(terms)
+        assert sym.terms == tuple(Partition(((0,), (1,)), t) for t in terms)
+
+    def test_product_kind_rejects_a_multi_slot_group(self):
+        sb = builtin_symbol("sigma1_bilinear")
+        one = builtin_symbol("constant_one", m=1)
+        part = Partition(((0, 1), (2,)), (sb, one))
+        with pytest.raises(ValueError, match="slot alone"):
+            Symbol(m=3, n=1, evaluate=sb.evaluate, kind="product", terms=(part,))
+
+    def test_general_kind_carries_no_terms(self):
+        # Routes pick the factorized path by ``terms is not None``, so a
+        # general symbol with terms would be applied against its kind.
+        one = builtin_symbol("constant_one", m=1)
+        part = Partition(((0,),), (one,))
+        with pytest.raises(ValueError, match="no terms"):
+            Symbol(m=1, n=1, evaluate=one.evaluate, terms=(part,))
 
     @pytest.mark.parametrize("name", VANISHING)
     def test_plane_vanishing_all_builtins(self, name):
