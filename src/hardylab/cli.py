@@ -31,7 +31,6 @@ import numpy as np
 
 from . import __version__
 from .atoms import _monomial_exponents, make_atom
-from .operators import DEFAULT_COST_BUDGET
 from .symbols import (
     BUILTIN_NAMES,
     builtin_symbol,
@@ -175,11 +174,27 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-def _parse_float(text: str) -> float:
-    val = text.strip().lower()
-    if val in ("inf", "infinity"):
-        return math.inf
-    return float(text)
+def _parse_floats(text: str) -> tuple[float, ...]:
+    """Comma-separated floats; ``float`` itself reads inf and infinity."""
+    return tuple(float(tok) for tok in text.split(",") if tok.strip())
+
+
+# (section, key, ExperimentConfig field, parser) for the optional keys.  Only
+# the keys a file sets reach ExperimentConfig, so its defaults are the only ones.
+_CONFIG_KEYS = (
+    ("grid", "n", "n", int),
+    ("grid", "l", "L", float),
+    ("grid", "m", "M", int),
+    ("indices", "n_moments", "N_override", int),
+    ("ensemble", "trials", "trials", int),
+    ("ensemble", "max_atoms", "max_atoms", int),
+    ("ensemble", "seed", "seed", int),
+    ("ensemble", "ell", "ell_choices", _parse_floats),
+    ("ensemble", "center_span", "center_span", float),
+    ("ensemble", "budget", "budget", int),
+    ("ensemble", "dilatable", "dilatable", _parse_bool),
+    ("ladder", "half_steps", "half_steps", _parse_bool),
+)
 
 
 def load_config(path: str) -> tuple[ExperimentConfig, dict]:
@@ -189,43 +204,28 @@ def load_config(path: str) -> tuple[ExperimentConfig, dict]:
     if not read:
         raise ValueError(f"cannot read config file {path}")
 
-    op = parser["operator"] if parser.has_section("operator") else {}
-    idx = parser["indices"] if parser.has_section("indices") else {}
-    grid = parser["grid"] if parser.has_section("grid") else {}
-    ens = parser["ensemble"] if parser.has_section("ensemble") else {}
-    ladder = parser["ladder"] if parser.has_section("ladder") else {}
-    tol = parser["tolerances"] if parser.has_section("tolerances") else {}
-    checks_sec = parser["checks"] if parser.has_section("checks") else {}
+    def section(name: str):
+        return parser[name] if parser.has_section(name) else {}
 
-    cutoff_text = op.get("cutoff", "none").strip().lower()
-    if cutoff_text not in ("none", "default"):
-        raise ValueError(f"cutoff must be 'none' or 'default', got {cutoff_text!r}")
-
-    exponents = tuple(
-        _parse_float(tok) for tok in idx.get("p", "1, 1").split(",") if tok.strip()
-    )
-    ells = tuple(
-        float(tok) for tok in ens.get("ell", "0.5").split(",") if tok.strip()
-    )
-    n_override = idx.get("n_moments")
+    op = section("operator")
+    kwargs = {
+        field: parse(section(sec)[key])
+        for sec, key, field, parse in _CONFIG_KEYS
+        if key in section(sec)
+    }
+    if "cutoff" in op:
+        cutoff_text = op["cutoff"].strip().lower()
+        if cutoff_text not in ("none", "default"):
+            raise ValueError(f"cutoff must be 'none' or 'default', got {cutoff_text!r}")
+        kwargs["use_cutoff"] = cutoff_text == "default"
     config = ExperimentConfig(
         kind=op.get("kind", "general").strip(),
         symbol=op.get("symbol", "sigma1_bilinear").strip(),
-        exponents=exponents,
-        n=int(grid.get("n", "1")),
-        L=float(grid.get("l", "8")),
-        M=int(grid.get("m", "512")),
-        trials=int(ens.get("trials", "50")),
-        max_atoms=int(ens.get("max_atoms", "4")),
-        seed=int(ens.get("seed", "0")),
-        ell_choices=ells,
-        center_span=float(ens.get("center_span", "0.25")),
-        N_override=int(n_override) if n_override is not None else None,
-        use_cutoff=(cutoff_text == "default"),
-        half_steps=_parse_bool(ladder.get("half_steps", "false")),
-        budget=int(ens.get("budget", str(DEFAULT_COST_BUDGET))),
-        dilatable=_parse_bool(ens.get("dilatable", "false")),
+        exponents=_parse_floats(section("indices").get("p", "1, 1")),
+        **kwargs,
     )
+    tol = section("tolerances")
+    checks_sec = section("checks")
 
     known_checks = (
         "boundedness",

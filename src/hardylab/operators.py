@@ -8,7 +8,10 @@ Two application routes:
   xi_{m-1}), wrapped periodically into the frequency box.  Cost is M^(m n)
   symbol evaluations.  One path serves every arity and dimension: the m-1
   free slots run over their tuples in lexicographic order (one empty tuple
-  when m = 1), and the cutoff is folded into every slot's spectrum.
+  when m = 1), and the cutoff is folded into every slot's spectrum.  The
+  wrapped last slot is read as contiguous windows of its spectrum (see
+  ``apply_general``), and output frequencies are processed in chunks of at
+  most ``_MAX_CHUNK_ELEMENTS`` tuples, so the working set stays in cache.
 * ``apply_mixed`` — the one factorized route, for sums of partition-factorized
   terms (a product operator's groups are all single slots).  A one-slot group
   is a 1-linear multiplier on its input's forward transform, computed once per
@@ -28,7 +31,8 @@ paths and serves as the independent cross-check.
 Determinism: within each output frequency the summation runs over free
 frequency tuples in lexicographic order, reduced along a contiguous axis by
 numpy's fixed pairwise tree, so results are bitwise independent of how the
-output-frequency range is partitioned across workers.
+output-frequency range is partitioned into chunks or across workers, and of
+how the last slot's values are gathered into that axis.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .grid import Grid, SampledFunction, Spectrum, dft, idft
 from .symbols import Partition, Symbol
@@ -111,7 +116,12 @@ def _slot_mask(k_ints: np.ndarray, grid: Grid, cutoff: float | None) -> np.ndarr
     return (xi_norm <= cutoff).astype(np.float64)
 
 
-_MAX_CHUNK_ELEMENTS = 2**22
+# Tuples per chunk of output frequencies.  Measured on sigma1_bilinear at
+# M=4096 (4,096 tuples per frequency) across 2^12..2^22: 2^16 was fastest,
+# and each chunk temporary is 1 MiB, so the chunk stays in cache.  A row
+# longer than the chunk (sigma4's trilinear group at M=256 has 65,536) runs
+# one frequency at a time.
+_MAX_CHUNK_ELEMENTS = 2**16
 
 
 def apply_general(
@@ -128,6 +138,19 @@ def apply_general(
     The same code runs for every m >= 1 and n >= 1.  The cutoff multiplies
     every slot's spectrum once, so a masked free slot contributes zero and a
     wrapped last slot that lands on a masked frequency does too.
+
+    Window gather: the free tuples split into blocks of B = M consecutive
+    tuples (B = 1 when m = 1) in which only the last axis of the last free
+    slot moves, by one per tuple.  Within a block the wrapped last-slot index
+    is constant on its leading axes and steps down cyclically on its last
+    axis, so the block reads one contiguous window of the last slot's
+    spectrum reversed and doubled along that axis; its frequencies come the
+    same way from the 1-D axis frequencies.  Only the leading indices and
+    the window start are computed per (output frequency, block).  The gather
+    places the same values at the same positions of each output frequency's
+    (F,) row as an index gather would, and every row is reduced by one
+    ``sum(axis=1)`` over the whole row, so no bit of the output depends on
+    the gather or on the chunk size.
     """
     _check_inputs(op, fs)
     grid = op.grid
@@ -142,6 +165,7 @@ def apply_general(
 
     k_flat = _flat_freq_ints(grid)  # (S, n)
     xi_flat = k_flat * grid.dxi  # (S, n) float
+    axis_xi = xi_flat[:M, -1]  # (M,): the first M rows move only the last axis
     mask = _slot_mask(k_flat, grid, op.cutoff)
     spectra = [dft(f).coefficients.ravel() * mask for f in fs]
 
@@ -156,23 +180,37 @@ def apply_general(
         free_ksum += k_flat[idx]
     free_xis = [xi_flat[idx][None, :, :] for idx in free_idx]
 
+    # Blocks of B consecutive free tuples differ only in the last axis of
+    # the last free slot, which runs over all M values.  Across a block the
+    # free sum rises by one on that axis, so the wrapped index s, s-1, ...
+    # (mod M) sits at M-1-s, M-s, ... of the reversed axis, and doubling the
+    # reversed axis makes every such run one contiguous window.
+    B = M if m > 1 else 1
+    block_ksum = free_ksum[::B]  # (F // B, n)
+    last_spec = spectra[m - 1].reshape(grid.shape)
+    spec_win = sliding_window_view(np.concatenate([last_spec[..., ::-1]] * 2, axis=-1), B, axis=-1)
+    xi_win = sliding_window_view(np.concatenate([axis_xi[::-1]] * 2), B)
+
     g_flat = np.empty(S, dtype=np.complex128)
     chunk = max(1, min(S, _MAX_CHUNK_ELEMENTS // F))
-    last_spec = spectra[m - 1].reshape(grid.shape)
-    xi_grid = xi_flat.reshape(grid.shape + (n,))
     half = M // 2
-
     for start in range(0, S, chunk):
         stop = min(start + chunk, S)
-        k_eta = k_flat[start:stop]  # (C, n)
-        # Wrapped last slot: k_last = eta - sum(free), folded into [-M/2, M/2).
-        # M is a power of two, so the fold is a bitwise AND.
-        wrapped = (k_eta[:, None, :] - free_ksum[None, :, :] + half) & (M - 1)
-        last = tuple(np.moveaxis(wrapped, -1, 0))  # per-axis (C, F) indices
+        C = stop - start
+        # Wrapped last slot of each block's first tuple: k_last = eta -
+        # sum(free), folded into [-M/2, M/2).  M is a power of two, so the
+        # fold is a bitwise AND.
+        first = (k_flat[start:stop, None, :] - block_ksum[None, :, :] + half) & (M - 1)
+        lead = tuple(np.moveaxis(first[..., :-1], -1, 0))  # per leading axis (C, F // B)
+        win = (M - 1 - first[..., -1],)  # window start in the reversed, doubled axis
 
-        sigma = np.asarray(op.symbol.evaluate(*free_xis, xi_grid[last]))
+        xi_last = np.empty((C, F // B, B, n))
+        for axis, ix in enumerate(lead):
+            xi_last[..., axis] = axis_xi[ix][..., None]
+        xi_last[..., -1] = xi_win[win]
+        sigma = np.asarray(op.symbol.evaluate(*free_xis, xi_last.reshape(C, F, n)))
         terms = sigma * free_prod[None, :]
-        terms *= last_spec[last]
+        terms *= spec_win[lead + win].reshape(C, F)
         g_flat[start:stop] = terms.sum(axis=1)
 
     g_flat *= grid.dxi ** ((m - 1) * n)

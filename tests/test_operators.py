@@ -69,6 +69,59 @@ def random_inputs(grid, m, seed):
     return [SampledFunction(grid, v) for v in values]
 
 
+def engine_case(m, n, seed):
+    """A small non-separable m-linear case on a grid of 32 (n = 1) or 8 x 8
+    (n = 2) points, with one input per slot."""
+    if n == 1:
+        grid = make_grid(1, 8.0, 32)
+        sym = builtin_symbol({1: "constant_one", 2: "sigma1_bilinear", 3: "sigma1"}[m], m=m)
+        return grid, sym, [band_limited(grid, seed + j) for j in range(m)]
+    grid = make_grid(2, 4.0, 8)
+    return grid, planar_symbol(m), random_inputs(grid, m, seed)
+
+
+def index_tuple_engine(op, *fs):
+    """Reference copy of the exhaustive engine as it was before window
+    gathers: the wrapped last slot is gathered from grid-shaped arrays with
+    one (chunk, F) index array per axis.  Returns the output spectrum."""
+    grid = op.grid
+    m, n, M, S = op.m, grid.n, grid.M, grid.size
+    axes = np.meshgrid(*[np.arange(-M // 2, M // 2, dtype=np.int32)] * n, indexing="ij")
+    k_flat = np.stack([ax.ravel() for ax in axes], axis=1)
+    xi_flat = k_flat * grid.dxi
+    mask = np.ones(S)
+    if op.cutoff is not None:
+        mask = (np.linalg.norm(xi_flat, axis=-1) <= op.cutoff).astype(np.float64)
+    spectra = [dft(f).coefficients.ravel() * mask for f in fs]
+    free_idx = np.indices((S,) * (m - 1)).reshape(m - 1, S ** (m - 1))
+    F = free_idx.shape[1]
+    free_prod = np.ones(F, dtype=np.complex128)
+    free_ksum = np.zeros((F, n), dtype=np.int64)
+    for spec, idx in zip(spectra, free_idx):
+        free_prod *= spec[idx]
+        free_ksum += k_flat[idx]
+    free_xis = [xi_flat[idx][None, :, :] for idx in free_idx]
+    last_spec = spectra[m - 1].reshape(grid.shape)
+    xi_grid = xi_flat.reshape(grid.shape + (n,))
+    g = np.empty(S, dtype=np.complex128)
+    chunk = max(1, 2**18 // F)
+    for start in range(0, S, chunk):
+        k_eta = k_flat[start : start + chunk]
+        wrapped = (k_eta[:, None, :] - free_ksum[None, :, :] + M // 2) & (M - 1)
+        last = tuple(np.moveaxis(wrapped, -1, 0))
+        terms = np.asarray(op.symbol.evaluate(*free_xis, xi_grid[last])) * free_prod[None, :]
+        terms *= last_spec[last]
+        g[start : start + chunk] = terms.sum(axis=1)
+    g *= grid.dxi ** ((m - 1) * n)
+    return g.reshape(grid.shape)
+
+
+def sigma4_trilinear_group():
+    parts = _sigma4_terms()
+    (sym,) = [s for part in parts for g, s in zip(part.groups, part.symbols) if len(g) == 3]
+    return sym
+
+
 @pytest.fixture(scope="module")
 def grid32():
     return make_grid(1, 8.0, 32)
@@ -138,25 +191,85 @@ class TestApplyGeneral:
         with pytest.raises(ValueError, match="grid"):
             apply_general(op, band_limited(grid32, 1), band_limited(other, 2))
 
-    @pytest.mark.parametrize("cut", [False, True], ids=["uncut", "cut"])
-    @pytest.mark.parametrize("n", [1, 2], ids=["n1", "n2"])
-    def test_chunking_is_bitwise_invariant(self, n, cut, monkeypatch):
+    @pytest.mark.parametrize(
+        "m, n, cut, chunk",
+        [
+            pytest.param(3, 1, False, 2048, id="n1-uncut"),
+            pytest.param(3, 1, True, 2048, id="n1-cut"),
+            pytest.param(3, 2, False, 2048, id="n2-uncut"),
+            pytest.param(3, 2, True, 2048, id="n2-cut"),
+        ]
+        + [
+            pytest.param(m, n, cut, "ragged", id=f"m{m}-n{n}-{'cut' if cut else 'uncut'}-ragged")
+            for m in (1, 2, 3)
+            for n in (1, 2)
+            for cut in (False, True)
+        ],
+    )
+    def test_chunking_is_bitwise_invariant(self, m, n, cut, chunk, monkeypatch):
         # Partitioning the output-frequency range must not change a single bit.
         import hardylab.operators as ops
 
-        if n == 1:
-            grid = make_grid(1, 8.0, 32)
-            sym = builtin_symbol("sigma1")
-            fs = [band_limited(grid, s) for s in (12, 13, 14)]
-        else:
-            grid = make_grid(2, 4.0, 8)
-            sym = planar_symbol(3)
-            fs = random_inputs(grid, 3, 12)
+        grid, sym, fs = engine_case(m, n, seed=12)
         op = MultilinearOperator(sym, grid, cutoff=default_cutoff(grid) if cut else None)
         base, _ = apply_general(op, *fs)
-        monkeypatch.setattr(ops, "_MAX_CHUNK_ELEMENTS", 2048)
+        if chunk == "ragged":
+            # Three output frequencies per chunk; 3 divides neither 32 nor 64.
+            chunk = 3 * grid.size ** (m - 1)
+            assert grid.size % 3
+        monkeypatch.setattr(ops, "_MAX_CHUNK_ELEMENTS", chunk)
         chunked, _ = apply_general(op, *fs)
-        assert np.array_equal(base.values, chunked.values)
+        assert np.array_equal(base.values.view(np.uint64), chunked.values.view(np.uint64))
+
+    @pytest.mark.parametrize("cut", [False, True], ids=["uncut", "cut"])
+    @pytest.mark.parametrize("n", [1, 2], ids=["n1", "n2"])
+    @pytest.mark.parametrize("m", [1, 2, 3], ids=["m1", "m2", "m3"])
+    def test_window_gather_equals_index_tuple_engine(self, m, n, cut):
+        # The window gather reads the same values into the same (F,) rows,
+        # so every bit of the output matches the index-tuple reference
+        # (compared as uint64 views, so the sign of zero counts).
+        grid, sym, fs = engine_case(m, n, seed=70)
+        op = MultilinearOperator(sym, grid, cutoff=default_cutoff(grid) if cut else None)
+        out, g = apply_general(op, *fs)
+        ref = index_tuple_engine(op, *fs)
+        assert np.array_equal(g.coefficients.view(np.uint64), ref.view(np.uint64))
+        back = idft(Spectrum(grid, ref)).values
+        assert np.array_equal(out.values.view(np.uint64), back.view(np.uint64))
+
+    @pytest.mark.parametrize("workload", ["lemmas", "mixed-trilinear"])
+    def test_window_gather_on_workload_shapes(self, workload):
+        # The two shapes the engine runs in practice: many output rows of a
+        # few thousand tuples, and one row of 65,536 tuples.
+        if workload == "lemmas":
+            grid = make_grid(1, 8.0, 4096)
+            op = MultilinearOperator(builtin_symbol("sigma1_bilinear"), grid)
+        else:
+            grid = make_grid(1, 8.0, 256)
+            op = MultilinearOperator(sigma4_trilinear_group(), grid, cutoff=default_cutoff(grid))
+        fs = random_inputs(grid, op.m, 80)
+        _, g = apply_general(op, *fs)
+        ref = index_tuple_engine(op, *fs)
+        assert np.array_equal(g.coefficients.view(np.uint64), ref.view(np.uint64))
+
+    def test_peak_memory_is_chunk_sized(self):
+        # Bound from the design: at most 8 live chunk-sized temporaries of
+        # 16 bytes per element, plus 16 arrays of 16 bytes per grid point for
+        # the free-tuple and spectrum arrays; never above 32 MiB.
+        import tracemalloc
+
+        import hardylab.operators as ops
+
+        grid = make_grid(1, 8.0, 4096)
+        op = MultilinearOperator(builtin_symbol("sigma1_bilinear"), grid)
+        fs = random_inputs(grid, 2, 81)
+        bound = min(32 * 2**20, 16 * (8 * ops._MAX_CHUNK_ELEMENTS + 16 * grid.size))
+        tracemalloc.start()
+        try:
+            apply_general(op, *fs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
 
     def test_dilation_equivariance_homogeneous(self):
         # Degree-zero symbols commute with simultaneous dilation; with wave
