@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.polynomial import legendre
 
-from .grid import Grid, SampledFunction
+from .grid import Grid, SampledFunction, _masked_moment
 
 __all__ = [
     "Cube",
@@ -279,11 +279,7 @@ def moments(
     origin = np.zeros(grid.n) if about is None else np.asarray(about, dtype=float)
     pts = grid.points() - origin
     mask = window.contains(grid.points())
-    out: dict[tuple[int, ...], complex] = {}
-    for alpha in _monomial_exponents(grid.n, max_degree):
-        weight = np.ones(grid.shape)
-        for axis, k in enumerate(alpha):
-            if k:
-                weight = weight * pts[..., axis] ** k
-        out[alpha] = complex(np.sum(weight * f.values * mask) * grid.dx**grid.n)
-    return out
+    return {
+        alpha: _masked_moment(f, pts, alpha, mask)
+        for alpha in _monomial_exponents(grid.n, max_degree)
+    }

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import hashlib
 import json
 import math
@@ -398,7 +399,7 @@ def cmd_run(args) -> int:
     try:
         config, options = load_config(args.config)
         if args.seed is not None:
-            config = ExperimentConfig.from_dict({**config.to_dict(), "seed": args.seed})
+            config = dataclasses.replace(config, seed=args.seed)
         ctx = run_context(config)  # surfaces exponent/type conflicts as config errors
     except (ValueError, KeyError, configparser.Error) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -7,13 +7,14 @@ transform convention is
 
 discretized by the rectangle rule, so that coefficients carry physical units
 (the DC coefficient of f == 1 is the box volume).  Frequencies are the
-physical points k/(2L) for k = -M/2, ..., M/2 - 1, not bare integer indices.
+physical points k * dxi with dxi = 1/(2L) for k = -M/2, ..., M/2 - 1, not
+bare integer indices; every route of an operator reads this one lattice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -39,8 +40,9 @@ class Grid:
     """Uniform periodic grid on [-L, L)^n with M (a power of two) points per axis.
 
     Spatial points per axis are dx * {-M/2, ..., M/2 - 1} with dx = 2L/M;
-    frequency points per axis are {-M/2, ..., M/2 - 1} / (2L).  The frequency
-    set is symmetric apart from the single Nyquist row at -M/(4L).
+    frequency points per axis are dxi * {-M/2, ..., M/2 - 1} with dxi = 1/(2L).
+    The frequency set is symmetric apart from the single Nyquist row at
+    -M/(4L).
     """
 
     n: int
@@ -78,7 +80,7 @@ class Grid:
 
     def axis_frequencies(self) -> np.ndarray:
         """Frequency coordinates along one axis, ascending from -M/(4L)."""
-        return np.arange(-self.M // 2, self.M // 2, dtype=np.float64) / (2.0 * self.L)
+        return np.arange(-self.M // 2, self.M // 2, dtype=np.float64) * self.dxi
 
     def points(self) -> np.ndarray:
         """All grid points, shape (M,)*n + (n,)."""
@@ -223,6 +225,17 @@ def lp_quasinorm(f: SampledFunction, p: float) -> float:
     mags = np.abs(f.values)
     total = float(np.sum(mags**p)) * g.dx**g.n
     return float(total ** (1.0 / p))
+
+
+def _masked_moment(
+    f: SampledFunction, pts: np.ndarray, alpha: Sequence[int], mask: np.ndarray
+) -> complex:
+    """Rectangle-rule integral of pts^alpha f over the points where mask is set."""
+    weight = np.ones(f.grid.shape)
+    for axis, k in enumerate(alpha):
+        if k:
+            weight = weight * pts[..., axis] ** k
+    return complex(np.sum(weight * f.values * mask) * f.grid.dx**f.grid.n)
 
 
 def pointwise_product(f: SampledFunction, g: SampledFunction) -> SampledFunction:

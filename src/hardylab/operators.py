@@ -1,5 +1,11 @@
 """Application of multilinear multiplier operators to sampled functions.
 
+Every route takes the ``MultilinearOperator``, reads its grid, cutoff and
+budget from it, and checks its inputs with ``_check_inputs``.  All routes
+read one frequency lattice, k * dxi (``Grid.frequencies``), and drop
+frequencies through one cutoff mask, ``_slot_mask``, so a one-slot group is
+bit for bit the general engine at m = 1 for any L.
+
 Two application routes:
 
 * ``apply_general`` — exhaustive summation over the discretized frequency
@@ -16,7 +22,8 @@ Two application routes:
   terms (a product operator's groups are all single slots).  A one-slot group
   is a 1-linear multiplier on its input's forward transform, computed once per
   input and shared by every term; a larger group runs through the general
-  engine restricted to its own slots.
+  engine restricted to its own slots, as the operator with that group's
+  symbol.
 
 ``operator_factors`` returns what ``apply_mixed`` multiplies: per term, the
 output of each partition group.  The pointwise majorants are built from these
@@ -38,14 +45,14 @@ how the last slot's values are gathered into that axis.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .grid import Grid, SampledFunction, Spectrum, dft, idft
-from .symbols import Partition, Symbol
+from .grid import Grid, SampledFunction, Spectrum, _masked_moment, dft, idft
+from .symbols import Symbol
 
 __all__ = [
     "MultilinearOperator",
@@ -108,12 +115,11 @@ def _check_inputs(op: MultilinearOperator, fs: Sequence[SampledFunction]) -> Non
             raise ValueError("all inputs must share the operator's grid")
 
 
-def _slot_mask(k_ints: np.ndarray, grid: Grid, cutoff: float | None) -> np.ndarray:
+def _slot_mask(xi: np.ndarray, cutoff: float | None) -> np.ndarray:
     """1.0 where the slot frequency has |xi| <= cutoff, else 0.0."""
     if cutoff is None:
-        return np.ones(k_ints.shape[:-1])
-    xi_norm = np.linalg.norm(k_ints * grid.dxi, axis=-1)
-    return (xi_norm <= cutoff).astype(np.float64)
+        return np.ones(xi.shape[:-1])
+    return (np.linalg.norm(xi, axis=-1) <= cutoff).astype(np.float64)
 
 
 # Tuples per chunk of output frequencies.  Measured on sigma1_bilinear at
@@ -166,7 +172,7 @@ def apply_general(
     k_flat = _flat_freq_ints(grid)  # (S, n)
     xi_flat = k_flat * grid.dxi  # (S, n) float
     axis_xi = xi_flat[:M, -1]  # (M,): the first M rows move only the last axis
-    mask = _slot_mask(k_flat, grid, op.cutoff)
+    mask = _slot_mask(xi_flat, op.cutoff)
     spectra = [dft(f).coefficients.ravel() * mask for f in fs]
 
     # Free slots 0..m-2 as tuples in lexicographic order (one empty tuple
@@ -258,19 +264,16 @@ def apply_oracle(
         raise ValueError("oracle tuple count exceeds the cost budget")
 
     k_flat = _flat_freq_ints(grid)
-    spectra = [_quadrature_dft(f) for f in fs]
+    xi_flat = k_flat * grid.dxi
+    weighted = [_quadrature_dft(f) * _slot_mask(xi_flat, op.cutoff) for f in fs]
 
-    idx = np.meshgrid(*([np.arange(S)] * m), indexing="ij")
-    idx = [ix.ravel() for ix in idx]
-    coef = np.ones(idx[0].size, dtype=np.complex128)
-    ksum = np.zeros((idx[0].size, n), dtype=np.int64)
-    slot_xis = []
-    for slot in range(m):
-        k_slot = k_flat[idx[slot]]
-        coef *= spectra[slot][idx[slot]] * _slot_mask(k_slot, grid, op.cutoff)
-        ksum += k_slot
-        slot_xis.append(k_slot * grid.dxi)
-    coef *= np.asarray(op.symbol.evaluate(*slot_xis)).ravel()
+    idx = np.indices((S,) * m).reshape(m, S**m)
+    coef = np.ones(S**m, dtype=np.complex128)
+    ksum = np.zeros((S**m, n), dtype=np.int64)
+    for spec, ix in zip(weighted, idx):
+        coef *= spec[ix]
+        ksum += k_flat[ix]
+    coef *= np.asarray(op.symbol.evaluate(*[xi_flat[ix] for ix in idx])).ravel()
     coef *= grid.dxi ** (m * n)
 
     xi_sum = ksum * grid.dxi
@@ -288,32 +291,26 @@ def apply_linear(sym: Symbol, spec: Spectrum, cutoff: float | None = None) -> Sa
         raise ValueError(f"expected a 1-linear symbol, got arity {sym.m}")
     grid = spec.grid
     freqs = grid.frequencies()
-    weights = np.asarray(sym.evaluate(freqs))
-    if cutoff is not None:
-        weights = weights * (np.linalg.norm(freqs, axis=-1) <= cutoff)
+    weights = np.asarray(sym.evaluate(freqs)) * _slot_mask(freqs, cutoff)
     return idft(Spectrum(grid, spec.coefficients * weights))
 
 
-def _factors(
-    terms: Sequence[Partition], fs: Sequence[SampledFunction], cutoff: float | None, budget: int
-) -> Factors:
-    if not terms:
-        raise ValueError("need at least one partition term")
-    if any(f.grid != fs[0].grid for f in fs):
-        raise ValueError("all inputs must share one grid")
-    for part in terms:
-        if part.m != len(fs):
-            raise ValueError(f"partition covers {part.m} slots, got {len(fs)} inputs")
-    grid = fs[0].grid
+def operator_factors(op: MultilinearOperator, fs: Sequence[SampledFunction]) -> Factors:
+    """Per term, the output of each partition group: T_j^rho f_j for a
+    one-slot group (one forward transform per input, shared by every term),
+    T_{I_g} on its own inputs for a larger one.  Every group inherits the
+    operator's cutoff and budget."""
+    terms = op.symbol.terms
+    if terms is None:
+        raise ValueError("a general operator has no factors; apply it with apply_general")
+    _check_inputs(op, fs)
     singles = sorted({grp[0] for part in terms for grp in part.groups if len(grp) == 1})
     spectra = {l: dft(fs[l]) for l in singles}
     return tuple(
         tuple(
-            apply_linear(sym, spectra[grp[0]], cutoff)
+            apply_linear(sym, spectra[grp[0]], op.cutoff)
             if len(grp) == 1
-            else apply_general(
-                MultilinearOperator(sym, grid, cutoff, budget), *[fs[l] for l in grp]
-            )[0]
+            else apply_general(replace(op, symbol=sym), *[fs[l] for l in grp])[0]
             for grp, sym in zip(part.groups, part.symbols)
         )
         for part in terms
@@ -332,32 +329,19 @@ def _sum_of_products(factors: Factors) -> SampledFunction:
     return SampledFunction(grid, total)
 
 
-def apply_mixed(
-    terms: Sequence[Partition],
-    fs: Sequence[SampledFunction],
-    cutoff: float | None = None,
-    budget: int = DEFAULT_COST_BUDGET,
-) -> SampledFunction:
+def apply_mixed(op: MultilinearOperator, fs: Sequence[SampledFunction]) -> SampledFunction:
     """Apply a factorized operator: sum over partition terms of the product
     of per-group applications.  A product operator's groups are single slots,
     each a 1-linear multiplier; a larger group runs through the general
     engine on its own slots."""
-    return _sum_of_products(_factors(terms, fs, cutoff, budget))
-
-
-def operator_factors(op: MultilinearOperator, fs: Sequence[SampledFunction]) -> Factors:
-    """Per term, the output of each partition group: T_j^rho f_j for a
-    one-slot group, T_{I_g} on its own inputs for a larger one."""
-    if op.symbol.terms is None:
-        raise ValueError("a general operator has no factors; apply it with apply_general")
-    return _factors(op.symbol.terms, fs, op.cutoff, op.budget)
+    return _sum_of_products(operator_factors(op, fs))
 
 
 def apply_operator(op: MultilinearOperator, fs: Sequence[SampledFunction]) -> SampledFunction:
     """Route an operator through the path matching its symbol's structure."""
     if op.symbol.terms is None:
         return apply_general(op, *fs)[0]
-    return apply_mixed(op.symbol.terms, fs, cutoff=op.cutoff, budget=op.budget)
+    return apply_mixed(op, fs)
 
 
 @dataclass(frozen=True)
@@ -400,12 +384,8 @@ def spectral_moment(g: Spectrum, alpha: Sequence[int]) -> MomentEstimate:
             window = (upper - lower) / (2.0 * grid.dxi)
     spectral = complex(window.reshape(-1)[window.size // 2]) * (-2j * np.pi) ** (-order)
 
-    vals = idft(g).values
+    out = idft(g)
+    vals = out.values
     mask = np.abs(vals) > 1e-13 * np.max(np.abs(vals)) if np.any(vals) else np.zeros_like(vals, bool)
-    pts = grid.points()
-    weight = np.ones(grid.shape)
-    for axis in range(n):
-        if alpha[axis]:
-            weight = weight * pts[..., axis] ** alpha[axis]
-    spatial = complex(np.sum(weight * vals * mask) * grid.dx**n)
+    spatial = _masked_moment(out, grid.points(), alpha, mask)
     return MomentEstimate(alpha, spectral, spatial)

@@ -61,6 +61,7 @@ __all__ = [
 ]
 
 NOISE_FLOOR_FACTOR = 100.0  # multiples of machine epsilon times problem scale
+BOUNDARY_MARGIN_FACTOR = 4.0  # decay probes keep this many largest sides from the box edge
 
 
 # ---------------------------------------------------------------------------
@@ -275,14 +276,13 @@ def _distance_sum(points: np.ndarray, centers: Sequence[np.ndarray]) -> np.ndarr
 def check_decay_lemma(
     t: AtomOutput,
     N: int,
-    boundary_margin_factor: float = 4.0,
     max_distance: float | None = None,
 ) -> DecayReport:
     """Fit the far-field decay of |T(a_1, ..., a_m)| against the predicted rate.
 
     ``N`` is the cancellation order of the smallest-cube atom, which drives
     the predicted exponent.  Probes are grid points outside every
-    3 sqrt(n)-dilate, at least ``boundary_margin_factor`` times the largest
+    3 sqrt(n)-dilate, at least ``BOUNDARY_MARGIN_FACTOR`` times the largest
     side from the box boundary, and (optionally) with distance sum at most
     ``max_distance``.  The fitted slope of log |T| against
     log(sum_k |y - c_k|) must not exceed -(n + N + 1) + 0.75; the ratio of
@@ -298,7 +298,7 @@ def check_decay_lemma(
         star = dilate_cube(a.cube, "star")
         outside &= ~star.contains(pts)
     eligible = outside & np.all(
-        np.abs(pts) <= grid.L - boundary_margin_factor * ell_max, axis=-1
+        np.abs(pts) <= grid.L - BOUNDARY_MARGIN_FACTOR * ell_max, axis=-1
     )
     if not np.any(eligible):
         raise ValueError("no probe points outside the dilated supports")

@@ -43,6 +43,18 @@ class TestMakeGrid:
         with pytest.raises(ValueError):
             make_grid(1, 1.0, 4)
 
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("L", [3.0, 5.0, 8.0])
+    def test_frequencies_are_the_engine_lattice(self, n, L):
+        # One lattice k * dxi for every route, bit for bit, even where
+        # 1/(2L) is not a power of two.
+        from hardylab.operators import _flat_freq_ints
+
+        g = make_grid(n, L, 16)
+        engine = _flat_freq_ints(g) * g.dxi
+        freqs = g.frequencies().reshape(-1, n)
+        assert np.array_equal(freqs.view(np.uint64), engine.view(np.uint64))
+
     def test_frequency_set_symmetric_up_to_nyquist(self):
         g = make_grid(1, 8.0, 16)
         freqs = g.axis_frequencies()

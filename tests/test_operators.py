@@ -9,6 +9,7 @@ from hardylab.operators import (
     apply_linear,
     apply_oracle,
     default_cutoff,
+    operator_factors,
     spectral_moment,
 )
 from hardylab.symbols import (
@@ -17,6 +18,7 @@ from hardylab.symbols import (
     _sigma2_terms,
     _sigma4_terms,
     builtin_symbol,
+    make_mixed_symbol,
     make_product_symbol,
     power_symbol,
 )
@@ -357,7 +359,8 @@ class TestProductPath:
     def test_single_term_identity_symbols(self, grid32):
         one1 = builtin_symbol("constant_one", m=1)
         fs = [band_limited(grid32, s) for s in (30, 31, 32)]
-        out = apply_mixed(make_product_symbol([(one1, one1, one1)]).terms, fs)
+        sym = make_product_symbol([(one1, one1, one1)])
+        out = apply_mixed(MultilinearOperator(sym, grid32), fs)
         prod = pointwise_product(pointwise_product(fs[0], fs[1]), fs[2])
         err = np.max(np.abs(out.values - prod.values)) / np.max(np.abs(prod.values))
         assert err < 1e-12
@@ -369,13 +372,14 @@ class TestProductPath:
 
         minus = Symbol(m=1, n=1, evaluate=_lift1(lambda u: -np.ones_like(u)), name="-1")
         fs = [band_limited(grid32, s) for s in (33, 34)]
-        out = apply_mixed(make_product_symbol([(one1, one1), (minus, one1)]).terms, fs)
+        sym = make_product_symbol([(one1, one1), (minus, one1)])
+        out = apply_mixed(MultilinearOperator(sym, grid32), fs)
         assert np.max(np.abs(out.values)) < 1e-12
 
     def test_sigma3_structure_matches_general(self, grid32):
         s3 = builtin_symbol("sigma3")
         fs = [band_limited(grid32, s) for s in (35, 36, 37)]
-        fast = apply_mixed(s3.terms, fs)
+        fast = apply_mixed(MultilinearOperator(s3, grid32), fs)
         dense, _ = apply_general(MultilinearOperator(s3, grid32), *fs)
         scale = np.max(np.abs(dense.values))
         assert np.max(np.abs(fast.values - dense.values)) < 1e-9 * scale
@@ -384,7 +388,7 @@ class TestProductPath:
         s3 = builtin_symbol("sigma3")
         op = MultilinearOperator(s3, grid32)
         fs = [band_limited(grid32, s) for s in (38, 39, 40)]
-        fast = apply_mixed(s3.terms, fs)
+        fast = apply_mixed(op, fs)
         idx = [2, 9, 16, 23, 30]
         pts = grid32.axis_points()[idx][:, None]
         oracle = apply_oracle(op, fs, pts)
@@ -397,7 +401,7 @@ class TestMixedPath:
         s1 = builtin_symbol("sigma1")
         part = Partition(((0, 1, 2),), (s1,))
         fs = [band_limited(grid32, s) for s in (41, 42, 43)]
-        mixed = apply_mixed([part], fs)
+        mixed = apply_mixed(MultilinearOperator(make_mixed_symbol([part]), grid32), fs)
         dense, _ = apply_general(MultilinearOperator(s1, grid32), *fs)
         assert np.array_equal(mixed.values, dense.values)
 
@@ -405,7 +409,7 @@ class TestMixedPath:
         one1 = builtin_symbol("constant_one", m=1)
         part = Partition(((0,), (1,), (2,)), (one1, one1, one1))
         fs = [band_limited(grid32, s) for s in (44, 45, 46)]
-        mixed = apply_mixed([part], fs)
+        mixed = apply_mixed(MultilinearOperator(make_mixed_symbol([part]), grid32), fs)
         prod = pointwise_product(pointwise_product(fs[0], fs[1]), fs[2])
         err = np.max(np.abs(mixed.values - prod.values)) / np.max(np.abs(prod.values))
         assert err < 1e-12
@@ -413,7 +417,7 @@ class TestMixedPath:
     def test_sigma4_structure_matches_general(self, grid32):
         s4 = builtin_symbol("sigma4")
         fs = [band_limited(grid32, s) for s in (47, 48, 49)]
-        fast = apply_mixed(s4.terms, fs)
+        fast = apply_mixed(MultilinearOperator(s4, grid32), fs)
         dense, _ = apply_general(MultilinearOperator(s4, grid32), *fs)
         scale = np.max(np.abs(dense.values))
         assert np.max(np.abs(fast.values - dense.values)) < 1e-9 * scale
@@ -421,7 +425,7 @@ class TestMixedPath:
     def test_sigma2_structure_matches_general(self, grid32):
         s2 = builtin_symbol("sigma2")
         fs = [band_limited(grid32, s) for s in (50, 51, 52)]
-        fast = apply_mixed(s2.terms, fs)
+        fast = apply_mixed(MultilinearOperator(s2, grid32), fs)
         dense, _ = apply_general(MultilinearOperator(s2, grid32), *fs)
         scale = np.max(np.abs(dense.values))
         assert np.max(np.abs(fast.values - dense.values)) < 1e-9 * scale
@@ -430,7 +434,7 @@ class TestMixedPath:
         s4 = builtin_symbol("sigma4")
         op = MultilinearOperator(s4, grid32)
         fs = [band_limited(grid32, s) for s in (53, 54, 55)]
-        fast = apply_mixed(s4.terms, fs)
+        fast = apply_mixed(op, fs)
         idx = [1, 8, 15, 22, 29]
         pts = grid32.axis_points()[idx][:, None]
         oracle = apply_oracle(op, fs, pts)
@@ -441,22 +445,33 @@ class TestMixedPath:
         s1 = builtin_symbol("sigma1")
         part = Partition(((0, 1, 2),), (s1,))
         fs = [band_limited(grid32, s) for s in (56, 57)]
-        with pytest.raises(ValueError, match="slots"):
-            apply_mixed([part], fs)
+        with pytest.raises(ValueError, match="arity"):
+            apply_mixed(MultilinearOperator(make_mixed_symbol([part]), grid32), fs)
 
 
 class TestOneSlotGroups:
     # apply_mixed sends a one-slot group to apply_linear on the input's
     # transform; that output must equal the general engine's at m = 1 bit for
-    # bit (compared as uint64 views, so the sign of zero counts).
+    # bit (compared as uint64 views, so the sign of zero counts).  L = 3 and 5
+    # give a frequency spacing 1/(2L) that is not a power of two, so the two
+    # routes agree only if they read the same frequency lattice.
     @pytest.mark.parametrize("terms", [_sigma2_terms, _sigma4_terms], ids=["sigma2", "sigma4"])
     @pytest.mark.parametrize("cut", [False, True])
-    @pytest.mark.parametrize("source", ["atom", "random"])
-    def test_linear_equals_general_bitwise(self, terms, cut, source):
-        grid = make_grid(1, 8.0, 256)
+    @pytest.mark.parametrize(
+        "source, L",
+        [
+            # The id names L only where it differs from the shipped L = 8.
+            pytest.param(source, L, id=source if L == 8.0 else f"{source}-L{L:g}")
+            for L in (8.0, 3.0, 5.0)
+            for source in ("atom", "random")
+        ],
+    )
+    def test_linear_equals_general_bitwise(self, terms, cut, source, L):
+        grid = make_grid(1, L, 256)
         cutoff = default_cutoff(grid) if cut else None
         if source == "atom":
-            f = make_atom(Cube((0.5,), 1.0), 1.0, 2, seed=7, grid=grid).values
+            # The cube scales with the box: (0.5, side 1) at L = 8.
+            f = make_atom(Cube((L / 16,), L / 8), 1.0, 2, seed=7, grid=grid).values
         else:
             (f,) = random_inputs(grid, 1, 8)
         singles = {
@@ -470,6 +485,32 @@ class TestOneSlotGroups:
             fast = apply_linear(sym, dft(f), cutoff).values
             dense = apply_general(MultilinearOperator(sym, grid, cutoff), f)[0].values
             assert np.array_equal(fast.view(np.uint64), dense.view(np.uint64))
+
+
+class TestOneValidation:
+    # Every route checks its inputs through the operator, with one message.
+    ROUTES = {
+        "apply_general": lambda op, fs: apply_general(op, *fs),
+        "apply_mixed": apply_mixed,
+        "operator_factors": operator_factors,
+    }
+
+    @pytest.mark.parametrize("route", list(ROUTES))
+    def test_inputs_checked(self, route, grid32):
+        op = MultilinearOperator(builtin_symbol("sigma4"), grid32)
+        fs = [band_limited(grid32, s) for s in (64, 65, 66)]
+        with pytest.raises(ValueError, match="operator has arity 3, got 2 inputs"):
+            self.ROUTES[route](op, fs[:2])
+        foreign = band_limited(make_grid(1, 4.0, 32), 67)
+        with pytest.raises(ValueError, match="all inputs must share the operator's grid"):
+            self.ROUTES[route](op, fs[:2] + [foreign])
+
+    @pytest.mark.parametrize("route", ["apply_mixed", "operator_factors"])
+    def test_general_operator_has_no_factors(self, route, grid32):
+        op = MultilinearOperator(builtin_symbol("sigma1"), grid32)
+        fs = [band_limited(grid32, s) for s in (68, 69, 70)]
+        with pytest.raises(ValueError, match="no factors"):
+            self.ROUTES[route](op, fs)
 
 
 class TestSpectralMoment:

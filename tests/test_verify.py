@@ -246,7 +246,7 @@ class TestPointwiseMajorant:
         ]
         from hardylab.operators import apply_mixed
 
-        out = apply_mixed(sym.terms, [a.values for a in atoms])
+        out = apply_mixed(op, [a.values for a in atoms])
         assert np.max(np.abs(out.values)) < 1e-15  # zero up to transform rounding
         rep = check_pointwise_majorant(apply_to_atoms(op, atoms), idx)
         assert rep.ratio_sup < 1e-12
