@@ -1,13 +1,12 @@
 """Multilinear multiplier symbols: builtin library, structure, and checks.
 
 A symbol is an m-linear multiplier on (R^n)^m with a vectorized pointwise
-evaluator plus structural metadata: *general* (only the evaluator is known),
-*product* (a finite sum of rank-one products of 1-linear multipliers), or
-*mixed* (a finite sum of partition-factorized terms).  Product and mixed
-symbols carry their terms as partitions in ``Symbol.terms`` (a product term
-is the partition of the slots into singletons) and a synthesized dense
-evaluator, so the same object can be applied through the fast factorized path
-or the exhaustive general path.
+evaluator and, when it factorizes, its terms as partitions of the slots in
+``Symbol.terms`` with a synthesized dense evaluator, so the same object can be
+applied through the fast factorized path or the exhaustive general path.  The
+kind is read from the terms: *general* without terms (only the evaluator is
+known), *product* when every group of every term is one slot (a sum of
+rank-one products of 1-linear multipliers), and *mixed* otherwise.
 
 Singular builtins (rational with a 0/0 at the frequency origin) evaluate to 0
 at the all-zero tuple; the constant symbol stays 1 everywhere.
@@ -60,20 +59,21 @@ class Symbol:
     m: int
     n: int
     evaluate: Callable[..., np.ndarray]
-    kind: str = "general"
     name: str = ""
     homogeneous_degree_zero: bool = False
     terms: tuple["Partition", ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("general", "product", "mixed"):
-            raise ValueError(f"unknown symbol kind {self.kind!r}")
-        if self.kind == "general" and self.terms is not None:
-            raise ValueError("a general symbol carries no terms")
-        if self.kind != "general" and not self.terms:
-            raise ValueError(f"{self.kind} symbol requires terms")
-        if self.kind == "product" and any(len(g) > 1 for part in self.terms for g in part.groups):
-            raise ValueError("product symbol terms must group every slot alone")
+        if self.terms is not None and not self.terms:
+            raise ValueError("a factorized symbol needs at least one term")
+
+    @property
+    def kind(self) -> str:
+        if self.terms is None:
+            return "general"
+        if all(len(g) == 1 for part in self.terms for g in part.groups):
+            return "product"
+        return "mixed"
 
     def __call__(self, *xis) -> np.ndarray:
         if len(xis) != self.m:
@@ -138,9 +138,24 @@ def _mixed_evaluator(terms: tuple[Partition, ...]):
     return evaluate
 
 
-def _factorized_symbol(
-    kind: str, terms: Sequence[Partition], name: str, homogeneous_degree_zero: bool
+def make_product_symbol(
+    terms: Sequence[Sequence[Symbol]],
+    name: str = "",
+    homogeneous_degree_zero: bool = False,
 ) -> Symbol:
+    """Assemble a product-type symbol sum_rho prod_j sigma_j^rho(xi_j); each
+    term is stored as the partition of its slots into singletons."""
+    parts = [Partition(tuple((j,) for j in range(len(t))), tuple(t)) for t in terms]
+    return make_mixed_symbol(parts, name, homogeneous_degree_zero)
+
+
+def make_mixed_symbol(
+    terms: Sequence[Partition],
+    name: str = "",
+    homogeneous_degree_zero: bool = False,
+) -> Symbol:
+    """Assemble a factorized symbol sum_rho prod_g sigma_{I_g}({xi_l}); its
+    kind is product when every group is one slot, else mixed."""
     terms_t = tuple(terms)
     if not terms_t:
         raise ValueError("need at least one term")
@@ -156,31 +171,10 @@ def _factorized_symbol(
         m=m,
         n=n,
         evaluate=_mixed_evaluator(terms_t),
-        kind=kind,
         name=name,
         homogeneous_degree_zero=homogeneous_degree_zero,
         terms=terms_t,
     )
-
-
-def make_product_symbol(
-    terms: Sequence[Sequence[Symbol]],
-    name: str = "",
-    homogeneous_degree_zero: bool = False,
-) -> Symbol:
-    """Assemble a product-type symbol sum_rho prod_j sigma_j^rho(xi_j); each
-    term is stored as the partition of its slots into singletons."""
-    parts = [Partition(tuple((j,) for j in range(len(t))), tuple(t)) for t in terms]
-    return _factorized_symbol("product", parts, name, homogeneous_degree_zero)
-
-
-def make_mixed_symbol(
-    terms: Sequence[Partition],
-    name: str = "",
-    homogeneous_degree_zero: bool = False,
-) -> Symbol:
-    """Assemble a mixed-type symbol sum_rho prod_g sigma_{I_g}({xi_l})."""
-    return _factorized_symbol("mixed", terms, name, homogeneous_degree_zero)
 
 
 def power_symbol(sym: Symbol, k: int) -> Symbol:
@@ -196,7 +190,6 @@ def power_symbol(sym: Symbol, k: int) -> Symbol:
         m=sym.m,
         n=sym.n,
         evaluate=evaluate,
-        kind="general",
         name=f"{sym.name}^{k}" if sym.name else f"power{k}",
         homogeneous_degree_zero=sym.homogeneous_degree_zero,
     )
@@ -324,7 +317,7 @@ def _constant_one(m: int) -> Symbol:
     def evaluate(*xis):
         return np.ones(np.broadcast(*[x[..., 0] for x in xis]).shape)
 
-    return Symbol(m=m, n=1, evaluate=evaluate, kind="general", name="constant_one")
+    return Symbol(m=m, n=1, evaluate=evaluate, name="constant_one")
 
 
 BUILTIN_NAMES = (

@@ -30,7 +30,7 @@ from .operators import (
     operator_factors,
     spectral_moment,
 )
-from .symbols import Partition, Symbol, builtin_symbol
+from .symbols import Symbol, builtin_symbol
 
 __all__ = [
     "IndexData",
@@ -89,15 +89,15 @@ def index_arithmetic(
     exponents: Sequence[float],
     n: int,
     N_override: int | None = None,
-    kind: str | None = None,
-    partitions: Sequence[Partition] | None = None,
+    symbol: Symbol | None = None,
 ) -> IndexData:
-    """Derive (p, s, N) from input exponents and validate type constraints.
+    """Derive (p, s, N) from input exponents and validate them against a symbol.
 
     1/p is the sum of the reciprocals; s is the integer part of the positive
     part of n(1/p - 1), with exact-integer boundaries kept; N defaults to
-    m(n + 1 + 2s).  Product type requires every exponent finite; mixed type
-    requires each partition group to contain a slot with finite exponent.
+    m(n + 1 + 2s).  Given a symbol, there must be one exponent per slot and
+    every group of its terms must hold a finite exponent; a general symbol is
+    one group of all m slots, and a product symbol's groups are single slots.
     """
     ps = tuple(float(p) for p in exponents)
     m = len(ps)
@@ -106,34 +106,22 @@ def index_arithmetic(
     for p in ps:
         if not (p > 0):
             raise ValueError(f"exponents must lie in (0, inf], got {p}")
+    if symbol is not None:
+        if m != symbol.m:
+            raise ValueError(f"symbol {symbol.name!r} has arity {symbol.m}, got {m} exponents")
+        if symbol.terms is None:
+            groups = [tuple(range(m))]
+        else:
+            groups = [g for part in symbol.terms for g in part.groups]
+        for grp in groups:
+            if all(math.isinf(ps[l]) for l in grp):
+                raise ValueError(
+                    f"{symbol.kind} type needs a finite exponent in every group; "
+                    f"group {grp} has p = inf in each slot"
+                )
 
     inv_p = sum(0.0 if math.isinf(p) else 1.0 / p for p in ps)
-    if inv_p == 0.0:
-        if kind is not None:
-            raise ValueError(
-                f"all exponents infinite gives p = inf; {kind} type requires 0 < p < inf"
-            )
-        p_out = math.inf
-    else:
-        p_out = 1.0 / inv_p
-
-    if kind == "product":
-        if any(math.isinf(p) for p in ps):
-            raise ValueError(
-                "product type admits no infinite exponent: the mapping property "
-                "fails when some p_l = inf"
-            )
-    if kind == "mixed":
-        if partitions is None:
-            raise ValueError("mixed type validation needs the partition terms")
-        for part in partitions:
-            for grp in part.groups:
-                if all(math.isinf(ps[l]) for l in grp):
-                    raise ValueError(
-                        f"every partition group needs a slot with finite exponent; "
-                        f"group {grp} has none"
-                    )
-
+    p_out = math.inf if inv_p == 0.0 else 1.0 / inv_p
     if math.isinf(p_out):
         s = 0
     else:
@@ -654,8 +642,7 @@ def resolve_index(config: ExperimentConfig) -> IndexData:
         config.exponents,
         config.n,
         N_override=config.N_override,
-        kind=config.kind,
-        partitions=builtin_symbol(config.symbol).terms,
+        symbol=builtin_symbol(config.symbol),
     )
 
 

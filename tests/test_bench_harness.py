@@ -12,8 +12,11 @@ import pytest
 
 import hardylab.cli
 import hardylab.verify
+from hardylab.verify import resolve_index, resolve_operator, run_context
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
+SHIPPED_CONFIGS = sorted(ROOT.glob("configs/*.ini")) + sorted(PERFBENCH.glob("configs/*.ini"))
 
 VERIFY_STAGES = (
     "run_boundedness_ensemble",
@@ -61,3 +64,13 @@ def test_cli_entry_points(child):
     assert child.cli is hardylab.cli
     for name in ("load_config", "run_boundedness_ensemble"):
         assert callable(getattr(hardylab.cli, name))
+
+
+@pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: str(p.relative_to(ROOT)))
+def test_shipped_config_resolves(path):
+    # Every shipped and benchmark config must still load and build its run
+    # context, and resolve through the names ``perfbench/outputs.py`` calls.
+    config, _ = hardylab.cli.load_config(str(path))
+    ctx = run_context(config)
+    assert resolve_index(config) == ctx.idx
+    assert resolve_operator(config, ctx.grid).symbol.kind == ctx.op.symbol.kind

@@ -121,14 +121,32 @@ class TestRunCommand:
         assert main(["run", str(config_file), "--out", str(out2), "--jobs", "2"]) == 0
         assert (out1 / "summary.csv").read_bytes() == (out2 / "summary.csv").read_bytes()
 
-    def test_product_with_infinite_exponents_is_config_error(self, tmp_path):
+    def test_product_with_infinite_exponents_is_config_error(self, tmp_path, capsys):
+        # One infinite exponent among finite ones: only the product rule
+        # (every slot is its own group) rejects it.
         path = tmp_path / "bad.ini"
         path.write_text(
-            BASE_CONFIG.replace("p = 1, 1", "p = inf, inf").replace(
+            BASE_CONFIG.replace("p = 1, 1", "p = 2, inf, 2").replace(
                 "kind = general", "kind = product"
             ).replace("symbol = sigma1_bilinear", "symbol = sigma3")
         )
         assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert "product" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "kind, symbol", [("general", "sigma1"), ("product", "sigma3"), ("mixed", "sigma4")]
+    )
+    def test_arity_mismatch_is_config_error(self, tmp_path, capsys, kind, symbol):
+        path = tmp_path / "bad.ini"
+        path.write_text(
+            BASE_CONFIG.replace("p = 1, 1", "p = 2, 2").replace(
+                "kind = general", f"kind = {kind}"
+            ).replace("symbol = sigma1_bilinear", f"symbol = {symbol}")
+        )
+        out = tmp_path / "o"
+        assert main(["run", str(path), "--out", str(out)]) == 2
+        assert "arity" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
 
     def test_missing_config(self, tmp_path):
         assert main(["run", str(tmp_path / "none.ini"), "--out", str(tmp_path / "o")]) == 2

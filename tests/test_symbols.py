@@ -1,7 +1,10 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from hardylab.symbols import (
+    BUILTIN_NAMES,
     Partition,
     Symbol,
     builtin_symbol,
@@ -9,6 +12,7 @@ from hardylab.symbols import (
     dyadic_shells,
     forms_agree,
     homogeneity_deviation,
+    make_mixed_symbol,
     make_product_symbol,
     plane_samples,
     plane_vanishing_order,
@@ -60,10 +64,6 @@ class TestBuiltins:
         assert builtin_symbol("sigma3").kind == "product"
         assert builtin_symbol("sigma4").kind == "mixed"
 
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError, match="kind"):
-            Symbol(m=2, n=1, evaluate=lambda a, b: a[..., 0] * b[..., 0], kind="weird")
-
     def test_sigma4_group_counts_vary(self):
         s4 = builtin_symbol("sigma4")
         counts = sorted(part.group_count for part in s4.terms)
@@ -76,20 +76,21 @@ class TestBuiltins:
         sym = make_product_symbol(terms)
         assert sym.terms == tuple(Partition(((0,), (1,)), t) for t in terms)
 
-    def test_product_kind_rejects_a_multi_slot_group(self):
-        sb = builtin_symbol("sigma1_bilinear")
+    def test_kind_follows_terms(self):
+        # The kind is read from the terms alone: no terms is general, all
+        # single-slot groups is product, and any larger group is mixed.
+        assert "kind" not in {f.name for f in fields(Symbol)}
+        factorized = {"sigma2": "mixed", "sigma3": "product", "sigma4": "mixed"}
+        for name in BUILTIN_NAMES:
+            sym = builtin_symbol(name)
+            assert (sym.terms is None) == (name not in factorized)
+            assert sym.kind == factorized.get(name, "general")
         one = builtin_symbol("constant_one", m=1)
-        part = Partition(((0, 1), (2,)), (sb, one))
-        with pytest.raises(ValueError, match="slot alone"):
-            Symbol(m=3, n=1, evaluate=sb.evaluate, kind="product", terms=(part,))
-
-    def test_general_kind_carries_no_terms(self):
-        # Routes pick the factorized path by ``terms is not None``, so a
-        # general symbol with terms would be applied against its kind.
-        one = builtin_symbol("constant_one", m=1)
-        part = Partition(((0,),), (one,))
-        with pytest.raises(ValueError, match="no terms"):
-            Symbol(m=1, n=1, evaluate=one.evaluate, terms=(part,))
+        singletons = Partition(((0,), (1,), (2,)), (one, one, one))
+        assert make_mixed_symbol([singletons]).kind == "product"
+        assert power_symbol(builtin_symbol("sigma4"), 2).kind == "general"
+        with pytest.raises(ValueError, match="at least one term"):
+            Symbol(m=1, n=1, evaluate=one.evaluate, terms=())
 
     @pytest.mark.parametrize("name", VANISHING)
     def test_plane_vanishing_all_builtins(self, name):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -9,7 +10,13 @@ from hardylab.atoms import Cube, make_atom
 from hardylab.grid import make_grid
 from hardylab.maximal import make_ladder
 from hardylab.operators import MultilinearOperator, apply_operator, default_cutoff
-from hardylab.symbols import Partition, builtin_symbol
+from hardylab.symbols import (
+    BUILTIN_NAMES,
+    Partition,
+    builtin_symbol,
+    make_mixed_symbol,
+    make_product_symbol,
+)
 from hardylab.verify import (
     ExperimentConfig,
     apply_to_atoms,
@@ -54,26 +61,67 @@ class TestIndexArithmetic:
         assert idx.s == 1
 
     def test_infinite_exponent_allowed_general(self):
-        idx = index_arithmetic((1.0, math.inf), 1, kind="general")
+        idx = index_arithmetic((1.0, math.inf), 1, symbol=builtin_symbol("sigma1_bilinear"))
         assert idx.p == pytest.approx(1.0)
 
     def test_all_infinite_rejected_for_types(self):
-        for kind in ("general", "product", "mixed"):
+        sb = builtin_symbol("sigma1_bilinear")
+        one = builtin_symbol("constant_one", m=1)
+        symbols = {
+            "general": sb,
+            "product": make_product_symbol([(one, one)]),
+            "mixed": make_mixed_symbol([Partition(((0, 1),), (sb,))]),
+        }
+        for kind, sym in symbols.items():
+            assert sym.kind == kind
             with pytest.raises(ValueError, match="inf"):
-                index_arithmetic((math.inf, math.inf), 1, kind=kind)
+                index_arithmetic((math.inf, math.inf), 1, symbol=sym)
 
     def test_product_rejects_any_infinite(self):
+        one = builtin_symbol("constant_one", m=1)
         with pytest.raises(ValueError, match="product"):
-            index_arithmetic((1.0, math.inf), 1, kind="product")
+            index_arithmetic((1.0, math.inf), 1, symbol=make_product_symbol([(one, one)]))
 
     def test_mixed_group_needs_finite_slot(self):
         sb = builtin_symbol("sigma1_bilinear")
         lin = builtin_symbol("constant_one", m=1)
-        part = Partition(((0, 1), (2,)), (sb, lin))
-        idx = index_arithmetic((math.inf, 1.0, 2.0), 1, kind="mixed", partitions=[part])
+        sym = make_mixed_symbol([Partition(((0, 1), (2,)), (sb, lin))])
+        idx = index_arithmetic((math.inf, 1.0, 2.0), 1, symbol=sym)
         assert idx.p == pytest.approx(2.0 / 3.0)
         with pytest.raises(ValueError, match="finite"):
-            index_arithmetic((1.0, 2.0, math.inf), 1, kind="mixed", partitions=[part])
+            index_arithmetic((1.0, 2.0, math.inf), 1, symbol=sym)
+
+    @pytest.mark.parametrize(
+        "name, pattern",
+        [
+            (name, "".join(p))
+            for name in BUILTIN_NAMES
+            for p in itertools.product("2i", repeat=builtin_symbol(name).m)
+        ],
+    )
+    def test_exponent_rule_table(self, name, pattern):
+        # The patterns each builtin rejects, written out: "i" is p = inf.
+        # A general symbol is one group of all slots, a product symbol's
+        # groups are single slots, sigma2 groups {1} + {2, 3}, and sigma4's
+        # terms group {1, 2} + {3} and {1, 2, 3}.
+        rejected = {
+            "sigma1": {"iii"},
+            "sigma2": {"i22", "i2i", "ii2", "iii", "2ii"},
+            "sigma2_factored": {"iii"},
+            "sigma3": {"i22", "2i2", "22i", "ii2", "i2i", "2ii", "iii"},
+            "sigma3_factored": {"iii"},
+            "sigma4": {"22i", "i2i", "2ii", "iii", "ii2"},
+            "constant_one": {"iii"},
+            "sigma1_bilinear": {"ii"},
+        }[name]
+        exponents = [math.inf if c == "i" else 2.0 for c in pattern]
+        sym = builtin_symbol(name)
+        if pattern in rejected:
+            with pytest.raises(ValueError, match=f"{sym.kind} type .*finite"):
+                index_arithmetic(exponents, 1, symbol=sym)
+        else:
+            idx = index_arithmetic(exponents, 1, symbol=sym)
+            assert idx.p == 2.0 / pattern.count("2")
 
     def test_n_override(self):
         assert index_arithmetic((1.0, 1.0), 1, N_override=3).N == 3
