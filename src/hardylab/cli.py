@@ -42,6 +42,7 @@ from .symbols import (
     sphere_directions,
 )
 from .verify import (
+    DEFAULT_TOLERANCES,
     DecayReport,
     ExperimentConfig,
     RunContext,
@@ -166,13 +167,18 @@ def cmd_verify_symbol(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _parse_bool(text: str) -> bool:
-    val = text.strip().lower()
-    if val in ("1", "true", "yes", "on"):
-        return True
-    if val in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
+def _parse_word(words: dict):
+    """A parser that maps each of ``words``, in any case, to its value."""
+
+    def parse(text: str):
+        if text.lower() not in words:
+            raise ValueError(f"expected one of {', '.join(words)}, got {text!r}")
+        return words[text.lower()]
+
+    return parse
+
+
+_parse_bool = _parse_word(configparser.ConfigParser.BOOLEAN_STATES)
 
 
 def _parse_floats(text: str) -> tuple[float, ...]:
@@ -180,71 +186,56 @@ def _parse_floats(text: str) -> tuple[float, ...]:
     return tuple(float(tok) for tok in text.split(",") if tok.strip())
 
 
-# (section, key, ExperimentConfig field, parser) for the optional keys.  Only
-# the keys a file sets reach ExperimentConfig, so its defaults are the only ones.
-_CONFIG_KEYS = (
-    ("grid", "n", "n", int),
-    ("grid", "l", "L", float),
-    ("grid", "m", "M", int),
-    ("indices", "n_moments", "N_override", int),
-    ("ensemble", "trials", "trials", int),
-    ("ensemble", "max_atoms", "max_atoms", int),
-    ("ensemble", "seed", "seed", int),
-    ("ensemble", "ell", "ell_choices", _parse_floats),
-    ("ensemble", "center_span", "center_span", float),
-    ("ensemble", "budget", "budget", int),
-    ("ensemble", "dilatable", "dilatable", _parse_bool),
-    ("ladder", "half_steps", "half_steps", _parse_bool),
-)
+# Section -> key -> (target, parser): the only keys a config file may set, in
+# lower case as configparser reads them.  [checks] and [tolerances] fill the run
+# options, the rest ExperimentConfig.from_dict's fields (which checks ``kind``).
+CONFIG_SCHEMA = {
+    "operator": {
+        "symbol": ("symbol", str),
+        "kind": ("kind", str),
+        "cutoff": ("use_cutoff", _parse_word({"none": False, "default": True})),
+    },
+    "indices": {"p": ("exponents", _parse_floats), "n_moments": ("N_override", int)},
+    "grid": {"n": ("n", int), "l": ("L", float), "m": ("M", int)},
+    "ensemble": {
+        "trials": ("trials", int),
+        "max_atoms": ("max_atoms", int),
+        "seed": ("seed", int),
+        "ell": ("ell_choices", _parse_floats),
+        "center_span": ("center_span", float),
+        "budget": ("budget", int),
+        "dilatable": ("dilatable", _parse_bool),
+    },
+    "ladder": {"half_steps": ("half_steps", _parse_bool)},
+    "checks": {
+        name: (name, _parse_bool)
+        for name in ("boundedness", "scale_invariance", "cancellation", "decay",
+                     "local_estimate", "pointwise_majorant", "fs_inequality")
+    },
+    "tolerances": {name: (name, float) for name in DEFAULT_TOLERANCES},
+}
 
 
 def load_config(path: str) -> tuple[ExperimentConfig, dict]:
-    """Parse a run config; returns the ensemble config and the check flags."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    read = parser.read(path)
-    if not read:
+    """Parse a run config; returns the ensemble config and the run options
+    (every check's flag, and the tolerances the file sets).  Any section or
+    key outside CONFIG_SCHEMA is a ValueError."""
+    # No default section, so a [DEFAULT] header is one more unknown section.
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",), default_section="")
+    if not parser.read(path):
         raise ValueError(f"cannot read config file {path}")
-
-    def section(name: str):
-        return parser[name] if parser.has_section(name) else {}
-
-    op = section("operator")
-    kwargs = {
-        field: parse(section(sec)[key])
-        for sec, key, field, parse in _CONFIG_KEYS
-        if key in section(sec)
-    }
-    if "cutoff" in op:
-        cutoff_text = op["cutoff"].strip().lower()
-        if cutoff_text not in ("none", "default"):
-            raise ValueError(f"cutoff must be 'none' or 'default', got {cutoff_text!r}")
-        kwargs["use_cutoff"] = cutoff_text == "default"
-    config = ExperimentConfig(
-        kind=op.get("kind", "general").strip(),
-        symbol=op.get("symbol", "sigma1_bilinear").strip(),
-        exponents=_parse_floats(section("indices").get("p", "1, 1")),
-        **kwargs,
-    )
-    tol = section("tolerances")
-    checks_sec = section("checks")
-
-    known_checks = (
-        "boundedness",
-        "scale_invariance",
-        "cancellation",
-        "decay",
-        "local_estimate",
-        "pointwise_majorant",
-        "fs_inequality",
-    )
-    checks = {name: False for name in known_checks}
-    checks["boundedness"] = True
-    for name in checks_sec:
-        if name not in known_checks:
-            raise ValueError(f"unknown check {name!r}")
-        checks[name] = _parse_bool(checks_sec[name])
-    tolerances = {k: float(v) for k, v in tol.items()}
-    return config, {"checks": checks, "tolerances": tolerances}
+    options = {"checks": dict.fromkeys(CONFIG_SCHEMA["checks"], False), "tolerances": {}}
+    options["checks"]["boundedness"] = True
+    fields: dict = {}
+    for section in parser.sections():
+        if section not in CONFIG_SCHEMA:
+            raise ValueError(f"unknown config section [{section}]")
+        for key, text in parser[section].items():
+            if key not in CONFIG_SCHEMA[section]:
+                raise ValueError(f"unknown key {key!r} in [{section}]")
+            target, parse = CONFIG_SCHEMA[section][key]
+            options.get(section, fields)[target] = parse(text)
+    return ExperimentConfig.from_dict(fields), options
 
 
 def _check_atoms(ctx: RunContext, partner_order: int):
@@ -264,7 +255,7 @@ def _check_atoms(ctx: RunContext, partner_order: int):
 def _run_checks(ctx: RunContext, options: dict, jobs: int, out: Path) -> dict:
     config, idx = ctx.config, ctx.idx
     checks = options["checks"]
-    tolerances = options["tolerances"]
+    tolerances = {**DEFAULT_TOLERANCES, **options["tolerances"]}
     results: dict[str, dict] = {}
     records: tuple[TrialRecord, ...] = ()
 
@@ -281,7 +272,7 @@ def _run_checks(ctx: RunContext, options: dict, jobs: int, out: Path) -> dict:
         _write_ratio_histogram(out / "ratio_hist.dat", [t.ratio for t in report.trials])
 
     if checks["scale_invariance"]:
-        tol = tolerances.get("scale_invariance", 0.2)
+        tol = tolerances["scale_invariance"]
         count = min(config.trials, 20)
         if checks["boundedness"]:
             base = records[:count]
@@ -301,7 +292,7 @@ def _run_checks(ctx: RunContext, options: dict, jobs: int, out: Path) -> dict:
         full = apply_to_atoms(ctx.op, _check_atoms(ctx, partner_order=idx.N))
 
     if checks["cancellation"]:
-        tol = tolerances.get("cancellation", 1e-5)
+        tol = tolerances["cancellation"]
         rep = check_cancellation(full, idx.s, tolerance=tol)
         results["cancellation"] = {
             "pass": rep.passed,

@@ -11,7 +11,7 @@ trial index), and trial records carry the full atom geometry.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import lru_cache
 from typing import Sequence
 
@@ -197,10 +197,14 @@ class CancellationReport:
         return self.max_normalized < self.tolerance
 
 
+# Pass thresholds of the checks that take one, unless a run sets its own.
+DEFAULT_TOLERANCES = {"cancellation": 1e-5, "scale_invariance": 0.2}
+
+
 def check_cancellation(
     t: AtomOutput,
     s: int,
-    tolerance: float = 1e-5,
+    tolerance: float = DEFAULT_TOLERANCES["cancellation"],
 ) -> CancellationReport:
     """Verify that moments of the operator output up to order s vanish.
 
@@ -594,9 +598,8 @@ def check_fs_inequality(
 class ExperimentConfig:
     """Everything needed to reproduce an ensemble run."""
 
-    kind: str
-    symbol: str
-    exponents: tuple[float, ...]
+    symbol: str = "sigma1_bilinear"
+    exponents: tuple[float, ...] = (1.0, 1.0)
     n: int = 1
     L: float = 8.0
     M: int = 512
@@ -612,37 +615,42 @@ class ExperimentConfig:
     dilatable: bool = False
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["exponents"] = list(self.exponents)
-        d["ell_choices"] = list(self.ell_choices)
-        return d
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
+        """The config whose fields ``d`` sets.  A ``kind`` entry, as older
+        configs and reports hold, must match the symbol's and is dropped; any
+        other key that is not a field is a ValueError."""
         kwargs = dict(d)
-        kwargs["exponents"] = tuple(float(x) for x in kwargs["exponents"])
-        kwargs["ell_choices"] = tuple(float(x) for x in kwargs["ell_choices"])
+        kind = kwargs.pop("kind", None)
+        unknown = kwargs.keys() - {f.name for f in fields(cls)}
+        if unknown:
+            raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
+        for name in ("exponents", "ell_choices"):
+            if name in kwargs:
+                kwargs[name] = tuple(float(x) for x in kwargs[name])
         if kwargs.get("N_override") is not None:
             kwargs["N_override"] = int(kwargs["N_override"])
-        return cls(**kwargs)
+        config = cls(**kwargs)
+        if kind is not None and kind != (actual := resolve_symbol(config).kind):
+            raise ValueError(f"symbol {config.symbol!r} is of kind {actual}, config says {kind}")
+        return config
+
+
+def resolve_symbol(config: ExperimentConfig) -> Symbol:
+    """The config's builtin symbol; ``constant_one`` takes its arity from ``p``."""
+    return builtin_symbol(config.symbol, m=len(config.exponents))
 
 
 def resolve_operator(config: ExperimentConfig, grid: Grid) -> MultilinearOperator:
-    sym = builtin_symbol(config.symbol)
-    if sym.kind != config.kind:
-        raise ValueError(
-            f"symbol {config.symbol!r} is of kind {sym.kind}, config says {config.kind}"
-        )
     cutoff = default_cutoff(grid) if config.use_cutoff else None
-    return MultilinearOperator(sym, grid, cutoff=cutoff, budget=config.budget)
+    return MultilinearOperator(resolve_symbol(config), grid, cutoff=cutoff, budget=config.budget)
 
 
 def resolve_index(config: ExperimentConfig) -> IndexData:
     return index_arithmetic(
-        config.exponents,
-        config.n,
-        N_override=config.N_override,
-        symbol=builtin_symbol(config.symbol),
+        config.exponents, config.n, N_override=config.N_override, symbol=resolve_symbol(config)
     )
 
 

@@ -573,7 +573,6 @@ class TestCriterion9Boundedness:
     # push the output toward the discretization floor, where the dilation
     # comparison measures resolution instead of the continuum identity.
     CONFIG = ExperimentConfig(
-        kind="general",
         symbol="sigma1_bilinear",
         exponents=(1.0, 1.0),
         n=1,
@@ -650,7 +649,6 @@ class TestCriterion9Boundedness:
 
 CLI_CONFIG = """
 [operator]
-kind = general
 symbol = sigma1_bilinear
 cutoff = none
 

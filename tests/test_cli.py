@@ -1,15 +1,16 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 import hardylab.operators
 import hardylab.verify
-from hardylab.cli import dumps_17g, load_config, main
-from hardylab.verify import ExperimentConfig
+from hardylab.cli import CONFIG_SCHEMA, dumps_17g, load_config, main
+from hardylab.verify import ExperimentConfig, run_context
 
 BASE_CONFIG = """
 [operator]
-kind = general
 symbol = sigma1_bilinear
 cutoff = none
 
@@ -71,15 +72,46 @@ class TestConfigParsing:
         # A command-line run and a library run of the same config agree on
         # every key the file leaves out.
         path = tmp_path / "minimal.ini"
-        path.write_text("[operator]\nkind = mixed\nsymbol = sigma4\n\n[indices]\np = 2, 2, 2\n")
+        path.write_text("[operator]\nsymbol = sigma4\n\n[indices]\np = 2, 2, 2\n")
         config, _ = load_config(str(path))
-        assert config == ExperimentConfig("mixed", "sigma4", (2.0, 2.0, 2.0))
+        assert config == ExperimentConfig("sigma4", (2.0, 2.0, 2.0))
 
-    def test_unknown_check_rejected(self, tmp_path):
+    @pytest.mark.parametrize(
+        "old, new, name",
+        [
+            pytest.param("cutoff = none", "cutof = default", "cutof", id="operator"),
+            pytest.param("n_moments = 2", "n_moment = 2", "n_moment", id="indices"),
+            pytest.param("M = 512", "Mm = 4096", "mm", id="grid"),
+            pytest.param("trials = 4", "trial = 3", "trial", id="ensemble"),
+            pytest.param("half_steps = false", "half_step = true", "half_step", id="ladder"),
+            pytest.param("boundedness = true", "nosuch = true", "nosuch", id="checks"),
+            pytest.param(
+                "cancellation = 1e-5", "cancelation = 1e30", "cancelation", id="tolerances"
+            ),
+            pytest.param("[ensemble]", "[ensembel]", "ensembel", id="section"),
+        ],
+    )
+    def test_unknown_name_is_config_error(self, tmp_path, capsys, old, new, name):
+        # Every section and key comes from the schema: a misspelt one is not
+        # dropped, it stops the run before anything is written.
+        text = BASE_CONFIG + "\n[ladder]\nhalf_steps = false\n\n[tolerances]\ncancellation = 1e-5\n"
+        assert old in text
         path = tmp_path / "bad.ini"
-        path.write_text(BASE_CONFIG + "\nnosuch = true\n")
-        with pytest.raises(ValueError, match="unknown check"):
-            load_config(str(path))
+        path.write_text(text.replace(old, new))
+        out = tmp_path / "o"
+        assert main(["run", str(path), "--out", str(out)]) == 2
+        assert name in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_readme_config_table_matches_schema(self):
+        # The README's config table lists one key per row; it must name the
+        # same sections and keys the loader accepts.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        table = readme.split("### Config format")[1].split("###")[0]
+        documented: dict[str, set[str]] = {}
+        for section, key in re.findall(r"^\| `\[(\w+)\]` \| `(\w+)` \|", table, re.M):
+            documented.setdefault(section, set()).add(key.lower())
+        assert documented == {sec: set(keys) for sec, keys in CONFIG_SCHEMA.items()}
 
 
 class TestVerifySymbolCommand:
@@ -127,26 +159,43 @@ class TestRunCommand:
         path = tmp_path / "bad.ini"
         path.write_text(
             BASE_CONFIG.replace("p = 1, 1", "p = 2, inf, 2").replace(
-                "kind = general", "kind = product"
-            ).replace("symbol = sigma1_bilinear", "symbol = sigma3")
+                "symbol = sigma1_bilinear", "symbol = sigma3"
+            )
         )
         assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
         assert "product" in capsys.readouterr().err
 
+    # One symbol of each operator class, named in the id.
     @pytest.mark.parametrize(
-        "kind, symbol", [("general", "sigma1"), ("product", "sigma3"), ("mixed", "sigma4")]
+        "symbol",
+        ["sigma1", "sigma3", "sigma4"],
+        ids=["general-sigma1", "product-sigma3", "mixed-sigma4"],
     )
-    def test_arity_mismatch_is_config_error(self, tmp_path, capsys, kind, symbol):
+    def test_arity_mismatch_is_config_error(self, tmp_path, capsys, symbol):
         path = tmp_path / "bad.ini"
         path.write_text(
             BASE_CONFIG.replace("p = 1, 1", "p = 2, 2").replace(
-                "kind = general", f"kind = {kind}"
-            ).replace("symbol = sigma1_bilinear", f"symbol = {symbol}")
+                "symbol = sigma1_bilinear", f"symbol = {symbol}"
+            )
         )
         out = tmp_path / "o"
         assert main(["run", str(path), "--out", str(out)]) == 2
         assert "arity" in capsys.readouterr().err
         assert not (out / "manifest.json").exists()
+
+    def test_constant_one_takes_its_arity_from_p(self, tmp_path):
+        path = tmp_path / "one.ini"
+        path.write_text(
+            BASE_CONFIG.replace("symbol = sigma1_bilinear", "symbol = constant_one").replace(
+                "trials = 4", "trials = 2"
+            )
+        )
+        config, _ = load_config(str(path))
+        op = run_context(config).op
+        assert (op.m, op.symbol.kind) == (2, "general")
+        out = tmp_path / "o"
+        assert main(["run", str(path), "--out", str(out)]) in (0, 1)
+        assert len(json.loads((out / "report.json").read_text())["trials"]) == 2
 
     def test_missing_config(self, tmp_path):
         assert main(["run", str(tmp_path / "none.ini"), "--out", str(tmp_path / "o")]) == 2
@@ -171,7 +220,6 @@ class TestRunCommand:
 
 FULL_CONFIG = """
 [operator]
-kind = general
 symbol = sigma1_bilinear
 cutoff = none
 
@@ -228,7 +276,6 @@ class TestAllChecksThroughCli:
 
 MIXED_CONFIG = """
 [operator]
-kind = mixed
 symbol = sigma4
 cutoff = default
 
@@ -354,3 +401,41 @@ class TestReplayCommand:
 
     def test_bad_report_path(self, tmp_path):
         assert main(["replay", str(tmp_path / "missing.json"), "0"]) == 2
+
+    def test_unknown_config_key_is_read_error(self, config_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["run", str(config_file), "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        report["config"]["extra_key"] = 1
+        edited = out / "edited.json"
+        edited.write_text(json.dumps(report))
+        assert main(["replay", str(edited), "0"]) == 2
+        assert "error reading report" in capsys.readouterr().err
+
+
+class TestLegacyKind:
+    # Configs and reports written while the operator class was a config field
+    # restate it as ``kind``: accepted when it matches the symbol, never stored.
+    def test_matching_kind_loads(self, config_file, tmp_path):
+        path = tmp_path / "kind.ini"
+        path.write_text(BASE_CONFIG.replace("[operator]\n", "[operator]\nkind = general\n"))
+        assert load_config(str(path)) == load_config(str(config_file))
+
+    def test_mismatching_kind_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "kind.ini"
+        path.write_text(BASE_CONFIG.replace("[operator]\n", "[operator]\nkind = product\n"))
+        out = tmp_path / "o"
+        assert main(["run", str(path), "--out", str(out)]) == 2
+        assert "kind" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind, code", [("general", 0), ("mixed", 2)])
+    def test_replay_report_with_kind(self, config_file, tmp_path, kind, code):
+        out = tmp_path / "out"
+        assert main(["run", str(config_file), "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        report["config"]["kind"] = kind
+        edited = out / "edited.json"
+        edited.write_text(json.dumps(report))
+        for trial in report["trials"]:
+            assert main(["replay", str(edited), str(trial["trial_id"])]) == code

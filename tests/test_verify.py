@@ -425,7 +425,6 @@ class TestFsInequality:
 
 def _ensemble_config(**overrides):
     base = dict(
-        kind="general",
         symbol="sigma1_bilinear",
         exponents=(1.0, 1.0),
         n=1,
@@ -522,7 +521,7 @@ class TestBoundednessEnsemble:
 
 class TestScaleInvariance:
     def test_requires_homogeneous_symbol(self):
-        cfg = _ensemble_config(symbol="sigma2", kind="mixed", exponents=(2.0, 2.0, 2.0))
+        cfg = _ensemble_config(symbol="sigma2", exponents=(2.0, 2.0, 2.0))
         with pytest.raises(ValueError, match="homogeneous"):
             scale_invariance_test(run_context(cfg), (), 2.0)
 
