@@ -182,8 +182,9 @@ _parse_bool = _parse_word(configparser.ConfigParser.BOOLEAN_STATES)
 
 
 def _parse_floats(text: str) -> tuple[float, ...]:
-    """Comma-separated floats; ``float`` itself reads inf and infinity."""
-    return tuple(float(tok) for tok in text.split(",") if tok.strip())
+    """Comma-separated floats; ``float`` itself reads inf and infinity, and
+    rejects an empty item."""
+    return tuple(float(tok) for tok in text.split(","))
 
 
 # Section -> key -> (target, parser): the only keys a config file may set, in
@@ -234,7 +235,10 @@ def load_config(path: str) -> tuple[ExperimentConfig, dict]:
             if key not in CONFIG_SCHEMA[section]:
                 raise ValueError(f"unknown key {key!r} in [{section}]")
             target, parse = CONFIG_SCHEMA[section][key]
-            options.get(section, fields)[target] = parse(text)
+            try:
+                options.get(section, fields)[target] = parse(text)
+            except ValueError as exc:
+                raise ValueError(f"[{section}] {key}: {exc}") from None
     return ExperimentConfig.from_dict(fields), options
 
 
@@ -507,7 +511,9 @@ def main(argv=None) -> int:
     )
     p_sym.set_defaults(func=cmd_verify_symbol)
 
-    default_jobs = int(os.environ.get("HARDYLAB_JOBS", "1"))
+    # A string default goes through type=int, so a bad HARDYLAB_JOBS is a
+    # usage error of `run` alone.
+    default_jobs = os.environ.get("HARDYLAB_JOBS", "1")
     p_run = sub.add_parser("run", help="run configured checks and write reports")
     p_run.add_argument("config")
     p_run.add_argument("--out", default="out", help="output directory")

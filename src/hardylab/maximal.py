@@ -5,7 +5,9 @@ from the grid spacing up to the box diameter; the sampled bump is
 renormalized to unit discrete mass at every scale so that averaging a
 constant reproduces the constant exactly.  The rough maximal function uses
 the r^{-n} normalization (not the ball-volume one) and balls clipped at the
-box, with cells included when their center lies in the open ball.
+box, with cells included when their center lies in the open ball.  Its ball
+sums are zero-padded convolutions done with numpy.fft, the one FFT library
+the package uses.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 import numpy as np
-from scipy import fft as sp_fft
 
 from .grid import Grid, SampledFunction, Spectrum, dft, idft, lp_quasinorm
 
@@ -143,15 +144,31 @@ def _ball_offsets(r: float, grid: Grid) -> np.ndarray:
     return (dist2 < r * r).astype(np.float64)
 
 
+def _next_fast_len(n: int) -> int:
+    """The smallest 2^a 3^b 5^c >= n, for n >= 1: each 3^b 5^c below the
+    next power of two, doubled until it reaches n."""
+    best = 1 << (n - 1).bit_length()
+    p3 = 1
+    while p3 < best:
+        p35 = p3
+        while p35 < best:
+            best = min(best, p35 << ((n - 1) // p35).bit_length())
+            p35 *= 5
+        p3 *= 3
+    return best
+
+
 def _convolve_same(a: np.ndarray, kern: np.ndarray) -> np.ndarray:
     """Zero-padded linear convolution of real arrays, cropped to a's shape
-    about the centre of the full result (``scipy.signal.fftconvolve``'s
-    "same" mode, computed as it does it)."""
+    about the centre of the full result: ``scipy.signal.fftconvolve``'s
+    "same" mode, computed as it does it (the same pocketfft transforms at
+    the same padded lengths, scaled once by 1/N), so the sums agree bit for
+    bit."""
     full = [sa + sk - 1 for sa, sk in zip(a.shape, kern.shape)]
-    fshape = [sp_fft.next_fast_len(s, True) for s in full]
+    fshape = [_next_fast_len(s) for s in full]
     axes = tuple(range(a.ndim))
-    spec = sp_fft.rfftn(a, fshape, axes=axes) * sp_fft.rfftn(kern, fshape, axes=axes)
-    conv = sp_fft.irfftn(spec, fshape, axes=axes)
+    spec = np.fft.rfftn(a, fshape, axes=axes) * np.fft.rfftn(kern, fshape, axes=axes)
+    conv = np.fft.irfftn(spec, fshape, axes=axes, norm="forward") * (1.0 / np.prod(fshape))
     start = [(s - sa) // 2 for s, sa in zip(full, a.shape)]
     return conv[tuple(slice(b, b + sa) for b, sa in zip(start, a.shape))]
 

@@ -89,11 +89,20 @@ class TestConfigParsing:
                 "cancellation = 1e-5", "cancelation = 1e30", "cancelation", id="tolerances"
             ),
             pytest.param("[ensemble]", "[ensembel]", "ensembel", id="section"),
+            pytest.param("trials = 4", "trials = abc", "[ensemble] trials", id="bad-value"),
+            pytest.param(
+                "symbol = sigma1_bilinear\ncutoff = none\n\n[indices]\np = 1, 1",
+                "symbol = constant_one\ncutoff = none\n\n[indices]\np = 2, , 2",
+                "[indices] p",
+                id="empty-item",
+            ),
         ],
     )
     def test_unknown_name_is_config_error(self, tmp_path, capsys, old, new, name):
         # Every section and key comes from the schema: a misspelt one is not
-        # dropped, it stops the run before anything is written.
+        # dropped, it stops the run before anything is written.  A value its
+        # parser rejects names its section and key; an empty item in a list
+        # is rejected, not dropped (constant_one takes its arity from p).
         text = BASE_CONFIG + "\n[ladder]\nhalf_steps = false\n\n[tolerances]\ncancellation = 1e-5\n"
         assert old in text
         path = tmp_path / "bad.ini"
@@ -126,6 +135,28 @@ class TestVerifySymbolCommand:
     def test_constant_fails_plane_requirement(self, capsys):
         code = main(["verify-symbol", "constant_one", "--require-plane-vanishing", "--orders", "0"])
         assert code == 1
+
+
+class TestJobsEnvironment:
+    def test_bad_value_is_a_usage_error_of_run(self, config_file, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("HARDYLAB_JOBS", "abc")
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main(["run", str(config_file), "--out", str(out)])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bad_value_does_not_touch_verify_symbol(self, monkeypatch):
+        # verify-symbol takes no --jobs, so it never reads the variable.
+        monkeypatch.setenv("HARDYLAB_JOBS", "abc")
+        assert main(["verify-symbol", "sigma1", "--orders", "1"]) == 0
+
+    def test_good_value_is_the_default(self, config_file, tmp_path, monkeypatch):
+        monkeypatch.setenv("HARDYLAB_JOBS", "2")
+        out = tmp_path / "o"
+        assert main(["run", str(config_file), "--out", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["jobs"] == 2
 
 
 class TestRunCommand:

@@ -191,8 +191,9 @@ class TestHlMaximal:
         )
 
 
-    @pytest.mark.parametrize("n, M", [(1, 4096), (2, 64)])
-    def test_matches_fftconvolve_reference(self, n, M):
+    @pytest.mark.parametrize("half_steps", [False, True], ids=["dyadic", "half_steps"])
+    @pytest.mark.parametrize("n, M", [(1, 256), (1, 4096), (1, 8192), (2, 64), (2, 128)])
+    def test_matches_fftconvolve_reference(self, n, M, half_steps):
         # The ball sums are scipy.signal.fftconvolve's "same" mode computed
         # with the same transforms, so they agree bit for bit.
         from scipy.signal import fftconvolve
@@ -202,7 +203,7 @@ class TestHlMaximal:
         grid = make_grid(n, 8.0, M)
         rng = np.random.default_rng(n)
         f = SampledFunction(grid, rng.standard_normal(grid.shape))
-        ladder = make_ladder(grid, half_steps=True)
+        ladder = make_ladder(grid, half_steps=half_steps)
         mags = np.abs(f.values)
         ref = np.zeros(grid.shape)
         for r in ladder.scales:
@@ -212,15 +213,65 @@ class TestHlMaximal:
         assert np.array_equal(hl_maximal(f, ladder).values, ref)
 
 
-def test_cli_import_leaves_scipy_signal_out():
-    # scipy.signal costs most of a start-up; the maximal functions use scipy.fft.
+def test_next_fast_len_matches_scipy():
+    # Up to the longest padded length at M = 8192: 3 * 8192 + 1.
+    from scipy.fft import next_fast_len
+
+    from hardylab.maximal import _next_fast_len
+
+    for n in range(1, 3 * 8192 + 2):
+        assert _next_fast_len(n) == next_fast_len(n, True), n
+
+
+SCIPY_FREE_CONFIG = """
+[operator]
+symbol = sigma1_bilinear
+
+[indices]
+p = 2, 2
+
+[grid]
+n = 1
+L = 8
+M = 1024
+
+[ensemble]
+trials = 2
+max_atoms = 2
+ell = 0.5
+center_span = 0.15
+
+[checks]
+boundedness = true
+scale_invariance = true
+cancellation = true
+decay = true
+local_estimate = true
+pointwise_majorant = true
+fs_inequality = true
+"""
+
+
+def test_cli_and_a_full_run_load_no_scipy(tmp_path):
+    # numpy.fft is the one FFT library: neither the import nor a run with
+    # every check (maximal functions included) loads any scipy module.
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(SCIPY_FREE_CONFIG)
     src = str(Path(hardylab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, hardylab.cli; print('scipy.signal' in sys.modules)"
+    code = (
+        "import sys, hardylab.cli\n"
+        "def scipy_modules():\n"
+        "    return sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+        "print(scipy_modules())\n"
+        f"code = hardylab.cli.main(['run', {str(cfg)!r}, '--out', {str(tmp_path / 'out')!r}, '--jobs', '1'])\n"
+        "print(code, scipy_modules())\n"
+    )
     result = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert result.stdout.strip() == "False"
+    lines = result.stdout.splitlines()
+    assert (lines[0], lines[-1]) == ("[]", "0 []")
 
 
 class TestPowerMaximal:
