@@ -6,6 +6,11 @@ boundary-flat bump on Q times a seed-random polynomial, minus its projection
 onto the bump-weighted polynomial space (tensor Legendre basis, for Gram
 conditioning at orders up to ~8), rescaled to sup 1/2.  The strict margin
 below 1 guards the |a| <= chi_Q bound against quadrature rounding.
+
+The atom is built on its cube's window, the index slice per axis that covers
+the cube plus one cell, and zero-embedded into the grid; its moment sums run
+over the whole grid, so it has the bits a full-grid construction gets (up to
+the sign of zeros outside the window, which are all +0).
 """
 
 from __future__ import annotations
@@ -133,6 +138,21 @@ def _check_atom_geometry(cube: Cube, grid: Grid) -> None:
             )
 
 
+def _cube_window(cube: Cube, grid: Grid) -> tuple[slice, ...]:
+    """Index slice per axis covering every cell centre strictly inside the
+    cube, plus one cell of margin on each side."""
+    half = cube.side / 2.0
+    window = []
+    for c in cube.center:
+        lo = int(np.floor((c - half) / grid.dx)) + grid.M // 2 - 1
+        hi = int(np.ceil((c + half) / grid.dx)) + grid.M // 2 + 2
+        # _check_atom_geometry keeps the 9n-dilate inside the box, so the
+        # window never clips or wraps.
+        assert 0 <= lo and hi <= grid.M, (lo, hi)
+        window.append(slice(lo, hi))
+    return tuple(window)
+
+
 def make_atom(
     cube: Cube,
     p: float,
@@ -150,7 +170,9 @@ def make_atom(
         raise ValueError("moment order must be nonnegative")
     _check_atom_geometry(cube, grid)
 
-    pts = grid.points()
+    window = _cube_window(cube, grid)
+    axes = [grid.axis_points()[sl] for sl in window]
+    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
     c = np.asarray(cube.center)
     u = (pts - c) / (cube.side / 2.0)
     inside = np.all(np.abs(u) < 1.0, axis=-1)
@@ -160,14 +182,23 @@ def make_atom(
     poly_exps = _monomial_exponents(grid.n, N + 2)
     poly_coeffs = rng.standard_normal(len(poly_exps))
     u_axes = [u[..., i] for i in range(grid.n)]
-    poly = np.zeros(grid.shape)
+    poly = np.zeros(w.shape)
     for coeff, exps in zip(poly_coeffs, poly_exps):
-        mono = np.ones(grid.shape)
+        mono = np.ones(w.shape)
         for axis, k in enumerate(exps):
             if k:
                 mono = mono * u_axes[axis] ** k
         poly += coeff * mono
     f0 = w * poly
+
+    # Every sum runs over the whole grid with zeros outside the window, so
+    # numpy's pairwise tree, and with it every bit of the moment system, is
+    # the one a full-grid construction gets.
+    full = np.zeros(grid.shape)
+
+    def grid_sum(x: np.ndarray) -> float:
+        full[window] = x
+        return np.sum(full)
 
     if skip_projection:
         values = f0
@@ -178,9 +209,9 @@ def make_atom(
         gram = np.empty((nb, nb))
         rhs = np.empty(nb)
         for i in range(nb):
-            rhs[i] = np.sum(basis[i] * f0)
+            rhs[i] = grid_sum(basis[i] * f0)
             for j in range(i, nb):
-                gram[i, j] = gram[j, i] = np.sum(basis[i] * basis[j] * w)
+                gram[i, j] = gram[j, i] = grid_sum(basis[i] * basis[j] * w)
         try:
             coeffs = np.linalg.solve(gram, rhs)
         except np.linalg.LinAlgError as exc:
@@ -197,8 +228,8 @@ def make_atom(
     peak = np.max(np.abs(values))
     if peak == 0.0:
         raise ValueError("degenerate atom: projection annihilated the profile")
-    values = values * (0.5 / peak)
-    return Atom(cube, SampledFunction(grid, values), float(p), N, seed)
+    full[window] = values * (0.5 / peak)
+    return Atom(cube, SampledFunction(grid, full), float(p), N, seed)
 
 
 def make_infinity_atom(grid: Grid, f: Callable[..., complex]) -> Atom:

@@ -118,10 +118,15 @@ def _periodized_kernel(bump: BumpProfile, t: float, grid: Grid) -> np.ndarray:
     return vals / mass
 
 
-@lru_cache(maxsize=32)
-def _kernel_spectrum(bump: BumpProfile, t: float, grid: Grid) -> np.ndarray:
-    """The transform of the scale-t kernel (read-only), computed once per scale."""
-    return dft(SampledFunction(grid, _periodized_kernel(bump, t, grid))).coefficients
+@lru_cache(maxsize=4)
+def _kernel_spectra(bump: BumpProfile, ladder: ScaleLadder, grid: Grid) -> tuple[np.ndarray, ...]:
+    """The transforms of the ladder's kernels (read-only), one per scale.
+    They are cached as one entry per ladder, so a ladder of any length
+    walked in order never evicts its own kernels."""
+    return tuple(
+        dft(SampledFunction(grid, _periodized_kernel(bump, t, grid))).coefficients
+        for t in ladder.scales
+    )
 
 
 def smooth_maximal(f: SampledFunction, bump: BumpProfile, ladder: ScaleLadder) -> SampledFunction:
@@ -129,8 +134,8 @@ def smooth_maximal(f: SampledFunction, bump: BumpProfile, ladder: ScaleLadder) -
     grid = f.grid
     spec_f = dft(f).coefficients
     best = np.zeros(grid.shape)
-    for t in ladder.scales:
-        conv = idft(Spectrum(grid, spec_f * _kernel_spectrum(bump, t, grid)))
+    for kernel in _kernel_spectra(bump, ladder, grid):
+        conv = idft(Spectrum(grid, spec_f * kernel))
         best = np.maximum(best, np.abs(conv.values))
     return SampledFunction(grid, best)
 

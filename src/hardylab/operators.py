@@ -26,9 +26,11 @@ Two application routes:
   symbol.
 
 ``operator_factors`` returns what ``apply_mixed`` multiplies: per term, the
-output of each partition group.  The pointwise majorants are built from these
-factor outputs, and the route's output is one shared sum over terms of their
-products, so the factors and the output come from a single application.
+output of each partition group.  Each distinct one-slot factor is applied
+once per application and its weights are evaluated once per operator.  The
+pointwise majorants are built from these factor outputs, and the route's
+output is one shared sum over terms of their products, so the factors and the
+output come from a single application.
 
 ``apply_oracle`` evaluates the same frequency sum literally, term by term in
 lexicographic order with exactly-rounded accumulation, at a handful of
@@ -46,7 +48,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
+from functools import lru_cache
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -285,35 +289,53 @@ def apply_oracle(
     return out
 
 
-def apply_linear(sym: Symbol, spec: Spectrum, cutoff: float | None = None) -> SampledFunction:
-    """A 1-linear multiplier applied to an input given by its spectrum."""
-    if sym.m != 1:
-        raise ValueError(f"expected a 1-linear symbol, got arity {sym.m}")
-    grid = spec.grid
-    freqs = grid.frequencies()
-    weights = np.asarray(sym.evaluate(freqs)) * _slot_mask(freqs, cutoff)
-    return idft(Spectrum(grid, spec.coefficients * weights))
+@lru_cache(maxsize=8)
+def _one_slot_weights(op: MultilinearOperator) -> Mapping[Symbol, np.ndarray]:
+    """Per distinct one-slot symbol of the operator's terms, its weights
+    sym(k * dxi) * ``_slot_mask`` on the lattice (read-only).  Keyed on the
+    operator, so each weight array is computed once however many terms
+    share it."""
+    freqs = op.grid.frequencies()
+    mask = _slot_mask(freqs, op.cutoff)
+    weights = {}
+    for part in op.symbol.terms:
+        for grp, sym in zip(part.groups, part.symbols):
+            if len(grp) == 1 and sym not in weights:
+                weights[sym] = np.asarray(sym.evaluate(freqs)) * mask
+                weights[sym].setflags(write=False)
+    return MappingProxyType(weights)
+
+
+def apply_linear(weights: np.ndarray, spec: Spectrum) -> SampledFunction:
+    """A 1-linear multiplier, given by its weights on the lattice, applied to
+    an input given by its spectrum."""
+    return idft(Spectrum(spec.grid, spec.coefficients * weights))
 
 
 def operator_factors(op: MultilinearOperator, fs: Sequence[SampledFunction]) -> Factors:
     """Per term, the output of each partition group: T_j^rho f_j for a
     one-slot group (one forward transform per input, shared by every term),
     T_{I_g} on its own inputs for a larger one.  Every group inherits the
-    operator's cutoff and budget."""
+    operator's cutoff and budget.  A group that several terms name with the
+    same symbol is applied once, and its output stands in every one of them."""
     terms = op.symbol.terms
     if terms is None:
         raise ValueError("a general operator has no factors; apply it with apply_general")
     _check_inputs(op, fs)
+    weights = _one_slot_weights(op)
     singles = sorted({grp[0] for part in terms for grp in part.groups if len(grp) == 1})
     spectra = {l: dft(fs[l]) for l in singles}
+    applied: dict[tuple[tuple[int, ...], Symbol], SampledFunction] = {}
+    for part in terms:
+        for grp, sym in zip(part.groups, part.symbols):
+            if (grp, sym) not in applied:
+                applied[grp, sym] = (
+                    apply_linear(weights[sym], spectra[grp[0]])
+                    if len(grp) == 1
+                    else apply_general(replace(op, symbol=sym), *[fs[l] for l in grp])[0]
+                )
     return tuple(
-        tuple(
-            apply_linear(sym, spectra[grp[0]], op.cutoff)
-            if len(grp) == 1
-            else apply_general(replace(op, symbol=sym), *[fs[l] for l in grp])[0]
-            for grp, sym in zip(part.groups, part.symbols)
-        )
-        for part in terms
+        tuple(applied[grp, sym] for grp, sym in zip(part.groups, part.symbols)) for part in terms
     )
 
 

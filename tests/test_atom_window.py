@@ -1,0 +1,208 @@
+"""make_atom builds on its cube's window; these tests hold it to the
+full-grid construction it replaced, bit for bit."""
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st
+
+from hardylab.atoms import (
+    Atom,
+    Cube,
+    _bump_weight,
+    _check_atom_geometry,
+    _legendre_values,
+    _monomial_exponents,
+    make_atom,
+    moments,
+)
+from hardylab.grid import SampledFunction, make_grid
+
+
+def full_grid_make_atom(cube, p, N, seed, grid, skip_projection=False):
+    """Reference copy of make_atom as it was before the window: every array
+    spans the whole grid."""
+    if N < 0:
+        raise ValueError("moment order must be nonnegative")
+    _check_atom_geometry(cube, grid)
+
+    pts = grid.points()
+    c = np.asarray(cube.center)
+    u = (pts - c) / (cube.side / 2.0)
+    inside = np.all(np.abs(u) < 1.0, axis=-1)
+    w = _bump_weight(u)
+
+    rng = np.random.default_rng(seed)
+    poly_exps = _monomial_exponents(grid.n, N + 2)
+    poly_coeffs = rng.standard_normal(len(poly_exps))
+    u_axes = [u[..., i] for i in range(grid.n)]
+    poly = np.zeros(grid.shape)
+    for coeff, exps in zip(poly_coeffs, poly_exps):
+        mono = np.ones(grid.shape)
+        for axis, k in enumerate(exps):
+            if k:
+                mono = mono * u_axes[axis] ** k
+        poly += coeff * mono
+    f0 = w * poly
+
+    if skip_projection:
+        values = f0
+    else:
+        betas = _monomial_exponents(grid.n, N)
+        basis = [_legendre_values(u_axes, beta) * inside for beta in betas]
+        nb = len(basis)
+        gram = np.empty((nb, nb))
+        rhs = np.empty(nb)
+        for i in range(nb):
+            rhs[i] = np.sum(basis[i] * f0)
+            for j in range(i, nb):
+                gram[i, j] = gram[j, i] = np.sum(basis[i] * basis[j] * w)
+        try:
+            coeffs = np.linalg.solve(gram, rhs)
+        except np.linalg.LinAlgError as exc:
+            raise ValueError(f"moment system is singular for cube {cube}: {exc}") from exc
+        residual = np.linalg.norm(gram @ coeffs - rhs)
+        scale = np.linalg.norm(rhs)
+        if residual > 1e-9 * max(scale, 1.0):
+            raise ValueError(
+                f"moment system ill-conditioned for cube {cube}: relative residual "
+                f"{residual / max(scale, 1.0):.3e}"
+            )
+        values = f0 - w * sum(cf * b for cf, b in zip(coeffs, basis))
+
+    peak = np.max(np.abs(values))
+    if peak == 0.0:
+        raise ValueError("degenerate atom: projection annihilated the profile")
+    values = values * (0.5 / peak)
+    return Atom(cube, SampledFunction(grid, values), float(p), N, seed)
+
+
+def bits(values):
+    # + 0.0 maps the reference's -0.0 outside the window to the window
+    # atom's +0.0; every other bit must match.
+    return (values + 0.0).view(np.uint64)
+
+
+def assert_same_atom(cube, N, seed, grid, skip_projection=False):
+    atom = make_atom(cube, 1.0, N, seed, grid, skip_projection)
+    ref = full_grid_make_atom(cube, 1.0, N, seed, grid, skip_projection)
+    assert np.array_equal(bits(atom.values.values), bits(ref.values.values))
+    return atom
+
+
+def floor_side(grid):
+    return 16 * grid.dx
+
+
+def largest_centre(side, grid):
+    """The largest grid-aligned centre the geometry check admits."""
+    bound = grid.L - 9.0 * grid.n * side / 2.0 - side
+    return grid.dx * np.floor(bound / grid.dx)
+
+
+class TestWindowEqualsFullGrid:
+    @pytest.mark.parametrize("skip", [False, True], ids=["projected", "raw"])
+    @pytest.mark.parametrize("N", range(7))
+    @pytest.mark.parametrize("M", [256, 4096, 8192])
+    def test_n1(self, M, N, skip):
+        grid = make_grid(1, 8.0, M)
+        for seed, cube in enumerate([Cube((0.25,), 1.0), Cube((-0.5,), 0.5)]):
+            if cube.side >= floor_side(grid):
+                assert_same_atom(cube, N, 40 + seed, grid, skip)
+
+    @pytest.mark.parametrize("skip", [False, True], ids=["projected", "raw"])
+    @pytest.mark.parametrize("N", [0, 2, 4])
+    def test_n2(self, N, skip):
+        grid = make_grid(2, 8.0, 512)
+        assert_same_atom(Cube((0.25, -0.5), 0.5), N, 50 + N, grid, skip)
+
+    @pytest.mark.parametrize("skip", [False, True], ids=["projected", "raw"])
+    @pytest.mark.parametrize("n, M", [(1, 256), (1, 8192), (2, 512)])
+    def test_floor_and_edge_cubes(self, n, M, skip):
+        grid = make_grid(n, 8.0, M)
+        side = floor_side(grid)
+        edge = largest_centre(side, grid)
+        # Each axis at both ends of its admissible range.
+        centres = [(edge, -edge), (-edge, edge)] if n == 2 else [(edge,), (-edge,)]
+        for seed, centre in enumerate(centres):
+            assert_same_atom(Cube(centre, side), 2, 60 + seed, grid, skip)
+            # One cell further out leaves the admissible range.
+            nudged = Cube(tuple(c + np.copysign(grid.dx, c) for c in centre), side)
+            with pytest.raises(ValueError, match="boundary"):
+                make_atom(nudged, 1.0, 2, 60 + seed, grid, skip)
+
+
+def same_error(cube, N, seed, grid, skip=False):
+    with pytest.raises(ValueError) as got:
+        make_atom(cube, 1.0, N, seed, grid, skip)
+    with pytest.raises(ValueError) as want:
+        full_grid_make_atom(cube, 1.0, N, seed, grid, skip)
+    assert str(got.value) == str(want.value)
+    return str(got.value)
+
+
+class TestSameErrors:
+    def test_geometry(self):
+        g64 = make_grid(2, 8.0, 64)
+        g1024 = make_grid(1, 8.0, 1024)
+        assert "need at least 16" in same_error(Cube((0.0, 0.0), 1.0), 2, 1, g64)
+        assert "boundary" in same_error(Cube((0.0, 0.0), 4.0), 2, 1, g64)
+        assert "boundary" in same_error(Cube((5.0,), 1.0), 2, 1, g1024)
+        assert "does not match" in same_error(Cube((0.0, 0.0), 1.0), 2, 1, g1024)
+        assert "nonnegative" in same_error(Cube((0.0,), 1.0), -1, 1, g1024)
+
+    def test_singular(self, monkeypatch):
+        def singular(a, b):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        msg = same_error(Cube((0.5,), 1.0), 4, 3, make_grid(1, 8.0, 1024))
+        assert "singular" in msg
+
+    def test_ill_conditioned(self, monkeypatch):
+        # A solve that returns zeros leaves the whole right-hand side as the
+        # residual; the message quotes it, so it must match to the digit.
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: np.zeros_like(b))
+        msg = same_error(Cube((0.5,), 1.0), 4, 3, make_grid(1, 8.0, 1024))
+        assert "ill-conditioned" in msg
+
+    @pytest.mark.parametrize("skip", [False, True], ids=["projected", "raw"])
+    def test_degenerate(self, monkeypatch, skip):
+        # A zero random polynomial leaves nothing to normalise.
+        class ZeroRng:
+            def standard_normal(self, size):
+                return np.zeros(size)
+
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: ZeroRng())
+        msg = same_error(Cube((0.5,), 1.0), 4, 3, make_grid(1, 8.0, 1024), skip)
+        assert "degenerate" in msg
+
+
+GRID_1024 = make_grid(1, 8.0, 1024)
+
+
+@st.composite
+def atom_draws(draw):
+    grid = GRID_1024
+    cells = draw(st.integers(16, 93))  # 93 cells: the largest side with room for a centre
+    side = cells * grid.dx
+    reach = int(np.floor((grid.L - 5.5 * side) / grid.dx))
+    centre = grid.dx * draw(st.integers(-reach, reach))
+    seed = draw(st.integers(0, 2**32 - 1))
+    N = draw(st.integers(0, 6))
+    return Cube((centre,), side), seed, N
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(atom_draws())
+def test_window_atom_properties(draw):
+    cube, seed, N = draw
+    grid = GRID_1024
+    atom = assert_same_atom(cube, N, seed, grid)
+    vals = atom.values.values
+    outside = ~cube.contains(grid.points())
+    assert not np.any(vals[outside])
+    assert np.max(np.abs(vals)) == pytest.approx(0.5, rel=1e-15)
+    for alpha, v in moments(atom.values, N, Cube((0.0,), 15.5), about=cube.center).items():
+        assert abs(v) <= 1e-8 * cube.volume * (cube.side / 2.0) ** sum(alpha)

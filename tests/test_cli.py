@@ -353,8 +353,17 @@ class TestOneApplicationPerAtomSet:
             # group as a 1-linear multiplier.  The majorant reads those
             # group outputs instead of applying them.
             (MIXED_CONFIG, 3, 2, lambda trials: 2 * (trials + 1), lambda trials: trials + 1),
+            # sigma3's six rank-one terms name 18 one-slot factors, of which
+            # 12 are distinct (slot, symbol) pairs; each is applied once.
+            (
+                MIXED_CONFIG.replace("sigma4", "sigma3"),
+                3,
+                2,
+                lambda trials: 0,
+                lambda trials: 12 * (trials + 1),
+            ),
         ],
-        ids=["general", "mixed"],
+        ids=["general", "mixed", "product"],
     )
     def test_apply_general_call_count(
         self, tmp_path, monkeypatch, config, checks, trials, expected, expected_linear

@@ -12,6 +12,7 @@ import hardylab.maximal
 from hardylab.atoms import Cube, make_atom
 from hardylab.grid import SampledFunction, lp_quasinorm, make_grid, sample
 from hardylab.maximal import (
+    ScaleLadder,
     hl_maximal,
     hp_quasinorm,
     make_bump,
@@ -121,8 +122,31 @@ class TestSmoothMaximal:
         second = smooth_maximal(f, bump, ladder)
         assert calls == []
         assert np.array_equal(first.values, second.values)
-        spec = hardylab.maximal._kernel_spectrum(bump, ladder.scales[0], grid1024)
-        assert not spec.flags.writeable
+        spectra = hardylab.maximal._kernel_spectra(bump, ladder, grid1024)
+        assert len(spectra) == len(ladder.scales)
+        assert not any(spec.flags.writeable for spec in spectra)
+
+    def test_long_ladder_reuses_every_kernel(self, bump, monkeypatch):
+        # 33 scales, one more than a per-scale cache of 32 entries held: the
+        # second sweep still computes no kernel and repeats every bit.
+        grid = make_grid(1, 8.0, 64)
+        ladder = ScaleLadder(tuple(grid.dx * 2.0 ** (k / 4.0) for k in range(33)))
+        hardylab.maximal._kernel_spectra.cache_clear()
+        rng = np.random.default_rng(2)
+        f = SampledFunction(grid, rng.standard_normal(64))
+        original = hardylab.maximal._periodized_kernel
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(hardylab.maximal, "_periodized_kernel", counting)
+        first = smooth_maximal(f, bump, ladder)
+        assert len(calls) == 33
+        second = smooth_maximal(f, bump, ladder)
+        assert len(calls) == 33
+        assert np.array_equal(first.values.view(np.uint64), second.values.view(np.uint64))
 
     def test_plateau_value_with_conv_oracle(self, grid1024, bump, ladder):
         # For t <= 1 the whole bump mass sits inside the plateau of the

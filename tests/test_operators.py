@@ -6,7 +6,6 @@ from hardylab.operators import (
     MultilinearOperator,
     apply_general,
     apply_mixed,
-    apply_linear,
     apply_oracle,
     default_cutoff,
     operator_factors,
@@ -482,9 +481,57 @@ class TestOneSlotGroups:
         }
         assert singles
         for sym in singles.values():
-            fast = apply_linear(sym, dft(f), cutoff).values
+            single = MultilinearOperator(make_product_symbol([[sym]]), grid, cutoff)
+            fast = operator_factors(single, [f])[0][0].values
             dense = apply_general(MultilinearOperator(sym, grid, cutoff), f)[0].values
             assert np.array_equal(fast.view(np.uint64), dense.view(np.uint64))
+
+
+class TestDistinctFactorsOnce:
+    # sigma3's six rank-one terms name 18 one-slot factors; 12 of them are
+    # distinct (slot, symbol) pairs, and each is applied once.
+    def test_sigma3_factors_equal_term_by_term(self):
+        from hardylab.operators import _slot_mask
+
+        grid = make_grid(1, 8.0, 256)
+        op = MultilinearOperator(builtin_symbol("sigma3"), grid, cutoff=default_cutoff(grid))
+        fs = random_inputs(grid, 3, 90)
+        factors = operator_factors(op, fs)
+        freqs = grid.frequencies()
+        mask = _slot_mask(freqs, op.cutoff)
+        for part, term in zip(op.symbol.terms, factors):
+            for (slot,), sym, got in zip(part.groups, part.symbols, term):
+                weights = np.asarray(sym.evaluate(freqs)) * mask
+                want = idft(Spectrum(grid, dft(fs[slot]).coefficients * weights))
+                assert np.array_equal(got.values.view(np.uint64), want.values.view(np.uint64))
+        assert len({id(f) for term in factors for f in term}) == 12
+
+    def test_second_application_evaluates_no_slot_symbol(self):
+        from hardylab.operators import _one_slot_weights
+        from hardylab.symbols import _sigma3_terms
+
+        calls = []
+
+        def counting(sym):
+            def evaluate(*xis):
+                calls.append(sym.name)
+                return sym.evaluate(*xis)
+
+            return Symbol(m=1, n=1, evaluate=evaluate, name=sym.name)
+
+        wrapped = {}
+        terms = [[wrapped.setdefault(id(s), counting(s)) for s in t] for t in _sigma3_terms()]
+        grid = make_grid(1, 8.0, 256)
+        op = MultilinearOperator(make_product_symbol(terms), grid, cutoff=default_cutoff(grid))
+        fs = random_inputs(grid, 3, 91)
+        first = apply_mixed(op, fs)
+        assert len(calls) == 6
+        second = apply_mixed(op, fs)
+        assert len(calls) == 6
+        assert np.array_equal(first.values.view(np.uint64), second.values.view(np.uint64))
+        weights = _one_slot_weights(op)
+        assert len(weights) == 6
+        assert not any(w.flags.writeable for w in weights.values())
 
 
 class TestOneValidation:
