@@ -28,7 +28,6 @@ from .symbols import (
 from .operators import (
     MultilinearOperator,
     apply_general,
-    apply_mixed,
     apply_oracle,
     apply_operator,
     default_cutoff,

@@ -254,7 +254,6 @@ def cube_indicator(cube: Cube, grid: Grid) -> SampledFunction:
 class FiniteAtomicSum:
     """f = sum_k lambda_k a_k together with its indicator majorant."""
 
-    entries: tuple[tuple[float, Atom], ...]
     realized: SampledFunction
     majorant: SampledFunction
 
@@ -269,14 +268,12 @@ def make_atomic_sum(
 
     The pointwise bound |realized| <= majorant is verified at construction.
     """
-    built: list[tuple[float, Atom]] = []
     realized = np.zeros(grid.shape, dtype=np.complex128)
     majorant = np.zeros(grid.shape, dtype=np.float64)
     for lam, cube, seed in entries:
         if lam < 0:
             raise ValueError(f"coefficients must be nonnegative, got {lam}")
         atom = make_atom(cube, p, N, seed, grid)
-        built.append((float(lam), atom))
         realized += lam * atom.values.values
         majorant += lam * cube.contains(grid.points())
     realized_f = SampledFunction(grid, realized)
@@ -284,7 +281,7 @@ def make_atomic_sum(
     excess = np.abs(realized_f.values) - np.abs(majorant_f.values)
     if np.any(excess > 1e-12 * max(float(np.max(majorant)), 1.0)):
         raise AssertionError("majorant domination violated at construction")
-    return FiniteAtomicSum(tuple(built), realized_f, majorant_f)
+    return FiniteAtomicSum(realized_f, majorant_f)
 
 
 def moments(

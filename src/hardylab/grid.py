@@ -94,10 +94,9 @@ class Grid:
 
 
 def _frozen_complex(values: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    arr = np.ascontiguousarray(values, dtype=np.complex128)
+    arr = np.array(values, dtype=np.complex128, order="C")
     if arr.shape != shape:
         raise ValueError(f"value array has shape {arr.shape}, expected {shape}")
-    arr = arr.copy()
     arr.setflags(write=False)
     return arr
 

@@ -6,7 +6,11 @@ read one frequency lattice, k * dxi (``Grid.frequencies``), and drop
 frequencies through one cutoff mask, ``_slot_mask``, so a one-slot group is
 bit for bit the general engine at m = 1 for any L.
 
-Two application routes:
+One application route, ``apply_operator``: every symbol is read as a sum
+of partition terms (``Symbol.partitions``; a general symbol is one term with
+one group of all m slots), ``operator_factors`` applies each group, and
+``sum_of_products`` sums over terms the pointwise product of their group
+outputs.  A group is applied by one of two engines:
 
 * ``apply_general`` — exhaustive summation over the discretized frequency
   integral, grouped by output frequency eta.  For each eta the last input
@@ -18,19 +22,17 @@ Two application routes:
   wrapped last slot is read as contiguous windows of its spectrum (see
   ``apply_general``), and output frequencies are processed in chunks of at
   most ``_MAX_CHUNK_ELEMENTS`` tuples, so the working set stays in cache.
-* ``apply_mixed`` — the one factorized route, for sums of partition-factorized
-  terms (a product operator's groups are all single slots).  A one-slot group
-  is a 1-linear multiplier on its input's forward transform, computed once per
-  input and shared by every term; a larger group runs through the general
-  engine restricted to its own slots, as the operator with that group's
-  symbol.
+  Every group of two or more slots runs here, as the operator with that
+  group's symbol on its own inputs.
+* ``apply_linear`` — a one-slot group is a 1-linear multiplier on its
+  input's forward transform, computed once per input and shared by every
+  term; bit for bit ``apply_general`` at m = 1, at a third of its cost.
 
-``operator_factors`` returns what ``apply_mixed`` multiplies: per term, the
-output of each partition group.  Each distinct one-slot factor is applied
-once per application and its weights are evaluated once per operator.  The
-pointwise majorants are built from these factor outputs, and the route's
-output is one shared sum over terms of their products, so the factors and the
-output come from a single application.
+Each distinct group factor is applied once per application and each
+one-slot weight array is evaluated once per operator.  The pointwise
+majorants are built from the factor outputs, and the output is one shared
+sum over terms of their products, so the factors and the output come from a
+single application.
 
 ``apply_oracle`` evaluates the same frequency sum literally, term by term in
 lexicographic order with exactly-rounded accumulation, at a handful of
@@ -63,9 +65,9 @@ __all__ = [
     "MomentEstimate",
     "apply_general",
     "apply_oracle",
-    "apply_mixed",
     "apply_operator",
     "operator_factors",
+    "sum_of_products",
     "spectral_moment",
     "default_cutoff",
     "DEFAULT_COST_BUDGET",
@@ -298,7 +300,7 @@ def _one_slot_weights(op: MultilinearOperator) -> Mapping[Symbol, np.ndarray]:
     freqs = op.grid.frequencies()
     mask = _slot_mask(freqs, op.cutoff)
     weights = {}
-    for part in op.symbol.terms:
+    for part in op.symbol.partitions:
         for grp, sym in zip(part.groups, part.symbols):
             if len(grp) == 1 and sym not in weights:
                 weights[sym] = np.asarray(sym.evaluate(freqs)) * mask
@@ -313,15 +315,14 @@ def apply_linear(weights: np.ndarray, spec: Spectrum) -> SampledFunction:
 
 
 def operator_factors(op: MultilinearOperator, fs: Sequence[SampledFunction]) -> Factors:
-    """Per term, the output of each partition group: T_j^rho f_j for a
-    one-slot group (one forward transform per input, shared by every term),
-    T_{I_g} on its own inputs for a larger one.  Every group inherits the
+    """Per term of ``Symbol.partitions``, the output of each group: T_j^rho
+    f_j for a one-slot group (one forward transform per input, shared by
+    every term), T_{I_g} on its own inputs for a larger one, which for a
+    general symbol is the whole operator.  Every group inherits the
     operator's cutoff and budget.  A group that several terms name with the
     same symbol is applied once, and its output stands in every one of them."""
-    terms = op.symbol.terms
-    if terms is None:
-        raise ValueError("a general operator has no factors; apply it with apply_general")
     _check_inputs(op, fs)
+    terms = op.symbol.partitions
     weights = _one_slot_weights(op)
     singles = sorted({grp[0] for part in terms for grp in part.groups if len(grp) == 1})
     spectra = {l: dft(fs[l]) for l in singles}
@@ -339,7 +340,7 @@ def operator_factors(op: MultilinearOperator, fs: Sequence[SampledFunction]) -> 
     )
 
 
-def _sum_of_products(factors: Factors) -> SampledFunction:
+def sum_of_products(factors: Factors) -> SampledFunction:
     """Sum over terms of the pointwise product of each term's factors."""
     grid = factors[0][0].grid
     total = np.zeros(grid.shape, dtype=np.complex128)
@@ -351,19 +352,10 @@ def _sum_of_products(factors: Factors) -> SampledFunction:
     return SampledFunction(grid, total)
 
 
-def apply_mixed(op: MultilinearOperator, fs: Sequence[SampledFunction]) -> SampledFunction:
-    """Apply a factorized operator: sum over partition terms of the product
-    of per-group applications.  A product operator's groups are single slots,
-    each a 1-linear multiplier; a larger group runs through the general
-    engine on its own slots."""
-    return _sum_of_products(operator_factors(op, fs))
-
-
 def apply_operator(op: MultilinearOperator, fs: Sequence[SampledFunction]) -> SampledFunction:
-    """Route an operator through the path matching its symbol's structure."""
-    if op.symbol.terms is None:
-        return apply_general(op, *fs)[0]
-    return apply_mixed(op, fs)
+    """Apply the operator: the sum over its partition terms of the product
+    of per-group applications (``operator_factors``)."""
+    return sum_of_products(operator_factors(op, fs))
 
 
 @dataclass(frozen=True)

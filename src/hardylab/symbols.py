@@ -7,6 +7,8 @@ applied through the fast factorized path or the exhaustive general path.  The
 kind is read from the terms: *general* without terms (only the evaluator is
 known), *product* when every group of every term is one slot (a sum of
 rank-one products of 1-linear multipliers), and *mixed* otherwise.
+``Symbol.partitions`` reads a general symbol as one term with one group of
+all m slots, so every reader of the structure sees terms.
 
 Singular builtins (rational with a 0/0 at the frequency origin) evaluate to 0
 at the all-zero tuple; the constant symbol stays 1 everywhere.
@@ -74,6 +76,16 @@ class Symbol:
         if all(len(g) == 1 for part in self.terms for g in part.groups):
             return "product"
         return "mixed"
+
+    @property
+    def partitions(self) -> tuple["Partition", ...]:
+        """The terms every route applies: ``terms`` for a factorized symbol,
+        and for a general one a single term whose one group holds all m
+        slots with the symbol itself.  A property, since a field holding
+        ``self`` would make hashing recurse."""
+        if self.terms is None:
+            return (Partition((tuple(range(self.m)),), (self,)),)
+        return self.terms
 
     def __call__(self, *xis) -> np.ndarray:
         if len(xis) != self.m:
@@ -320,16 +332,36 @@ def _constant_one(m: int) -> Symbol:
     return Symbol(m=m, n=1, evaluate=evaluate, name="constant_one")
 
 
-BUILTIN_NAMES = (
-    "sigma1",
-    "sigma2",
-    "sigma2_factored",
-    "sigma3",
-    "sigma3_factored",
-    "sigma4",
-    "constant_one",
-    "sigma1_bilinear",
-)
+# Builders of the builtin symbols, in the order the CLI lists them.  Each
+# takes the requested arity; only ``constant_one`` has no fixed one.
+_BUILTINS: dict[str, Callable[[int | None], Symbol]] = {
+    "sigma1": lambda m: Symbol(
+        m=3,
+        n=1,
+        evaluate=_lift1(_sigma1_formula),
+        name="sigma1",
+        homogeneous_degree_zero=True,
+    ),
+    "sigma2": lambda m: make_mixed_symbol(_sigma2_terms(), name="sigma2"),
+    "sigma2_factored": lambda m: Symbol(
+        m=3, n=1, evaluate=_lift1(_sigma2_factored_formula), name="sigma2_factored"
+    ),
+    "sigma3": lambda m: make_product_symbol(_sigma3_terms(), name="sigma3"),
+    "sigma3_factored": lambda m: Symbol(
+        m=3, n=1, evaluate=_lift1(_sigma3_factored_formula), name="sigma3_factored"
+    ),
+    "sigma4": lambda m: make_mixed_symbol(_sigma4_terms(), name="sigma4"),
+    "constant_one": lambda m: _constant_one(3 if m is None else int(m)),
+    "sigma1_bilinear": lambda m: Symbol(
+        m=2,
+        n=1,
+        evaluate=_lift1(_sigma1_bilinear_formula),
+        name="sigma1_bilinear",
+        homogeneous_degree_zero=True,
+    ),
+}
+
+BUILTIN_NAMES = tuple(_BUILTINS)
 
 
 def _normalize_name(name: str) -> str:
@@ -343,36 +375,9 @@ def builtin_symbol(name: str, m: int | None = None) -> Symbol:
     with the fixed arity of every other builtin.
     """
     key = _normalize_name(name)
-    if key == "constant_one":
-        return _constant_one(3 if m is None else int(m))
-    builders: dict[str, Callable[[], Symbol]] = {
-        "sigma1": lambda: Symbol(
-            m=3,
-            n=1,
-            evaluate=_lift1(_sigma1_formula),
-            name="sigma1",
-            homogeneous_degree_zero=True,
-        ),
-        "sigma1_bilinear": lambda: Symbol(
-            m=2,
-            n=1,
-            evaluate=_lift1(_sigma1_bilinear_formula),
-            name="sigma1_bilinear",
-            homogeneous_degree_zero=True,
-        ),
-        "sigma2": lambda: make_mixed_symbol(_sigma2_terms(), name="sigma2"),
-        "sigma2_factored": lambda: Symbol(
-            m=3, n=1, evaluate=_lift1(_sigma2_factored_formula), name="sigma2_factored"
-        ),
-        "sigma3": lambda: make_product_symbol(_sigma3_terms(), name="sigma3"),
-        "sigma3_factored": lambda: Symbol(
-            m=3, n=1, evaluate=_lift1(_sigma3_factored_formula), name="sigma3_factored"
-        ),
-        "sigma4": lambda: make_mixed_symbol(_sigma4_terms(), name="sigma4"),
-    }
-    if key not in builders:
+    if key not in _BUILTINS:
         raise ValueError(f"unknown symbol name {name!r}; known: {', '.join(BUILTIN_NAMES)}")
-    sym = builders[key]()
+    sym = _BUILTINS[key](m)
     if m is not None and m != sym.m:
         raise ValueError(f"builtin {key} has arity {sym.m}, requested {m}")
     return sym

@@ -18,17 +18,16 @@ from typing import Sequence
 import numpy as np
 
 from .atoms import Atom, Cube, _monomial_exponents, cube_indicator, dilate_cube, make_atomic_sum
-from .grid import Grid, SampledFunction, Spectrum, dft, lp_quasinorm, make_grid
+from .grid import Grid, SampledFunction, dft, lp_quasinorm, make_grid
 from .maximal import BumpProfile, ScaleLadder, hp_quasinorm, hl_maximal, make_bump, make_ladder, power_maximal, smooth_maximal
 from .operators import (
     DEFAULT_COST_BUDGET,
     MultilinearOperator,
-    _sum_of_products,
-    apply_general,
     apply_operator,
     default_cutoff,
     operator_factors,
     spectral_moment,
+    sum_of_products,
 )
 from .symbols import Symbol, builtin_symbol
 
@@ -109,11 +108,7 @@ def index_arithmetic(
     if symbol is not None:
         if m != symbol.m:
             raise ValueError(f"symbol {symbol.name!r} has arity {symbol.m}, got {m} exponents")
-        if symbol.terms is None:
-            groups = [tuple(range(m))]
-        else:
-            groups = [g for part in symbol.terms for g in part.groups]
-        for grp in groups:
+        for grp in (g for part in symbol.partitions for g in part.groups):
             if all(math.isinf(ps[l]) for l in grp):
                 raise ValueError(
                     f"{symbol.kind} type needs a finite exponent in every group; "
@@ -140,28 +135,20 @@ def index_arithmetic(
 class AtomOutput:
     """T(a_1, ..., a_m) for one set of atoms, which every check measures.
 
-    ``spectrum`` is the exhaustive engine's grouped output spectrum for the
-    general kind (``out`` is exactly its inverse transform) and ``dft(out)``
-    for the product and mixed kinds, where ``factors`` holds each term's
-    factor outputs (``operator_factors``) that ``out`` sums the products of.
+    ``factors`` holds, per term of ``Symbol.partitions``, its group outputs
+    (``operator_factors``) that ``out`` sums the products of.
     """
 
     op: MultilinearOperator
     atoms: tuple[Atom, ...]
     out: SampledFunction
-    spectrum: Spectrum
-    factors: tuple[tuple[SampledFunction, ...], ...] = ()
+    factors: tuple[tuple[SampledFunction, ...], ...]
 
 
 def apply_to_atoms(op: MultilinearOperator, atoms: Sequence[Atom]) -> AtomOutput:
     """Apply the operator once to the atoms' values."""
-    inputs = [a.values for a in atoms]
-    if op.symbol.terms is None:
-        out, g = apply_general(op, *inputs)
-        return AtomOutput(op, tuple(atoms), out, g)
-    factors = operator_factors(op, inputs)
-    out = _sum_of_products(factors)
-    return AtomOutput(op, tuple(atoms), out, dft(out), factors)
+    factors = operator_factors(op, [a.values for a in atoms])
+    return AtomOutput(op, tuple(atoms), sum_of_products(factors), factors)
 
 
 # ---------------------------------------------------------------------------
@@ -214,9 +201,10 @@ def check_cancellation(
     norm1 = lp_quasinorm(t.out, 1.0)
     ell = min(a.cube.side for a in t.atoms)
     scale = max(norm1, np.finfo(float).tiny)
+    spectrum = dft(t.out)
     checks = []
     for alpha in _monomial_exponents(t.op.grid.n, s):
-        est = spectral_moment(t.spectrum, alpha)
+        est = spectral_moment(spectrum, alpha)
         denom = scale * ell ** sum(alpha)
         checks.append(
             MomentCheck(
@@ -474,7 +462,7 @@ def _mixed_majorant(
     n, m, N = grid.n, len(atoms), idx.N
     e = (n + N + 1) / (m * n)
     terms = []
-    for part, applied_part in zip(t.op.symbol.terms, t.factors):
+    for part, applied_part in zip(t.op.symbol.partitions, t.factors):
         first = np.ones(grid.shape)
         inf_prod = 1.0
         for grp, applied in zip(part.groups, applied_part):
@@ -492,10 +480,6 @@ def _mixed_majorant(
     return terms
 
 
-def _is_degenerate_mixed(sym: Symbol) -> bool:
-    return sym.kind == "mixed" and all(part.group_count == 1 for part in sym.terms)
-
-
 def check_pointwise_majorant(
     t: AtomOutput,
     idx: IndexData,
@@ -505,9 +489,10 @@ def check_pointwise_majorant(
     """sup over the grid of M_phi(T(a)) over the majorant of the operator's kind.
 
     Points where the majorant sits below 1e3 times the noise floor are
-    excluded from the ratio.  A mixed operator whose every term is the
-    single-group partition is the general operator in disguise and is
-    measured against the general majorant.
+    excluded from the ratio.  A product operator takes the product
+    majorant; one whose every term is a single group of all m slots (a
+    general operator, or a mixed one in its disguise) takes the general
+    majorant; any other takes the mixed majorant.
     """
     op, atoms = t.op, t.atoms
     grid = op.grid
@@ -520,10 +505,10 @@ def check_pointwise_majorant(
     star_mask = dilate_cube(atoms[smallest].cube, "star").contains(grid.points())
     mchis = [_maximal_indicator(a.cube, grid, ladder) for a in atoms]
     kind = op.symbol.kind
-    if kind == "general" or _is_degenerate_mixed(op.symbol):
-        terms = _general_majorant(mchis, star_mask, idx, n)
-    elif kind == "product":
+    if kind == "product":
         terms = _product_majorant(t, mchis, star_mask, idx, ladder)
+    elif all(part.group_count == 1 for part in op.symbol.partitions):
+        terms = _general_majorant(mchis, star_mask, idx, n)
     else:
         terms = _mixed_majorant(t, mchis, star_mask, idx, ladder)
     lead = mchis[smallest] ** ((n + idx.s + 1) / n)

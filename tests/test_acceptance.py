@@ -28,7 +28,7 @@ from hardylab.maximal import (
 from hardylab.operators import (
     MultilinearOperator,
     apply_general,
-    apply_mixed,
+    apply_operator,
     apply_oracle,
     default_cutoff,
 )
@@ -114,7 +114,7 @@ class TestCriterion1OracleEquivalence:
         worst = 0.0
         for trial in range(20):
             fs = [band_limited(self.GRID, 2000 + 3 * trial + j) for j in range(3)]
-            out = apply_mixed(op, fs)
+            out = apply_operator(op, fs)
             worst = max(worst, self._check(op, out.values, fs, trial))
         report_line("1 oracle equivalence (product)", worst <= 1e-10, f"max rel err {worst:.2e}")
         assert worst <= 1e-10
@@ -126,7 +126,7 @@ class TestCriterion1OracleEquivalence:
             op = MultilinearOperator(sym, self.GRID)
             for trial in range(10):
                 fs = [band_limited(self.GRID, base_seed + 3 * trial + j) for j in range(3)]
-                out = apply_mixed(op, fs)
+                out = apply_operator(op, fs)
                 worst = max(worst, self._check(op, out.values, fs, trial))
         report_line("1 oracle equivalence (mixed)", worst <= 1e-10, f"max rel err {worst:.2e}")
         assert worst <= 1e-10
@@ -634,7 +634,7 @@ class TestCriterion9Boundedness:
 
                 rhs *= lp_quasinorm(cube_indicator(a.cube, grid), 1.0)
             out_gen, _ = apply_general(MultilinearOperator(sb, grid), *fs)
-            out_mix = apply_mixed(MultilinearOperator(degenerate, grid), fs)
+            out_mix = apply_operator(MultilinearOperator(degenerate, grid), fs)
             r_gen = hp_quasinorm(out_gen, 0.5, bump, ladder) / rhs
             r_mix = hp_quasinorm(out_mix, 0.5, bump, ladder) / rhs
             worst = max(worst, abs(r_mix - r_gen) / r_gen)

@@ -8,10 +8,13 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hardylab.cli
 import hardylab.verify
+from hardylab.grid import SampledFunction, make_grid, sample
+from hardylab.operators import apply_operator
 from hardylab.verify import resolve_index, resolve_operator, run_context
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -74,3 +77,18 @@ def test_shipped_config_resolves(path):
     ctx = run_context(config)
     assert resolve_index(config) == ctx.idx
     assert resolve_operator(config, ctx.grid).symbol.kind == ctx.op.symbol.kind
+
+
+@pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: str(p.relative_to(ROOT)))
+def test_apply_operator_contract(path):
+    # ``perfbench/outputs.py`` reads ``apply_operator(op, fs).values`` back
+    # for the operator of each config; the route must hand it a sampled
+    # function on the config's grid.
+    config, _ = hardylab.cli.load_config(str(path))
+    grid = make_grid(config.n, config.L, config.M)
+    op = resolve_operator(config, grid)
+    bump = sample(lambda *x: np.exp(-sum(c * c for c in x)), grid)
+    out = apply_operator(op, [bump] * op.m)
+    assert isinstance(out, SampledFunction)
+    assert out.grid == grid
+    assert np.all(np.isfinite(out.values))

@@ -379,9 +379,7 @@ class TestOneApplicationPerAtomSet:
 
             return wrapper
 
-        general = counting("apply_general")
-        monkeypatch.setattr(hardylab.operators, "apply_general", general)
-        monkeypatch.setattr(hardylab.verify, "apply_general", general)
+        monkeypatch.setattr(hardylab.operators, "apply_general", counting("apply_general"))
         monkeypatch.setattr(hardylab.operators, "apply_linear", counting("apply_linear"))
         cfg = tmp_path / "run.ini"
         cfg.write_text(config)

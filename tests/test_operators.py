@@ -5,13 +5,14 @@ from hardylab.grid import SampledFunction, Spectrum, dft, idft, make_grid, point
 from hardylab.operators import (
     MultilinearOperator,
     apply_general,
-    apply_mixed,
+    apply_operator,
     apply_oracle,
     default_cutoff,
     operator_factors,
     spectral_moment,
 )
 from hardylab.symbols import (
+    BUILTIN_NAMES,
     Partition,
     Symbol,
     _sigma2_terms,
@@ -359,7 +360,7 @@ class TestProductPath:
         one1 = builtin_symbol("constant_one", m=1)
         fs = [band_limited(grid32, s) for s in (30, 31, 32)]
         sym = make_product_symbol([(one1, one1, one1)])
-        out = apply_mixed(MultilinearOperator(sym, grid32), fs)
+        out = apply_operator(MultilinearOperator(sym, grid32), fs)
         prod = pointwise_product(pointwise_product(fs[0], fs[1]), fs[2])
         err = np.max(np.abs(out.values - prod.values)) / np.max(np.abs(prod.values))
         assert err < 1e-12
@@ -372,13 +373,13 @@ class TestProductPath:
         minus = Symbol(m=1, n=1, evaluate=_lift1(lambda u: -np.ones_like(u)), name="-1")
         fs = [band_limited(grid32, s) for s in (33, 34)]
         sym = make_product_symbol([(one1, one1), (minus, one1)])
-        out = apply_mixed(MultilinearOperator(sym, grid32), fs)
+        out = apply_operator(MultilinearOperator(sym, grid32), fs)
         assert np.max(np.abs(out.values)) < 1e-12
 
     def test_sigma3_structure_matches_general(self, grid32):
         s3 = builtin_symbol("sigma3")
         fs = [band_limited(grid32, s) for s in (35, 36, 37)]
-        fast = apply_mixed(MultilinearOperator(s3, grid32), fs)
+        fast = apply_operator(MultilinearOperator(s3, grid32), fs)
         dense, _ = apply_general(MultilinearOperator(s3, grid32), *fs)
         scale = np.max(np.abs(dense.values))
         assert np.max(np.abs(fast.values - dense.values)) < 1e-9 * scale
@@ -387,7 +388,7 @@ class TestProductPath:
         s3 = builtin_symbol("sigma3")
         op = MultilinearOperator(s3, grid32)
         fs = [band_limited(grid32, s) for s in (38, 39, 40)]
-        fast = apply_mixed(op, fs)
+        fast = apply_operator(op, fs)
         idx = [2, 9, 16, 23, 30]
         pts = grid32.axis_points()[idx][:, None]
         oracle = apply_oracle(op, fs, pts)
@@ -400,7 +401,7 @@ class TestMixedPath:
         s1 = builtin_symbol("sigma1")
         part = Partition(((0, 1, 2),), (s1,))
         fs = [band_limited(grid32, s) for s in (41, 42, 43)]
-        mixed = apply_mixed(MultilinearOperator(make_mixed_symbol([part]), grid32), fs)
+        mixed = apply_operator(MultilinearOperator(make_mixed_symbol([part]), grid32), fs)
         dense, _ = apply_general(MultilinearOperator(s1, grid32), *fs)
         assert np.array_equal(mixed.values, dense.values)
 
@@ -408,7 +409,7 @@ class TestMixedPath:
         one1 = builtin_symbol("constant_one", m=1)
         part = Partition(((0,), (1,), (2,)), (one1, one1, one1))
         fs = [band_limited(grid32, s) for s in (44, 45, 46)]
-        mixed = apply_mixed(MultilinearOperator(make_mixed_symbol([part]), grid32), fs)
+        mixed = apply_operator(MultilinearOperator(make_mixed_symbol([part]), grid32), fs)
         prod = pointwise_product(pointwise_product(fs[0], fs[1]), fs[2])
         err = np.max(np.abs(mixed.values - prod.values)) / np.max(np.abs(prod.values))
         assert err < 1e-12
@@ -416,7 +417,7 @@ class TestMixedPath:
     def test_sigma4_structure_matches_general(self, grid32):
         s4 = builtin_symbol("sigma4")
         fs = [band_limited(grid32, s) for s in (47, 48, 49)]
-        fast = apply_mixed(MultilinearOperator(s4, grid32), fs)
+        fast = apply_operator(MultilinearOperator(s4, grid32), fs)
         dense, _ = apply_general(MultilinearOperator(s4, grid32), *fs)
         scale = np.max(np.abs(dense.values))
         assert np.max(np.abs(fast.values - dense.values)) < 1e-9 * scale
@@ -424,7 +425,7 @@ class TestMixedPath:
     def test_sigma2_structure_matches_general(self, grid32):
         s2 = builtin_symbol("sigma2")
         fs = [band_limited(grid32, s) for s in (50, 51, 52)]
-        fast = apply_mixed(MultilinearOperator(s2, grid32), fs)
+        fast = apply_operator(MultilinearOperator(s2, grid32), fs)
         dense, _ = apply_general(MultilinearOperator(s2, grid32), *fs)
         scale = np.max(np.abs(dense.values))
         assert np.max(np.abs(fast.values - dense.values)) < 1e-9 * scale
@@ -433,7 +434,7 @@ class TestMixedPath:
         s4 = builtin_symbol("sigma4")
         op = MultilinearOperator(s4, grid32)
         fs = [band_limited(grid32, s) for s in (53, 54, 55)]
-        fast = apply_mixed(op, fs)
+        fast = apply_operator(op, fs)
         idx = [1, 8, 15, 22, 29]
         pts = grid32.axis_points()[idx][:, None]
         oracle = apply_oracle(op, fs, pts)
@@ -445,11 +446,11 @@ class TestMixedPath:
         part = Partition(((0, 1, 2),), (s1,))
         fs = [band_limited(grid32, s) for s in (56, 57)]
         with pytest.raises(ValueError, match="arity"):
-            apply_mixed(MultilinearOperator(make_mixed_symbol([part]), grid32), fs)
+            apply_operator(MultilinearOperator(make_mixed_symbol([part]), grid32), fs)
 
 
 class TestOneSlotGroups:
-    # apply_mixed sends a one-slot group to apply_linear on the input's
+    # apply_operator sends a one-slot group to apply_linear on the input's
     # transform; that output must equal the general engine's at m = 1 bit for
     # bit (compared as uint64 views, so the sign of zero counts).  L = 3 and 5
     # give a frequency spacing 1/(2L) that is not a power of two, so the two
@@ -524,9 +525,9 @@ class TestDistinctFactorsOnce:
         grid = make_grid(1, 8.0, 256)
         op = MultilinearOperator(make_product_symbol(terms), grid, cutoff=default_cutoff(grid))
         fs = random_inputs(grid, 3, 91)
-        first = apply_mixed(op, fs)
+        first = apply_operator(op, fs)
         assert len(calls) == 6
-        second = apply_mixed(op, fs)
+        second = apply_operator(op, fs)
         assert len(calls) == 6
         assert np.array_equal(first.values.view(np.uint64), second.values.view(np.uint64))
         weights = _one_slot_weights(op)
@@ -538,7 +539,7 @@ class TestOneValidation:
     # Every route checks its inputs through the operator, with one message.
     ROUTES = {
         "apply_general": lambda op, fs: apply_general(op, *fs),
-        "apply_mixed": apply_mixed,
+        "apply_operator": apply_operator,
         "operator_factors": operator_factors,
     }
 
@@ -551,13 +552,6 @@ class TestOneValidation:
         foreign = band_limited(make_grid(1, 4.0, 32), 67)
         with pytest.raises(ValueError, match="all inputs must share the operator's grid"):
             self.ROUTES[route](op, fs[:2] + [foreign])
-
-    @pytest.mark.parametrize("route", ["apply_mixed", "operator_factors"])
-    def test_general_operator_has_no_factors(self, route, grid32):
-        op = MultilinearOperator(builtin_symbol("sigma1"), grid32)
-        fs = [band_limited(grid32, s) for s in (68, 69, 70)]
-        with pytest.raises(ValueError, match="no factors"):
-            self.ROUTES[route](op, fs)
 
 
 class TestSpectralMoment:
@@ -605,3 +599,20 @@ class TestSpectralMoment:
         _, spec = apply_general(op, band_limited(grid32, 62), band_limited(grid32, 63))
         with pytest.raises(ValueError, match="capped"):
             spectral_moment(spec, (5,))
+
+
+class TestOneRoute:
+    def test_general_operator_is_one_factor(self, grid32):
+        # A general symbol is one term with one group of all m slots, so its
+        # factors are one output: the general engine's, bit for bit.
+        general = [builtin_symbol(name) for name in BUILTIN_NAMES]
+        general = [sym for sym in general if sym.kind == "general"]
+        assert len(general) == 5
+        for sym in general:
+            for cutoff in (None, default_cutoff(grid32)):
+                op = MultilinearOperator(sym, grid32, cutoff)
+                fs = [band_limited(grid32, s) for s in range(68, 68 + sym.m)]
+                factors = operator_factors(op, fs)
+                assert len(factors) == 1 and len(factors[0]) == 1
+                want = apply_general(op, *fs)[0].values
+                assert np.array_equal(factors[0][0].values.view(np.uint64), want.view(np.uint64))

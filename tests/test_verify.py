@@ -292,9 +292,7 @@ class TestPointwiseMajorant:
             make_atom(Cube((2.0,), 0.5), 2.0, 2, seed=5, grid=grid1024),
             make_atom(Cube((-2.0,), 0.5), 2.0, 2, seed=6, grid=grid1024),
         ]
-        from hardylab.operators import apply_mixed
-
-        out = apply_mixed(op, [a.values for a in atoms])
+        out = apply_operator(op, [a.values for a in atoms])
         assert np.max(np.abs(out.values)) < 1e-15  # zero up to transform rounding
         rep = check_pointwise_majorant(apply_to_atoms(op, atoms), idx)
         assert rep.ratio_sup < 1e-12
