@@ -602,9 +602,11 @@ class TestSpectralMoment:
 
 
 class TestOneRoute:
-    def test_general_operator_is_one_factor(self, grid32):
+    @pytest.mark.parametrize("route", ["apply_operator", "operator_factors"])
+    def test_general_operator_is_one_factor(self, route, grid32):
         # A general symbol is one term with one group of all m slots, so its
-        # factors are one output: the general engine's, bit for bit.
+        # factors are one output: the general engine's, bit for bit, and
+        # apply_operator sums that one term onto zeros.
         general = [builtin_symbol(name) for name in BUILTIN_NAMES]
         general = [sym for sym in general if sym.kind == "general"]
         assert len(general) == 5
@@ -612,7 +614,12 @@ class TestOneRoute:
             for cutoff in (None, default_cutoff(grid32)):
                 op = MultilinearOperator(sym, grid32, cutoff)
                 fs = [band_limited(grid32, s) for s in range(68, 68 + sym.m)]
-                factors = operator_factors(op, fs)
-                assert len(factors) == 1 and len(factors[0]) == 1
                 want = apply_general(op, *fs)[0].values
-                assert np.array_equal(factors[0][0].values.view(np.uint64), want.view(np.uint64))
+                if route == "operator_factors":
+                    factors = operator_factors(op, fs)
+                    assert len(factors) == 1 and len(factors[0]) == 1
+                    got = factors[0][0].values
+                else:
+                    got = apply_operator(op, fs).values
+                    want = np.zeros(grid32.shape, dtype=np.complex128) + want
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
