@@ -47,7 +47,7 @@ from .verify import (
     ExperimentConfig,
     RunContext,
     TrialRecord,
-    apply_to_atoms,
+    apply_to_atom_sets,
     check_cancellation,
     check_decay_lemma,
     check_fs_inequality,
@@ -57,7 +57,7 @@ from .verify import (
     replay_trial,
     run_boundedness_ensemble,
     run_context,
-    run_trial,
+    run_trials,
     scale_invariance_test,
     trial_seed,
 )
@@ -281,7 +281,7 @@ def _run_checks(ctx: RunContext, options: dict, jobs: int, out: Path) -> dict:
         if checks["boundedness"]:
             base = records[:count]
         else:
-            base = [run_trial(ctx, i) for i in range(count)]
+            base = run_trials(ctx, range(count))
         rep = scale_invariance_test(ctx, base, 2.0)
         results["scale_invariance"] = {
             "pass": rep.max_deviation < tol,
@@ -291,9 +291,14 @@ def _run_checks(ctx: RunContext, options: dict, jobs: int, out: Path) -> dict:
         }
 
     # T applied once to the full-order atoms, for the three checks that
-    # measure it, and once to the decay atoms.
+    # measure it, and once to the decay atoms, in one batched application.
+    atom_sets = {}
     if checks["cancellation"] or checks["local_estimate"] or checks["pointwise_majorant"]:
-        full = apply_to_atoms(ctx.op, _check_atoms(ctx, partner_order=idx.N))
+        atom_sets["full"] = _check_atoms(ctx, partner_order=idx.N)
+    if checks["decay"]:
+        atom_sets["decay"] = _check_atoms(ctx, partner_order=0)
+    applied = dict(zip(atom_sets, apply_to_atom_sets(ctx.op, list(atom_sets.values()))))
+    full = applied.get("full")
 
     if checks["cancellation"]:
         tol = tolerances["cancellation"]
@@ -305,8 +310,7 @@ def _run_checks(ctx: RunContext, options: dict, jobs: int, out: Path) -> dict:
         }
 
     if checks["decay"]:
-        decay = apply_to_atoms(ctx.op, _check_atoms(ctx, partner_order=0))
-        rep = check_decay_lemma(decay, idx.N)
+        rep = check_decay_lemma(applied["decay"], idx.N)
         results["decay"] = {
             "pass": rep.passed,
             "slope": rep.slope,

@@ -23,12 +23,16 @@ outputs.  A group is applied by one of two engines:
   ``apply_general``), and output frequencies are processed in chunks of at
   most ``_MAX_CHUNK_ELEMENTS`` tuples, so the working set stays in cache.
   Every group of two or more slots runs here, as the operator with that
-  group's symbol on its own inputs.
+  group's symbol on its own inputs.  One pass takes a batch of input sets:
+  each chunk's index windows and symbol values are computed once for all of
+  them, and each set's output is bit for bit that of a pass over it alone.
+  ``operator_factors_batch`` gives a pass as many sets as keep their free
+  products within ``_MAX_BATCH_BYTES`` (``sets_per_pass``).
 * ``apply_linear`` — a one-slot group is a 1-linear multiplier on its
   input's forward transform, computed once per input and shared by every
   term; bit for bit ``apply_general`` at m = 1, at a third of its cost.
 
-Each distinct group factor is applied once per application and each
+Each distinct group factor is applied once per input set and each
 one-slot weight array is evaluated once per operator.  The pointwise
 majorants are built from the factor outputs, and the output is one shared
 sum over terms of their products, so the factors and the output come from a
@@ -67,6 +71,7 @@ __all__ = [
     "apply_oracle",
     "apply_operator",
     "operator_factors",
+    "operator_factors_batch",
     "sum_of_products",
     "spectral_moment",
     "default_cutoff",
@@ -75,6 +80,7 @@ __all__ = [
 
 DEFAULT_COST_BUDGET = 2**26
 Factors = tuple[tuple[SampledFunction, ...], ...]  # per operator term, its factor outputs
+GeneralOutput = tuple[SampledFunction, Spectrum]  # an engine output and its grouped spectrum
 
 
 def default_cutoff(grid: Grid) -> float:
@@ -129,23 +135,65 @@ def _slot_mask(xi: np.ndarray, cutoff: float | None) -> np.ndarray:
 
 
 # Tuples per chunk of output frequencies.  Measured on sigma1_bilinear at
-# M=4096 (4,096 tuples per frequency) across 2^12..2^22: 2^16 was fastest,
-# and each chunk temporary is 1 MiB, so the chunk stays in cache.  A row
-# longer than the chunk (sigma4's trilinear group at M=256 has 65,536) runs
-# one frequency at a time.
-_MAX_CHUNK_ELEMENTS = 2**16
+# M=4096 (4,096 tuples per frequency), passes of 1, 5 and 32 sets across
+# 2^13..2^17 (2 cores, numpy 2.4, medians of 5): 2^15 was fastest for 1 and
+# 5 sets (0.18 s and 0.62 s, against 0.20 s and 0.65 s at 2^16; 32 sets ran
+# fastest at 2^13, 3.3 s against 3.7 s), and each chunk temporary is 512 KiB,
+# so the chunk stays in cache.  A row longer
+# than the chunk (sigma4's trilinear group at M=256 has 65,536) runs one
+# frequency at a time.
+_MAX_CHUNK_ELEMENTS = 2**15
+
+# Bytes of per-set free products one engine pass may hold.  The sets of a
+# batch share every chunk's index windows and symbol values; this caps what
+# each set adds (16 S^(m-1) bytes): 32 sets at M=4096 bilinear, 2 at M=256
+# trilinear.
+_MAX_BATCH_BYTES = 2**21
+
+
+def sets_per_pass(op: MultilinearOperator) -> int:
+    """Input sets one ``apply_general`` pass takes for this operator: as many
+    as keep the free products of its widest group within
+    ``_MAX_BATCH_BYTES``, and 1 when no group has two or more slots."""
+    widest = max(len(grp) for part in op.symbol.partitions for grp in part.groups)
+    if widest == 1:
+        return 1
+    return max(1, _MAX_BATCH_BYTES // (16 * op.grid.size ** (widest - 1)))
+
+
+def _set_operands(
+    inputs: Sequence[SampledFunction], mask: np.ndarray, free_idx: np.ndarray, B: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """One input set's free products, in the free tuples' order, and the
+    length-B windows of its last slot's spectrum, reversed and doubled along
+    the last axis.  The slot spectra are not kept."""
+    spectra = [dft(f).coefficients.ravel() * mask for f in inputs]
+    free_prod = np.ones(free_idx.shape[1], dtype=np.complex128)
+    for spec, idx in zip(spectra, free_idx):
+        free_prod *= spec[idx]
+    last = spectra[-1].reshape(inputs[-1].grid.shape)[..., ::-1]
+    return free_prod, sliding_window_view(np.concatenate([last] * 2, axis=-1), B, axis=-1)
 
 
 def apply_general(
-    op: MultilinearOperator, *fs: SampledFunction
-) -> tuple[SampledFunction, Spectrum]:
+    op: MultilinearOperator, *fs: SampledFunction | Sequence[Sequence[SampledFunction]]
+) -> GeneralOutput | list[GeneralOutput]:
     """Apply the operator by exhaustive frequency summation.
 
-    Returns the spatial output together with the grouped output spectrum
+    ``apply_general(op, f_1, ..., f_m)`` applies it to one input set and
+    returns the spatial output together with the grouped output spectrum
     g(eta): for each eta, the symbol-weighted products of input coefficients
-    over all frequency tuples whose (wrapped) slot sum equals eta, carrying the
-    quadrature weight of the m-1 free frequency integrals.  The spatial output
-    is exactly idft(g).
+    over all frequency tuples whose (wrapped) slot sum equals eta, carrying
+    the quadrature weight of the m-1 free frequency integrals.  The spatial
+    output is exactly idft(g).
+
+    ``apply_general(op, sets)``, with a sequence of input sets, is one pass
+    over the batch and returns one (output, spectrum) pair per set.  The
+    lattice, the index windows and the symbol values of each chunk are
+    computed once and serve every set, whose terms are then formed and
+    reduced exactly as for that set alone, so each pair is bit for bit the
+    single-set call; a single set is a batch of one.  The pass holds every
+    set's free products at once (see ``sets_per_pass``).
 
     The same code runs for every m >= 1 and n >= 1.  The cutoff multiplies
     every slot's spectrum once, so a masked free slot contributes zero and a
@@ -164,7 +212,10 @@ def apply_general(
     ``sum(axis=1)`` over the whole row, so no bit of the output depends on
     the gather or on the chunk size.
     """
-    _check_inputs(op, fs)
+    single = len(fs) != 1 or isinstance(fs[0], SampledFunction)
+    sets = [fs] if single else list(fs[0])
+    for inputs in sets:
+        _check_inputs(op, inputs)
     grid = op.grid
     m, n, M = op.m, grid.n, grid.M
     S = grid.size
@@ -179,17 +230,11 @@ def apply_general(
     xi_flat = k_flat * grid.dxi  # (S, n) float
     axis_xi = xi_flat[:M, -1]  # (M,): the first M rows move only the last axis
     mask = _slot_mask(xi_flat, op.cutoff)
-    spectra = [dft(f).coefficients.ravel() * mask for f in fs]
 
     # Free slots 0..m-2 as tuples in lexicographic order (one empty tuple
     # when m = 1); slot m-1 is wrapped.
     free_idx = np.indices((S,) * (m - 1)).reshape(m - 1, S ** (m - 1))
     F = free_idx.shape[1]
-    free_prod = np.ones(F, dtype=np.complex128)
-    free_ksum = np.zeros((F, n), dtype=np.int64)
-    for spec, idx in zip(spectra, free_idx):
-        free_prod *= spec[idx]
-        free_ksum += k_flat[idx]
     free_xis = [xi_flat[idx][None, :, :] for idx in free_idx]
 
     # Blocks of B consecutive free tuples differ only in the last axis of
@@ -198,12 +243,13 @@ def apply_general(
     # (mod M) sits at M-1-s, M-s, ... of the reversed axis, and doubling the
     # reversed axis makes every such run one contiguous window.
     B = M if m > 1 else 1
-    block_ksum = free_ksum[::B]  # (F // B, n)
-    last_spec = spectra[m - 1].reshape(grid.shape)
-    spec_win = sliding_window_view(np.concatenate([last_spec[..., ::-1]] * 2, axis=-1), B, axis=-1)
+    block_ksum = k_flat[free_idx[:, ::B]].sum(axis=0, dtype=np.int64)  # (F // B, n)
     xi_win = sliding_window_view(np.concatenate([axis_xi[::-1]] * 2), B)
 
-    g_flat = np.empty(S, dtype=np.complex128)
+    operands = [_set_operands(inputs, mask, free_idx, B) for inputs in sets]
+    del free_idx
+
+    g_flats = [np.empty(S, dtype=np.complex128) for _ in sets]
     chunk = max(1, min(S, _MAX_CHUNK_ELEMENTS // F))
     half = M // 2
     for start in range(0, S, chunk):
@@ -221,13 +267,17 @@ def apply_general(
             xi_last[..., axis] = axis_xi[ix][..., None]
         xi_last[..., -1] = xi_win[win]
         sigma = np.asarray(op.symbol.evaluate(*free_xis, xi_last.reshape(C, F, n)))
-        terms = sigma * free_prod[None, :]
-        terms *= spec_win[lead + win].reshape(C, F)
-        g_flat[start:stop] = terms.sum(axis=1)
+        for g_flat, (free_prod, spec_win) in zip(g_flats, operands):
+            terms = sigma * free_prod[None, :]
+            terms *= spec_win[lead + win].reshape(C, F)
+            g_flat[start:stop] = terms.sum(axis=1)
 
-    g_flat *= grid.dxi ** ((m - 1) * n)
-    g = Spectrum(grid, g_flat.reshape(grid.shape))
-    return idft(g), g
+    results = []
+    for g_flat in g_flats:
+        g_flat *= grid.dxi ** ((m - 1) * n)
+        g = Spectrum(grid, g_flat.reshape(grid.shape))
+        results.append((idft(g), g))
+    return results[0] if single else results
 
 
 def _quadrature_dft(f: SampledFunction) -> np.ndarray:
@@ -320,24 +370,44 @@ def operator_factors(op: MultilinearOperator, fs: Sequence[SampledFunction]) -> 
     every term), T_{I_g} on its own inputs for a larger one, which for a
     general symbol is the whole operator.  Every group inherits the
     operator's cutoff and budget.  A group that several terms name with the
-    same symbol is applied once, and its output stands in every one of them."""
-    _check_inputs(op, fs)
+    same symbol is applied once, and its output stands in every one of them.
+    This is ``operator_factors_batch`` on a batch of one."""
+    return operator_factors_batch(op, [fs])[0]
+
+
+def operator_factors_batch(
+    op: MultilinearOperator, sets: Sequence[Sequence[SampledFunction]]
+) -> list[Factors]:
+    """``operator_factors`` of every input set of a batch, each bit for bit
+    that of the set alone.  Each group of two or more slots runs through one
+    ``apply_general`` pass per ``sets_per_pass`` of its sets, so its symbol
+    is evaluated once for all of them; one-slot groups run set by set."""
+    for fs in sets:
+        _check_inputs(op, fs)
     terms = op.symbol.partitions
-    weights = _one_slot_weights(op)
-    singles = sorted({grp[0] for part in terms for grp in part.groups if len(grp) == 1})
-    spectra = {l: dft(fs[l]) for l in singles}
-    applied: dict[tuple[tuple[int, ...], Symbol], SampledFunction] = {}
-    for part in terms:
-        for grp, sym in zip(part.groups, part.symbols):
-            if (grp, sym) not in applied:
-                applied[grp, sym] = (
-                    apply_linear(weights[sym], spectra[grp[0]])
-                    if len(grp) == 1
-                    else apply_general(replace(op, symbol=sym), *[fs[l] for l in grp])[0]
-                )
-    return tuple(
-        tuple(applied[grp, sym] for grp, sym in zip(part.groups, part.symbols)) for part in terms
+    groups = dict.fromkeys(
+        (grp, sym) for part in terms for grp, sym in zip(part.groups, part.symbols)
     )
+    weights = _one_slot_weights(op)
+    singles = sorted({grp[0] for grp, _ in groups if len(grp) == 1})
+    applied: list[dict[tuple[tuple[int, ...], Symbol], SampledFunction]] = [{} for _ in sets]
+    for grp, sym in groups:
+        if len(grp) > 1:
+            group_op = replace(op, symbol=sym)
+            step = sets_per_pass(group_op)
+            for start in range(0, len(sets), step):
+                batch = [[fs[l] for l in grp] for fs in sets[start : start + step]]
+                for done, (out, _) in zip(applied[start:], apply_general(group_op, batch)):
+                    done[grp, sym] = out
+    for fs, done in zip(sets, applied):
+        spectra = {l: dft(fs[l]) for l in singles}
+        for grp, sym in groups:
+            if len(grp) == 1:
+                done[grp, sym] = apply_linear(weights[sym], spectra[grp[0]])
+    return [
+        tuple(tuple(done[grp, sym] for grp, sym in zip(part.groups, part.symbols)) for part in terms)
+        for done in applied
+    ]
 
 
 def sum_of_products(factors: Factors) -> SampledFunction:

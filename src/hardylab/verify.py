@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, fields
-from functools import lru_cache
-from typing import Sequence
+from functools import lru_cache, partial
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -23,9 +23,9 @@ from .maximal import BumpProfile, ScaleLadder, hp_quasinorm, hl_maximal, make_bu
 from .operators import (
     DEFAULT_COST_BUDGET,
     MultilinearOperator,
-    apply_operator,
     default_cutoff,
-    operator_factors,
+    operator_factors_batch,
+    sets_per_pass,
     spectral_moment,
     sum_of_products,
 )
@@ -36,6 +36,7 @@ __all__ = [
     "index_arithmetic",
     "AtomOutput",
     "apply_to_atoms",
+    "apply_to_atom_sets",
     "ExperimentConfig",
     "RunContext",
     "run_context",
@@ -54,6 +55,7 @@ __all__ = [
     "check_fs_inequality",
     "run_boundedness_ensemble",
     "run_trial",
+    "run_trials",
     "draw_trial_entries",
     "trial_seed",
     "scale_invariance_test",
@@ -147,8 +149,19 @@ class AtomOutput:
 
 def apply_to_atoms(op: MultilinearOperator, atoms: Sequence[Atom]) -> AtomOutput:
     """Apply the operator once to the atoms' values."""
-    factors = operator_factors(op, [a.values for a in atoms])
-    return AtomOutput(op, tuple(atoms), sum_of_products(factors), factors)
+    return apply_to_atom_sets(op, [atoms])[0]
+
+
+def apply_to_atom_sets(
+    op: MultilinearOperator, atom_sets: Sequence[Sequence[Atom]]
+) -> list[AtomOutput]:
+    """``apply_to_atoms`` for several sets of atoms in one batched
+    application (``operator_factors_batch``)."""
+    batch = operator_factors_batch(op, [[a.values for a in atoms] for atoms in atom_sets])
+    return [
+        AtomOutput(op, tuple(atoms), sum_of_products(factors), factors)
+        for atoms, factors in zip(atom_sets, batch)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -766,12 +779,27 @@ class ExperimentReport:
     passed: bool
 
 
-def compute_trial_values(
-    ctx: RunContext,
-    entries: Sequence[Sequence[tuple[float, Cube, int]]],
-) -> tuple[float, float, float, str]:
-    """LHS, RHS, ratio for one trial given its atom entries."""
+Entries = Sequence[Sequence[tuple[float, Cube, int]]]  # per input, its (lambda, cube, seed)
+TrialValues = tuple[float, float, float, str]  # lhs, rhs, ratio, flags
+
+
+def _attempt(labels: Sequence[str], stage: Callable, *args):
+    """``stage(*args)``, or the ValueError it raised, which aborts only the
+    trials it served.  Anything else is a fault, raised again naming them (a
+    pool worker's exception reaches the parent with this message)."""
+    try:
+        return stage(*args)
+    except ValueError as exc:
+        return exc
+    except Exception as exc:
+        raise RuntimeError(f"{', '.join(labels)}: {exc!r}") from exc
+
+
+def _trial_inputs(ctx: RunContext, draw: Callable[[], Entries]):
+    """Stage 1: the trial's entries, its realized inputs and its rhs, the
+    product of the majorants' quasinorms (the majorants are not kept)."""
     idx = ctx.idx
+    entries = draw()
     sums = [
         make_atomic_sum(inp, p_l, idx.N, ctx.grid)
         for inp, p_l in zip(entries, idx.exponents)
@@ -779,39 +807,100 @@ def compute_trial_values(
     rhs = 1.0
     for s, p_l in zip(sums, idx.exponents):
         rhs *= lp_quasinorm(s.majorant, p_l)
-    out = apply_operator(ctx.op, [s.realized for s in sums])
-    lhs = hp_quasinorm(out, idx.p, ctx.bump, ctx.ladder)
+    return entries, [s.realized for s in sums], rhs
+
+
+def _apply_batch(op: MultilinearOperator, sets) -> list[SampledFunction]:
+    """Stage 2: T applied to every input set of the batch at once."""
+    return [sum_of_products(factors) for factors in operator_factors_batch(op, sets)]
+
+
+def _trial_values(ctx: RunContext, out: SampledFunction, rhs: float) -> TrialValues:
+    """Stage 3: the output's H^p quasinorm against rhs."""
+    lhs = hp_quasinorm(out, ctx.idx.p, ctx.bump, ctx.ladder)
     if rhs == 0.0:
         return lhs, rhs, 0.0, "vacuous"
     return lhs, rhs, lhs / rhs, ""
 
 
+def _run_batch(
+    ctx: RunContext, draws: Sequence[Callable[[], Entries]], labels: Sequence[str]
+) -> list[tuple[Entries, TrialValues] | ValueError]:
+    """One batch of staged trials: each trial draws its atoms and builds its
+    inputs, T is applied to all of them in one batched application, and each
+    output is measured.  A ValueError in the shared application aborts every
+    trial of the batch."""
+    staged = [_attempt([name], _trial_inputs, ctx, draw) for name, draw in zip(labels, draws)]
+    live = [k for k, st in enumerate(staged) if not isinstance(st, ValueError)]
+    outs = _attempt([labels[k] for k in live], _apply_batch, ctx.op, [staged[k][1] for k in live])
+    for j, k in enumerate(live):
+        entries, rhs = staged[k][0], staged[k][2]
+        if isinstance(outs, ValueError):
+            staged[k] = outs
+        else:
+            values = _attempt([labels[k]], _trial_values, ctx, outs[j], rhs)
+            staged[k] = values if isinstance(values, ValueError) else (entries, values)
+    return staged
+
+
+def _run_staged(
+    ctx: RunContext, draws: Sequence[Callable[[], Entries]], labels: Sequence[str]
+) -> list[tuple[Entries, TrialValues] | ValueError]:
+    """Per trial, its entries and values, or the ValueError that aborts it.
+    Trials run in batches of ``sets_per_pass(ctx.op)`` (``_run_batch``), and
+    every value is bit for bit that of the trial run alone."""
+    step = sets_per_pass(ctx.op)
+    return [
+        result
+        for start in range(0, len(draws), step)
+        for result in _run_batch(ctx, draws[start : start + step], labels[start : start + step])
+    ]
+
+
+def compute_trial_values(ctx: RunContext, entries: Entries) -> TrialValues:
+    """LHS, RHS, ratio and flags for one trial given its atom entries: the
+    staged trials on a batch of one.  A ValueError is raised, not recorded."""
+    (result,) = _run_staged(ctx, [lambda: entries], ["trial"])
+    if isinstance(result, ValueError):
+        raise result
+    return result[1]
+
+
+def run_trials(ctx: RunContext, indices: Sequence[int]) -> list[TrialRecord]:
+    """The records of the given trials, staged together (``_run_staged``).
+    A precondition failure aborts just its trial; the seed in the record is
+    enough to reproduce the draw."""
+    config, m = ctx.config, ctx.idx.m
+    seeds = [trial_seed(config.seed, i) for i in indices]
+    results = _run_staged(
+        ctx,
+        [partial(draw_trial_entries, config, seed, m, ctx.grid) for seed in seeds],
+        [f"trial {i} (seed {seed})" for i, seed in zip(indices, seeds)],
+    )
+    records = []
+    for i, seed, result in zip(indices, seeds, results):
+        if isinstance(result, ValueError):
+            records.append(
+                TrialRecord(i, seed, (), math.nan, math.nan, math.nan, f"aborted: {result}")
+            )
+        else:
+            entries, values = result
+            records.append(TrialRecord(i, seed, tuple(tuple(inp) for inp in entries), *values))
+    return records
+
+
 def run_trial(ctx: RunContext, trial_index: int) -> TrialRecord:
-    seed = trial_seed(ctx.config.seed, trial_index)
-    try:
-        entries = draw_trial_entries(ctx.config, seed, ctx.idx.m, ctx.grid)
-        lhs, rhs, ratio, flags = compute_trial_values(ctx, entries)
-    except ValueError as exc:
-        # Precondition failure aborts just this trial; the seed in the record
-        # is enough to reproduce the draw.
-        return TrialRecord(
-            trial_index, seed, (), math.nan, math.nan, math.nan, f"aborted: {exc}"
-        )
-    except Exception as exc:
-        # Anything else is a fault, reported with the trial that met it (a
-        # pool worker's exception reaches the parent with this message).
-        raise RuntimeError(f"trial {trial_index} (seed {seed}): {exc!r}") from exc
-    inputs = tuple(tuple(inp) for inp in entries)
-    return TrialRecord(trial_index, seed, inputs, lhs, rhs, ratio, flags)
+    return run_trials(ctx, [trial_index])[0]
 
 
-def _run_trial_in_worker(config: ExperimentConfig, trial_index: int) -> TrialRecord:
-    return run_trial(run_context(config), trial_index)
+def _run_trials_in_worker(config: ExperimentConfig, indices: Sequence[int]) -> list[TrialRecord]:
+    return run_trials(run_context(config), indices)
 
 
 def run_boundedness_ensemble(config: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
     """Run the ratio ensemble: per trial, the maximal-function quasinorm of the
     output over the product of majorant quasinorms, with replayable records.
+    With ``jobs`` > 1 the pool workers take contiguous slices of trials.
 
     The ensemble fails when any trial aborts: an abort is a ValueError, which
     an inadmissible draw raises but so can a fault in the program."""
@@ -820,10 +909,13 @@ def run_boundedness_ensemble(config: ExperimentConfig, jobs: int = 1) -> Experim
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
+        size = max(1, min(sets_per_pass(ctx.op), -(-len(indices) // jobs)))
+        slices = [indices[k : k + size] for k in range(0, len(indices), size)]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(_run_trial_in_worker, [config] * len(indices), indices))
+            parts = pool.map(_run_trials_in_worker, [config] * len(slices), slices)
+            records = [record for part in parts for record in part]
     else:
-        records = [run_trial(ctx, i) for i in indices]
+        records = run_trials(ctx, indices)
 
     ratios = [r.ratio for r in records if not r.flags]
     vacuous = sum(1 for r in records if r.flags == "vacuous")
@@ -848,6 +940,16 @@ def replay_trial(ctx: RunContext, record: TrialRecord) -> tuple[float, float, fl
 # ---------------------------------------------------------------------------
 # Scale invariance
 # ---------------------------------------------------------------------------
+
+
+def _dilated_entries(inputs: Entries, dilation: float) -> Entries:
+    return [
+        [
+            (lam, Cube(tuple(dilation * c for c in cube.center), dilation * cube.side), s)
+            for lam, cube, s in inp
+        ]
+        for inp in inputs
+    ]
 
 
 @dataclass(frozen=True)
@@ -877,21 +979,23 @@ def scale_invariance_test(
         )
     if dilation not in (0.5, 1.0, 2.0):
         raise ValueError(f"dilation must be one of 1/2, 1, 2, got {dilation}")
+    # Up to the first aborted record, which raises its reason after the
+    # trials before it, as it would in a trial-by-trial loop.
+    stop = next((k for k, r in enumerate(records) if r.flags.startswith("aborted")), len(records))
+    live = [r for r in records[:stop] if r.flags != "vacuous"]
+    results = _run_staged(
+        ctx,
+        [partial(_dilated_entries, r.inputs, dilation) for r in live],
+        [f"trial {r.trial_id} (seed {r.seed})" for r in live],
+    )
     deviations = []
-    for record in records:
-        if record.flags.startswith("aborted"):
-            raise ValueError(f"trial {record.trial_id} {record.flags}")
-        if record.flags == "vacuous":
-            continue
-        dilated = [
-            [
-                (lam, Cube(tuple(dilation * c for c in cube.center), dilation * cube.side), s)
-                for lam, cube, s in inp
-            ]
-            for inp in record.inputs
-        ]
-        _, _, scaled, _ = compute_trial_values(ctx, dilated)
+    for record, result in zip(live, results):
+        if isinstance(result, ValueError):
+            raise result
+        scaled = result[1][2]
         deviations.append(abs(scaled - record.ratio) / record.ratio)
+    if stop < len(records):
+        raise ValueError(f"trial {records[stop].trial_id} {records[stop].flags}")
     if not deviations:
         raise ValueError("all trials vacuous; nothing to compare")
     return ScaleInvarianceReport(dilation, tuple(deviations))

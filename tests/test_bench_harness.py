@@ -3,6 +3,7 @@ name: the traced functions, the verify stages whose spans it sums, and the
 two CLI entry points it wraps.  A renamed or deleted name would crash a
 traced round or read a stage as zero, so these tests pin the names."""
 
+import dataclasses
 import importlib
 import importlib.util
 import inspect
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 import hardylab.cli
+import hardylab.operators
 import hardylab.verify
 from hardylab.grid import SampledFunction, make_grid, sample
 from hardylab.operators import apply_operator
@@ -92,3 +94,25 @@ def test_apply_operator_contract(path):
     assert isinstance(out, SampledFunction)
     assert out.grid == grid
     assert np.all(np.isfinite(out.values))
+
+
+def test_engine_work_reads_the_real_calls(child, monkeypatch):
+    # ``child.py`` counts S^m symbol evaluations per traced ``apply_general``
+    # call from its arguments.  Record the calls a mixed ensemble makes (one
+    # batched pass per multi-slot group) and hand them to that counter as
+    # they were made.
+    config, _ = hardylab.cli.load_config(str(PERFBENCH / "configs" / "mixed-trilinear.ini"))
+    config = dataclasses.replace(config, trials=2)
+    seen = []
+    original = hardylab.operators.apply_general
+
+    def recording(*args, **kwargs):
+        seen.append((args, kwargs))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(hardylab.operators, "apply_general", recording)
+    hardylab.verify.run_boundedness_ensemble(config)
+    assert seen
+    for args, kwargs in seen:
+        op = args[0]
+        assert child.WORK["operators.apply_general"](*args, **kwargs) == op.grid.size**op.m

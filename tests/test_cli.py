@@ -7,6 +7,7 @@ import pytest
 import hardylab.operators
 import hardylab.verify
 from hardylab.cli import CONFIG_SCHEMA, dumps_17g, load_config, main
+from hardylab.grid import SampledFunction
 from hardylab.verify import ExperimentConfig, run_context
 
 BASE_CONFIG = """
@@ -334,25 +335,36 @@ pointwise_majorant = true
 
 class TestOneApplicationPerAtomSet:
     @pytest.mark.parametrize(
-        "config, checks, trials, expected, expected_linear",
+        "config, checks, trials, expected, expected_linear, expected_passes",
         [
             # Each ensemble trial and each dilated scale-invariance trial
             # applies T once; the checks apply it once to the full-order
             # atoms and once to the decay atoms.  The base trials of scale
-            # invariance are the ensemble's own records.
+            # invariance are the ensemble's own records.  The engine takes
+            # each stage's atom sets in one pass: the ensemble, the dilated
+            # trials and the two check sets.
             (
                 FULL_CONFIG.replace("M = 4096", "M = 512"),
                 7,
                 3,
                 lambda trials: trials + min(trials, 20) + 2,
                 lambda trials: 0,
+                3,
             ),
             # sigma4 has three partition groups over its two terms, each
             # applied once per trial and once to the check atoms: the two
             # multi-slot groups through the general engine, the one-slot
             # group as a 1-linear multiplier.  The majorant reads those
-            # group outputs instead of applying them.
-            (MIXED_CONFIG, 3, 2, lambda trials: 2 * (trials + 1), lambda trials: trials + 1),
+            # group outputs instead of applying them.  Both trials fit one
+            # pass of each multi-slot group, and so does the check set.
+            (
+                MIXED_CONFIG,
+                3,
+                2,
+                lambda trials: 2 * (trials + 1),
+                lambda trials: trials + 1,
+                4,
+            ),
             # sigma3's six rank-one terms name 18 one-slot factors, of which
             # 12 are distinct (slot, symbol) pairs; each is applied once.
             (
@@ -361,26 +373,34 @@ class TestOneApplicationPerAtomSet:
                 2,
                 lambda trials: 0,
                 lambda trials: 12 * (trials + 1),
+                0,
             ),
         ],
         ids=["general", "mixed", "product"],
     )
     def test_apply_general_call_count(
-        self, tmp_path, monkeypatch, config, checks, trials, expected, expected_linear
+        self, tmp_path, monkeypatch, config, checks, trials, expected, expected_linear,
+        expected_passes,
     ):
+        # Counts input sets through the engine: ``apply_general(op, *fs)``
+        # is one set, ``apply_general(op, sets)`` a batch.
         calls = {"apply_general": [], "apply_linear": []}
+        passes = []
+        general = hardylab.operators.apply_general
+        linear = hardylab.operators.apply_linear
 
-        def counting(name):
-            original = getattr(hardylab.operators, name)
+        def counting_general(op, *fs):
+            batch = len(fs) == 1 and not isinstance(fs[0], SampledFunction)
+            calls["apply_general"].extend(fs[0] if batch else [fs])
+            passes.append(1)
+            return general(op, *fs)
 
-            def wrapper(*args, **kwargs):
-                calls[name].append(1)
-                return original(*args, **kwargs)
+        def counting_linear(*args, **kwargs):
+            calls["apply_linear"].append(1)
+            return linear(*args, **kwargs)
 
-            return wrapper
-
-        monkeypatch.setattr(hardylab.operators, "apply_general", counting("apply_general"))
-        monkeypatch.setattr(hardylab.operators, "apply_linear", counting("apply_linear"))
+        monkeypatch.setattr(hardylab.operators, "apply_general", counting_general)
+        monkeypatch.setattr(hardylab.operators, "apply_linear", counting_linear)
         cfg = tmp_path / "run.ini"
         cfg.write_text(config)
         out = tmp_path / "out"
@@ -390,6 +410,7 @@ class TestOneApplicationPerAtomSet:
         assert len(report["trials"]) == trials
         assert len(calls["apply_general"]) == expected(trials)
         assert len(calls["apply_linear"]) == expected_linear(trials)
+        assert len(passes) == expected_passes
 
 
 class TestLadderReachesTheChecks:

@@ -1,7 +1,10 @@
 """Properties of the one application route, ``apply_operator``, that hold
 exactly on the torus: agreement with the exhaustive engine, multilinearity
 in each slot, and covariance under grid shifts.  Each holds within a
-rounding bound fixed here, before any example runs."""
+rounding bound fixed here, before any example runs.  A batch of input sets
+gives every set the bits it gets alone, in the engine and in the factors."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,8 +12,17 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
+import hardylab.operators
 from hardylab.grid import SampledFunction, Spectrum, dft, idft, make_grid
-from hardylab.operators import MultilinearOperator, apply_general, apply_operator, default_cutoff
+from hardylab.operators import (
+    MultilinearOperator,
+    apply_general,
+    apply_operator,
+    default_cutoff,
+    operator_factors,
+    operator_factors_batch,
+    sets_per_pass,
+)
 from hardylab.symbols import BUILTIN_NAMES, builtin_symbol
 
 # Every builtin symbol is bounded by 3 on the lattice, and the output is at
@@ -94,3 +106,86 @@ def test_shift_covariance(name, data):
     lhs = apply_operator(op, moved).values
     rhs = np.roll(apply_operator(op, fs).values, k)
     assert np.max(np.abs(lhs - rhs)) <= ROUNDING * _scales(fs)
+
+
+def _multi_slot_groups(symbol):
+    """The distinct (slots, symbol) groups of two or more slots."""
+    return list(
+        dict.fromkeys(
+            (grp, sym)
+            for part in symbol.partitions
+            for grp, sym in zip(part.groups, part.symbols)
+            if len(grp) > 1
+        )
+    )
+
+
+MULTI_SLOT = [name for name in BUILTIN_NAMES if _multi_slot_groups(SYMBOLS[name])]
+
+
+def _bits(values):
+    return np.ascontiguousarray(values).view(np.uint64)
+
+
+def _same_bits(a, b):
+    return np.array_equal(_bits(a), _bits(b))
+
+
+def _same_factors(got, want):
+    return len(got) == len(want) and all(
+        len(gt) == len(wt) and all(_same_bits(g.values, w.values) for g, w in zip(gt, wt))
+        for gt, wt in zip(got, want)
+    )
+
+
+@st.composite
+def batches(draw, name):
+    """An operator and 1-5 input sets; from two sets on, the last repeats an
+    earlier one."""
+    op, fs, rng = draw(cases(name))
+    size = draw(st.integers(1, 5))
+    sets = [fs] + [
+        [band_limited(op.grid, rng, op.grid.M // 4) for _ in range(op.m)] for _ in range(size - 1)
+    ]
+    if size > 1:
+        sets[-1] = sets[draw(st.integers(0, size - 2))]
+    return op, sets
+
+
+@pytest.mark.parametrize("name", MULTI_SLOT)
+@settings(derandomize=True, database=None, max_examples=8, deadline=None)
+@given(data=st.data())
+def test_batch_is_bit_for_bit_each_set_alone(name, data):
+    op, sets = data.draw(batches(name))
+    for grp, sym in _multi_slot_groups(op.symbol):
+        group_op = replace(op, symbol=sym)
+        inputs = [[fs[l] for l in grp] for fs in sets]
+        for (out, g), one in zip(apply_general(group_op, inputs), inputs):
+            alone_out, alone_g = apply_general(group_op, *one)
+            assert _same_bits(out.values, alone_out.values)
+            assert _same_bits(g.coefficients, alone_g.coefficients)
+    for got, fs in zip(operator_factors_batch(op, sets), sets):
+        assert _same_factors(got, operator_factors(op, fs))
+
+
+def test_batch_over_the_byte_budget_splits(monkeypatch):
+    # sigma4's trilinear group takes 32 sets per pass at M=64 (64 KiB of
+    # free products each); 33 sets run as two passes of that group and one
+    # of its bilinear group.
+    grid = make_grid(1, 8.0, 64)
+    op = MultilinearOperator(SYMBOLS["sigma4"], grid, default_cutoff(grid))
+    rng = np.random.default_rng(7)
+    sets = [[band_limited(grid, rng, 16) for _ in range(3)] for _ in range(33)]
+    assert sets_per_pass(op) == 32
+    passes = []
+
+    def counting(group_op, batch):
+        passes.append((group_op.m, len(batch)))
+        return apply_general(group_op, batch)
+
+    monkeypatch.setattr(hardylab.operators, "apply_general", counting)
+    got = operator_factors_batch(op, sets)
+    monkeypatch.undo()
+    assert sorted(passes) == [(2, 33), (3, 1), (3, 32)]
+    for factors, fs in zip(got, sets):
+        assert _same_factors(factors, operator_factors(op, fs))

@@ -517,6 +517,70 @@ class TestBoundednessEnsemble:
             run_boundedness_ensemble(cfg)
 
 
+# One small config per operator class; the mixed one runs in passes of two
+# trials, the product one trial by trial.
+BATCHED_CONFIGS = {
+    "general": dict(trials=4),
+    "mixed": dict(
+        symbol="sigma4", exponents=(2.0, 2.0, 2.0), M=256, trials=3, max_atoms=2, seed=5,
+        ell_choices=(1.0,), center_span=0.25, N_override=None, use_cutoff=True,
+    ),
+    "product": dict(
+        symbol="sigma3", exponents=(2.0, 2.0, 2.0), trials=3, max_atoms=2, seed=3,
+        center_span=0.25, N_override=None, use_cutoff=True,
+    ),
+}
+
+
+class TestStagedTrials:
+    def test_inadmissible_draw_aborts_only_its_trial(self):
+        # sigma4 at M=256 runs two trials per pass.  With sides 0.5 and 1,
+        # trials 1 and 3 draw admissible atoms and share their passes with
+        # trials 0 and 2, whose half-unit cubes are too narrow.
+        cfg = _ensemble_config(
+            symbol="sigma4", exponents=(2.0, 2.0, 2.0), M=256, trials=8, max_atoms=2, seed=5,
+            ell_choices=(0.5, 1.0), center_span=0.25, N_override=None, use_cutoff=True,
+        )
+        ctx = run_context(cfg)
+        assert hardylab.operators.sets_per_pass(ctx.op) == 2
+        records = run_boundedness_ensemble(cfg).trials
+        live = [t.trial_id for t in records if not t.flags]
+        assert live == [1, 3]
+        for t in records:
+            alone = run_trial(ctx, t.trial_id)
+            if t.flags:
+                assert t.flags == "aborted: cube side 0.5 spans 8.00 grid cells, need at least 16"
+                assert alone.flags == t.flags
+            else:
+                assert t == alone
+
+    def test_fault_in_the_shared_pass_names_every_trial(self, monkeypatch):
+        def failing(*args, **kwargs):
+            raise AssertionError("engine broken")
+
+        monkeypatch.setattr(hardylab.verify, "operator_factors_batch", failing)
+        cfg = _ensemble_config(trials=3)
+        names = ", ".join(f"trial {i} \\(seed {trial_seed(cfg.seed, i)}\\)" for i in range(3))
+        with pytest.raises(RuntimeError, match=rf"^{names}: AssertionError") as info:
+            run_boundedness_ensemble(cfg)
+        assert isinstance(info.value.__cause__, AssertionError)
+
+    @pytest.mark.parametrize("kind", BATCHED_CONFIGS)
+    def test_every_batched_trial_replays(self, kind):
+        cfg = _ensemble_config(**BATCHED_CONFIGS[kind])
+        ctx = run_context(cfg)
+        assert ctx.op.symbol.kind == kind
+        records = run_boundedness_ensemble(cfg).trials
+        assert not any(t.flags for t in records)
+        for trial in records:
+            assert replay_trial(ctx, trial) == (trial.lhs, trial.rhs, trial.ratio)
+
+    @pytest.mark.parametrize("kind", BATCHED_CONFIGS)
+    def test_two_jobs_equal_one(self, kind):
+        cfg = _ensemble_config(**BATCHED_CONFIGS[kind])
+        assert run_boundedness_ensemble(cfg, jobs=2) == run_boundedness_ensemble(cfg, jobs=1)
+
+
 class TestScaleInvariance:
     def test_requires_homogeneous_symbol(self):
         cfg = _ensemble_config(symbol="sigma2", exponents=(2.0, 2.0, 2.0))
