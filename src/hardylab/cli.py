@@ -47,7 +47,7 @@ from .verify import (
     ExperimentConfig,
     RunContext,
     TrialRecord,
-    apply_to_atom_sets,
+    apply_to_atoms,
     check_cancellation,
     check_decay_lemma,
     check_fs_inequality,
@@ -297,7 +297,7 @@ def _run_checks(ctx: RunContext, options: dict, jobs: int, out: Path) -> dict:
         atom_sets["full"] = _check_atoms(ctx, partner_order=idx.N)
     if checks["decay"]:
         atom_sets["decay"] = _check_atoms(ctx, partner_order=0)
-    applied = dict(zip(atom_sets, apply_to_atom_sets(ctx.op, list(atom_sets.values()))))
+    applied = dict(zip(atom_sets, apply_to_atoms(ctx.op, list(atom_sets.values()))))
     full = applied.get("full")
 
     if checks["cancellation"]:

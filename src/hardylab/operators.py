@@ -26,7 +26,7 @@ outputs.  A group is applied by one of two engines:
   group's symbol on its own inputs.  One pass takes a batch of input sets:
   each chunk's index windows and symbol values are computed once for all of
   them, and each set's output is bit for bit that of a pass over it alone.
-  ``operator_factors_batch`` gives a pass as many sets as keep their free
+  ``operator_factors`` gives a pass as many sets as keep their free
   products within ``_MAX_BATCH_BYTES`` (``sets_per_pass``).
 * ``apply_linear`` — a one-slot group is a 1-linear multiplier on its
   input's forward transform, computed once per input and shared by every
@@ -71,7 +71,6 @@ __all__ = [
     "apply_oracle",
     "apply_operator",
     "operator_factors",
-    "operator_factors_batch",
     "sum_of_products",
     "spectral_moment",
     "default_cutoff",
@@ -176,24 +175,22 @@ def _set_operands(
 
 
 def apply_general(
-    op: MultilinearOperator, *fs: SampledFunction | Sequence[Sequence[SampledFunction]]
-) -> GeneralOutput | list[GeneralOutput]:
-    """Apply the operator by exhaustive frequency summation.
+    op: MultilinearOperator, sets: Sequence[Sequence[SampledFunction]]
+) -> list[GeneralOutput]:
+    """Apply the operator by exhaustive frequency summation to each input
+    set (f_1, ..., f_m) of ``sets``, in one pass.
 
-    ``apply_general(op, f_1, ..., f_m)`` applies it to one input set and
-    returns the spatial output together with the grouped output spectrum
-    g(eta): for each eta, the symbol-weighted products of input coefficients
-    over all frequency tuples whose (wrapped) slot sum equals eta, carrying
-    the quadrature weight of the m-1 free frequency integrals.  The spatial
-    output is exactly idft(g).
+    Per set it returns the spatial output together with the grouped output
+    spectrum g(eta): for each eta, the symbol-weighted products of input
+    coefficients over all frequency tuples whose (wrapped) slot sum equals
+    eta, carrying the quadrature weight of the m-1 free frequency integrals.
+    The spatial output is exactly idft(g).
 
-    ``apply_general(op, sets)``, with a sequence of input sets, is one pass
-    over the batch and returns one (output, spectrum) pair per set.  The
-    lattice, the index windows and the symbol values of each chunk are
+    The lattice, the index windows and the symbol values of each chunk are
     computed once and serve every set, whose terms are then formed and
-    reduced exactly as for that set alone, so each pair is bit for bit the
-    single-set call; a single set is a batch of one.  The pass holds every
-    set's free products at once (see ``sets_per_pass``).
+    reduced exactly as for that set alone, so each pair is bit for bit that
+    of a pass over the set alone.  The pass holds every set's free products
+    at once (see ``sets_per_pass``).
 
     The same code runs for every m >= 1 and n >= 1.  The cutoff multiplies
     every slot's spectrum once, so a masked free slot contributes zero and a
@@ -212,8 +209,6 @@ def apply_general(
     ``sum(axis=1)`` over the whole row, so no bit of the output depends on
     the gather or on the chunk size.
     """
-    single = len(fs) != 1 or isinstance(fs[0], SampledFunction)
-    sets = [fs] if single else list(fs[0])
     for inputs in sets:
         _check_inputs(op, inputs)
     grid = op.grid
@@ -277,7 +272,7 @@ def apply_general(
         g_flat *= grid.dxi ** ((m - 1) * n)
         g = Spectrum(grid, g_flat.reshape(grid.shape))
         results.append((idft(g), g))
-    return results[0] if single else results
+    return results
 
 
 def _quadrature_dft(f: SampledFunction) -> np.ndarray:
@@ -364,24 +359,19 @@ def apply_linear(weights: np.ndarray, spec: Spectrum) -> SampledFunction:
     return idft(Spectrum(spec.grid, spec.coefficients * weights))
 
 
-def operator_factors(op: MultilinearOperator, fs: Sequence[SampledFunction]) -> Factors:
-    """Per term of ``Symbol.partitions``, the output of each group: T_j^rho
-    f_j for a one-slot group (one forward transform per input, shared by
-    every term), T_{I_g} on its own inputs for a larger one, which for a
-    general symbol is the whole operator.  Every group inherits the
-    operator's cutoff and budget.  A group that several terms name with the
-    same symbol is applied once, and its output stands in every one of them.
-    This is ``operator_factors_batch`` on a batch of one."""
-    return operator_factors_batch(op, [fs])[0]
-
-
-def operator_factors_batch(
+def operator_factors(
     op: MultilinearOperator, sets: Sequence[Sequence[SampledFunction]]
 ) -> list[Factors]:
-    """``operator_factors`` of every input set of a batch, each bit for bit
-    that of the set alone.  Each group of two or more slots runs through one
-    ``apply_general`` pass per ``sets_per_pass`` of its sets, so its symbol
-    is evaluated once for all of them; one-slot groups run set by set."""
+    """Per input set, per term of ``Symbol.partitions``, the output of each
+    group: T_j^rho f_j for a one-slot group (one forward transform per
+    input, shared by every term), T_{I_g} on its own inputs for a larger
+    one, which for a general symbol is the whole operator.  Every group
+    inherits the operator's cutoff and budget.  A group that several terms
+    name with the same symbol is applied once, and its output stands in
+    every one of them.  Each group of two or more slots runs through one
+    ``apply_general`` pass per ``sets_per_pass`` of the sets, so its symbol
+    is evaluated once for all of them and each set's factors are bit for
+    bit those of the set alone; one-slot groups run set by set."""
     for fs in sets:
         _check_inputs(op, fs)
     terms = op.symbol.partitions
@@ -425,7 +415,7 @@ def sum_of_products(factors: Factors) -> SampledFunction:
 def apply_operator(op: MultilinearOperator, fs: Sequence[SampledFunction]) -> SampledFunction:
     """Apply the operator: the sum over its partition terms of the product
     of per-group applications (``operator_factors``)."""
-    return sum_of_products(operator_factors(op, fs))
+    return sum_of_products(operator_factors(op, [fs])[0])
 
 
 @dataclass(frozen=True)

@@ -262,6 +262,11 @@ def _one_over_single(u):
     return 1.0 / (1.0 + u * u) ** 1.5
 
 
+# The one-slot constant: the third factor of sigma4's first term, and every
+# factor of ``constant_one``.
+ONE = _linear1(lambda u: np.ones_like(u), "1")
+
+
 def _sigma2_terms() -> tuple[Partition, ...]:
     # Each term multiplies a 1-linear factor in xi_1 by a bilinear factor in
     # (xi_2, xi_3); four terms share the partition {1} + {2, 3}.
@@ -317,19 +322,11 @@ def _sigma4_terms() -> tuple[Partition, ...]:
         return _safe_div(-a * b, a * a + b * b + c * c)
 
     g_bi = Symbol(m=2, n=1, evaluate=_lift1(bilinear_part), name="ab/(a^2+b^2+(a+b)^2)")
-    g_one = _linear1(lambda u: np.ones_like(u), "1")
     g_tri = Symbol(m=3, n=1, evaluate=_lift1(trilinear_part), name="-ab/(a^2+b^2+c^2)")
     return (
-        Partition(((0, 1), (2,)), (g_bi, g_one)),
+        Partition(((0, 1), (2,)), (g_bi, ONE)),
         Partition(((0, 1, 2),), (g_tri,)),
     )
-
-
-def _constant_one(m: int) -> Symbol:
-    def evaluate(*xis):
-        return np.ones(np.broadcast(*[x[..., 0] for x in xis]).shape)
-
-    return Symbol(m=m, n=1, evaluate=evaluate, name="constant_one")
 
 
 # Builders of the builtin symbols, in the order the CLI lists them.  Each
@@ -351,7 +348,9 @@ _BUILTINS: dict[str, Callable[[int | None], Symbol]] = {
         m=3, n=1, evaluate=_lift1(_sigma3_factored_formula), name="sigma3_factored"
     ),
     "sigma4": lambda m: make_mixed_symbol(_sigma4_terms(), name="sigma4"),
-    "constant_one": lambda m: _constant_one(3 if m is None else int(m)),
+    "constant_one": lambda m: make_product_symbol(
+        [[ONE] * (3 if m is None else int(m))], name="constant_one"
+    ),
     "sigma1_bilinear": lambda m: Symbol(
         m=2,
         n=1,

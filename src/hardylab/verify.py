@@ -24,7 +24,7 @@ from .operators import (
     DEFAULT_COST_BUDGET,
     MultilinearOperator,
     default_cutoff,
-    operator_factors_batch,
+    operator_factors,
     sets_per_pass,
     spectral_moment,
     sum_of_products,
@@ -36,7 +36,6 @@ __all__ = [
     "index_arithmetic",
     "AtomOutput",
     "apply_to_atoms",
-    "apply_to_atom_sets",
     "ExperimentConfig",
     "RunContext",
     "run_context",
@@ -129,7 +128,7 @@ def index_arithmetic(
 
 
 # ---------------------------------------------------------------------------
-# The operator applied to one set of atoms
+# The operator applied to sets of atoms
 # ---------------------------------------------------------------------------
 
 
@@ -147,17 +146,12 @@ class AtomOutput:
     factors: tuple[tuple[SampledFunction, ...], ...]
 
 
-def apply_to_atoms(op: MultilinearOperator, atoms: Sequence[Atom]) -> AtomOutput:
-    """Apply the operator once to the atoms' values."""
-    return apply_to_atom_sets(op, [atoms])[0]
-
-
-def apply_to_atom_sets(
+def apply_to_atoms(
     op: MultilinearOperator, atom_sets: Sequence[Sequence[Atom]]
 ) -> list[AtomOutput]:
-    """``apply_to_atoms`` for several sets of atoms in one batched
-    application (``operator_factors_batch``)."""
-    batch = operator_factors_batch(op, [[a.values for a in atoms] for atoms in atom_sets])
+    """Apply the operator once to each set of atoms' values, all sets in one
+    batched application (``operator_factors``)."""
+    batch = operator_factors(op, [[a.values for a in atoms] for atoms in atom_sets])
     return [
         AtomOutput(op, tuple(atoms), sum_of_products(factors), factors)
         for atoms, factors in zip(atom_sets, batch)
@@ -812,7 +806,7 @@ def _trial_inputs(ctx: RunContext, draw: Callable[[], Entries]):
 
 def _apply_batch(op: MultilinearOperator, sets) -> list[SampledFunction]:
     """Stage 2: T applied to every input set of the batch at once."""
-    return [sum_of_products(factors) for factors in operator_factors_batch(op, sets)]
+    return [sum_of_products(factors) for factors in operator_factors(op, sets)]
 
 
 def _trial_values(ctx: RunContext, out: SampledFunction, rhs: float) -> TrialValues:

@@ -103,7 +103,7 @@ class TestCriterion1OracleEquivalence:
         worst = 0.0
         for trial in range(20):
             fs = [band_limited(self.GRID, 1000 + 3 * trial + j) for j in range(3)]
-            out, _ = apply_general(op, *fs)
+            out, _ = apply_general(op, [fs])[0]
             worst = max(worst, self._check(op, out.values, fs, trial))
         report_line("1 oracle equivalence (general)", worst <= 1e-10, f"max rel err {worst:.2e}")
         assert worst <= 1e-10
@@ -280,11 +280,11 @@ class TestCriterion5Cancellation:
         grid = make_grid(1, 8.0, 256)
         op = MultilinearOperator(builtin_symbol("sigma1"), grid, cutoff=default_cutoff(grid))
         rng = np.random.default_rng(55)
-        worst = 0.0
-        for _ in range(20):
-            atoms = _trilinear_atoms(grid, rng, N=6)
-            rep = check_cancellation(apply_to_atoms(op, atoms), s=0, tolerance=1e-10)
-            worst = max(worst, rep.max_normalized)
+        sets = [_trilinear_atoms(grid, rng, N=6) for _ in range(20)]
+        worst = max(
+            check_cancellation(t, s=0, tolerance=1e-10).max_normalized
+            for t in apply_to_atoms(op, sets)
+        )
         report_line("5 sigma1 (s=0) zeroth moment", worst < 1e-10, f"max normalized {worst:.2e}")
         assert worst < 1e-10
 
@@ -299,7 +299,7 @@ class TestCriterion5Cancellation:
         worst = 0.0
         for _ in range(3):
             atoms = _trilinear_atoms(grid, rng, N=2, span=1.0)
-            rep = check_cancellation(apply_to_atoms(op, atoms), s=1, tolerance=1e-5)
+            rep = check_cancellation(apply_to_atoms(op, [atoms])[0], s=1, tolerance=1e-5)
             worst = max(worst, rep.max_normalized)
         report_line("5 sigma1^2 (s=1) moments |alpha| <= 1", worst < 1e-5, f"max normalized {worst:.2e}")
         assert worst < 1e-5
@@ -308,7 +308,7 @@ class TestCriterion5Cancellation:
         grid = make_grid(1, 8.0, 256)
         op = MultilinearOperator(builtin_symbol("constant_one", m=2), grid)
         atom = make_atom(Cube((0.0,), 1.0), 1.0, 6, seed=7, grid=grid)
-        rep = check_cancellation(apply_to_atoms(op, [atom, atom]), s=0, tolerance=1e-2)
+        rep = check_cancellation(apply_to_atoms(op, [[atom, atom]])[0], s=0, tolerance=1e-2)
         ok = rep.max_normalized > 1e-2 and not rep.passed
         report_line("5 negative control flagged", ok, f"normalized {rep.max_normalized:.2e}")
         assert ok
@@ -331,7 +331,7 @@ class TestCriterion6Decay:
     @pytest.mark.parametrize("N", [0, 2, 4])
     def test_slope_bound(self, N):
         op = MultilinearOperator(builtin_symbol("sigma1_bilinear"), self.GRID)
-        rep = check_decay_lemma(apply_to_atoms(op, self._atoms(N)), N)
+        rep = check_decay_lemma(apply_to_atoms(op, [self._atoms(N)])[0], N)
         ok = rep.passed
         report_line(
             f"6 decay slope (N={N})",
@@ -343,7 +343,7 @@ class TestCriterion6Decay:
     @pytest.mark.parametrize("N", [2, 4])
     def test_negative_control(self, N):
         op = MultilinearOperator(builtin_symbol("sigma1_bilinear"), self.GRID)
-        rep = check_decay_lemma(apply_to_atoms(op, self._atoms(N, skip=True)), N)
+        rep = check_decay_lemma(apply_to_atoms(op, [self._atoms(N, skip=True)])[0], N)
         violated = rep.slope > rep.slope_bound
         rose = rep.slope > -(1 + 1) - 0.5
         report_line(
@@ -511,7 +511,7 @@ class TestCriterion8Majorants:
         def runner(grid, rng, dilation):
             op = MultilinearOperator(sym, grid)
             atoms = self._draw_atoms(grid, rng, 2, dilation)
-            rep = check_local_estimate(apply_to_atoms(op, atoms), r=2.0, N=idx.N)
+            rep = check_local_estimate(apply_to_atoms(op, [atoms])[0], r=2.0, N=idx.N)
             return max(rep.ratio_direct, rep.ratio_maximal)
 
         self._stability("local estimate", runner)
@@ -523,7 +523,7 @@ class TestCriterion8Majorants:
         def runner(grid, rng, dilation):
             op = MultilinearOperator(sym, grid)
             atoms = self._draw_atoms(grid, rng, 2, dilation)
-            return check_pointwise_majorant(apply_to_atoms(op, atoms), idx).ratio_sup
+            return check_pointwise_majorant(apply_to_atoms(op, [atoms])[0], idx).ratio_sup
 
         self._stability("pointwise majorant (general)", runner)
 
@@ -534,7 +534,7 @@ class TestCriterion8Majorants:
         def runner(grid, rng, dilation):
             op = MultilinearOperator(sym, grid)
             atoms = self._draw_atoms(grid, rng, 2, dilation)
-            return check_pointwise_majorant(apply_to_atoms(op, atoms), idx).ratio_sup
+            return check_pointwise_majorant(apply_to_atoms(op, [atoms])[0], idx).ratio_sup
 
         self._stability("pointwise majorant (product)", runner)
 
@@ -545,7 +545,7 @@ class TestCriterion8Majorants:
         def runner(grid, rng, dilation):
             op = MultilinearOperator(sym, grid)
             atoms = self._draw_atoms(grid, rng, 3, dilation)
-            return check_pointwise_majorant(apply_to_atoms(op, atoms), idx).ratio_sup
+            return check_pointwise_majorant(apply_to_atoms(op, [atoms])[0], idx).ratio_sup
 
         self._stability("pointwise majorant (mixed)", runner)
 
@@ -633,7 +633,7 @@ class TestCriterion9Boundedness:
                 from hardylab.atoms import cube_indicator
 
                 rhs *= lp_quasinorm(cube_indicator(a.cube, grid), 1.0)
-            out_gen, _ = apply_general(MultilinearOperator(sb, grid), *fs)
+            out_gen, _ = apply_general(MultilinearOperator(sb, grid), [fs])[0]
             out_mix = apply_operator(MultilinearOperator(degenerate, grid), fs)
             r_gen = hp_quasinorm(out_gen, 0.5, bump, ladder) / rhs
             r_mix = hp_quasinorm(out_mix, 0.5, bump, ladder) / rhs

@@ -7,7 +7,6 @@ import pytest
 import hardylab.operators
 import hardylab.verify
 from hardylab.cli import CONFIG_SCHEMA, dumps_17g, load_config, main
-from hardylab.grid import SampledFunction
 from hardylab.verify import ExperimentConfig, run_context
 
 BASE_CONFIG = """
@@ -224,7 +223,7 @@ class TestRunCommand:
         )
         config, _ = load_config(str(path))
         op = run_context(config).op
-        assert (op.m, op.symbol.kind) == (2, "general")
+        assert (op.m, op.symbol.kind) == (2, "product")
         out = tmp_path / "o"
         assert main(["run", str(path), "--out", str(out)]) in (0, 1)
         assert len(json.loads((out / "report.json").read_text())["trials"]) == 2
@@ -382,18 +381,17 @@ class TestOneApplicationPerAtomSet:
         self, tmp_path, monkeypatch, config, checks, trials, expected, expected_linear,
         expected_passes,
     ):
-        # Counts input sets through the engine: ``apply_general(op, *fs)``
-        # is one set, ``apply_general(op, sets)`` a batch.
+        # Counts input sets through the engine and its passes: each call
+        # ``apply_general(op, sets)`` is one pass over its sets.
         calls = {"apply_general": [], "apply_linear": []}
         passes = []
         general = hardylab.operators.apply_general
         linear = hardylab.operators.apply_linear
 
-        def counting_general(op, *fs):
-            batch = len(fs) == 1 and not isinstance(fs[0], SampledFunction)
-            calls["apply_general"].extend(fs[0] if batch else [fs])
+        def counting_general(op, sets):
+            calls["apply_general"].extend(sets)
             passes.append(1)
-            return general(op, *fs)
+            return general(op, sets)
 
         def counting_linear(*args, **kwargs):
             calls["apply_linear"].append(1)
@@ -486,6 +484,18 @@ class TestLegacyKind:
         out = tmp_path / "o"
         assert main(["run", str(path), "--out", str(out)]) == 2
         assert "kind" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_general_constant_one_is_config_error(self, tmp_path, capsys):
+        # constant_one is a product of one-slot constants, so a config that
+        # restates it as general no longer matches it.
+        path = tmp_path / "kind.ini"
+        path.write_text(
+            BASE_CONFIG.replace("symbol = sigma1_bilinear", "kind = general\nsymbol = constant_one")
+        )
+        out = tmp_path / "o"
+        assert main(["run", str(path), "--out", str(out)]) == 2
+        assert "of kind product, config says general" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("kind, code", [("general", 0), ("mixed", 2)])

@@ -1,6 +1,7 @@
 """Properties of the one application route, ``apply_operator``, that hold
 exactly on the torus: agreement with the exhaustive engine, multilinearity
-in each slot, and covariance under grid shifts.  Each holds within a
+in each slot, covariance under grid shifts, and conjugation symmetry for
+real symbols of a fixed parity.  Each holds within a
 rounding bound fixed here, before any example runs.  A batch of input sets
 gives every set the bits it gets alone, in the engine and in the factors."""
 
@@ -20,7 +21,6 @@ from hardylab.operators import (
     apply_operator,
     default_cutoff,
     operator_factors,
-    operator_factors_batch,
     sets_per_pass,
 )
 from hardylab.symbols import BUILTIN_NAMES, builtin_symbol
@@ -73,7 +73,7 @@ def _scales(fs):
 def test_route_agrees_with_general_engine(name, data):
     op, fs, _ = data.draw(cases(name))
     got = apply_operator(op, fs).values
-    want = apply_general(op, *fs)[0].values
+    want = apply_general(op, [fs])[0][0].values
     assert np.max(np.abs(got - want)) <= ROUNDING * _scales(fs)
 
 
@@ -108,6 +108,35 @@ def test_shift_covariance(name, data):
     assert np.max(np.abs(lhs - rhs)) <= ROUNDING * _scales(fs)
 
 
+# sigma(-xi) = PARITY * sigma(xi) for each builtin, written out rather than
+# computed: every builtin is real, so T(conj f) = PARITY * conj T(f).
+PARITY = {
+    "sigma1": 1,
+    "sigma2": -1,
+    "sigma2_factored": -1,
+    "sigma3": -1,
+    "sigma3_factored": -1,
+    "sigma4": 1,
+    "constant_one": 1,
+    "sigma1_bilinear": 1,
+}
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+@settings(derandomize=True, database=None, max_examples=8, deadline=None)
+@given(data=st.data())
+def test_conjugation_symmetry(name, data):
+    # The inputs live on |k| <= M/4, so the lattice's unpaired frequency
+    # -M/2 carries nothing; each example runs with and without the cutoff.
+    op, fs, _ = data.draw(cases(name))
+    conj = [SampledFunction(op.grid, np.conj(f.values)) for f in fs]
+    for cutoff in (None, default_cutoff(op.grid)):
+        cut_op = replace(op, cutoff=cutoff)
+        lhs = apply_operator(cut_op, conj).values
+        rhs = PARITY[name] * np.conj(apply_operator(cut_op, fs).values)
+        assert np.max(np.abs(lhs - rhs)) <= ROUNDING * _scales(fs)
+
+
 def _multi_slot_groups(symbol):
     """The distinct (slots, symbol) groups of two or more slots."""
     return list(
@@ -118,9 +147,6 @@ def _multi_slot_groups(symbol):
             if len(grp) > 1
         )
     )
-
-
-MULTI_SLOT = [name for name in BUILTIN_NAMES if _multi_slot_groups(SYMBOLS[name])]
 
 
 def _bits(values):
@@ -152,20 +178,22 @@ def batches(draw, name):
     return op, sets
 
 
-@pytest.mark.parametrize("name", MULTI_SLOT)
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
 @settings(derandomize=True, database=None, max_examples=8, deadline=None)
 @given(data=st.data())
 def test_batch_is_bit_for_bit_each_set_alone(name, data):
+    # Each multi-slot group's engine pass, and every set's factors (for a
+    # product symbol only its one-slot factors), match the set alone.
     op, sets = data.draw(batches(name))
     for grp, sym in _multi_slot_groups(op.symbol):
         group_op = replace(op, symbol=sym)
         inputs = [[fs[l] for l in grp] for fs in sets]
         for (out, g), one in zip(apply_general(group_op, inputs), inputs):
-            alone_out, alone_g = apply_general(group_op, *one)
+            alone_out, alone_g = apply_general(group_op, [one])[0]
             assert _same_bits(out.values, alone_out.values)
             assert _same_bits(g.coefficients, alone_g.coefficients)
-    for got, fs in zip(operator_factors_batch(op, sets), sets):
-        assert _same_factors(got, operator_factors(op, fs))
+    for got, fs in zip(operator_factors(op, sets), sets):
+        assert _same_factors(got, operator_factors(op, [fs])[0])
 
 
 def test_batch_over_the_byte_budget_splits(monkeypatch):
@@ -184,8 +212,8 @@ def test_batch_over_the_byte_budget_splits(monkeypatch):
         return apply_general(group_op, batch)
 
     monkeypatch.setattr(hardylab.operators, "apply_general", counting)
-    got = operator_factors_batch(op, sets)
+    got = operator_factors(op, sets)
     monkeypatch.undo()
     assert sorted(passes) == [(2, 33), (3, 1), (3, 32)]
     for factors, fs in zip(got, sets):
-        assert _same_factors(factors, operator_factors(op, fs))
+        assert _same_factors(factors, operator_factors(op, [fs])[0])

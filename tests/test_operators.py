@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import hardylab.operators
+import hardylab.verify
 from hardylab.grid import SampledFunction, Spectrum, dft, idft, make_grid, pointwise_product, sample
 from hardylab.operators import (
     MultilinearOperator,
@@ -134,7 +136,7 @@ class TestApplyGeneral:
         f = band_limited(grid32, 1)
         g = band_limited(grid32, 2)
         op = MultilinearOperator(builtin_symbol("constant_one", m=2), grid32)
-        out, _ = apply_general(op, f, g)
+        out, _ = apply_general(op, [[f, g]])[0]
         prod = pointwise_product(f, g)
         err = np.max(np.abs(out.values - prod.values)) / np.max(np.abs(prod.values))
         assert err < 1e-10
@@ -143,14 +145,14 @@ class TestApplyGeneral:
         f = band_limited(grid32, 3)
         zero = SampledFunction(grid32, np.zeros(32))
         op = MultilinearOperator(builtin_symbol("sigma1_bilinear"), grid32)
-        out, spec = apply_general(op, zero, f)
+        out, spec = apply_general(op, [[zero, f]])[0]
         assert np.all(out.values == 0)
         assert np.all(spec.coefficients == 0)
 
     def test_output_spectrum_inverts_to_output(self, grid32):
         op = MultilinearOperator(builtin_symbol("sigma1"), grid32)
         fs = [band_limited(grid32, s) for s in (4, 5, 6)]
-        out, spec = apply_general(op, *fs)
+        out, spec = apply_general(op, [fs])[0]
         back = idft(spec)
         err = np.max(np.abs(back.values - out.values))
         assert err <= 1e-10 * max(np.max(np.abs(out.values)), 1e-300)
@@ -160,9 +162,9 @@ class TestApplyGeneral:
         f = band_limited(grid32, 7)
         h = band_limited(grid32, 8)
         g = band_limited(grid32, 9)
-        lhs, _ = apply_general(op, 2.0 * f + 3.0 * h, g)
-        a, _ = apply_general(op, f, g)
-        b, _ = apply_general(op, h, g)
+        lhs, _ = apply_general(op, [[2.0 * f + 3.0 * h, g]])[0]
+        a, _ = apply_general(op, [[f, g]])[0]
+        b, _ = apply_general(op, [[h, g]])[0]
         combo = 2.0 * a + 3.0 * b
         scale = np.max(np.abs(combo.values))
         assert np.max(np.abs(lhs.values - combo.values)) < 1e-10 * scale
@@ -171,11 +173,11 @@ class TestApplyGeneral:
         op = MultilinearOperator(builtin_symbol("sigma1_bilinear"), grid32)
         f = band_limited(grid32, 10)
         g = band_limited(grid32, 11)
-        base, _ = apply_general(op, f, g)
+        base, _ = apply_general(op, [[f, g]])[0]
         shift = 5
         fr = SampledFunction(grid32, np.roll(f.values, shift))
         gr = SampledFunction(grid32, np.roll(g.values, shift))
-        moved, _ = apply_general(op, fr, gr)
+        moved, _ = apply_general(op, [[fr, gr]])[0]
         expected = np.roll(base.values, shift)
         err = np.max(np.abs(moved.values - expected)) / np.max(np.abs(expected))
         assert err < 1e-12
@@ -185,13 +187,13 @@ class TestApplyGeneral:
         op = MultilinearOperator(builtin_symbol("sigma1"), g, budget=1000)
         fs = [band_limited(g, s) for s in (1, 2, 3)]
         with pytest.raises(ValueError, match="budget"):
-            apply_general(op, *fs)
+            apply_general(op, [fs])[0]
 
     def test_grid_mismatch(self, grid32):
         other = make_grid(1, 8.0, 64)
         op = MultilinearOperator(builtin_symbol("sigma1_bilinear"), grid32)
         with pytest.raises(ValueError, match="grid"):
-            apply_general(op, band_limited(grid32, 1), band_limited(other, 2))
+            apply_general(op, [[band_limited(grid32, 1), band_limited(other, 2)]])[0]
 
     @pytest.mark.parametrize(
         "m, n, cut, chunk",
@@ -214,13 +216,13 @@ class TestApplyGeneral:
 
         grid, sym, fs = engine_case(m, n, seed=12)
         op = MultilinearOperator(sym, grid, cutoff=default_cutoff(grid) if cut else None)
-        base, _ = apply_general(op, *fs)
+        base, _ = apply_general(op, [fs])[0]
         if chunk == "ragged":
             # Three output frequencies per chunk; 3 divides neither 32 nor 64.
             chunk = 3 * grid.size ** (m - 1)
             assert grid.size % 3
         monkeypatch.setattr(ops, "_MAX_CHUNK_ELEMENTS", chunk)
-        chunked, _ = apply_general(op, *fs)
+        chunked, _ = apply_general(op, [fs])[0]
         assert np.array_equal(base.values.view(np.uint64), chunked.values.view(np.uint64))
 
     @pytest.mark.parametrize("cut", [False, True], ids=["uncut", "cut"])
@@ -232,7 +234,7 @@ class TestApplyGeneral:
         # (compared as uint64 views, so the sign of zero counts).
         grid, sym, fs = engine_case(m, n, seed=70)
         op = MultilinearOperator(sym, grid, cutoff=default_cutoff(grid) if cut else None)
-        out, g = apply_general(op, *fs)
+        out, g = apply_general(op, [fs])[0]
         ref = index_tuple_engine(op, *fs)
         assert np.array_equal(g.coefficients.view(np.uint64), ref.view(np.uint64))
         back = idft(Spectrum(grid, ref)).values
@@ -249,7 +251,7 @@ class TestApplyGeneral:
             grid = make_grid(1, 8.0, 256)
             op = MultilinearOperator(sigma4_trilinear_group(), grid, cutoff=default_cutoff(grid))
         fs = random_inputs(grid, op.m, 80)
-        _, g = apply_general(op, *fs)
+        _, g = apply_general(op, [fs])[0]
         ref = index_tuple_engine(op, *fs)
         assert np.array_equal(g.coefficients.view(np.uint64), ref.view(np.uint64))
 
@@ -267,7 +269,7 @@ class TestApplyGeneral:
         bound = min(32 * 2**20, 16 * (8 * ops._MAX_CHUNK_ELEMENTS + 16 * grid.size))
         tracemalloc.start()
         try:
-            apply_general(op, *fs)
+            apply_general(op, [fs])[0]
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -287,9 +289,9 @@ class TestApplyGeneral:
 
         op = MultilinearOperator(builtin_symbol("sigma1"), g)
         fs = [packet(0.3, 0.4, 3.0), packet(-0.5, 0.5, 2.0), packet(0.1, 0.45, -1.5)]
-        base, _ = apply_general(op, *fs)
+        base, _ = apply_general(op, [fs])[0]
         dilated_inputs = [spectral_dilate_two(f) for f in fs]
-        dilated_out, _ = apply_general(op, *dilated_inputs)
+        dilated_out, _ = apply_general(op, [dilated_inputs])[0]
         expected = spectral_dilate_two(base)
         x = g.axis_points()
         interior = np.abs(x) <= g.L / 2
@@ -319,7 +321,7 @@ class TestOracle:
     def test_agreement_with_general(self, grid32, trial):
         op = MultilinearOperator(builtin_symbol("sigma1"), grid32)
         fs = [band_limited(grid32, 100 + 3 * trial + j) for j in range(3)]
-        out, _ = apply_general(op, *fs)
+        out, _ = apply_general(op, [fs])[0]
         rng = np.random.default_rng(trial)
         idx = rng.choice(grid32.M, size=5, replace=False)
         pts = grid32.axis_points()[idx][:, None]
@@ -339,7 +341,7 @@ class TestOracle:
             sym = planar_symbol(m)
         op = MultilinearOperator(sym, grid, cutoff=default_cutoff(grid) if cut else None)
         fs = random_inputs(grid, m, 10 * m + n)
-        out, _ = apply_general(op, *fs)
+        out, _ = apply_general(op, [fs])[0]
         rng = np.random.default_rng(m + n)
         idx = rng.choice(grid.size, size=5, replace=False)
         pts = grid.points().reshape(-1, n)[idx]
@@ -380,7 +382,7 @@ class TestProductPath:
         s3 = builtin_symbol("sigma3")
         fs = [band_limited(grid32, s) for s in (35, 36, 37)]
         fast = apply_operator(MultilinearOperator(s3, grid32), fs)
-        dense, _ = apply_general(MultilinearOperator(s3, grid32), *fs)
+        dense, _ = apply_general(MultilinearOperator(s3, grid32), [fs])[0]
         scale = np.max(np.abs(dense.values))
         assert np.max(np.abs(fast.values - dense.values)) < 1e-9 * scale
 
@@ -402,7 +404,7 @@ class TestMixedPath:
         part = Partition(((0, 1, 2),), (s1,))
         fs = [band_limited(grid32, s) for s in (41, 42, 43)]
         mixed = apply_operator(MultilinearOperator(make_mixed_symbol([part]), grid32), fs)
-        dense, _ = apply_general(MultilinearOperator(s1, grid32), *fs)
+        dense, _ = apply_general(MultilinearOperator(s1, grid32), [fs])[0]
         assert np.array_equal(mixed.values, dense.values)
 
     def test_singleton_groups_give_product(self, grid32):
@@ -418,7 +420,7 @@ class TestMixedPath:
         s4 = builtin_symbol("sigma4")
         fs = [band_limited(grid32, s) for s in (47, 48, 49)]
         fast = apply_operator(MultilinearOperator(s4, grid32), fs)
-        dense, _ = apply_general(MultilinearOperator(s4, grid32), *fs)
+        dense, _ = apply_general(MultilinearOperator(s4, grid32), [fs])[0]
         scale = np.max(np.abs(dense.values))
         assert np.max(np.abs(fast.values - dense.values)) < 1e-9 * scale
 
@@ -426,7 +428,7 @@ class TestMixedPath:
         s2 = builtin_symbol("sigma2")
         fs = [band_limited(grid32, s) for s in (50, 51, 52)]
         fast = apply_operator(MultilinearOperator(s2, grid32), fs)
-        dense, _ = apply_general(MultilinearOperator(s2, grid32), *fs)
+        dense, _ = apply_general(MultilinearOperator(s2, grid32), [fs])[0]
         scale = np.max(np.abs(dense.values))
         assert np.max(np.abs(fast.values - dense.values)) < 1e-9 * scale
 
@@ -483,8 +485,8 @@ class TestOneSlotGroups:
         assert singles
         for sym in singles.values():
             single = MultilinearOperator(make_product_symbol([[sym]]), grid, cutoff)
-            fast = operator_factors(single, [f])[0][0].values
-            dense = apply_general(MultilinearOperator(sym, grid, cutoff), f)[0].values
+            fast = operator_factors(single, [[f]])[0][0][0].values
+            dense = apply_general(MultilinearOperator(sym, grid, cutoff), [[f]])[0][0].values
             assert np.array_equal(fast.view(np.uint64), dense.view(np.uint64))
 
 
@@ -497,7 +499,7 @@ class TestDistinctFactorsOnce:
         grid = make_grid(1, 8.0, 256)
         op = MultilinearOperator(builtin_symbol("sigma3"), grid, cutoff=default_cutoff(grid))
         fs = random_inputs(grid, 3, 90)
-        factors = operator_factors(op, fs)
+        factors = operator_factors(op, [fs])[0]
         freqs = grid.frequencies()
         mask = _slot_mask(freqs, op.cutoff)
         for part, term in zip(op.symbol.terms, factors):
@@ -538,9 +540,9 @@ class TestDistinctFactorsOnce:
 class TestOneValidation:
     # Every route checks its inputs through the operator, with one message.
     ROUTES = {
-        "apply_general": lambda op, fs: apply_general(op, *fs),
+        "apply_general": lambda op, fs: apply_general(op, [fs])[0],
         "apply_operator": apply_operator,
-        "operator_factors": operator_factors,
+        "operator_factors": lambda op, fs: operator_factors(op, [fs])[0],
     }
 
     @pytest.mark.parametrize("route", list(ROUTES))
@@ -554,10 +556,23 @@ class TestOneValidation:
             self.ROUTES[route](op, fs[:2] + [foreign])
 
 
+class TestOneSignature:
+    # The engine, the factors and the atom application each take a list of
+    # input sets; the single-set call forms are gone.
+    def test_removed_call_forms(self, grid32):
+        op = MultilinearOperator(builtin_symbol("sigma1_bilinear"), grid32)
+        with pytest.raises(TypeError):
+            apply_general(op, band_limited(grid32, 1), band_limited(grid32, 2))
+        twins = {name for name in dir(hardylab.operators) if name.startswith("operator_factors")}
+        assert twins == {"operator_factors"}
+        twins = {name for name in dir(hardylab.verify) if name.startswith("apply_to_atom")}
+        assert twins == {"apply_to_atoms"}
+
+
 class TestSpectralMoment:
     def test_zeroth_moment_is_dc_coefficient(self, grid32):
         op = MultilinearOperator(builtin_symbol("sigma1_bilinear"), grid32)
-        out, spec = apply_general(op, band_limited(grid32, 60), band_limited(grid32, 61))
+        out, spec = apply_general(op, [[band_limited(grid32, 60), band_limited(grid32, 61)]])[0]
         est = spectral_moment(spec, (0,))
         assert est.spectral == spec.at_zero()
         direct = np.sum(out.values) * grid32.dx
@@ -572,7 +587,7 @@ class TestSpectralMoment:
             make_atom(Cube((0.5,), 1.0), 1.0, 4, seed=2, grid=g),
             make_atom(Cube((-1.0,), 1.0), 1.0, 4, seed=3, grid=g),
         ]
-        out, spec = apply_general(op, *[a.values for a in atoms])
+        out, spec = apply_general(op, [[a.values for a in atoms]])[0]
         est = spectral_moment(spec, (0,))
         scale = np.sum(np.abs(out.values)) * g.dx
         assert abs(est.spectral) < 1e-11 * scale
@@ -588,7 +603,7 @@ class TestSpectralMoment:
             make_atom(Cube((0.5,), 1.0), 1.0, 2, seed=5, grid=g),
             make_atom(Cube((-1.0,), 1.0), 1.0, 2, seed=6, grid=g),
         ]
-        out, spec = apply_general(op, *[a.values for a in atoms])
+        out, spec = apply_general(op, [[a.values for a in atoms]])[0]
         est = spectral_moment(spec, (1,))
         scale = np.sum(np.abs(out.values)) * g.dx * atoms[0].cube.side
         assert abs(est.spectral) < 1e-6 * scale
@@ -596,7 +611,7 @@ class TestSpectralMoment:
 
     def test_order_cap(self, grid32):
         op = MultilinearOperator(builtin_symbol("sigma1_bilinear"), grid32)
-        _, spec = apply_general(op, band_limited(grid32, 62), band_limited(grid32, 63))
+        _, spec = apply_general(op, [[band_limited(grid32, 62), band_limited(grid32, 63)]])[0]
         with pytest.raises(ValueError, match="capped"):
             spectral_moment(spec, (5,))
 
@@ -609,14 +624,14 @@ class TestOneRoute:
         # apply_operator sums that one term onto zeros.
         general = [builtin_symbol(name) for name in BUILTIN_NAMES]
         general = [sym for sym in general if sym.kind == "general"]
-        assert len(general) == 5
+        assert len(general) == 4
         for sym in general:
             for cutoff in (None, default_cutoff(grid32)):
                 op = MultilinearOperator(sym, grid32, cutoff)
                 fs = [band_limited(grid32, s) for s in range(68, 68 + sym.m)]
-                want = apply_general(op, *fs)[0].values
+                want = apply_general(op, [fs])[0][0].values
                 if route == "operator_factors":
-                    factors = operator_factors(op, fs)
+                    factors = operator_factors(op, [fs])[0]
                     assert len(factors) == 1 and len(factors[0]) == 1
                     got = factors[0][0].values
                 else:

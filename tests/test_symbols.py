@@ -80,7 +80,12 @@ class TestBuiltins:
         # The kind is read from the terms alone: no terms is general, all
         # single-slot groups is product, and any larger group is mixed.
         assert "kind" not in {f.name for f in fields(Symbol)}
-        factorized = {"sigma2": "mixed", "sigma3": "product", "sigma4": "mixed"}
+        factorized = {
+            "sigma2": "mixed",
+            "sigma3": "product",
+            "sigma4": "mixed",
+            "constant_one": "product",
+        }
         for name in BUILTIN_NAMES:
             sym = builtin_symbol(name)
             assert (sym.terms is None) == (name not in factorized)
