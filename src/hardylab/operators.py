@@ -15,13 +15,17 @@ outputs.  A group is applied by one of two engines:
 * ``apply_general`` — exhaustive summation over the discretized frequency
   integral, grouped by output frequency eta.  For each eta the last input
   frequency is determined by the constraint xi_m = eta - (xi_1 + ... +
-  xi_{m-1}), wrapped periodically into the frequency box.  Cost is M^(m n)
-  symbol evaluations.  One path serves every arity and dimension: the m-1
-  free slots run over their tuples in lexicographic order (one empty tuple
-  when m = 1), and the cutoff is folded into every slot's spectrum.  The
-  wrapped last slot is read as contiguous windows of its spectrum (see
-  ``apply_general``), and output frequencies are processed in chunks of at
-  most ``_MAX_CHUNK_ELEMENTS`` tuples, so the working set stays in cache.
+  xi_{m-1}), wrapped periodically into the frequency box.  One path serves
+  every arity and dimension: the m-1 free slots run in lexicographic order
+  over the tuples of the cutoff's box, the W axis frequencies with |xi| <=
+  cutoff on each axis (``_box``; one empty tuple when m = 1), and the cutoff
+  is folded into every slot's spectrum.  A tuple with a free slot outside
+  the box is an exact zero, so cost is W^(n(m-1)) symbol evaluations per
+  output frequency: W = M without a cutoff, M/2+1 at the default one.  The
+  cost budget still counts M^(m n).  The wrapped last slot is read as
+  contiguous windows of its spectrum (see ``apply_general``), and output
+  frequencies are processed in chunks of at most ``_MAX_CHUNK_ELEMENTS``
+  tuples of the whole lattice, so the working set stays in cache.
   Every group of two or more slots runs here, as the operator with that
   group's symbol on its own inputs.  One pass takes a batch of input sets:
   each chunk's index windows and symbol values are computed once for all of
@@ -47,7 +51,9 @@ Determinism: within each output frequency the summation runs over free
 frequency tuples in lexicographic order, reduced along a contiguous axis by
 numpy's fixed pairwise tree, so results are bitwise independent of how the
 output-frequency range is partitioned into chunks or across workers, and of
-how the last slot's values are gathered into that axis.
+how the last slot's values are gathered into that axis.  The axis is the
+row of all M^(n(m-1)) free tuples, zero outside the box, so the tree sees
+the row a sum over the whole lattice would.
 """
 
 from __future__ import annotations
@@ -92,7 +98,8 @@ class MultilinearOperator:
     """A multiplier operator bound to a grid.
 
     ``cutoff`` drops every frequency tuple containing a slot with |xi_j|
-    larger than the radius.  ``None`` disables the cutoff.
+    larger than the radius.  ``None`` disables the cutoff; a negative or NaN
+    radius is a ValueError.
     """
 
     symbol: Symbol
@@ -105,6 +112,8 @@ class MultilinearOperator:
             raise ValueError(
                 f"symbol dimension {self.symbol.n} does not match grid dimension {self.grid.n}"
             )
+        if self.cutoff is not None and not self.cutoff >= 0:
+            raise ValueError(f"cutoff must be a non-negative radius or None, got {self.cutoff}")
 
     @property
     def m(self) -> int:
@@ -116,6 +125,16 @@ def _flat_freq_ints(grid: Grid) -> np.ndarray:
     ks = np.arange(-grid.M // 2, grid.M // 2, dtype=np.int32)
     mesh = np.meshgrid(*([ks] * grid.n), indexing="ij")
     return np.stack([ax.ravel() for ax in mesh], axis=1)
+
+
+def _check_sets(op: MultilinearOperator, sets: Sequence[Sequence[SampledFunction]]) -> None:
+    for fs in sets:
+        if isinstance(fs, SampledFunction):
+            raise TypeError(
+                "expected (op, sets), a list of input sets; pass one set as a list of one, "
+                "[[f_1, ..., f_m]]"
+            )
+        _check_inputs(op, fs)
 
 
 def _check_inputs(op: MultilinearOperator, fs: Sequence[SampledFunction]) -> None:
@@ -133,31 +152,49 @@ def _slot_mask(xi: np.ndarray, cutoff: float | None) -> np.ndarray:
     return (np.linalg.norm(xi, axis=-1) <= cutoff).astype(np.float64)
 
 
+def _box(grid: Grid, cutoff: float | None) -> tuple[int, int]:
+    """Start and width (a, W) of the contiguous run of axis indices whose
+    frequency has |xi| <= cutoff; (0, M) with no cutoff.  The cube of these
+    runs holds every lattice point ``_slot_mask`` keeps, since no coordinate
+    of a point is larger in magnitude than its norm.
+
+    A run of one frequency (cutoff < dxi) is widened to two: numpy forms a
+    one-element in-place complex product in a scalar loop that rounds
+    differently from its vector loop, so the engine's arrays keep at least
+    two elements, as they have on the whole lattice."""
+    keep = np.flatnonzero(np.abs(grid.axis_frequencies()) <= (np.inf if cutoff is None else cutoff))
+    return int(keep[0]), max(2, len(keep))
+
+
 # Tuples per chunk of output frequencies.  Measured on sigma1_bilinear at
 # M=4096 (4,096 tuples per frequency), passes of 1, 5 and 32 sets across
 # 2^13..2^17 (2 cores, numpy 2.4, medians of 5): 2^15 was fastest for 1 and
 # 5 sets (0.18 s and 0.62 s, against 0.20 s and 0.65 s at 2^16; 32 sets ran
 # fastest at 2^13, 3.3 s against 3.7 s), and each chunk temporary is 512 KiB,
-# so the chunk stays in cache.  A row longer
-# than the chunk (sigma4's trilinear group at M=256 has 65,536) runs one
-# frequency at a time.
+# so the chunk stays in cache.  The count is of rows of the whole lattice,
+# M^(n(m-1)) tuples each, since every row is reduced at that length; the
+# symbol runs on the box's W^(n(m-1)) of them.  A row longer than the chunk
+# (sigma4's trilinear group at M=256 has 65,536, of which its box at the
+# default cutoff holds 129^2 = 16,641) runs one frequency at a time.
 _MAX_CHUNK_ELEMENTS = 2**15
 
 # Bytes of per-set free products one engine pass may hold.  The sets of a
 # batch share every chunk's index windows and symbol values; this caps what
-# each set adds (16 S^(m-1) bytes): 32 sets at M=4096 bilinear, 2 at M=256
-# trilinear.
+# each set adds (16 W^(n(m-1)) bytes, one per box tuple): 32 sets at
+# M=4096 bilinear with no cutoff, 7 at M=256 trilinear with the default one.
 _MAX_BATCH_BYTES = 2**21
 
 
 def sets_per_pass(op: MultilinearOperator) -> int:
     """Input sets one ``apply_general`` pass takes for this operator: as many
-    as keep the free products of its widest group within
-    ``_MAX_BATCH_BYTES``, and 1 when no group has two or more slots."""
+    as keep the free products of its widest group, one per tuple of the
+    cutoff's box, within ``_MAX_BATCH_BYTES``, and 1 when no group has two
+    or more slots."""
     widest = max(len(grp) for part in op.symbol.partitions for grp in part.groups)
     if widest == 1:
         return 1
-    return max(1, _MAX_BATCH_BYTES // (16 * op.grid.size ** (widest - 1)))
+    _, W = _box(op.grid, op.cutoff)
+    return max(1, _MAX_BATCH_BYTES // (16 * W ** (op.grid.n * (widest - 1))))
 
 
 def _set_operands(
@@ -196,7 +233,19 @@ def apply_general(
     every slot's spectrum once, so a masked free slot contributes zero and a
     wrapped last slot that lands on a masked frequency does too.
 
-    Window gather: the free tuples split into blocks of B = M consecutive
+    Box: the free slots run only over the cube of the W axis frequencies
+    with |xi| <= cutoff (``_box``; W = M with no cutoff), since every other
+    free tuple has a masked slot and its term is an exact zero.  Each set's
+    terms, formed over the box, are written to their lexicographic positions
+    in a row of all F = M^(n(m-1)) free tuples that is zero elsewhere and
+    kept for the pass, and that row is what ``sum(axis=1)`` reduces.  So
+    the pairwise tree adds the same values at the same positions as it
+    would over the whole lattice, where the dropped terms were zeros too
+    (possibly -0.0; a zero leaves every partial sum that is not itself zero
+    unchanged, so at most the sign of an exactly-zero row sum could move,
+    and the uint64 tests against the whole-lattice engine see none move).
+
+    Window gather: the box tuples split into blocks of B = W consecutive
     tuples (B = 1 when m = 1) in which only the last axis of the last free
     slot moves, by one per tuple.  Within a block the wrapped last-slot index
     is constant on its leading axes and steps down cyclically on its last
@@ -209,8 +258,7 @@ def apply_general(
     ``sum(axis=1)`` over the whole row, so no bit of the output depends on
     the gather or on the chunk size.
     """
-    for inputs in sets:
-        _check_inputs(op, inputs)
+    _check_sets(op, sets)
     grid = op.grid
     m, n, M = op.m, grid.n, grid.M
     S = grid.size
@@ -226,19 +274,23 @@ def apply_general(
     axis_xi = xi_flat[:M, -1]  # (M,): the first M rows move only the last axis
     mask = _slot_mask(xi_flat, op.cutoff)
 
-    # Free slots 0..m-2 as tuples in lexicographic order (one empty tuple
-    # when m = 1); slot m-1 is wrapped.
-    free_idx = np.indices((S,) * (m - 1)).reshape(m - 1, S ** (m - 1))
-    F = free_idx.shape[1]
+    # Free slots 0..m-2 run over the box tuples in lexicographic order (one
+    # empty tuple when m = 1); slot m-1 is wrapped.  Every tuple with a free
+    # slot outside the box is an exact zero and is not formed.
+    a, W = _box(grid, op.cutoff)
+    d = n * (m - 1)  # free axes
+    F, Fb = M**d, W**d  # free tuples of the whole lattice, of the box
+    box = np.ravel_multi_index(tuple(np.indices((W,) * n).reshape(n, -1) + a), grid.shape)
+    free_idx = box[np.indices((W**n,) * (m - 1)).reshape(m - 1, Fb)]
     free_xis = [xi_flat[idx][None, :, :] for idx in free_idx]
 
-    # Blocks of B consecutive free tuples differ only in the last axis of
-    # the last free slot, which runs over all M values.  Across a block the
+    # Blocks of B consecutive box tuples differ only in the last axis of the
+    # last free slot, which runs over the W box values.  Across a block the
     # free sum rises by one on that axis, so the wrapped index s, s-1, ...
     # (mod M) sits at M-1-s, M-s, ... of the reversed axis, and doubling the
     # reversed axis makes every such run one contiguous window.
-    B = M if m > 1 else 1
-    block_ksum = k_flat[free_idx[:, ::B]].sum(axis=0, dtype=np.int64)  # (F // B, n)
+    B = W if m > 1 else 1
+    block_ksum = k_flat[free_idx[:, ::B]].sum(axis=0, dtype=np.int64)  # (Fb // B, n)
     xi_win = sliding_window_view(np.concatenate([axis_xi[::-1]] * 2), B)
 
     operands = [_set_operands(inputs, mask, free_idx, B) for inputs in sets]
@@ -246,6 +298,10 @@ def apply_general(
 
     g_flats = [np.empty(S, dtype=np.complex128) for _ in sets]
     chunk = max(1, min(S, _MAX_CHUNK_ELEMENTS // F))
+    # Rows of all F free tuples, zero outside the box (see the docstring);
+    # each set's terms are written into the box view.
+    row = np.zeros((chunk, F), dtype=np.complex128)
+    in_box = row.reshape((chunk,) + (M,) * d)[(slice(None),) + (slice(a, a + W),) * d]
     half = M // 2
     for start in range(0, S, chunk):
         stop = min(start + chunk, S)
@@ -254,18 +310,19 @@ def apply_general(
         # sum(free), folded into [-M/2, M/2).  M is a power of two, so the
         # fold is a bitwise AND.
         first = (k_flat[start:stop, None, :] - block_ksum[None, :, :] + half) & (M - 1)
-        lead = tuple(np.moveaxis(first[..., :-1], -1, 0))  # per leading axis (C, F // B)
+        lead = tuple(np.moveaxis(first[..., :-1], -1, 0))  # per leading axis (C, Fb // B)
         win = (M - 1 - first[..., -1],)  # window start in the reversed, doubled axis
 
-        xi_last = np.empty((C, F // B, B, n))
+        xi_last = np.empty((C, Fb // B, B, n))
         for axis, ix in enumerate(lead):
             xi_last[..., axis] = axis_xi[ix][..., None]
         xi_last[..., -1] = xi_win[win]
-        sigma = np.asarray(op.symbol.evaluate(*free_xis, xi_last.reshape(C, F, n)))
+        sigma = np.asarray(op.symbol.evaluate(*free_xis, xi_last.reshape(C, Fb, n)))
+        sigma = sigma.reshape((C,) + (W,) * d)
         for g_flat, (free_prod, spec_win) in zip(g_flats, operands):
-            terms = sigma * free_prod[None, :]
-            terms *= spec_win[lead + win].reshape(C, F)
-            g_flat[start:stop] = terms.sum(axis=1)
+            terms = np.multiply(sigma, free_prod.reshape((W,) * d), out=in_box[:C])
+            terms *= spec_win[lead + win].reshape(sigma.shape)
+            g_flat[start:stop] = row[:C].sum(axis=1)
 
     results = []
     for g_flat in g_flats:
@@ -372,8 +429,7 @@ def operator_factors(
     ``apply_general`` pass per ``sets_per_pass`` of the sets, so its symbol
     is evaluated once for all of them and each set's factors are bit for
     bit those of the set alone; one-slot groups run set by set."""
-    for fs in sets:
-        _check_inputs(op, fs)
+    _check_sets(op, sets)
     terms = op.symbol.partitions
     groups = dict.fromkeys(
         (grp, sym) for part in terms for grp, sym in zip(part.groups, part.symbols)

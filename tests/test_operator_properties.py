@@ -197,13 +197,16 @@ def test_batch_is_bit_for_bit_each_set_alone(name, data):
 
 
 def test_batch_over_the_byte_budget_splits(monkeypatch):
-    # sigma4's trilinear group takes 32 sets per pass at M=64 (64 KiB of
-    # free products each); 33 sets run as two passes of that group and one
-    # of its bilinear group.
+    # sigma4's trilinear group at M=64 has 33^2 free tuples in the default
+    # cutoff's box (17,424 bytes of free products per set), so 2 MiB takes
+    # 120 sets per pass.  With the budget cut to 32 sets, 33 sets run as two
+    # passes of that group and one of its bilinear group.
     grid = make_grid(1, 8.0, 64)
     op = MultilinearOperator(SYMBOLS["sigma4"], grid, default_cutoff(grid))
     rng = np.random.default_rng(7)
     sets = [[band_limited(grid, rng, 16) for _ in range(3)] for _ in range(33)]
+    assert sets_per_pass(op) == 120
+    monkeypatch.setattr(hardylab.operators, "_MAX_BATCH_BYTES", 32 * 16 * 33**2)
     assert sets_per_pass(op) == 32
     passes = []
 

@@ -84,6 +84,26 @@ def engine_case(m, n, seed):
     return grid, planar_symbol(m), random_inputs(grid, m, seed)
 
 
+def case_cutoff(grid, cut):
+    """An engine case's cutoff: none, the default, half a frequency step (a
+    one-frequency box), or 2.5 steps, whose box |k| <= 2 has its corners
+    (norm 2 sqrt(2) steps at n = 2) outside the ball."""
+    return {
+        "uncut": None,
+        "cut": default_cutoff(grid),
+        "one-frequency": 0.5 * grid.dxi,
+        "ball": 2.5 * grid.dxi,
+    }[cut]
+
+
+# (m, n, cut) for the engine's bit-parity cases: every arity and dimension
+# with no cutoff, the default one and a one-frequency box, and at n = 2 a
+# box whose corners lie outside the cutoff's ball.
+ENGINE_CUTS = [
+    (m, n, cut) for m in (1, 2, 3) for n in (1, 2) for cut in ("uncut", "cut", "one-frequency")
+] + [(m, 2, "ball") for m in (1, 2, 3)]
+
+
 def index_tuple_engine(op, *fs):
     """Reference copy of the exhaustive engine as it was before window
     gathers: the wrapped last slot is gathered from grid-shaped arrays with
@@ -198,24 +218,19 @@ class TestApplyGeneral:
     @pytest.mark.parametrize(
         "m, n, cut, chunk",
         [
-            pytest.param(3, 1, False, 2048, id="n1-uncut"),
-            pytest.param(3, 1, True, 2048, id="n1-cut"),
-            pytest.param(3, 2, False, 2048, id="n2-uncut"),
-            pytest.param(3, 2, True, 2048, id="n2-cut"),
+            pytest.param(3, 1, "uncut", 2048, id="n1-uncut"),
+            pytest.param(3, 1, "cut", 2048, id="n1-cut"),
+            pytest.param(3, 2, "uncut", 2048, id="n2-uncut"),
+            pytest.param(3, 2, "cut", 2048, id="n2-cut"),
         ]
-        + [
-            pytest.param(m, n, cut, "ragged", id=f"m{m}-n{n}-{'cut' if cut else 'uncut'}-ragged")
-            for m in (1, 2, 3)
-            for n in (1, 2)
-            for cut in (False, True)
-        ],
+        + [pytest.param(m, n, cut, "ragged", id=f"m{m}-n{n}-{cut}-ragged") for m, n, cut in ENGINE_CUTS],
     )
     def test_chunking_is_bitwise_invariant(self, m, n, cut, chunk, monkeypatch):
         # Partitioning the output-frequency range must not change a single bit.
         import hardylab.operators as ops
 
         grid, sym, fs = engine_case(m, n, seed=12)
-        op = MultilinearOperator(sym, grid, cutoff=default_cutoff(grid) if cut else None)
+        op = MultilinearOperator(sym, grid, cutoff=case_cutoff(grid, cut))
         base, _ = apply_general(op, [fs])[0]
         if chunk == "ragged":
             # Three output frequencies per chunk; 3 divides neither 32 nor 64.
@@ -225,20 +240,28 @@ class TestApplyGeneral:
         chunked, _ = apply_general(op, [fs])[0]
         assert np.array_equal(base.values.view(np.uint64), chunked.values.view(np.uint64))
 
-    @pytest.mark.parametrize("cut", [False, True], ids=["uncut", "cut"])
-    @pytest.mark.parametrize("n", [1, 2], ids=["n1", "n2"])
-    @pytest.mark.parametrize("m", [1, 2, 3], ids=["m1", "m2", "m3"])
+    @pytest.mark.parametrize(
+        "m, n, cut", [pytest.param(*case, id="m{}-n{}-{}".format(*case)) for case in ENGINE_CUTS]
+    )
     def test_window_gather_equals_index_tuple_engine(self, m, n, cut):
-        # The window gather reads the same values into the same (F,) rows,
-        # so every bit of the output matches the index-tuple reference
-        # (compared as uint64 views, so the sign of zero counts).
-        grid, sym, fs = engine_case(m, n, seed=70)
-        op = MultilinearOperator(sym, grid, cutoff=default_cutoff(grid) if cut else None)
-        out, g = apply_general(op, [fs])[0]
-        ref = index_tuple_engine(op, *fs)
-        assert np.array_equal(g.coefficients.view(np.uint64), ref.view(np.uint64))
-        back = idft(Spectrum(grid, ref)).values
-        assert np.array_equal(out.values.view(np.uint64), back.view(np.uint64))
+        # The window gather over the cutoff's box reads the same values into
+        # the same (F,) rows, zero outside the box, so every bit of the
+        # output matches the index-tuple reference over the whole lattice
+        # (compared as uint64 views, so the sign of zero counts).  Four draws:
+        # in a one-frequency box at m = 3, n = 2 the one free product is
+        # rounded by numpy's scalar loop, unless the box is widened, and
+        # differs from the vector loop's in about a third of draws.
+        for seed in range(70, 74):
+            grid, sym, fs = engine_case(m, n, seed=seed)
+            op = MultilinearOperator(sym, grid, cutoff=case_cutoff(grid, cut))
+            if cut == "ball":
+                corner = np.sqrt(n) * 2 * grid.dxi
+                assert 2 * grid.dxi <= op.cutoff < min(corner, 3 * grid.dxi)
+            out, g = apply_general(op, [fs])[0]
+            ref = index_tuple_engine(op, *fs)
+            assert np.array_equal(g.coefficients.view(np.uint64), ref.view(np.uint64))
+            back = idft(Spectrum(grid, ref)).values
+            assert np.array_equal(out.values.view(np.uint64), back.view(np.uint64))
 
     @pytest.mark.parametrize("workload", ["lemmas", "mixed-trilinear"])
     def test_window_gather_on_workload_shapes(self, workload):
@@ -258,22 +281,30 @@ class TestApplyGeneral:
     def test_peak_memory_is_chunk_sized(self):
         # Bound from the design: at most 8 live chunk-sized temporaries of
         # 16 bytes per element, plus 16 arrays of 16 bytes per grid point for
-        # the free-tuple and spectrum arrays; never above 32 MiB.
+        # the free-tuple and spectrum arrays; never above 32 MiB.  Both
+        # workload shapes: sigma1_bilinear at M=4096 with no cutoff, and
+        # sigma4's trilinear group at M=256 with the default cutoff, whose
+        # rows of 65,536 tuples run one at a time over a box of 16,641.
         import tracemalloc
 
         import hardylab.operators as ops
 
-        grid = make_grid(1, 8.0, 4096)
-        op = MultilinearOperator(builtin_symbol("sigma1_bilinear"), grid)
-        fs = random_inputs(grid, 2, 81)
-        bound = min(32 * 2**20, 16 * (8 * ops._MAX_CHUNK_ELEMENTS + 16 * grid.size))
-        tracemalloc.start()
-        try:
-            apply_general(op, [fs])[0]
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < bound
+        big = make_grid(1, 8.0, 4096)
+        small = make_grid(1, 8.0, 256)
+        cases = [
+            MultilinearOperator(builtin_symbol("sigma1_bilinear"), big),
+            MultilinearOperator(sigma4_trilinear_group(), small, cutoff=default_cutoff(small)),
+        ]
+        for op in cases:
+            fs = random_inputs(op.grid, op.m, 81)
+            bound = min(32 * 2**20, 16 * (8 * ops._MAX_CHUNK_ELEMENTS + 16 * op.grid.size))
+            tracemalloc.start()
+            try:
+                apply_general(op, [fs])[0]
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < bound
 
     def test_dilation_equivariance_homogeneous(self):
         # Degree-zero symbols commute with simultaneous dilation; with wave
@@ -537,6 +568,25 @@ class TestDistinctFactorsOnce:
         assert not any(w.flags.writeable for w in weights.values())
 
 
+@pytest.mark.parametrize("cutoff", [-1.0, -1e-300, float("nan")])
+def test_bad_cutoff_rejected(grid32, cutoff):
+    # A negative or NaN radius would mask every frequency and leave the
+    # engine's box empty.
+    with pytest.raises(ValueError, match="cutoff must be a non-negative radius"):
+        MultilinearOperator(builtin_symbol("sigma1_bilinear"), grid32, cutoff=cutoff)
+
+
+def test_zero_and_infinite_cutoffs_accepted(grid32):
+    # Radius 0 keeps the zero frequency alone; an infinite one keeps them all.
+    fs = random_inputs(grid32, 2, 3)
+    sym = builtin_symbol("sigma1_bilinear")
+    (_, zero), = apply_general(MultilinearOperator(sym, grid32, cutoff=0.0), [fs])
+    assert np.count_nonzero(zero.coefficients) <= 1
+    (_, inf), = apply_general(MultilinearOperator(sym, grid32, cutoff=float("inf")), [fs])
+    (_, none), = apply_general(MultilinearOperator(sym, grid32), [fs])
+    assert np.array_equal(inf.coefficients.view(np.uint64), none.coefficients.view(np.uint64))
+
+
 class TestOneValidation:
     # Every route checks its inputs through the operator, with one message.
     ROUTES = {
@@ -559,6 +609,14 @@ class TestOneValidation:
 class TestOneSignature:
     # The engine, the factors and the atom application each take a list of
     # input sets; the single-set call forms are gone.
+    @pytest.mark.parametrize("route", [apply_general, operator_factors], ids=lambda r: r.__name__)
+    def test_flat_set_names_the_sets_form(self, route, grid32):
+        # One set passed without its enclosing list.
+        op = MultilinearOperator(builtin_symbol("sigma1_bilinear"), grid32)
+        fs = [band_limited(grid32, 1), band_limited(grid32, 2)]
+        with pytest.raises(TypeError, match=r"expected \(op, sets\).*list of one"):
+            route(op, fs)
+
     def test_removed_call_forms(self, grid32):
         op = MultilinearOperator(builtin_symbol("sigma1_bilinear"), grid32)
         with pytest.raises(TypeError):

@@ -517,8 +517,8 @@ class TestBoundednessEnsemble:
             run_boundedness_ensemble(cfg)
 
 
-# One small config per operator class; the mixed one runs in passes of two
-# trials, the product one trial by trial.
+# One small config per operator class; the mixed one runs its three trials in
+# one pass, the product one trial by trial.
 BATCHED_CONFIGS = {
     "general": dict(trials=4),
     "mixed": dict(
@@ -534,15 +534,15 @@ BATCHED_CONFIGS = {
 
 class TestStagedTrials:
     def test_inadmissible_draw_aborts_only_its_trial(self):
-        # sigma4 at M=256 runs two trials per pass.  With sides 0.5 and 1,
-        # trials 1 and 3 draw admissible atoms and share their passes with
-        # trials 0 and 2, whose half-unit cubes are too narrow.
+        # sigma4 at M=256 runs seven trials per pass.  With sides 0.5 and 1,
+        # trials 1 and 3 draw admissible atoms and share the first pass with
+        # trials 0, 2, 4, 5 and 6, whose half-unit cubes are too narrow.
         cfg = _ensemble_config(
             symbol="sigma4", exponents=(2.0, 2.0, 2.0), M=256, trials=8, max_atoms=2, seed=5,
             ell_choices=(0.5, 1.0), center_span=0.25, N_override=None, use_cutoff=True,
         )
         ctx = run_context(cfg)
-        assert hardylab.operators.sets_per_pass(ctx.op) == 2
+        assert hardylab.operators.sets_per_pass(ctx.op) == 7
         records = run_boundedness_ensemble(cfg).trials
         live = [t.trial_id for t in records if not t.flags]
         assert live == [1, 3]
