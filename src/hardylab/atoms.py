@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -99,14 +100,16 @@ def _bump_weight(u: np.ndarray) -> np.ndarray:
     return np.where(inside, np.exp(np.sum(logs, axis=-1)), 0.0)
 
 
-def _monomial_exponents(n: int, max_degree: int) -> list[tuple[int, ...]]:
-    """Multi-indices with total degree <= max_degree, graded lexicographic."""
-    out = []
-    for total in range(max_degree + 1):
-        for combo in itertools.product(range(total + 1), repeat=n):
-            if sum(combo) == total:
-                out.append(combo)
-    return out
+@lru_cache(maxsize=64)
+def _monomial_exponents(n: int, max_degree: int) -> tuple[tuple[int, ...], ...]:
+    """Multi-indices with total degree <= max_degree, graded lexicographic.
+    Cached, so the result is a tuple."""
+    return tuple(
+        combo
+        for total in range(max_degree + 1)
+        for combo in itertools.product(range(total + 1), repeat=n)
+        if sum(combo) == total
+    )
 
 
 def _legendre_values(u_axes: Sequence[np.ndarray], beta: tuple[int, ...]) -> np.ndarray:

@@ -13,6 +13,7 @@ bare integer indices; every route of an operator reads this one lattice.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -94,9 +95,26 @@ class Grid:
 
 
 def _frozen_complex(values: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    arr = np.array(values, dtype=np.complex128, order="C")
+    """A read-only complex128 C-ordered copy of ``values``, or ``values``
+    itself when it is already one that owns its data (``_frozen``): a
+    transform's fresh output is taken without a second copy."""
+    owned = (
+        isinstance(values, np.ndarray)
+        and values.dtype == np.complex128
+        and values.flags.c_contiguous
+        and values.flags.owndata
+        and not values.flags.writeable
+    )
+    arr = values if owned else np.array(values, dtype=np.complex128, order="C")
     if arr.shape != shape:
         raise ValueError(f"value array has shape {arr.shape}, expected {shape}")
+    arr.setflags(write=False)
+    return arr
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """Mark an array the caller has just made, and keeps no other reference
+    to, read-only, so ``SampledFunction`` and ``Spectrum`` take it as it is."""
     arr.setflags(write=False)
     return arr
 
@@ -195,20 +213,45 @@ def sample(f: Callable[..., complex], grid: Grid) -> SampledFunction:
     return SampledFunction(grid, values)
 
 
+def _half_shift(a: np.ndarray) -> np.ndarray:
+    """A copy of a grid-shaped array rolled by M/2 on every axis, as slice
+    copies.  For the grid's even M this is both ``np.fft.fftshift`` and
+    ``np.fft.ifftshift``: it maps centred order (index j at k = j - M/2) to
+    FFT order (index k mod M) and back.  At M = 1 it is a copy."""
+    M = a.shape[0]
+    h = M // 2
+    out = np.empty_like(a)
+    halves = ((slice(0, M - h), slice(h, M)), (slice(M - h, M), slice(0, h)))
+    for corner in itertools.product(halves, repeat=a.ndim):
+        out[tuple(dst for _, dst in corner)] = a[tuple(src for src, _ in corner)]
+    return out
+
+
+def _fft_forward(values: np.ndarray) -> np.ndarray:
+    """Unscaled FFT of centred samples, in FFT order: fftn(_half_shift(values))."""
+    return np.fft.fftn(_half_shift(values))
+
+
+def _fft_inverse(coeffs: np.ndarray) -> np.ndarray:
+    """Centred samples of an FFT-order spectrum, unscaled: the inverse of
+    ``_fft_forward`` up to rounding."""
+    return _half_shift(np.fft.ifftn(coeffs))
+
+
 def dft(f: SampledFunction) -> Spectrum:
     """Forward transform, rectangle rule: dx^n * FFT with centered indexing."""
     g = f.grid
-    shifted = np.fft.ifftshift(f.values)
-    coeffs = np.fft.fftshift(np.fft.fftn(shifted)) * g.dx**g.n
-    return Spectrum(g, coeffs)
+    coeffs = _half_shift(_fft_forward(f.values))
+    coeffs *= g.dx**g.n
+    return Spectrum(g, _frozen(coeffs))
 
 
 def idft(s: Spectrum) -> SampledFunction:
     """Inverse transform; exact inverse of dft up to rounding."""
     g = s.grid
-    shifted = np.fft.ifftshift(s.coefficients)
-    values = np.fft.fftshift(np.fft.ifftn(shifted)) / g.dx**g.n
-    return SampledFunction(g, values)
+    values = _fft_inverse(_half_shift(s.coefficients))
+    values /= g.dx**g.n
+    return SampledFunction(g, _frozen(values))
 
 
 def lp_quasinorm(f: SampledFunction, p: float) -> float:

@@ -10,7 +10,7 @@ One application route, ``apply_operator``: every symbol is read as a sum
 of partition terms (``Symbol.partitions``; a general symbol is one term with
 one group of all m slots), ``operator_factors`` applies each group, and
 ``sum_of_products`` sums over terms the pointwise product of their group
-outputs.  A group is applied by one of two engines:
+outputs.  A group is applied by one of three engines:
 
 * ``apply_general`` — exhaustive summation over the discretized frequency
   integral, grouped by output frequency eta.  For each eta the last input
@@ -26,12 +26,27 @@ outputs.  A group is applied by one of two engines:
   contiguous windows of its spectrum (see ``apply_general``), and output
   frequencies are processed in chunks of at most ``_MAX_CHUNK_ELEMENTS``
   tuples of the whole lattice, so the working set stays in cache.
-  Every group of two or more slots runs here, as the operator with that
-  group's symbol on its own inputs.  One pass takes a batch of input sets:
-  each chunk's index windows and symbol values are computed once for all of
-  them, and each set's output is bit for bit that of a pass over it alone.
+  Every group of three or more slots runs here, and a two-slot group that
+  the cost rule below keeps, as the operator with that group's symbol on
+  its own inputs.  One pass takes a batch of input sets: each chunk's index
+  windows and symbol values are computed once for all of them, and each
+  set's output is bit for bit that of a pass over it alone.
   ``operator_factors`` gives a pass as many sets as keep their free
-  products within ``_MAX_BATCH_BYTES`` (``sets_per_pass``).
+  products within ``_MAX_BATCH_BYTES`` (``sets_per_pass``).  It is also the
+  reference every other engine is tested against.
+* ``apply_low_rank`` — a two-slot group whose symbol splits as
+  sigma(xi_1, xi_2) ~ sum_r u_r(xi_1) v_r(xi_2) on the masked lattice of
+  the cutoff's box (``low_rank_factors``: the exact cross through xi = 0,
+  adaptive cross approximation, recompression), applied as sum_r (T_{u_r}
+  f_1)(T_{v_r} f_2): 2r + 2 transforms of length S = M^n per set, against
+  S W^n symbol products.  The cost rule takes it when its rank r stays
+  below W^n / (2 log2 S) (``_rank_cap``), a rule of (symbol, grid, cutoff)
+  alone, so a replay takes the engine its ensemble took, bit for bit; ACA
+  stops as soon as the rank reaches that cap.  The split is cached with
+  one entry.  Per set it reports a bound on its distance from the
+  exhaustive sum, eps dxi^(2n) |f^_1|_1 |f^_2|_1, where eps is ten times the
+  largest residual of the split sampled on seeded lattice pairs, rows and
+  columns; ``operator_factors`` carries it into ``Factors.bound``.
 * ``apply_linear`` — a one-slot group is a 1-linear multiplier on its
   input's forward transform, computed once per input and shared by every
   term; bit for bit ``apply_general`` at m = 1, at a third of its cost.
@@ -53,30 +68,47 @@ numpy's fixed pairwise tree, so results are bitwise independent of how the
 output-frequency range is partitioned into chunks or across workers, and of
 how the last slot's values are gathered into that axis.  The axis is the
 row of all M^(n(m-1)) free tuples, zero outside the box, so the tree sees
-the row a sum over the whole lattice would.
+the row a sum over the whole lattice would.  The low-rank engine takes each
+set through the same steps in the same order, so its outputs do not depend
+on the batch either.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .grid import Grid, SampledFunction, Spectrum, _masked_moment, dft, idft
+from .grid import (
+    Grid,
+    SampledFunction,
+    Spectrum,
+    _fft_forward,
+    _frozen,
+    _half_shift,
+    _masked_moment,
+    dft,
+    idft,
+)
 from .symbols import Symbol
 
 __all__ = [
     "MultilinearOperator",
     "MomentEstimate",
     "apply_general",
+    "apply_low_rank",
     "apply_oracle",
     "apply_operator",
     "operator_factors",
+    "low_rank_factors",
+    "LowRankFactors",
+    "Factors",
     "sum_of_products",
     "spectral_moment",
     "default_cutoff",
@@ -84,7 +116,6 @@ __all__ = [
 ]
 
 DEFAULT_COST_BUDGET = 2**26
-Factors = tuple[tuple[SampledFunction, ...], ...]  # per operator term, its factor outputs
 GeneralOutput = tuple[SampledFunction, Spectrum]  # an engine output and its grouped spectrum
 
 
@@ -143,6 +174,17 @@ def _check_inputs(op: MultilinearOperator, fs: Sequence[SampledFunction]) -> Non
     for f in fs:
         if f.grid != op.grid:
             raise ValueError("all inputs must share the operator's grid")
+
+
+def _check_budget(op: MultilinearOperator) -> None:
+    """The cost budget counts the S^m tuples of the whole lattice, whichever
+    engine applies the operator."""
+    calls = op.grid.size**op.m
+    if calls > op.budget:
+        raise ValueError(
+            f"apply_general needs {calls} evaluator calls, over the budget {op.budget}; "
+            "use the product/mixed fast path or a smaller grid"
+        )
 
 
 def _slot_mask(xi: np.ndarray, cutoff: float | None) -> np.ndarray:
@@ -259,15 +301,10 @@ def apply_general(
     the gather or on the chunk size.
     """
     _check_sets(op, sets)
+    _check_budget(op)
     grid = op.grid
     m, n, M = op.m, grid.n, grid.M
     S = grid.size
-    calls = S**m
-    if calls > op.budget:
-        raise ValueError(
-            f"apply_general needs {calls} evaluator calls, over the budget {op.budget}; "
-            "use the product/mixed fast path or a smaller grid"
-        )
 
     k_flat = _flat_freq_ints(grid)  # (S, n)
     xi_flat = k_flat * grid.dxi  # (S, n) float
@@ -330,6 +367,365 @@ def apply_general(
         g = Spectrum(grid, g_flat.reshape(grid.shape))
         results.append((idft(g), g))
     return results
+
+
+# ACA stops when its latest term is this small against the approximation:
+# |u_k| |v_k| <= _ACA_TOL * |S_k|_F, with |S_k|_F the running Frobenius norm
+# of the sum of the terms so far.
+_ACA_TOL = 3e-15
+
+# The reported residual eps is _RESIDUAL_SAFETY times the largest residual
+# |sigma - sum_r u_r v_r| seen on _RESIDUAL_PAIRS lattice pairs and on
+# _RESIDUAL_LINES whole rows and as many whole columns, drawn from a fixed seed.
+_RESIDUAL_SAFETY = 10.0
+_RESIDUAL_PAIRS = 2**14
+_RESIDUAL_LINES = 4
+_RESIDUAL_SEED = 2000
+
+
+@dataclass(frozen=True, eq=False)
+class LowRankFactors:
+    """A two-slot symbol on the masked lattice of the cutoff's box, split as
+    sigma(xi_i, xi_j) ~ sum_r u[r][i] v[r][j].
+
+    The P = W^n box points are in FFT order (``_box_lattice``): ``index``
+    places them in the flat FFT-order lattice (a whole slice when the box is
+    the lattice), and ``mask`` is ``_slot_mask`` on them.  ``u`` and ``v``
+    hold a row of P values per term, zero where the mask is: double
+    precision, then single for the smallest terms.  ``eps`` bounds |sigma -
+    sum_r u_r v_r| on the box: _RESIDUAL_SAFETY times the largest sampled
+    residual, plus the most that single precision moves an entry.
+    """
+
+    index: np.ndarray | slice
+    mask: np.ndarray
+    u: tuple[np.ndarray, ...]
+    v: tuple[np.ndarray, ...]
+    eps: float
+
+    @property
+    def rank(self) -> int:
+        return len(self.u)
+
+
+def _box_lattice(
+    grid: Grid, cutoff: float | None
+) -> tuple[np.ndarray | slice, np.ndarray, np.ndarray]:
+    """The cutoff's box points in FFT order, the zero frequency first: their
+    flat FFT-order lattice indices (a whole slice when the box is the
+    lattice), their frequencies (P, n), and ``_slot_mask`` on them."""
+    a, W = _box(grid, cutoff)
+    M, n = grid.M, grid.n
+    ks = np.arange(a, a + W) - M // 2
+    fft_axis = np.concatenate([ks[ks >= 0], ks[ks < 0] + M])
+    axes = [ax.ravel() for ax in np.meshgrid(*[fft_axis] * n, indexing="ij")]
+    k = np.stack([(ax + M // 2) % M - M // 2 for ax in axes], axis=1)
+    xi = k * grid.dxi
+    index = slice(None) if W == M else np.ravel_multi_index(tuple(axes), grid.shape)
+    if W < M:
+        index.setflags(write=False)
+    return index, xi, _slot_mask(xi, cutoff)
+
+
+def _rank_cap(grid: Grid, cutoff: float | None) -> float:
+    """The cost rule: the rank r at which 2 r log2(S) >= W^n, where the
+    exhaustive engine's W^n symbol products per output frequency cost no
+    more than the low-rank engine's 2r transforms of length S."""
+    _, W = _box(grid, cutoff)
+    return W**grid.n / (2 * math.log2(grid.size)) if grid.size > 1 else math.inf
+
+
+def _term_rows(rows: int, P: int, dtype: np.dtype) -> tuple[np.ndarray, mmap.mmap]:
+    """A (rows, P) array of terms in an anonymous memory map of its own: a
+    page costs memory once it is written, and every page goes back to the
+    system when the array is freed, or earlier through ``_release_rows``,
+    whatever malloc's thresholds have become."""
+    buf = mmap.mmap(-1, max(1, rows * P * dtype.itemsize))
+    return np.frombuffer(buf, dtype=dtype, count=rows * P).reshape(rows, P), buf
+
+
+def _release_rows(buf: mmap.mmap, rows: np.ndarray, keep: int) -> None:
+    """Return the pages past the first ``keep`` rows of ``rows`` (which
+    ``buf`` holds) to the system, where it takes that advice; they read as
+    zeros afterwards."""
+    start = -(-keep * rows.shape[1] * rows.itemsize // mmap.PAGESIZE) * mmap.PAGESIZE
+    if start < len(buf) and hasattr(mmap, "MADV_DONTNEED"):
+        buf.madvise(mmap.MADV_DONTNEED, start, len(buf) - start)
+
+
+@lru_cache(maxsize=1)
+def low_rank_factors(
+    symbol: Symbol, grid: Grid, cutoff: float | None, max_rank: float
+) -> LowRankFactors | None:
+    """Adaptive cross approximation with partial pivoting (Bebendorf, Numer.
+    Math. 86, 2000) of the masked matrix A[i, j] = sigma(xi_i, xi_j) over the
+    box points, recompressed (``_recompress``), or None once ACA's rank
+    reaches ``max_rank`` (the cost rule passes ``_rank_cap``).
+
+    The row and the column through xi = 0 are taken exactly as two rank-one
+    terms first: ``_safe_div`` makes sigma(0, 0) = 0 next to sigma(0, b) =
+    1, a jump that ACA alone does not resolve.  ACA then runs on the
+    remainder from the row after xi = 0, each next row the largest entry of
+    the last column among rows not yet used (the first on ties), and stops
+    when |u_k| |v_k| <= _ACA_TOL |S_k|_F.  A row whose residual is exactly
+    zero is passed over for the first unused row.  The split is then
+    recompressed and its residual sampled (``_sampled_residual``); a sampled
+    entry above _ACA_TOL |S|_F means ACA stopped early, and it goes on from
+    that entry's row.  Every step is fixed by (symbol, grid, cutoff), so the
+    factors and every bit the engine computes from them are too.  The terms
+    live in memory maps (``_term_rows``).  Cached with one entry."""
+    if max_rank <= 2:  # the cross alone reaches it
+        return None
+    index, xi, mask = _box_lattice(grid, cutoff)
+    P = len(xi)
+
+    def line(i: int, slot: int) -> np.ndarray:
+        """Row i (slot 0 held at xi_i) or column i (slot 1 held) of A."""
+        held = np.broadcast_to(xi[i], xi.shape)
+        pair = (held, xi) if slot == 0 else (xi, held)
+        return np.asarray(symbol.evaluate(*pair)) * (mask * mask[i])
+
+    first_row, first_column = line(0, 0), line(0, 1)
+    dtype = np.result_type(first_row, first_column)
+    capacity = int(min(max_rank, P)) + 1
+    (U, u_buf), (V, v_buf) = _term_rows(capacity, P, dtype), _term_rows(capacity, P, dtype)
+    U[0, 0] = V[1, 0] = 1.0
+    V[0], U[1] = first_row, first_column
+    U[1, 0] = 0.0
+    frob2 = float(np.vdot(V[0], V[0]).real + np.vdot(U[1], U[1]).real)
+    r = 2
+    used = np.zeros(P, dtype=bool)
+    used[0] = True
+    i = 1
+    while True:
+        while r < max_rank and i < P and not used[i]:  # else every row is used: exact
+            row = line(i, 0) - U[:r, i] @ V[:r]
+            used[i] = True
+            j = int(np.argmax(np.abs(row)))
+            if row[j] == 0:
+                i = int(np.argmin(used)) if not used.all() else P
+                continue
+            V[r] = row / row[j]
+            U[r] = line(j, 1) - V[:r, j] @ U[:r]
+            frob2 += 2.0 * float(np.sum((U[:r] @ U[r].conj()) * (V[:r] @ V[r].conj())).real)
+            size = float(np.linalg.norm(U[r]) * np.linalg.norm(V[r]))
+            frob2 += size * size
+            r += 1
+            if size <= _ACA_TOL * math.sqrt(max(frob2, 0.0)):
+                break
+            i = int(np.argmax(np.where(used, -1.0, np.abs(U[r - 1]))))
+        if r >= max_rank:
+            return None
+        r, frob = _recompress(U[:r], V[:r])
+        frob2 = frob * frob
+        for rows, buf in ((U, u_buf), (V, v_buf)):
+            _release_rows(buf, rows, r)
+        worst, i = _sampled_residual(symbol, mask, xi, line, U[:r], V[:r])
+        # No entry of a residual whose Frobenius norm is _ACA_TOL |S|_F is
+        # larger than that: a larger one shows that ACA stopped on a small
+        # term while the residual is large elsewhere.
+        if worst <= _ACA_TOL * frob or used.all():
+            break
+        if used[i]:
+            i = int(np.argmin(used))
+    # The trailing terms whose rounding to single precision moves no entry
+    # by more than _ACA_TOL |S|_F / P, ACA's tolerance spread evenly over
+    # the P^2 entries, are kept in it; eps takes on the exact move.
+    narrow = r
+    budget = _ACA_TOL * frob / P
+    while narrow > 0:
+        size = 2.0**-23 * float(np.max(np.abs(U[narrow - 1])) * np.max(np.abs(V[narrow - 1])))
+        if size > budget:
+            break
+        budget -= size
+        narrow -= 1
+    single = np.complex64 if np.iscomplexobj(U) else np.float32
+    U32, V32 = U[narrow:r].astype(single), V[narrow:r].astype(single)
+    moved = sum(
+        float(np.max(np.abs(u - u32)) * np.max(np.abs(v)))
+        + float(np.max(np.abs(u32)) * np.max(np.abs(v - v32)))
+        for u, v, u32, v32 in zip(U[narrow:r], V[narrow:r], U32, V32)
+    )
+    for rows, buf in ((U, u_buf), (V, v_buf)):
+        _release_rows(buf, rows, narrow)
+    # Read-only, since the cache hands the same factors to every caller.
+    for arr in (mask, U, V, U32, V32):
+        arr.setflags(write=False)
+    return LowRankFactors(
+        index,
+        mask,
+        tuple(U[:narrow]) + tuple(U32),
+        tuple(V[:narrow]) + tuple(V32),
+        _RESIDUAL_SAFETY * worst + moved,
+    )
+
+
+def _orthonormalize(rows: np.ndarray) -> np.ndarray:
+    """Gram-Schmidt on the rows in place, each projection done twice, so
+    they end orthonormal (or zero, where a row depends on those before it).
+    Returns the upper-triangular R with row_k = sum_l R[l, k] q_l."""
+    r = len(rows)
+    R = np.zeros((r, r), dtype=rows.dtype)
+    for k in range(r):
+        for _ in range(2):
+            c = (rows[:k] @ rows[k].conj()).conj()
+            rows[k] -= c @ rows[:k]
+            R[:k, k] += c
+        R[k, k] = np.linalg.norm(rows[k])
+        if R[k, k] > 0:
+            rows[k] /= R[k, k]
+    return R
+
+
+def _column_basis(K: np.ndarray, tol: float) -> np.ndarray:
+    """Orthonormal columns Q with |K - Q Q^H K|_F <= tol |K|_F: Gram-Schmidt
+    with column pivoting, each step taking the column of K least explained
+    so far, until what is left of K is that small."""
+    rest = K.copy()
+    limit = tol * float(np.linalg.norm(K))
+    basis = np.zeros((len(K), 0), dtype=K.dtype)
+    while True:
+        norms2 = np.sum(np.abs(rest) ** 2, axis=0)
+        if math.sqrt(float(np.sum(norms2))) <= limit or basis.shape[1] == min(K.shape):
+            return basis
+        q = rest[:, int(np.argmax(norms2))].copy()
+        for _ in range(2):
+            q -= basis @ (basis.conj().T @ q)
+        q /= np.linalg.norm(q)
+        basis = np.column_stack([basis, q])
+        rest -= np.outer(q, q.conj() @ rest)
+
+
+# Columns per block when the recompressed terms are written over the old.
+_RECOMPRESS_BLOCK = 512
+
+
+def _recompress(U: np.ndarray, V: np.ndarray) -> tuple[int, float]:
+    """Rewrite the split sum_k u_k v_k, rows of U and V, in place in its
+    first r' rows, with the fewest terms that keep it within _ACA_TOL of its
+    Frobenius norm, in that norm; return r' and that norm.  With U = R_u^T
+    Q_u and V = R_v^T Q_v (``_orthonormalize``) the split is Q_u^T K Q_v,
+    K = R_u R_v^T; a pivoted basis Q of K's columns (``_column_basis``)
+    gives the terms u'_k = (Q^T Q_u)_k and v'_k = (Q^H K Q_v)_k.  ACA's terms are far
+    from orthogonal, and this drops about a quarter of them.  The new terms
+    are written over the old a block of columns at a time, so the terms
+    never exist twice."""
+    K = _orthonormalize(U) @ _orthonormalize(V).T
+    Q = _column_basis(K, _ACA_TOL)
+    QK = Q.conj().T @ K
+    for rows, T in ((U, Q.T), (V, QK)):
+        for start in range(0, rows.shape[1], _RECOMPRESS_BLOCK):
+            cols = slice(start, start + _RECOMPRESS_BLOCK)
+            rows[: len(T), cols] = T @ rows[:, cols]
+    return len(QK), float(np.linalg.norm(QK))
+
+
+def _sampled_residual(
+    symbol: Symbol,
+    mask: np.ndarray,
+    xi: np.ndarray,
+    line: Callable[[int, int], np.ndarray],
+    U: np.ndarray,
+    V: np.ndarray,
+) -> tuple[float, int]:
+    """The largest |sigma - sum_r u_r v_r| on _RESIDUAL_PAIRS seeded lattice
+    pairs, taken 512 at a time, and on _RESIDUAL_LINES seeded rows and as
+    many columns, with the row it lies in."""
+    P = len(xi)
+    rng = np.random.default_rng(_RESIDUAL_SEED)
+    ii, jj = rng.integers(0, P, size=(2, _RESIDUAL_PAIRS))
+    worst, at = 0.0, 0
+    for start in range(0, _RESIDUAL_PAIRS, 512):
+        i, j = ii[start : start + 512], jj[start : start + 512]
+        exact = np.asarray(symbol.evaluate(xi[i], xi[j])) * (mask[i] * mask[j])
+        residual = np.abs(exact - np.einsum("ri,ri->i", U[:, i], V[:, j]))
+        k = int(np.argmax(residual))
+        if residual[k] > worst:
+            worst, at = float(residual[k]), int(i[k])
+    for i in rng.integers(0, P, size=_RESIDUAL_LINES):
+        residual = float(np.max(np.abs(line(i, 0) - U[:, i] @ V)))
+        if residual > worst:
+            worst, at = residual, int(i)
+    for j in rng.integers(0, P, size=_RESIDUAL_LINES):
+        residual = np.abs(line(j, 1) - V[:, j] @ U)
+        k = int(np.argmax(residual))
+        if residual[k] > worst:
+            worst, at = float(residual[k]), k
+    return worst, at
+
+
+def apply_low_rank(
+    op: MultilinearOperator, factors: LowRankFactors, sets: Sequence[Sequence[SampledFunction]]
+) -> list[tuple[SampledFunction, float]]:
+    """Apply a two-slot operator, given its symbol's ``low_rank_factors``,
+    to each input set (f_1, f_2), as sum_r (T_{u_r} f_1)(T_{v_r} f_2).
+
+    Each input is transformed once, in FFT order (``_fft_forward``).  For
+    each term the weighted spectra are inverse-transformed into two reused
+    buffers, and their product is added into one accumulator, which is
+    shifted to centred order at the end.  The unscaled transforms need no
+    weight: dx^n of the forward transform cancels 1/dx^n of each inverse,
+    and the free integral's dxi^n is the inverse's 1/S.  The cost is 2r + 2
+    transforms of length S per set.  The sets run one after another through
+    the same steps, so each output is bit for bit that of the set alone.
+
+    Per set it returns the output and a bound on its sup-norm distance from
+    the exhaustive sum over the same lattice: eps dxi^(2n) |f^_1|_1 |f^_2|_1,
+    the l1 norms over the masked box."""
+    _check_sets(op, sets)
+    grid = op.grid
+    if op.m != 2 or len(factors.mask) != _box(grid, op.cutoff)[1] ** grid.n:
+        raise ValueError("the factors are not a split of this two-slot operator's box")
+    S = grid.size
+    index = factors.index
+    # Both slots' weighted spectra, zero off the box, and their inverse
+    # transforms, in one call per term.
+    spectra = np.zeros((2, S), dtype=np.complex128)
+    waves = np.empty((2,) + grid.shape, dtype=np.complex128)
+    axes = tuple(range(1, grid.n + 1))
+    results = []
+    for fs in sets:
+        coeffs = [_fft_forward(f.values).ravel()[index] for f in fs]
+        total = np.zeros(grid.shape, dtype=np.complex128)
+        for u, v in zip(factors.u, factors.v):
+            spectra[0, index] = coeffs[0] * u
+            spectra[1, index] = coeffs[1] * v
+            if grid.n == 1:  # ifftn's axis handling costs as much as a length-4096 transform
+                np.fft.ifft(spectra, out=waves)
+            else:
+                np.fft.ifftn(spectra.reshape(waves.shape), axes=axes, out=waves)
+            waves[0] *= waves[1]
+            total += waves[0]
+        bound = factors.eps
+        for c in coeffs:
+            bound *= float(np.abs(c) @ factors.mask) / S
+        results.append((SampledFunction(grid, _frozen(_half_shift(total))), bound))
+    return results
+
+
+def _apply_group(
+    op: MultilinearOperator, sets: Sequence[Sequence[SampledFunction]]
+) -> list[tuple[SampledFunction, float]]:
+    """A group of two or more slots, as the operator ``op``, applied to each
+    set, with a bound on each output's error: on the low-rank engine when
+    the group has two slots and the cost rule (``_rank_cap``) picks it, and
+    otherwise in ``apply_general`` passes of ``sets_per_pass`` sets, exact up
+    to rounding (bound 0).  The choice depends on (symbol, grid, cutoff)
+    alone, never on the sets."""
+    if not sets:
+        return []
+    factors = None
+    if op.m == 2:
+        _check_budget(op)
+        factors = low_rank_factors(op.symbol, op.grid, op.cutoff, _rank_cap(op.grid, op.cutoff))
+    if factors is not None:
+        return apply_low_rank(op, factors, sets)
+    step = sets_per_pass(op)
+    return [
+        (out, 0.0)
+        for start in range(0, len(sets), step)
+        for out, _ in apply_general(op, sets[start : start + step])
+    ]
 
 
 def _quadrature_dft(f: SampledFunction) -> np.ndarray:
@@ -416,6 +812,22 @@ def apply_linear(weights: np.ndarray, spec: Spectrum) -> SampledFunction:
     return idft(Spectrum(spec.grid, spec.coefficients * weights))
 
 
+class Factors(tuple):
+    """Per operator term, the outputs of its groups (a tuple of tuples),
+    with ``bound``, a bound on the sup-norm error of their sum of products
+    that the low-rank groups add: per term, prod_g (|F_g|_inf + b_g) -
+    prod_g |F_g|_inf over its group outputs F_g with bounds b_g, which is b
+    times the sup norms of the term's other factors when one group is
+    low-rank, and 0.0 when every group is exact."""
+
+    bound: float
+
+    def __new__(cls, terms, bound: float = 0.0) -> "Factors":
+        self = super().__new__(cls, terms)
+        self.bound = bound
+        return self
+
+
 def operator_factors(
     op: MultilinearOperator, sets: Sequence[Sequence[SampledFunction]]
 ) -> list[Factors]:
@@ -425,10 +837,12 @@ def operator_factors(
     one, which for a general symbol is the whole operator.  Every group
     inherits the operator's cutoff and budget.  A group that several terms
     name with the same symbol is applied once, and its output stands in
-    every one of them.  Each group of two or more slots runs through one
-    ``apply_general`` pass per ``sets_per_pass`` of the sets, so its symbol
-    is evaluated once for all of them and each set's factors are bit for
-    bit those of the set alone; one-slot groups run set by set."""
+    every one of them.  Each group of two or more slots runs on all the
+    sets at once (``_apply_group``): on the low-rank engine when the cost
+    rule picks it, else in ``apply_general`` passes of ``sets_per_pass``
+    sets, whose symbol is evaluated once for all of them.  Either way each
+    set's factors are bit for bit those of the set alone; one-slot groups
+    run set by set."""
     _check_sets(op, sets)
     terms = op.symbol.partitions
     groups = dict.fromkeys(
@@ -436,24 +850,29 @@ def operator_factors(
     )
     weights = _one_slot_weights(op)
     singles = sorted({grp[0] for grp, _ in groups if len(grp) == 1})
-    applied: list[dict[tuple[tuple[int, ...], Symbol], SampledFunction]] = [{} for _ in sets]
+    applied: list[dict[tuple[tuple[int, ...], Symbol], tuple[SampledFunction, float]]] = [
+        {} for _ in sets
+    ]
     for grp, sym in groups:
         if len(grp) > 1:
-            group_op = replace(op, symbol=sym)
-            step = sets_per_pass(group_op)
-            for start in range(0, len(sets), step):
-                batch = [[fs[l] for l in grp] for fs in sets[start : start + step]]
-                for done, (out, _) in zip(applied[start:], apply_general(group_op, batch)):
-                    done[grp, sym] = out
+            batch = [[fs[l] for l in grp] for fs in sets]
+            for done, out in zip(applied, _apply_group(replace(op, symbol=sym), batch)):
+                done[grp, sym] = out
     for fs, done in zip(sets, applied):
         spectra = {l: dft(fs[l]) for l in singles}
         for grp, sym in groups:
             if len(grp) == 1:
-                done[grp, sym] = apply_linear(weights[sym], spectra[grp[0]])
-    return [
-        tuple(tuple(done[grp, sym] for grp, sym in zip(part.groups, part.symbols)) for part in terms)
-        for done in applied
-    ]
+                done[grp, sym] = apply_linear(weights[sym], spectra[grp[0]]), 0.0
+    results = []
+    for done in applied:
+        outs = [[done[grp, sym] for grp, sym in zip(part.groups, part.symbols)] for part in terms]
+        bound = 0.0
+        for term in outs:
+            if any(b for _, b in term):
+                sups = [f.max_abs() for f, _ in term]
+                bound += math.prod(s + b for s, (_, b) in zip(sups, term)) - math.prod(sups)
+        results.append(Factors((tuple(f for f, _ in term) for term in outs), bound))
+    return results
 
 
 def sum_of_products(factors: Factors) -> SampledFunction:

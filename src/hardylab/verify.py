@@ -138,12 +138,15 @@ class AtomOutput:
 
     ``factors`` holds, per term of ``Symbol.partitions``, its group outputs
     (``operator_factors``) that ``out`` sums the products of.
+    ``error_bound`` bounds the sup-norm error the low-rank engine adds to
+    ``out`` (``Factors.bound``); it is 0.0 when every group is exact.
     """
 
     op: MultilinearOperator
     atoms: tuple[Atom, ...]
     out: SampledFunction
     factors: tuple[tuple[SampledFunction, ...], ...]
+    error_bound: float = 0.0
 
 
 def apply_to_atoms(
@@ -153,7 +156,7 @@ def apply_to_atoms(
     batched application (``operator_factors``)."""
     batch = operator_factors(op, [[a.values for a in atoms] for atoms in atom_sets])
     return [
-        AtomOutput(op, tuple(atoms), sum_of_products(factors), factors)
+        AtomOutput(op, tuple(atoms), sum_of_products(factors), factors, factors.bound)
         for atoms, factors in zip(atom_sets, batch)
     ]
 
@@ -271,7 +274,9 @@ def check_decay_lemma(
     the predicted exponent.  Probes are grid points outside every
     3 sqrt(n)-dilate, at least ``BOUNDARY_MARGIN_FACTOR`` times the largest
     side from the box boundary, and (optionally) with distance sum at most
-    ``max_distance``.  The fitted slope of log |T| against
+    ``max_distance``, and above the noise floor: NOISE_FLOOR_FACTOR
+    rounding units of max |T|, or the output's error bound when that is
+    larger.  The fitted slope of log |T| against
     log(sum_k |y - c_k|) must not exceed -(n + N + 1) + 0.75; the ratio of
     |T| to the predicted majorant must stay within three decades of its
     median.
@@ -300,7 +305,7 @@ def check_decay_lemma(
         window = dist <= max_distance
         dist, mags = dist[window], mags[window]
 
-    floor = NOISE_FLOOR_FACTOR * np.finfo(float).eps * float(np.max(mags_all))
+    floor = max(NOISE_FLOOR_FACTOR * np.finfo(float).eps * float(np.max(mags_all)), t.error_bound)
     keep = mags > floor
     excluded = int(np.sum(~keep))
     dist, mags = dist[keep], mags[keep]

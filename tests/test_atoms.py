@@ -205,3 +205,14 @@ class TestMoments:
         f = SampledFunction(grid1024, np.ones(grid1024.shape))
         with pytest.raises(ValueError, match="outside"):
             moments(f, 0, Cube((8.0,), 4.0))
+
+
+def test_monomial_exponents_cached_as_tuples():
+    # One tuple per (n, degree), shared by every caller, so none may change
+    # it; graded lexicographic as before.
+    from hardylab.atoms import _monomial_exponents
+
+    got = _monomial_exponents(2, 2)
+    assert got is _monomial_exponents(2, 2)
+    assert got == ((0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0))
+    assert isinstance(got, tuple) and all(isinstance(alpha, tuple) for alpha in got)

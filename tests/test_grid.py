@@ -152,6 +152,63 @@ class TestTransforms:
         assert abs(space_side - freq_side) / space_side < 1e-10
 
 
+class TestFftOrder:
+    # dft and idft shift by slice copies (_half_shift) instead of np.roll,
+    # and take the transform's output without a second copy; every bit,
+    # the sign of zero included, is that of the literal shifted form.
+    @staticmethod
+    def _signed_zeros(shape, seed):
+        rng = np.random.default_rng(seed)
+        v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        v.real[rng.random(shape) < 0.25] = -0.0
+        v.imag[rng.random(shape) < 0.25] = 0.0
+        v.imag[rng.random(shape) < 0.25] = -0.0
+        return v
+
+    @pytest.mark.parametrize("M", [2, 8, 64])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_transforms_equal_literal_shift_form(self, n, M):
+        from hardylab.grid import Grid
+
+        g = Grid(n, 8.0, M)
+        v = self._signed_zeros(g.shape, 10 * n + M)
+        want = np.fft.fftshift(np.fft.fftn(np.fft.ifftshift(v))) * g.dx**n
+        got = dft(_wrap(g, v)).coefficients
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        want = np.fft.fftshift(np.fft.ifftn(np.fft.ifftshift(v))) / g.dx**n
+        got = idft(Spectrum(g, v)).values
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("M", [1, 2, 8, 64])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_half_shift_is_both_shifts(self, n, M):
+        from hardylab.grid import _half_shift
+
+        v = self._signed_zeros((M,) * n, M)
+        got = _half_shift(v)
+        assert np.array_equal(got.view(np.uint64), np.fft.fftshift(v).view(np.uint64))
+        assert np.array_equal(got.view(np.uint64), np.fft.ifftshift(v).view(np.uint64))
+        assert got is not v and not np.shares_memory(got, v)
+
+    def test_outputs_are_read_only_and_owned(self):
+        g = make_grid(1, 8.0, 16)
+        f = _wrap(g, self._signed_zeros(16, 1))
+        for arr in (dft(f).coefficients, idft(dft(f)).values):
+            assert not arr.flags.writeable and arr.flags.owndata
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+
+    def test_caller_arrays_are_copied(self):
+        # Only a read-only array that owns its data is taken as it is; a
+        # writable one is copied, so the caller cannot change the function.
+        g = make_grid(1, 8.0, 16)
+        v = self._signed_zeros(16, 2)
+        f = _wrap(g, v)
+        assert not np.shares_memory(f.values, v) and v.flags.writeable
+        v[0] = 99.0
+        assert f.values[0] != 99.0
+
+
 class TestQuasinorm:
     def test_indicator_l1(self):
         g = make_grid(1, 8.0, 16)

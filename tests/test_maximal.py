@@ -215,6 +215,41 @@ class TestHlMaximal:
         )
 
 
+    @pytest.mark.parametrize(
+        "n, M, lengths, scales", [(1, 256, 6, 9), (1, 4096, 7, 13), (1, 8192, 7, 14), (2, 64, 5, 7)]
+    )
+    def test_one_transform_of_f_per_padded_length(self, n, M, lengths, scales, monkeypatch):
+        # |f| is transformed once per distinct padded length of the ladder,
+        # and every bit is that of transforming it again at each scale.
+        from hardylab.maximal import _ball_offsets, _convolve_same
+
+        grid = make_grid(n, 8.0, M)
+        rng = np.random.default_rng(M)
+        f = SampledFunction(grid, rng.standard_normal(grid.shape))
+        ladder = make_ladder(grid)
+        assert len(ladder.scales) == scales
+        mags = np.abs(f.values)
+        want = np.zeros(grid.shape)
+        for r in ladder.scales:
+            summed = _convolve_same(mags, _ball_offsets(r, grid))
+            np.maximum(want, summed * (grid.dx**grid.n / r**grid.n), out=want)
+        np.clip(want, 0.0, None, out=want)
+
+        shapes = []
+        rfftn = np.fft.rfftn
+
+        def counting(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return rfftn(a, *args, **kwargs)
+
+        monkeypatch.setattr(hardylab.maximal.np.fft, "rfftn", counting)
+        got = hl_maximal(f, ladder).values
+        monkeypatch.undo()
+        assert shapes.count(grid.shape) == lengths
+        assert len(shapes) == lengths + scales
+        want = SampledFunction(grid, want).values
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
     @pytest.mark.parametrize("half_steps", [False, True], ids=["dyadic", "half_steps"])
     @pytest.mark.parametrize("n, M", [(1, 256), (1, 4096), (1, 8192), (2, 64), (2, 128)])
     def test_matches_fftconvolve_reference(self, n, M, half_steps):

@@ -3,7 +3,8 @@ exactly on the torus: agreement with the exhaustive engine, multilinearity
 in each slot, covariance under grid shifts, and conjugation symmetry for
 real symbols of a fixed parity.  Each holds within a
 rounding bound fixed here, before any example runs.  A batch of input sets
-gives every set the bits it gets alone, in the engine and in the factors."""
+gives every set the bits it gets alone, in the engine and in the factors.
+The low-rank engine stays within the bound it reports."""
 
 from dataclasses import replace
 
@@ -18,8 +19,10 @@ from hardylab.grid import SampledFunction, Spectrum, dft, idft, make_grid
 from hardylab.operators import (
     MultilinearOperator,
     apply_general,
+    apply_low_rank,
     apply_operator,
     default_cutoff,
+    low_rank_factors,
     operator_factors,
     sets_per_pass,
 )
@@ -220,3 +223,33 @@ def test_batch_over_the_byte_budget_splits(monkeypatch):
     assert sorted(passes) == [(2, 33), (3, 1), (3, 32)]
     for factors, fs in zip(got, sets):
         assert _same_factors(factors, operator_factors(op, [fs])[0])
+
+
+# The builtin two-slot symbols: sigma1_bilinear and the two-slot groups of
+# sigma2 and sigma4, by (symbol, term).
+TWO_SLOT = {"sigma1_bilinear": SYMBOLS["sigma1_bilinear"]} | {
+    f"{name}-{k}": sym
+    for name in ("sigma2", "sigma4")
+    for k, part in enumerate(SYMBOLS[name].partitions)
+    for grp, sym in zip(part.groups, part.symbols)
+    if len(grp) == 2
+}
+
+
+@pytest.mark.parametrize("name", list(TWO_SLOT))
+@settings(derandomize=True, database=None, max_examples=8, deadline=None)
+@given(data=st.data())
+def test_low_rank_within_its_bound(name, data):
+    # The engine is called directly: the cost rule keeps grids this small
+    # exhaustive.  Its bound covers the split; ROUNDING covers both engines'
+    # own sums and transforms.
+    M = data.draw(st.sampled_from((16, 32, 64)))
+    grid = make_grid(1, 8.0, M)
+    cutoff = default_cutoff(grid) if data.draw(st.booleans()) else None
+    op = MultilinearOperator(TWO_SLOT[name], grid, cutoff)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    fs = [band_limited(grid, rng, data.draw(st.integers(1, M // 2 - 1))) for _ in range(2)]
+    factors = low_rank_factors(op.symbol, grid, cutoff, np.inf)
+    ((out, bound),) = apply_low_rank(op, factors, [fs])
+    want = apply_general(op, [fs])[0][0].values
+    assert np.max(np.abs(out.values - want)) <= bound + ROUNDING * _scales(fs)

@@ -696,3 +696,228 @@ class TestOneRoute:
                     got = apply_operator(op, fs).values
                     want = np.zeros(grid32.shape, dtype=np.complex128) + want
                 assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+# ---------------------------------------------------------------------------
+# The low-rank engine for two-slot groups
+# ---------------------------------------------------------------------------
+
+
+def two_slot_symbols():
+    """The builtin two-slot symbols: sigma1_bilinear, sigma4's bilinear
+    group and sigma2's four groups on slots {2, 3}."""
+    (bilinear,) = [
+        s for part in _sigma4_terms() for g, s in zip(part.groups, part.symbols) if len(g) == 2
+    ]
+    symbols = {"sigma1_bilinear": builtin_symbol("sigma1_bilinear"), "sigma4-bilinear": bilinear}
+    for k, part in enumerate(_sigma2_terms()):
+        symbols[f"sigma2-{k}"] = part.symbols[1]
+    return symbols
+
+
+TWO_SLOT = two_slot_symbols()
+
+# What the two engines' own sums and transforms may differ by, as a share
+# of the inputs' scales dxi^n |f^|_1 (``input_scale``): the exhaustive sum's
+# pairwise tree and the split's r products of transforms each lose a few
+# tens of rounding units.  Fixed before any example ran.
+LOW_RANK_ROUNDING = 1e-14
+
+
+def input_scale(f):
+    """dxi^n |f^|_1: a bound on sup |f| read from the spectrum."""
+    return float(np.sum(np.abs(dft(f).coefficients))) * f.grid.dxi**f.grid.n
+
+
+def low_rank_inputs(grid):
+    """Two atom pairs (side 0.5, cancellation orders 2 and 0) and two pairs
+    of smooth wave packets."""
+    atoms = [
+        [
+            make_atom(Cube((0.25,), 0.5), 1.0, 2, seed, grid).values,
+            make_atom(Cube((-0.5,), 0.5), 1.0, 0, seed + 1, grid).values,
+        ]
+        for seed in (3, 5)
+    ]
+    x = grid.axis_points()
+    packets = [
+        [
+            SampledFunction(grid, np.exp(-((x - c) ** 2) / 2) * np.exp(2j * np.pi * k * x))
+            for c, k in ((0.3 * s, 0.7), (-0.4, 1.3 * s))
+        ]
+        for s in (1.0, -1.0)
+    ]
+    return atoms + packets
+
+
+def lemmas_check_outputs():
+    """T applied to the two atom sets configs/lemmas.ini checks (the full-
+    order atoms and the decay atoms), through the rule's engine."""
+    import hardylab.cli
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parent.parent / "configs" / "lemmas.ini"
+    config, _ = hardylab.cli.load_config(str(path))
+    ctx = hardylab.verify.run_context(config)
+    sets = [hardylab.cli._check_atoms(ctx, order) for order in (ctx.idx.N, 0)]
+    return ctx, hardylab.verify.apply_to_atoms(ctx.op, sets)
+
+
+class TestLowRank:
+    @pytest.mark.parametrize("cut", ["uncut", "cut"])
+    @pytest.mark.parametrize("M", [1024, 4096])
+    @pytest.mark.parametrize("name", list(TWO_SLOT))
+    def test_agrees_with_exhaustive_within_bound(self, name, M, cut):
+        # The engine is called directly, whatever the cost rule picks.
+        from hardylab.operators import apply_low_rank, low_rank_factors
+
+        grid = make_grid(1, 8.0, M)
+        op = MultilinearOperator(TWO_SLOT[name], grid, case_cutoff(grid, cut))
+        factors = low_rank_factors(op.symbol, grid, op.cutoff, np.inf)
+        sets = low_rank_inputs(grid)[:: 1 if M < 4096 else 2]
+        for (out, bound), (want, _), fs in zip(
+            apply_low_rank(op, factors, sets), apply_general(op, sets), sets
+        ):
+            scale = input_scale(fs[0]) * input_scale(fs[1])
+            assert np.max(np.abs(out.values - want.values)) <= bound + LOW_RANK_ROUNDING * scale
+            assert bound <= factors.eps * scale * (1 + 1e-12)
+
+    @pytest.mark.parametrize("cut", ["uncut", "cut"])
+    def test_agrees_with_oracle_within_bound(self, cut):
+        from hardylab.operators import apply_low_rank, low_rank_factors
+
+        grid = make_grid(1, 8.0, 1024)
+        op = MultilinearOperator(TWO_SLOT["sigma1_bilinear"], grid, case_cutoff(grid, cut))
+        factors = low_rank_factors(op.symbol, grid, op.cutoff, np.inf)
+        idx = [300, 700]
+        for fs in low_rank_inputs(grid)[1:2]:
+            (out, bound), = apply_low_rank(op, factors, [fs])
+            oracle = apply_oracle(op, fs, grid.axis_points()[idx][:, None])
+            scale = input_scale(fs[0]) * input_scale(fs[1])
+            assert np.max(np.abs(out.values[idx] - oracle)) <= bound + LOW_RANK_ROUNDING * scale
+
+    @pytest.mark.parametrize("cut", ["uncut", "cut", "ball"])
+    def test_two_dimensional_split(self, cut):
+        # n = 2 runs the same code on the flattened box; "ball" keeps a box
+        # whose corners the cutoff masks.
+        from hardylab.operators import apply_low_rank, low_rank_factors
+
+        grid = make_grid(2, 4.0, 16)
+        op = MultilinearOperator(planar_symbol(2), grid, case_cutoff(grid, cut))
+        factors = low_rank_factors(op.symbol, grid, op.cutoff, np.inf)
+        sets = [random_inputs(grid, 2, seed) for seed in (40, 41)]
+        for (out, bound), (want, _), fs in zip(
+            apply_low_rank(op, factors, sets), apply_general(op, sets), sets
+        ):
+            scale = input_scale(fs[0]) * input_scale(fs[1])
+            assert np.max(np.abs(out.values - want.values)) <= bound + LOW_RANK_ROUNDING * scale
+
+    def test_bound_is_attained_within_a_thousand(self):
+        # Plane waves at the pair where the split's residual is largest make
+        # the error that residual itself, the worst case the bound covers.
+        from hardylab.operators import _box_lattice, apply_low_rank, low_rank_factors
+
+        grid = make_grid(1, 8.0, 1024)
+        op = MultilinearOperator(TWO_SLOT["sigma1_bilinear"], grid)
+        factors = low_rank_factors(op.symbol, grid, None, np.inf)
+        _, xi, mask = _box_lattice(grid, None)
+        A = op.symbol.evaluate(xi[:, None, :], xi[None, :, :]) * np.outer(mask, mask)
+        residual = A - np.array(factors.u).T @ np.array(factors.v)
+        i, j = np.unravel_index(np.argmax(np.abs(residual)), A.shape)
+        x = grid.axis_points()
+        fs = [SampledFunction(grid, np.exp(2j * np.pi * xi[k, 0] * x)) for k in (i, j)]
+        (out, bound), = apply_low_rank(op, factors, [fs])
+        err = np.max(np.abs(out.values - apply_general(op, [fs])[0][0].values))
+        assert err <= bound <= 1e3 * err
+
+    def test_bound_on_lemmas_keeps_every_decay_probe(self):
+        # On lemmas' check atoms the bound is under 1e-8 of max |T|, and as
+        # the decay fit's floor it drops no probe.
+        import dataclasses
+
+        ctx, outputs = lemmas_check_outputs()
+        for t in outputs:
+            assert 0 < t.error_bound <= 1e-8 * t.out.max_abs()
+        decay = outputs[1]
+        with_bound = hardylab.verify.check_decay_lemma(decay, ctx.idx.N)
+        exact = dataclasses.replace(decay, error_bound=0.0)
+        without = hardylab.verify.check_decay_lemma(exact, ctx.idx.N)
+        assert with_bound.probe_count == without.probe_count
+        assert with_bound.slope == without.slope
+
+    def test_batch_of_one_equals_batch_of_five(self):
+        from hardylab.operators import low_rank_factors
+
+        grid = make_grid(1, 8.0, 4096)
+        op = MultilinearOperator(TWO_SLOT["sigma1_bilinear"], grid)
+        sets = [random_inputs(grid, 2, seed) for seed in range(50, 55)]
+        batch = operator_factors(op, sets)
+        assert batch[2].bound > 0
+        low_rank_factors.cache_clear()  # the second call factors again
+        (alone,) = operator_factors(op, [sets[2]])
+        got, want = alone[0][0].values, batch[2][0][0].values
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert alone.bound == batch[2].bound
+
+    def test_cost_rule(self):
+        # The rule depends on (symbol, grid, cutoff) alone.  mixed-trilinear's
+        # bilinear group (M=256, W=129) and every two-slot builtin at n = 1
+        # up to M=512 stay exhaustive; lemmas' and boundedness.ini's grids go
+        # low-rank.
+        from hardylab.operators import _rank_cap, low_rank_factors
+
+        for M in (8, 16, 32, 64, 128, 256, 512):
+            grid = make_grid(1, 8.0, M)
+            for sym in TWO_SLOT.values():
+                for cutoff in (None, default_cutoff(grid)):
+                    assert low_rank_factors(sym, grid, cutoff, _rank_cap(grid, cutoff)) is None
+        for M in (2048, 4096):
+            grid = make_grid(1, 8.0, M)
+            sym = TWO_SLOT["sigma1_bilinear"]
+            factors = low_rank_factors(sym, grid, None, _rank_cap(grid, None))
+            assert factors is not None and 2 * factors.rank * np.log2(M) < M
+
+    def test_routes_by_the_rule(self, monkeypatch):
+        # operator_factors sends a two-slot group to the low-rank engine only
+        # where the rule picks it; apply_general is never routed.
+        calls = []
+        original = hardylab.operators.apply_general
+
+        def counting(op, sets):
+            calls.append(op.grid.M)
+            return original(op, sets)
+
+        monkeypatch.setattr(hardylab.operators, "apply_general", counting)
+        sym = TWO_SLOT["sigma1_bilinear"]
+        for M in (512, 4096):
+            grid = make_grid(1, 8.0, M)
+            out = operator_factors(MultilinearOperator(sym, grid), [random_inputs(grid, 2, 60)])[0]
+            assert (out.bound > 0) == (M == 4096)
+        assert calls == [512]
+
+    def test_factor_bound_times_other_factors(self, monkeypatch):
+        # sigma2's {2, 3} groups go low-rank at M=2048 and its {1} factors
+        # are exact, so each term's bound is b times the one-slot factor's
+        # sup norm, and the sum of products is within the sum of those of
+        # the one with every group exhaustive.
+        from hardylab.operators import _rank_cap, apply_low_rank, low_rank_factors, sum_of_products
+
+        grid = make_grid(1, 8.0, 2048)
+        op = MultilinearOperator(builtin_symbol("sigma2"), grid)
+        inputs = low_rank_inputs(grid)
+        fs = inputs[0] + [inputs[2][0]]
+        factors = operator_factors(op, [fs])[0]
+        want = 0.0
+        for part, (single, _) in zip(op.symbol.partitions, factors):
+            pair_op = MultilinearOperator(part.symbols[1], grid)
+            split = low_rank_factors(pair_op.symbol, grid, None, _rank_cap(grid, None))
+            ((_, b),) = apply_low_rank(pair_op, split, [fs[1:]])
+            want += b * single.max_abs()
+        assert factors.bound > 0
+        assert factors.bound == pytest.approx(want, rel=1e-9)
+        monkeypatch.setattr(hardylab.operators, "_rank_cap", lambda grid, cutoff: 0)
+        exhaustive = operator_factors(op, [fs])[0]
+        assert exhaustive.bound == 0.0
+        err = np.max(np.abs(sum_of_products(factors).values - sum_of_products(exhaustive).values))
+        scale = float(np.prod([input_scale(f) for f in fs]))
+        assert err <= factors.bound + LOW_RANK_ROUNDING * scale
