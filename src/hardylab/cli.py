@@ -32,7 +32,6 @@ import numpy as np
 
 from . import __version__
 from .atoms import _monomial_exponents, make_atom
-from .operators import low_rank_factors
 from .symbols import (
     BUILTIN_NAMES,
     builtin_symbol,
@@ -299,9 +298,6 @@ def _run_checks(ctx: RunContext, options: dict, jobs: int, out: Path) -> dict:
     if checks["decay"]:
         atom_sets["decay"] = _check_atoms(ctx, partner_order=0)
     applied = dict(zip(atom_sets, apply_to_atoms(ctx.op, list(atom_sets.values()))))
-    # That was the run's last application of T: the checks below measure its
-    # outputs, so the cached low-rank split goes, and its pages with it.
-    low_rank_factors.cache_clear()
     full = applied.get("full")
 
     if checks["cancellation"]:

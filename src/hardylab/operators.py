@@ -42,11 +42,12 @@ outputs.  A group is applied by one of three engines:
   S W^n symbol products.  The cost rule takes it when its rank r stays
   below W^n / (2 log2 S) (``_rank_cap``), a rule of (symbol, grid, cutoff)
   alone, so a replay takes the engine its ensemble took, bit for bit; ACA
-  stops as soon as the rank reaches that cap.  The split is cached with
-  one entry.  Per set it reports a bound on its distance from the
-  exhaustive sum, eps dxi^(2n) |f^_1|_1 |f^_2|_1, where eps is ten times the
-  largest residual of the split sampled on seeded lattice pairs, rows and
-  columns; ``operator_factors`` carries it into ``Factors.bound``.
+  stops as soon as the rank reaches that cap.  The split is in the
+  symbol's own precision and cached with one entry, so it lives until
+  another split replaces it.  Per set it reports a bound on its distance
+  from the exhaustive sum, eps dxi^(2n) |f^_1|_1 |f^_2|_1, where eps is ten
+  times the largest residual of the split sampled on seeded lattice pairs,
+  rows and columns; ``operator_factors`` carries it into ``Factors.bound``.
 * ``apply_linear`` — a one-slot group is a 1-linear multiplier on its
   input's forward transform, computed once per input and shared by every
   term; bit for bit ``apply_general`` at m = 1, at a third of its cost.
@@ -208,8 +209,9 @@ def _box(grid: Grid, cutoff: float | None) -> tuple[int, int]:
     return int(keep[0]), max(2, len(keep))
 
 
-# Tuples per chunk of output frequencies.  Measured on sigma1_bilinear at
-# M=4096 (4,096 tuples per frequency), passes of 1, 5 and 32 sets across
+# Tuples per chunk of output frequencies.  Measured on this engine for
+# sigma1_bilinear at M=4096, a shape the cost rule now sends to the low-rank
+# engine (4,096 tuples per frequency), passes of 1, 5 and 32 sets across
 # 2^13..2^17 (2 cores, numpy 2.4, medians of 5): 2^15 was fastest for 1 and
 # 5 sets (0.18 s and 0.62 s, against 0.20 s and 0.65 s at 2^16; 32 sets ran
 # fastest at 2^13, 3.3 s against 3.7 s), and each chunk temporary is 512 KiB,
@@ -222,8 +224,9 @@ _MAX_CHUNK_ELEMENTS = 2**15
 
 # Bytes of per-set free products one engine pass may hold.  The sets of a
 # batch share every chunk's index windows and symbol values; this caps what
-# each set adds (16 W^(n(m-1)) bytes, one per box tuple): 32 sets at
-# M=4096 bilinear with no cutoff, 7 at M=256 trilinear with the default one.
+# each set adds (16 W^(n(m-1)) bytes, one per box tuple): 7 sets at M=256
+# trilinear with the default cutoff, and 32, the trials' batch, for lemmas'
+# bilinear group at M=4096, which runs low-rank.
 _MAX_BATCH_BYTES = 2**21
 
 
@@ -391,16 +394,16 @@ class LowRankFactors:
     The P = W^n box points are in FFT order (``_box_lattice``): ``index``
     places them in the flat FFT-order lattice (a whole slice when the box is
     the lattice), and ``mask`` is ``_slot_mask`` on them.  ``u`` and ``v``
-    hold a row of P values per term, zero where the mask is: double
-    precision, then single for the smallest terms.  ``eps`` bounds |sigma -
-    sum_r u_r v_r| on the box: _RESIDUAL_SAFETY times the largest sampled
-    residual, plus the most that single precision moves an entry.
+    are read-only (rank, P) arrays in the symbol's own dtype, a row of P
+    values per term, zero where the mask is.  ``eps`` bounds |sigma - sum_r
+    u_r v_r| on the box: _RESIDUAL_SAFETY times the largest sampled
+    residual.
     """
 
     index: np.ndarray | slice
     mask: np.ndarray
-    u: tuple[np.ndarray, ...]
-    v: tuple[np.ndarray, ...]
+    u: np.ndarray
+    v: np.ndarray
     eps: float
 
     @property
@@ -439,7 +442,12 @@ def _term_rows(rows: int, P: int, dtype: np.dtype) -> tuple[np.ndarray, mmap.mma
     """A (rows, P) array of terms in an anonymous memory map of its own: a
     page costs memory once it is written, and every page goes back to the
     system when the array is freed, or earlier through ``_release_rows``,
-    whatever malloc's thresholds have become."""
+    whatever malloc's thresholds have become.  A plain numpy buffer costs
+    more: numpy advises huge pages for arrays of 4 MiB or more, as the
+    buffers at the rank cap are (5.6 MB each at M=4096), so where THP runs
+    in ``madvise`` mode a first write commits a whole 2 MiB page.  On
+    lemmas.ini, np.zeros buffers (which ``_release_rows`` cannot reach) put
+    peak RSS up by 2.9 MB (2 cores, Linux 6.18, numpy 2.4)."""
     buf = mmap.mmap(-1, max(1, rows * P * dtype.itemsize))
     return np.frombuffer(buf, dtype=dtype, count=rows * P).reshape(rows, P), buf
 
@@ -447,7 +455,9 @@ def _term_rows(rows: int, P: int, dtype: np.dtype) -> tuple[np.ndarray, mmap.mma
 def _release_rows(buf: mmap.mmap, rows: np.ndarray, keep: int) -> None:
     """Return the pages past the first ``keep`` rows of ``rows`` (which
     ``buf`` holds) to the system, where it takes that advice; they read as
-    zeros afterwards."""
+    zeros afterwards.  Recompression leaves about a quarter of ACA's rows
+    unused, and keeping their pages put lemmas.ini's peak RSS up by 0.9 MB
+    (2 cores, Linux 6.18, numpy 2.4)."""
     start = -(-keep * rows.shape[1] * rows.itemsize // mmap.PAGESIZE) * mmap.PAGESIZE
     if start < len(buf) and hasattr(mmap, "MADV_DONTNEED"):
         buf.madvise(mmap.MADV_DONTNEED, start, len(buf) - start)
@@ -473,7 +483,8 @@ def low_rank_factors(
     entry above _ACA_TOL |S|_F means ACA stopped early, and it goes on from
     that entry's row.  Every step is fixed by (symbol, grid, cutoff), so the
     factors and every bit the engine computes from them are too.  The terms
-    live in memory maps (``_term_rows``).  Cached with one entry."""
+    live in memory maps (``_term_rows``).  Cached with one entry: a split
+    lives until another replaces it."""
     if max_rank <= 2:  # the cross alone reaches it
         return None
     index, xi, mask = _box_lattice(grid, cutoff)
@@ -528,36 +539,11 @@ def low_rank_factors(
             break
         if used[i]:
             i = int(np.argmin(used))
-    # The trailing terms whose rounding to single precision moves no entry
-    # by more than _ACA_TOL |S|_F / P, ACA's tolerance spread evenly over
-    # the P^2 entries, are kept in it; eps takes on the exact move.
-    narrow = r
-    budget = _ACA_TOL * frob / P
-    while narrow > 0:
-        size = 2.0**-23 * float(np.max(np.abs(U[narrow - 1])) * np.max(np.abs(V[narrow - 1])))
-        if size > budget:
-            break
-        budget -= size
-        narrow -= 1
-    single = np.complex64 if np.iscomplexobj(U) else np.float32
-    U32, V32 = U[narrow:r].astype(single), V[narrow:r].astype(single)
-    moved = sum(
-        float(np.max(np.abs(u - u32)) * np.max(np.abs(v)))
-        + float(np.max(np.abs(u32)) * np.max(np.abs(v - v32)))
-        for u, v, u32, v32 in zip(U[narrow:r], V[narrow:r], U32, V32)
-    )
-    for rows, buf in ((U, u_buf), (V, v_buf)):
-        _release_rows(buf, rows, narrow)
     # Read-only, since the cache hands the same factors to every caller.
-    for arr in (mask, U, V, U32, V32):
+    U, V = U[:r], V[:r]
+    for arr in (mask, U, V):
         arr.setflags(write=False)
-    return LowRankFactors(
-        index,
-        mask,
-        tuple(U[:narrow]) + tuple(U32),
-        tuple(V[:narrow]) + tuple(V32),
-        _RESIDUAL_SAFETY * worst + moved,
-    )
+    return LowRankFactors(index, mask, U, V, _RESIDUAL_SAFETY * worst)
 
 
 def _orthonormalize(rows: np.ndarray) -> np.ndarray:

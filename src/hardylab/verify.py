@@ -263,6 +263,27 @@ def _distance_sum(points: np.ndarray, centers: Sequence[np.ndarray]) -> np.ndarr
     return total
 
 
+def _median(values) -> float:
+    """``np.median``, bit for bit, without the ``numpy.ma`` import of its NaN
+    check: the middle one or two sorted values, summed from +0.0 as
+    ``np.mean`` sums them (so a zero median is +0.0), or NaN when a value is."""
+    a = np.sort(np.asarray(values, dtype=float))
+    h = a.size // 2
+    if np.isnan(a[-1]):
+        return float(a[-1])
+    return float(0.0 + a[h] if a.size % 2 else (0.0 + a[h - 1] + a[h]) / 2)
+
+
+def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """Least-squares slope of y against x and its standard error, from the
+    centred sums (x is not constant: the decay fit asks for two octaves)."""
+    xc, yc = x - x.mean(), y - y.mean()
+    x_var = float(np.sum(xc**2))
+    slope = float(np.sum(xc * yc)) / x_var
+    resid_var = float(np.sum((yc - slope * xc) ** 2)) / max(x.size - 2, 1)
+    return slope, math.sqrt(resid_var / x_var) if x_var > 0 else math.inf
+
+
 def check_decay_lemma(
     t: AtomOutput,
     N: int,
@@ -315,15 +336,7 @@ def check_decay_lemma(
     if span < 2.0:
         raise ValueError(f"insufficient octave span for the fit: {span:.2f} octaves")
 
-    x = np.log(dist)
-    y = np.log(mags)
-    A = np.stack([x, np.ones_like(x)], axis=1)
-    coef, residuals, _, _ = np.linalg.lstsq(A, y, rcond=None)
-    slope = float(coef[0])
-    dof = max(x.size - 2, 1)
-    resid_var = float(residuals[0]) / dof if residuals.size else 0.0
-    x_var = float(np.sum((x - x.mean()) ** 2))
-    stderr = math.sqrt(resid_var / x_var) if x_var > 0 else math.inf
+    slope, stderr = _line_fit(np.log(dist), np.log(mags))
 
     n = grid.n
     ell_min = min(a.cube.side for a in atoms)
@@ -335,7 +348,7 @@ def check_decay_lemma(
         stderr,
         bound,
         float(np.max(ratios)),
-        float(np.median(ratios)),
+        _median(ratios),
         int(dist.size),
         excluded,
         dist_all[plotted],
@@ -921,7 +934,7 @@ def run_boundedness_ensemble(config: ExperimentConfig, jobs: int = 1) -> Experim
     aborted = any(r.flags.startswith("aborted") for r in records)
     if ratios:
         sup = float(np.max(ratios))
-        med = float(np.median(ratios))
+        med = _median(ratios)
     else:
         sup = med = 0.0
     passed = bool(ratios) and all(np.isfinite(r) for r in ratios) and not aborted

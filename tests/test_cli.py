@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -33,6 +36,23 @@ center_span = 0.2
 [checks]
 boundedness = true
 """
+
+
+def test_lemmas_run_loads_neither_numpy_ma_nor_statistics(tmp_path):
+    # The medians and the decay fit need neither module (np.median's NaN
+    # check imports numpy.ma, about 1 MB at the run's peak).
+    root = Path(hardylab.operators.__file__).resolve().parents[2]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import sys, hardylab.cli\n"
+        f"code = hardylab.cli.main(['run', {str(root / 'configs' / 'lemmas.ini')!r}, "
+        f"'--out', {str(tmp_path / 'out')!r}, '--jobs', '1'])\n"
+        "print(code, sorted(m for m in ('numpy.ma', 'statistics') if m in sys.modules))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.splitlines()[-1] == "0 []"
 
 
 @pytest.fixture()

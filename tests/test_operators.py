@@ -845,6 +845,49 @@ class TestLowRank:
         assert with_bound.probe_count == without.probe_count
         assert with_bound.slope == without.slope
 
+    def test_closed_form_fit_on_lemmas_decay_probes(self, monkeypatch):
+        # The decay fit's slope and stderr, from centred sums, agree with a
+        # least-squares solve on the probes lemmas.ini fits.
+        fits = []
+        line_fit = hardylab.verify._line_fit
+
+        def recording(x, y):
+            fits.append((x, y, line_fit(x, y)))
+            return fits[-1][2]
+
+        monkeypatch.setattr(hardylab.verify, "_line_fit", recording)
+        ctx, outputs = lemmas_check_outputs()
+        report = hardylab.verify.check_decay_lemma(outputs[1], ctx.idx.N)
+        ((x, y, (slope, stderr)),) = fits
+        assert x.size == report.probe_count
+        A = np.stack([x, np.ones_like(x)], axis=1)
+        coef, residuals, _, _ = np.linalg.lstsq(A, y, rcond=None)
+        want = np.sqrt(residuals[0] / (x.size - 2) / np.sum((x - x.mean()) ** 2))
+        assert slope == pytest.approx(coef[0], rel=1e-12)
+        assert stderr == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("name", list(TWO_SLOT) + ["complex"])
+    def test_split_rows_have_the_symbols_dtype(self, name):
+        # One precision: u and v are (rank, P) arrays in the symbol's dtype.
+        from hardylab.operators import low_rank_factors
+
+        grid = make_grid(1, 8.0, 256)
+        if name == "complex":
+            sym = Symbol(
+                m=2,
+                n=1,
+                evaluate=lambda a, b: np.exp(1j * (a - b)[..., 0]) / (1.0 + (a * a + b * b)[..., 0]),
+                name="complex-pair",
+            )
+        else:
+            sym = TWO_SLOT[name]
+        factors = low_rank_factors(sym, grid, None, np.inf)
+        dtype = np.asarray(sym.evaluate(np.zeros((1, 1)), np.ones((1, 1)))).dtype
+        assert dtype == (np.complex128 if name == "complex" else np.float64)
+        for rows in (factors.u, factors.v):
+            assert isinstance(rows, np.ndarray) and rows.shape == (factors.rank, grid.M)
+            assert rows.dtype == dtype
+
     def test_batch_of_one_equals_batch_of_five(self):
         from hardylab.operators import low_rank_factors
 

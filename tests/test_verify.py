@@ -206,6 +206,39 @@ class TestDecay:
             check_decay_lemma(apply_to_atoms(op, [[a1, a2]])[0], N=0, max_distance=3.5)
 
 
+class TestMedianAndFit:
+    @pytest.mark.parametrize("size", [1, 2, 7, 8, 49, 50])
+    def test_median_is_numpy_median_bitwise(self, size):
+        # Odd and even counts, duplicates, signed zeros, subnormals and NaN.
+        rng = np.random.default_rng(size)
+        cases = [
+            rng.standard_normal(size),
+            rng.integers(-2, 3, size).astype(float),
+            rng.choice([0.0, -0.0], size),
+            rng.choice([-0.0, 0.0, 1.0, -1.0], size),
+            rng.choice([-5e-324, -0.0, 0.0, 5e-324], size),
+        ]
+        nan = rng.standard_normal(size)
+        nan[rng.integers(size)] = np.nan
+        cases.append(nan)
+        for values in cases:
+            got = np.float64(hardylab.verify._median(list(values)))
+            want = np.float64(np.median(values))
+            assert got.view(np.uint64) == want.view(np.uint64), values
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_line_fit_matches_lstsq(self, seed):
+        rng = np.random.default_rng(seed)
+        x = np.log(rng.uniform(0.5, 8.0, 40 + seed))
+        y = -3.0 * x + 0.7 + 0.1 * rng.standard_normal(x.size)
+        slope, stderr = hardylab.verify._line_fit(x, y)
+        A = np.stack([x, np.ones_like(x)], axis=1)
+        coef, residuals, _, _ = np.linalg.lstsq(A, y, rcond=None)
+        want = np.sqrt(residuals[0] / (x.size - 2) / np.sum((x - x.mean()) ** 2))
+        assert slope == pytest.approx(coef[0], rel=1e-12)
+        assert stderr == pytest.approx(want, rel=1e-12)
+
+
 @pytest.fixture(scope="module")
 def grid1024():
     return make_grid(1, 8.0, 1024)
