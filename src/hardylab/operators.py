@@ -10,7 +10,7 @@ One application route, ``apply_operator``: every symbol is read as a sum
 of partition terms (``Symbol.partitions``; a general symbol is one term with
 one group of all m slots), ``operator_factors`` applies each group, and
 ``sum_of_products`` sums over terms the pointwise product of their group
-outputs.  A group is applied by one of three engines:
+outputs.  A group is applied by one of four engines:
 
 * ``apply_general`` — exhaustive summation over the discretized frequency
   integral, grouped by output frequency eta.  For each eta the last input
@@ -26,9 +26,9 @@ outputs.  A group is applied by one of three engines:
   contiguous windows of its spectrum (see ``apply_general``), and output
   frequencies are processed in chunks of at most ``_MAX_CHUNK_ELEMENTS``
   tuples of the whole lattice, so the working set stays in cache.
-  Every group of three or more slots runs here, and a two-slot group that
-  the cost rule below keeps, as the operator with that group's symbol on
-  its own inputs.  One pass takes a batch of input sets: each chunk's index
+  Every group of four or more slots runs here, and a two- or three-slot
+  group that its cost rule below keeps, as the operator with that group's
+  symbol on its own inputs.  One pass takes a batch of input sets: each chunk's index
   windows and symbol values are computed once for all of them, and each
   set's output is bit for bit that of a pass over it alone.
   ``operator_factors`` gives a pass as many sets as keep their free
@@ -43,17 +43,31 @@ outputs.  A group is applied by one of three engines:
   below W^n / (2 log2 S) (``_rank_cap``), a rule of (symbol, grid, cutoff)
   alone, so a replay takes the engine its ensemble took, bit for bit; ACA
   stops as soon as the rank reaches that cap.  The split is in the
-  symbol's own precision and cached with one entry, so it lives until
-  another split replaces it.  Per set it reports a bound on its distance
+  symbol's own precision.  Per set it reports a bound on its distance
   from the exhaustive sum, eps dxi^(2n) |f^_1|_1 |f^_2|_1, where eps is ten
   times the largest residual of the split sampled on seeded lattice pairs,
   rows and columns; ``operator_factors`` carries it into ``Factors.bound``.
+* ``apply_tensor_train`` — a three-slot group whose symbol splits in
+  tensor-train form, sigma(xi_1, xi_2, xi_3) ~ sum_{a,b} u_a(xi_1)
+  g_ab(xi_2) v_b(xi_3), on the masked lattice of the cutoff's box
+  (``tensor_train_factors``: two crosses that read only fibres, the fibres
+  through xi = 0 exact, then recompression, the core kept in a basis of
+  its mode-2 span), applied as sum_a (T_{u_a} f_1) sum_b (T_{g_ab}
+  f_2)(T_{v_b} f_3): r1 + r1 r2 + r2 + 3 transforms of length S per set,
+  against S W^(2n) symbol products.  The cost rule
+  takes it while (r1 + r1 r2 + r2) log2 S < W^(2n) (``_train_cost_cap``),
+  again a rule of (symbol, grid, cutoff) alone.  Its bound is eps
+  dxi^(3n) |f^_1|_1 |f^_2|_1 |f^_3|_1, eps ten times the largest residual
+  sampled on seeded fibres of all three modes.
 * ``apply_linear`` — a one-slot group is a 1-linear multiplier on its
   input's forward transform, computed once per input and shared by every
   term; bit for bit ``apply_general`` at m = 1, at a third of its cost.
 
-Each distinct group factor is applied once per input set and each
-one-slot weight array is evaluated once per operator.  The pointwise
+Each group's split, or the rule's "exhaustive", is found when the
+operator is first applied (``_group_split``) and kept for as long as that
+operator is the one applied.  Each distinct group factor is applied once
+per input set and each one-slot weight array is evaluated once per
+operator.  The pointwise
 majorants are built from the factor outputs, and the output is one shared
 sum over terms of their products, so the factors and the output come from a
 single application.
@@ -69,9 +83,9 @@ numpy's fixed pairwise tree, so results are bitwise independent of how the
 output-frequency range is partitioned into chunks or across workers, and of
 how the last slot's values are gathered into that axis.  The axis is the
 row of all M^(n(m-1)) free tuples, zero outside the box, so the tree sees
-the row a sum over the whole lattice would.  The low-rank engine takes each
-set through the same steps in the same order, so its outputs do not depend
-on the batch either.
+the row a sum over the whole lattice would.  The low-rank engine and the
+tensor train take each set through the same steps in the same order, so
+their outputs do not depend on the batch either.
 """
 
 from __future__ import annotations
@@ -104,11 +118,14 @@ __all__ = [
     "MomentEstimate",
     "apply_general",
     "apply_low_rank",
+    "apply_tensor_train",
     "apply_oracle",
     "apply_operator",
     "operator_factors",
     "low_rank_factors",
     "LowRankFactors",
+    "tensor_train_factors",
+    "TensorTrainFactors",
     "Factors",
     "sum_of_products",
     "spectral_moment",
@@ -179,12 +196,12 @@ def _check_inputs(op: MultilinearOperator, fs: Sequence[SampledFunction]) -> Non
 
 def _check_budget(op: MultilinearOperator) -> None:
     """The cost budget counts the S^m tuples of the whole lattice, whichever
-    engine applies the operator."""
-    calls = op.grid.size**op.m
-    if calls > op.budget:
+    engine applies the operator; it is checked before either runs."""
+    tuples = op.grid.size**op.m
+    if tuples > op.budget:
         raise ValueError(
-            f"apply_general needs {calls} evaluator calls, over the budget {op.budget}; "
-            "use the product/mixed fast path or a smaller grid"
+            f"a {op.m}-slot group on {op.grid.size} grid points has S^m = {tuples} "
+            f"frequency tuples, over the cost budget {op.budget}"
         )
 
 
@@ -218,15 +235,21 @@ def _box(grid: Grid, cutoff: float | None) -> tuple[int, int]:
 # so the chunk stays in cache.  The count is of rows of the whole lattice,
 # M^(n(m-1)) tuples each, since every row is reduced at that length; the
 # symbol runs on the box's W^(n(m-1)) of them.  A row longer than the chunk
-# (sigma4's trilinear group at M=256 has 65,536, of which its box at the
-# default cutoff holds 129^2 = 16,641) runs one frequency at a time.
+# runs one frequency at a time: a trilinear group at M=256 has 65,536, of
+# which the default cutoff's box holds 129^2 = 16,641, but the cost rule
+# sends sigma4's trilinear group there to its tensor train, and the
+# exhaustive engine now sees such rows only for trilinear symbols of high
+# rank (sigma1) and in the tests.
 _MAX_CHUNK_ELEMENTS = 2**15
 
 # Bytes of per-set free products one engine pass may hold.  The sets of a
 # batch share every chunk's index windows and symbol values; this caps what
 # each set adds (16 W^(n(m-1)) bytes, one per box tuple): 7 sets at M=256
 # trilinear with the default cutoff, and 32, the trials' batch, for lemmas'
-# bilinear group at M=4096, which runs low-rank.
+# bilinear group at M=4096.  Both of those groups now run on a split
+# (lemmas' on the low-rank engine, sigma4's trilinear group on its tensor
+# train, each set by set), but the cap still sets the trials' batches
+# (``sets_per_pass``), which no output depends on.
 _MAX_BATCH_BYTES = 2**21
 
 
@@ -463,7 +486,64 @@ def _release_rows(buf: mmap.mmap, rows: np.ndarray, keep: int) -> None:
         buf.madvise(mmap.MADV_DONTNEED, start, len(buf) - start)
 
 
-@lru_cache(maxsize=1)
+def _cross_start(
+    line: Callable[[int, int], np.ndarray], shape: tuple[int, int], capacity: int
+) -> tuple[np.ndarray, mmap.mmap, np.ndarray, mmap.mmap, float]:
+    """The first two terms of a cross of the (rows, columns) matrix that
+    ``line`` reads (row i for slot 0, column i for slot 1), whose row 0 and
+    column 0 pass through xi = 0: that row and that column, exactly, as
+    e_0 (x) row_0 and column_0 (x) e_0 with the shared entry counted once.
+    Returns the term buffers (``_term_rows``, ``capacity`` rows each) and
+    the squared Frobenius norm of the two terms."""
+    first_row, first_column = line(0, 0), line(0, 1)
+    dtype = np.result_type(first_row, first_column)
+    (U, u_buf), (V, v_buf) = _term_rows(capacity, shape[0], dtype), _term_rows(capacity, shape[1], dtype)
+    U[0, 0] = V[1, 0] = 1.0
+    V[0], U[1] = first_row, first_column
+    U[1, 0] = 0.0
+    frob2 = float(np.vdot(V[0], V[0]).real + np.vdot(U[1], U[1]).real)
+    return U, u_buf, V, v_buf, frob2
+
+
+def _aca(
+    line: Callable[[int, int], np.ndarray],
+    U: np.ndarray,
+    V: np.ndarray,
+    r: int,
+    frob2: float,
+    used: np.ndarray,
+    i: int,
+    max_rank: float,
+    pivots: list[tuple[int, int]] | None = None,
+) -> tuple[int, float]:
+    """ACA with partial pivoting on the remainder of the r terms in U and V,
+    from row i: each next row the largest entry of the last column among
+    rows not yet used (the first on ties), a row whose residual is exactly
+    zero passed over for the first unused row, until |u_k| |v_k| <=
+    _ACA_TOL |S_k|_F, the rank reaches ``max_rank`` or every row is used.
+    Marks the rows it reads in ``used``, appends each term's (row, column)
+    pivot to ``pivots``, and returns the new r and |S|_F^2."""
+    while r < max_rank and i < len(used) and not used[i]:
+        row = line(i, 0) - U[:r, i] @ V[:r]
+        used[i] = True
+        j = int(np.argmax(np.abs(row)))
+        if row[j] == 0:
+            i = int(np.argmin(used)) if not used.all() else len(used)
+            continue
+        V[r] = row / row[j]
+        U[r] = line(j, 1) - V[:r, j] @ U[:r]
+        frob2 += 2.0 * float(np.sum((U[:r] @ U[r].conj()) * (V[:r] @ V[r].conj())).real)
+        size = float(np.linalg.norm(U[r]) * np.linalg.norm(V[r]))
+        frob2 += size * size
+        r += 1
+        if pivots is not None:
+            pivots.append((i, j))
+        if size <= _ACA_TOL * math.sqrt(max(frob2, 0.0)):
+            break
+        i = int(np.argmax(np.where(used, -1.0, np.abs(U[r - 1]))))
+    return r, frob2
+
+
 def low_rank_factors(
     symbol: Symbol, grid: Grid, cutoff: float | None, max_rank: float
 ) -> LowRankFactors | None:
@@ -473,18 +553,15 @@ def low_rank_factors(
     reaches ``max_rank`` (the cost rule passes ``_rank_cap``).
 
     The row and the column through xi = 0 are taken exactly as two rank-one
-    terms first: ``_safe_div`` makes sigma(0, 0) = 0 next to sigma(0, b) =
-    1, a jump that ACA alone does not resolve.  ACA then runs on the
-    remainder from the row after xi = 0, each next row the largest entry of
-    the last column among rows not yet used (the first on ties), and stops
-    when |u_k| |v_k| <= _ACA_TOL |S_k|_F.  A row whose residual is exactly
-    zero is passed over for the first unused row.  The split is then
-    recompressed and its residual sampled (``_sampled_residual``); a sampled
-    entry above _ACA_TOL |S|_F means ACA stopped early, and it goes on from
-    that entry's row.  Every step is fixed by (symbol, grid, cutoff), so the
-    factors and every bit the engine computes from them are too.  The terms
-    live in memory maps (``_term_rows``).  Cached with one entry: a split
-    lives until another replaces it."""
+    terms first (``_cross_start``): ``_safe_div`` makes sigma(0, 0) = 0 next
+    to sigma(0, b) = 1, a jump that ACA alone does not resolve.  ACA
+    (``_aca``) then runs on the remainder from the row after xi = 0.  The
+    split is then recompressed and its residual sampled
+    (``_sampled_residual``); a sampled entry above _ACA_TOL |S|_F means ACA
+    stopped early, and it goes on from that entry's row.  Every step is
+    fixed by (symbol, grid, cutoff), so the factors and every bit the engine
+    computes from them are too.  The terms live in memory maps
+    (``_term_rows``)."""
     if max_rank <= 2:  # the cross alone reaches it
         return None
     index, xi, mask = _box_lattice(grid, cutoff)
@@ -496,35 +573,14 @@ def low_rank_factors(
         pair = (held, xi) if slot == 0 else (xi, held)
         return np.asarray(symbol.evaluate(*pair)) * (mask * mask[i])
 
-    first_row, first_column = line(0, 0), line(0, 1)
-    dtype = np.result_type(first_row, first_column)
     capacity = int(min(max_rank, P)) + 1
-    (U, u_buf), (V, v_buf) = _term_rows(capacity, P, dtype), _term_rows(capacity, P, dtype)
-    U[0, 0] = V[1, 0] = 1.0
-    V[0], U[1] = first_row, first_column
-    U[1, 0] = 0.0
-    frob2 = float(np.vdot(V[0], V[0]).real + np.vdot(U[1], U[1]).real)
+    U, u_buf, V, v_buf, frob2 = _cross_start(line, (P, P), capacity)
     r = 2
     used = np.zeros(P, dtype=bool)
     used[0] = True
     i = 1
     while True:
-        while r < max_rank and i < P and not used[i]:  # else every row is used: exact
-            row = line(i, 0) - U[:r, i] @ V[:r]
-            used[i] = True
-            j = int(np.argmax(np.abs(row)))
-            if row[j] == 0:
-                i = int(np.argmin(used)) if not used.all() else P
-                continue
-            V[r] = row / row[j]
-            U[r] = line(j, 1) - V[:r, j] @ U[:r]
-            frob2 += 2.0 * float(np.sum((U[:r] @ U[r].conj()) * (V[:r] @ V[r].conj())).real)
-            size = float(np.linalg.norm(U[r]) * np.linalg.norm(V[r]))
-            frob2 += size * size
-            r += 1
-            if size <= _ACA_TOL * math.sqrt(max(frob2, 0.0)):
-                break
-            i = int(np.argmax(np.where(used, -1.0, np.abs(U[r - 1]))))
+        r, frob2 = _aca(line, U, V, r, frob2, used, i, max_rank)
         if r >= max_rank:
             return None
         r, frob = _recompress(U[:r], V[:r])
@@ -689,23 +745,54 @@ def apply_low_rank(
     return results
 
 
+@lru_cache(maxsize=1)
+def _group_splits(
+    op: MultilinearOperator,
+) -> dict[Symbol, LowRankFactors | TensorTrainFactors | None]:
+    """The splits ``_group_split`` has found for the groups of ``op``, by
+    group symbol.  Keyed on the operator, so every group of one operator
+    keeps its answer for as long as that operator is the one applied."""
+    return {}
+
+
+def _group_split(
+    op: MultilinearOperator, symbol: Symbol
+) -> LowRankFactors | TensorTrainFactors | None:
+    """The split of the operator's group with this symbol where the cost
+    rule picks one, else None: a two-slot group's ``low_rank_factors`` when
+    its rank stays under ``_rank_cap``, a three-slot group's
+    ``tensor_train_factors`` when its ranks stay under ``_train_cost_cap``.
+    The group's cost budget is checked first.  Computed when the group is
+    first applied, and kept in ``_group_splits``."""
+    splits = _group_splits(op)
+    if symbol not in splits:
+        group = replace(op, symbol=symbol)
+        _check_budget(group)
+        grid, cutoff = op.grid, op.cutoff
+        if group.m == 2:
+            splits[symbol] = low_rank_factors(symbol, grid, cutoff, _rank_cap(grid, cutoff))
+        elif group.m == 3:
+            splits[symbol] = tensor_train_factors(symbol, grid, cutoff, _train_cost_cap(grid, cutoff))
+        else:
+            splits[symbol] = None
+    return splits[symbol]
+
+
 def _apply_group(
-    op: MultilinearOperator, sets: Sequence[Sequence[SampledFunction]]
+    op: MultilinearOperator,
+    sets: Sequence[Sequence[SampledFunction]],
+    split: LowRankFactors | TensorTrainFactors | None,
 ) -> list[tuple[SampledFunction, float]]:
     """A group of two or more slots, as the operator ``op``, applied to each
-    set, with a bound on each output's error: on the low-rank engine when
-    the group has two slots and the cost rule (``_rank_cap``) picks it, and
-    otherwise in ``apply_general`` passes of ``sets_per_pass`` sets, exact up
-    to rounding (bound 0).  The choice depends on (symbol, grid, cutoff)
-    alone, never on the sets."""
-    if not sets:
-        return []
-    factors = None
-    if op.m == 2:
-        _check_budget(op)
-        factors = low_rank_factors(op.symbol, op.grid, op.cutoff, _rank_cap(op.grid, op.cutoff))
-    if factors is not None:
-        return apply_low_rank(op, factors, sets)
+    set, with a bound on each output's error: on the low-rank engine or the
+    tensor train when ``split`` is one (``_group_split``), and otherwise in
+    ``apply_general`` passes of ``sets_per_pass`` sets, exact up to rounding
+    (bound 0).  The split depends on (symbol, grid, cutoff) alone, never on
+    the sets."""
+    if isinstance(split, LowRankFactors):
+        return apply_low_rank(op, split, sets)
+    if isinstance(split, TensorTrainFactors):
+        return apply_tensor_train(op, split, sets)
     step = sets_per_pass(op)
     return [
         (out, 0.0)
@@ -801,10 +888,10 @@ def apply_linear(weights: np.ndarray, spec: Spectrum) -> SampledFunction:
 class Factors(tuple):
     """Per operator term, the outputs of its groups (a tuple of tuples),
     with ``bound``, a bound on the sup-norm error of their sum of products
-    that the low-rank groups add: per term, prod_g (|F_g|_inf + b_g) -
+    that the split groups add: per term, prod_g (|F_g|_inf + b_g) -
     prod_g |F_g|_inf over its group outputs F_g with bounds b_g, which is b
-    times the sup norms of the term's other factors when one group is
-    low-rank, and 0.0 when every group is exact."""
+    times the sup norms of the term's other factors when one group is a
+    split, and 0.0 when every group is exact."""
 
     bound: float
 
@@ -824,11 +911,11 @@ def operator_factors(
     inherits the operator's cutoff and budget.  A group that several terms
     name with the same symbol is applied once, and its output stands in
     every one of them.  Each group of two or more slots runs on all the
-    sets at once (``_apply_group``): on the low-rank engine when the cost
-    rule picks it, else in ``apply_general`` passes of ``sets_per_pass``
-    sets, whose symbol is evaluated once for all of them.  Either way each
-    set's factors are bit for bit those of the set alone; one-slot groups
-    run set by set."""
+    sets at once (``_apply_group``): on its split (the low-rank engine or
+    the tensor train) when the cost rule picks one, else in
+    ``apply_general`` passes of ``sets_per_pass`` sets, whose symbol is
+    evaluated once for all of them.  Either way each set's factors are bit
+    for bit those of the set alone; one-slot groups run set by set."""
     _check_sets(op, sets)
     terms = op.symbol.partitions
     groups = dict.fromkeys(
@@ -839,10 +926,14 @@ def operator_factors(
     applied: list[dict[tuple[tuple[int, ...], Symbol], tuple[SampledFunction, float]]] = [
         {} for _ in sets
     ]
+    # Every split before any pass: a split's crosses are freed in whole
+    # pages, while an exhaustive pass leaves the heap larger.
+    splits = {sym: _group_split(op, sym) for grp, sym in groups if len(grp) > 1 and sets}
     for grp, sym in groups:
-        if len(grp) > 1:
+        if sym in splits:
             batch = [[fs[l] for l in grp] for fs in sets]
-            for done, out in zip(applied, _apply_group(replace(op, symbol=sym), batch)):
+            outs = _apply_group(replace(op, symbol=sym), batch, splits[sym])
+            for done, out in zip(applied, outs):
                 done[grp, sym] = out
     for fs, done in zip(sets, applied):
         spectra = {l: dft(fs[l]) for l in singles}
@@ -924,3 +1015,19 @@ def spectral_moment(g: Spectrum, alpha: Sequence[int]) -> MomentEstimate:
     mask = np.abs(vals) > 1e-13 * np.max(np.abs(vals)) if np.any(vals) else np.zeros_like(vals, bool)
     spatial = _masked_moment(out, grid.points(), alpha, mask)
     return MomentEstimate(alpha, spectral, spatial)
+
+
+# The tensor train lives in a module of its own and uses this one's cross
+# machinery, so it is imported last.  Kept apart because Python compiles a
+# module from source whenever no bytecode is cached, and the compiler's peak
+# memory grows with the module: compiling this module peaked at 3.8 MB with
+# the train inside and at 2.6 MB without, and with the train inside the peak
+# RSS of the product workload, which runs no split, was 0.3-0.4 MB above its
+# parent's, against 0.03-0.2 MB apart (perfbench, 2 cores, Python 3.11,
+# PYTHONDONTWRITEBYTECODE=1).
+from .train import (  # noqa: E402
+    TensorTrainFactors,
+    _train_cost_cap,
+    apply_tensor_train,
+    tensor_train_factors,
+)

@@ -371,18 +371,19 @@ class TestOneApplicationPerAtomSet:
                 3,
             ),
             # sigma4 has three partition groups over its two terms, each
-            # applied once per trial and once to the check atoms: the two
-            # multi-slot groups through the general engine, the one-slot
-            # group as a 1-linear multiplier.  The majorant reads those
-            # group outputs instead of applying them.  Both trials fit one
-            # pass of each multi-slot group, and so does the check set.
+            # applied once per trial and once to the check atoms: the
+            # bilinear group through the general engine, the trilinear one
+            # on its tensor train (the cost rule's pick at M=256), the
+            # one-slot group as a 1-linear multiplier.  The majorant reads
+            # those group outputs instead of applying them.  Both trials fit
+            # one pass of the bilinear group, and so does the check set.
             (
                 MIXED_CONFIG,
                 3,
                 2,
-                lambda trials: 2 * (trials + 1),
                 lambda trials: trials + 1,
-                4,
+                lambda trials: trials + 1,
+                2,
             ),
             # sigma3's six rank-one terms name 18 one-slot factors, of which
             # 12 are distinct (slot, symbol) pairs; each is applied once.

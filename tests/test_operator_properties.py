@@ -4,7 +4,8 @@ in each slot, covariance under grid shifts, and conjugation symmetry for
 real symbols of a fixed parity.  Each holds within a
 rounding bound fixed here, before any example runs.  A batch of input sets
 gives every set the bits it gets alone, in the engine and in the factors.
-The low-rank engine stays within the bound it reports."""
+The low-rank engine and the tensor train stay within the bounds they
+report, and so does the route where the cost rule picks them."""
 
 from dataclasses import replace
 
@@ -21,10 +22,12 @@ from hardylab.operators import (
     apply_general,
     apply_low_rank,
     apply_operator,
+    apply_tensor_train,
     default_cutoff,
     low_rank_factors,
     operator_factors,
     sets_per_pass,
+    tensor_train_factors,
 )
 from hardylab.symbols import BUILTIN_NAMES, builtin_symbol
 
@@ -74,10 +77,13 @@ def _scales(fs):
 @settings(derandomize=True, database=None, max_examples=8, deadline=None)
 @given(data=st.data())
 def test_route_agrees_with_general_engine(name, data):
+    # Where the cost rule sends a group to a split (sigma3_factored from
+    # M=16, sigma2_factored at M=64), the route is within its reported bound.
     op, fs, _ = data.draw(cases(name))
     got = apply_operator(op, fs).values
     want = apply_general(op, [fs])[0][0].values
-    assert np.max(np.abs(got - want)) <= ROUNDING * _scales(fs)
+    bound = operator_factors(op, [fs])[0].bound
+    assert np.max(np.abs(got - want)) <= bound + ROUNDING * _scales(fs)
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
@@ -131,13 +137,16 @@ PARITY = {
 def test_conjugation_symmetry(name, data):
     # The inputs live on |k| <= M/4, so the lattice's unpaired frequency
     # -M/2 carries nothing; each example runs with and without the cutoff.
+    # A split keeps no parity, so each side may move by its reported bound.
     op, fs, _ = data.draw(cases(name))
     conj = [SampledFunction(op.grid, np.conj(f.values)) for f in fs]
     for cutoff in (None, default_cutoff(op.grid)):
         cut_op = replace(op, cutoff=cutoff)
+        lhs, rhs = (operator_factors(cut_op, [gs])[0] for gs in (conj, fs))
+        bound = lhs.bound + rhs.bound
         lhs = apply_operator(cut_op, conj).values
         rhs = PARITY[name] * np.conj(apply_operator(cut_op, fs).values)
-        assert np.max(np.abs(lhs - rhs)) <= ROUNDING * _scales(fs)
+        assert np.max(np.abs(lhs - rhs)) <= bound + ROUNDING * _scales(fs)
 
 
 def _multi_slot_groups(symbol):
@@ -236,20 +245,35 @@ TWO_SLOT = {"sigma1_bilinear": SYMBOLS["sigma1_bilinear"]} | {
 }
 
 
-@pytest.mark.parametrize("name", list(TWO_SLOT))
+# The builtin three-slot symbols: sigma4's trilinear group and the general
+# trilinear builtins.
+THREE_SLOT = {
+    f"sigma4-{k}": sym
+    for k, part in enumerate(SYMBOLS["sigma4"].partitions)
+    for grp, sym in zip(part.groups, part.symbols)
+    if len(grp) == 3
+} | {name: SYMBOLS[name] for name in ("sigma1", "sigma2_factored", "sigma3_factored")}
+
+
+@pytest.mark.parametrize("name", list(TWO_SLOT) + list(THREE_SLOT))
 @settings(derandomize=True, database=None, max_examples=8, deadline=None)
 @given(data=st.data())
 def test_low_rank_within_its_bound(name, data):
-    # The engine is called directly: the cost rule keeps grids this small
-    # exhaustive.  Its bound covers the split; ROUNDING covers both engines'
-    # own sums and transforms.
+    # The engines are called directly: the cost rule keeps most grids this
+    # small exhaustive.  The bound covers the split; ROUNDING covers the
+    # engines' own sums and transforms.
+    symbol = TWO_SLOT[name] if name in TWO_SLOT else THREE_SLOT[name]
     M = data.draw(st.sampled_from((16, 32, 64)))
     grid = make_grid(1, 8.0, M)
     cutoff = default_cutoff(grid) if data.draw(st.booleans()) else None
-    op = MultilinearOperator(TWO_SLOT[name], grid, cutoff)
+    op = MultilinearOperator(symbol, grid, cutoff)
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    fs = [band_limited(grid, rng, data.draw(st.integers(1, M // 2 - 1))) for _ in range(2)]
-    factors = low_rank_factors(op.symbol, grid, cutoff, np.inf)
-    ((out, bound),) = apply_low_rank(op, factors, [fs])
+    fs = [band_limited(grid, rng, data.draw(st.integers(1, M // 2 - 1))) for _ in range(op.m)]
+    if op.m == 2:
+        factors = low_rank_factors(op.symbol, grid, cutoff, np.inf)
+        ((out, bound),) = apply_low_rank(op, factors, [fs])
+    else:
+        factors = tensor_train_factors(op.symbol, grid, cutoff, np.inf)
+        ((out, bound),) = apply_tensor_train(op, factors, [fs])
     want = apply_general(op, [fs])[0][0].values
     assert np.max(np.abs(out.values - want)) <= bound + ROUNDING * _scales(fs)

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -209,6 +211,17 @@ class TestApplyGeneral:
         with pytest.raises(ValueError, match="budget"):
             apply_general(op, [fs])[0]
 
+    def test_cost_budget_message(self):
+        # The check runs before either engine, so it names the group's tuple
+        # count and the budget, not an engine.
+        g = make_grid(1, 8.0, 64)
+        op = MultilinearOperator(builtin_symbol("sigma4"), g, budget=1000)
+        fs = [band_limited(g, s) for s in (1, 2, 3)]
+        message = "a 2-slot group on 64 grid points has S^m = 4096 frequency tuples, over the cost budget 1000"
+        with pytest.raises(ValueError) as raised:
+            operator_factors(op, [fs])
+        assert str(raised.value) == message
+
     def test_grid_mismatch(self, grid32):
         other = make_grid(1, 8.0, 64)
         op = MultilinearOperator(builtin_symbol("sigma1_bilinear"), grid32)
@@ -305,6 +318,49 @@ class TestApplyGeneral:
             finally:
                 tracemalloc.stop()
             assert peak < bound
+
+    def test_train_peaks_below_the_exhaustive_pass(self):
+        # Factoring sigma4's trilinear group at M=256 with the default cutoff
+        # and applying it to four sets holds less memory than the exhaustive
+        # pass over the same sets.  The crosses' terms live in memory maps,
+        # which tracemalloc does not see; the crosses run one after another,
+        # each freeing its terms before the next reads a fibre, and the last
+        # one's terms hold the core.  So the train's peak is at most the
+        # traced peak plus the largest cross's terms, at their final rank.
+        import tracemalloc
+
+        import hardylab.train as train
+
+        grid = make_grid(1, 8.0, 256)
+        op = MultilinearOperator(sigma4_trilinear_group(), grid, cutoff=default_cutoff(grid))
+        sets = [random_inputs(grid, 3, seed) for seed in range(81, 85)]
+        tracemalloc.start()
+        try:
+            apply_general(op, sets)
+            exhaustive = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        crosses = []
+        bond_cross = train._bond_cross
+
+        def counting(line, shape, max_rank, start):
+            bond = bond_cross(line, shape, max_rank, start)
+            crosses.append(bond[4] * (shape[0] + shape[1]) * bond[0].itemsize)
+            return bond
+
+        tracemalloc.start()
+        try:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(train, "_bond_cross", counting)
+                factors = train.tensor_train_factors(
+                    op.symbol, grid, op.cutoff, train._train_cost_cap(grid, op.cutoff)
+                )
+            train.apply_tensor_train(op, factors, sets)
+            traced = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(crosses) >= 3
+        assert traced + max(crosses) < exhaustive
 
     def test_dilation_equivariance_homogeneous(self):
         # Degree-zero symbols commute with simultaneous dilation; with wave
@@ -678,8 +734,10 @@ class TestOneRoute:
     @pytest.mark.parametrize("route", ["apply_operator", "operator_factors"])
     def test_general_operator_is_one_factor(self, route, grid32):
         # A general symbol is one term with one group of all m slots, so its
-        # factors are one output: the general engine's, bit for bit, and
-        # apply_operator sums that one term onto zeros.
+        # factors are one output and apply_operator sums that one term onto
+        # zeros.  Where the cost rule keeps the group exhaustive the output
+        # is the general engine's, bit for bit; sigma3_factored (ranks 3/3)
+        # goes to its tensor train at M=32, and is within the train's bound.
         general = [builtin_symbol(name) for name in BUILTIN_NAMES]
         general = [sym for sym in general if sym.kind == "general"]
         assert len(general) == 4
@@ -688,14 +746,19 @@ class TestOneRoute:
                 op = MultilinearOperator(sym, grid32, cutoff)
                 fs = [band_limited(grid32, s) for s in range(68, 68 + sym.m)]
                 want = apply_general(op, [fs])[0][0].values
+                factors = operator_factors(op, [fs])[0]
+                assert (factors.bound > 0) == (sym.name == "sigma3_factored")
                 if route == "operator_factors":
-                    factors = operator_factors(op, [fs])[0]
                     assert len(factors) == 1 and len(factors[0]) == 1
                     got = factors[0][0].values
                 else:
                     got = apply_operator(op, fs).values
                     want = np.zeros(grid32.shape, dtype=np.complex128) + want
-                assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+                if factors.bound:
+                    scale = float(np.prod([input_scale(f) for f in fs]))
+                    assert np.max(np.abs(got - want)) <= factors.bound + LOW_RANK_ROUNDING * scale
+                else:
+                    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 # ---------------------------------------------------------------------------
@@ -748,6 +811,43 @@ def low_rank_inputs(grid):
         for s in (1.0, -1.0)
     ]
     return atoms + packets
+
+
+def three_slot_symbols():
+    """The builtin three-slot symbols: sigma4's trilinear group and the
+    three general trilinear builtins."""
+    symbols = {"sigma4-trilinear": sigma4_trilinear_group()}
+    for name in ("sigma1", "sigma2_factored", "sigma3_factored"):
+        symbols[name] = builtin_symbol(name)
+    return symbols
+
+
+THREE_SLOT = three_slot_symbols()
+
+
+def train_packets(grid):
+    """Two triples of smooth wave packets."""
+    x = grid.axis_points()
+    return [
+        [
+            SampledFunction(grid, np.exp(-((x - c) ** 2) / 2) * np.exp(2j * np.pi * k * x))
+            for c, k in ((0.3 * s, 0.7), (-0.4, 1.3 * s), (0.8, -0.5 * s))
+        ]
+        for s in (1.0, -1.0)
+    ]
+
+
+def train_inputs(grid):
+    """Two atom triples (side 1, cancellation orders 2, 0 and 1) and
+    ``train_packets``."""
+    atoms = [
+        [
+            make_atom(Cube((c,), 1.0), 1.0, N, seed + k, grid).values
+            for k, (c, N) in enumerate(((0.25, 2), (-0.5, 0), (0.75, 1)))
+        ]
+        for seed in (3, 5)
+    ]
+    return atoms + train_packets(grid)
 
 
 def lemmas_check_outputs():
@@ -889,14 +989,12 @@ class TestLowRank:
             assert rows.dtype == dtype
 
     def test_batch_of_one_equals_batch_of_five(self):
-        from hardylab.operators import low_rank_factors
-
         grid = make_grid(1, 8.0, 4096)
         op = MultilinearOperator(TWO_SLOT["sigma1_bilinear"], grid)
         sets = [random_inputs(grid, 2, seed) for seed in range(50, 55)]
         batch = operator_factors(op, sets)
         assert batch[2].bound > 0
-        low_rank_factors.cache_clear()  # the second call factors again
+        hardylab.operators._group_splits.cache_clear()  # the second call factors again
         (alone,) = operator_factors(op, [sets[2]])
         got, want = alone[0][0].values, batch[2][0][0].values
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
@@ -959,8 +1057,188 @@ class TestLowRank:
         assert factors.bound > 0
         assert factors.bound == pytest.approx(want, rel=1e-9)
         monkeypatch.setattr(hardylab.operators, "_rank_cap", lambda grid, cutoff: 0)
+        hardylab.operators._group_splits.cache_clear()  # the operator's splits are kept
         exhaustive = operator_factors(op, [fs])[0]
         assert exhaustive.bound == 0.0
         err = np.max(np.abs(sum_of_products(factors).values - sum_of_products(exhaustive).values))
         scale = float(np.prod([input_scale(f) for f in fs]))
         assert err <= factors.bound + LOW_RANK_ROUNDING * scale
+
+    # The tensor train for three-slot groups.
+
+    @pytest.mark.parametrize("cut", ["uncut", "cut"])
+    @pytest.mark.parametrize("name", list(THREE_SLOT))
+    def test_train_agrees_with_exhaustive_within_bound(self, name, cut):
+        # The engine is called directly, whatever the cost rule picks.
+        from hardylab.operators import apply_tensor_train, tensor_train_factors
+
+        grid = make_grid(1, 8.0, 256)
+        op = MultilinearOperator(THREE_SLOT[name], grid, case_cutoff(grid, cut))
+        factors = tensor_train_factors(op.symbol, grid, op.cutoff, np.inf)
+        sets = train_inputs(grid)
+        for (out, bound), (want, _), fs in zip(
+            apply_tensor_train(op, factors, sets), apply_general(op, sets), sets
+        ):
+            scale = float(np.prod([input_scale(f) for f in fs]))
+            assert 0 < bound <= factors.eps * scale * (1 + 1e-12)
+            assert np.max(np.abs(out.values - want.values)) <= bound + LOW_RANK_ROUNDING * scale
+
+    @pytest.mark.parametrize("cut", ["uncut", "cut"])
+    def test_train_agrees_with_oracle_within_bound(self, cut):
+        from hardylab.operators import apply_tensor_train, tensor_train_factors
+
+        grid = make_grid(1, 8.0, 64)
+        op = MultilinearOperator(THREE_SLOT["sigma4-trilinear"], grid, case_cutoff(grid, cut))
+        factors = tensor_train_factors(op.symbol, grid, op.cutoff, np.inf)
+        idx = [20, 40]
+        fs = train_packets(grid)[0]
+        ((out, bound),) = apply_tensor_train(op, factors, [fs])
+        oracle = apply_oracle(op, fs, grid.axis_points()[idx][:, None])
+        scale = float(np.prod([input_scale(f) for f in fs]))
+        assert np.max(np.abs(out.values[idx] - oracle)) <= bound + LOW_RANK_ROUNDING * scale
+
+    @pytest.mark.parametrize("cut", ["uncut", "cut", "ball"])
+    def test_train_two_dimensional(self, cut):
+        # n = 2 runs the same code on the flattened box; "ball" keeps a box
+        # whose corners the cutoff masks.
+        from hardylab.operators import apply_tensor_train, tensor_train_factors
+
+        grid = make_grid(2, 4.0, 8)
+        op = MultilinearOperator(planar_symbol(3), grid, case_cutoff(grid, cut))
+        factors = tensor_train_factors(op.symbol, grid, op.cutoff, np.inf)
+        sets = [random_inputs(grid, 3, seed) for seed in (40, 41)]
+        for (out, bound), (want, _), fs in zip(
+            apply_tensor_train(op, factors, sets), apply_general(op, sets), sets
+        ):
+            scale = float(np.prod([input_scale(f) for f in fs]))
+            assert np.max(np.abs(out.values - want.values)) <= bound + LOW_RANK_ROUNDING * scale
+
+    def test_train_of_a_symbol_of_known_rank(self):
+        # sigma3_factored is a sum of three products in (xi_1 | xi_2, xi_3)
+        # and in (xi_1, xi_2 | xi_3).
+        from hardylab.operators import tensor_train_factors
+
+        grid = make_grid(1, 8.0, 256)
+        for cutoff in (None, default_cutoff(grid)):
+            factors = tensor_train_factors(THREE_SLOT["sigma3_factored"], grid, cutoff, np.inf)
+            assert factors.ranks == (3, 3)
+
+    def test_train_bound_is_attained_within_a_thousand(self):
+        # Plane waves at the triple where the split's residual over the
+        # whole box is largest make the error that residual itself.
+        from hardylab.operators import _box_lattice, apply_tensor_train, tensor_train_factors
+
+        grid = make_grid(1, 8.0, 64)
+        op = MultilinearOperator(THREE_SLOT["sigma4-trilinear"], grid)
+        factors = tensor_train_factors(op.symbol, grid, None, np.inf)
+        _, xi, mask = _box_lattice(grid, None)
+        A = op.symbol.evaluate(xi[:, None, None], xi[None, :, None], xi[None, None, :])
+        A = A * mask[:, None, None] * mask[None, :, None] * mask[None, None, :]
+        split = np.einsum(
+            "ai,abc,cj,bk->ijk", factors.u, factors.core, factors.basis, factors.v, optimize=True
+        )
+        residual = A - split
+        at = np.unravel_index(np.argmax(np.abs(residual)), A.shape)
+        x = grid.axis_points()
+        fs = [SampledFunction(grid, np.exp(2j * np.pi * xi[k, 0] * x)) for k in at]
+        ((out, bound),) = apply_tensor_train(op, factors, [fs])
+        err = np.max(np.abs(out.values - apply_general(op, [fs])[0][0].values))
+        assert err <= bound <= 1e3 * err
+
+    def test_train_batch_of_one_equals_batch_of_five(self):
+        grid = make_grid(1, 8.0, 256)
+        op = MultilinearOperator(THREE_SLOT["sigma4-trilinear"], grid, default_cutoff(grid))
+        sets = [random_inputs(grid, 3, seed) for seed in range(50, 55)]
+        batch = operator_factors(op, sets)
+        assert batch[2].bound > 0
+        hardylab.operators._group_splits.cache_clear()  # the second call factors again
+        (alone,) = operator_factors(op, [sets[2]])
+        got, want = alone[0][0].values, batch[2][0][0].values
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert alone.bound == batch[2].bound
+
+    def test_train_cost_rule(self):
+        # The rule, (r1 + r1 r2 + r2) log2 S < W^2, read on the cross's
+        # ranks, by builtin, grid and cutoff at n = 1.  The cross gives
+        # sigma3_factored ranks 3/3, sigma2_factored 3 and 27-36, sigma4's
+        # trilinear group 27/27 at M=128 uncut and at M=256 cut (the
+        # exhaustive SVD ranks at 3e-15 there), and sigma1 about 53/53 at
+        # M=256 cut, too many: it stays exhaustive, as exact SVD ranks say.
+        from hardylab.operators import _train_cost_cap, tensor_train_factors
+
+        train = {  # (M, cut) -> the builtins that go to the train
+            (16, False): {"sigma3_factored"},
+            (16, True): set(),
+            (32, False): {"sigma3_factored"},
+            (32, True): {"sigma3_factored"},
+            (64, False): {"sigma3_factored", "sigma2_factored"},
+            (64, True): {"sigma3_factored"},
+            (128, False): {"sigma3_factored", "sigma2_factored", "sigma4-trilinear"},
+            (128, True): {"sigma3_factored", "sigma2_factored"},
+            (256, True): {"sigma3_factored", "sigma2_factored", "sigma4-trilinear"},
+        }
+        for (M, cut), want in train.items():
+            grid = make_grid(1, 8.0, M)
+            cutoff = default_cutoff(grid) if cut else None
+            cap = _train_cost_cap(grid, cutoff)
+            got = set()
+            for name, sym in THREE_SLOT.items():
+                factors = tensor_train_factors(sym, grid, cutoff, cap)
+                if factors is not None:
+                    r1, r2 = factors.ranks
+                    assert r1 + r1 * r2 + r2 < cap
+                    got.add(name)
+            assert got == want, (M, cut)
+        grid = make_grid(1, 8.0, 256)
+        factors = tensor_train_factors(
+            THREE_SLOT["sigma4-trilinear"], grid, default_cutoff(grid), np.inf
+        )
+        assert factors.ranks == (27, 27)
+
+    def test_train_routing_on_mixed_trilinear(self, monkeypatch):
+        # On sigma4 at M=256 with the default cutoff, apply_general runs the
+        # bilinear group and never the trilinear one, which the train takes.
+        arities = []
+        original = hardylab.operators.apply_general
+
+        def counting(op, sets):
+            arities.append(op.m)
+            return original(op, sets)
+
+        monkeypatch.setattr(hardylab.operators, "apply_general", counting)
+        grid = make_grid(1, 8.0, 256)
+        op = MultilinearOperator(builtin_symbol("sigma4"), grid, default_cutoff(grid))
+        factors = operator_factors(op, [random_inputs(grid, 3, seed) for seed in (60, 61)])
+        assert arities == [2]
+        assert all(f.bound > 0 for f in factors)
+
+    def test_split_factored_once_per_operator(self, tmp_path, monkeypatch):
+        # One mixed-trilinear ensemble plus its checks factors the trilinear
+        # group once: every group of the operator keeps its split, the
+        # bilinear group's None included.
+        import hardylab.cli
+
+        calls = []
+        original = hardylab.operators.tensor_train_factors
+
+        def counting(symbol, *args):
+            calls.append(symbol.name)
+            return original(symbol, *args)
+
+        monkeypatch.setattr(hardylab.operators, "tensor_train_factors", counting)
+        path = Path(__file__).resolve().parent.parent / "perfbench" / "configs" / "mixed-trilinear.ini"
+        out = tmp_path / "out"
+        assert hardylab.cli.main(["run", str(path), "--out", str(out), "--jobs", "1"]) == 0
+        assert calls == [sigma4_trilinear_group().name]
+
+    def test_train_bound_on_mixed_trilinear_check_atoms(self):
+        # On the check atoms of mixed-trilinear the trilinear group's bound
+        # is under 1e-8 of max |T|.
+        import hardylab.cli
+
+        path = Path(__file__).resolve().parent.parent / "perfbench" / "configs" / "mixed-trilinear.ini"
+        config, _ = hardylab.cli.load_config(str(path))
+        ctx = hardylab.verify.run_context(config)
+        atoms = hardylab.cli._check_atoms(ctx, ctx.idx.N)
+        (t,) = hardylab.verify.apply_to_atoms(ctx.op, [atoms])
+        assert 0 < t.error_bound <= 1e-8 * t.out.max_abs()
