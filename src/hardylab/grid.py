@@ -227,6 +227,46 @@ def _half_shift(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _slot_mask(xi: np.ndarray, cutoff: float | None) -> np.ndarray:
+    """1.0 where the slot frequency has |xi| <= cutoff, else 0.0."""
+    if cutoff is None:
+        return np.ones(xi.shape[:-1])
+    return (np.linalg.norm(xi, axis=-1) <= cutoff).astype(np.float64)
+
+
+def _box(grid: Grid, cutoff: float | None) -> tuple[int, int]:
+    """Start and width (a, W) of the contiguous run of axis indices whose
+    frequency has |xi| <= cutoff; (0, M) with no cutoff.  The cube of these
+    runs holds every lattice point ``_slot_mask`` keeps, since no coordinate
+    of a point is larger in magnitude than its norm.
+
+    A run of one frequency (cutoff < dxi) is widened to two: numpy forms a
+    one-element in-place complex product in a scalar loop that rounds
+    differently from its vector loop, so the engine's arrays keep at least
+    two elements, as they have on the whole lattice."""
+    keep = np.flatnonzero(np.abs(grid.axis_frequencies()) <= (np.inf if cutoff is None else cutoff))
+    return int(keep[0]), max(2, len(keep))
+
+
+def _box_lattice(
+    grid: Grid, cutoff: float | None
+) -> tuple[np.ndarray | slice, np.ndarray, np.ndarray]:
+    """The cutoff's box points in FFT order, the zero frequency first: their
+    flat FFT-order lattice indices (a whole slice when the box is the
+    lattice), their frequencies (P, n), and ``_slot_mask`` on them."""
+    a, W = _box(grid, cutoff)
+    M, n = grid.M, grid.n
+    ks = np.arange(a, a + W) - M // 2
+    fft_axis = np.concatenate([ks[ks >= 0], ks[ks < 0] + M])
+    axes = [ax.ravel() for ax in np.meshgrid(*[fft_axis] * n, indexing="ij")]
+    k = np.stack([(ax + M // 2) % M - M // 2 for ax in axes], axis=1)
+    xi = k * grid.dxi
+    index = slice(None) if W == M else np.ravel_multi_index(tuple(axes), grid.shape)
+    if W < M:
+        index.setflags(write=False)
+    return index, xi, _slot_mask(xi, cutoff)
+
+
 def _fft_forward(values: np.ndarray) -> np.ndarray:
     """Unscaled FFT of centred samples, in FFT order: fftn(_half_shift(values))."""
     return np.fft.fftn(_half_shift(values))

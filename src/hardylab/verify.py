@@ -138,9 +138,8 @@ class AtomOutput:
 
     ``factors`` holds, per term of ``Symbol.partitions``, its group outputs
     (``operator_factors``) that ``out`` sums the products of.
-    ``error_bound`` bounds the sup-norm error the low-rank engine and the
-    tensor train add to ``out`` (``Factors.bound``); it is 0.0 when every
-    group is exact.
+    ``error_bound`` bounds the sup-norm error the groups' tensor trains add
+    to ``out`` (``Factors.bound``); it is 0.0 when every group is exact.
     """
 
     op: MultilinearOperator

@@ -4,8 +4,8 @@ in each slot, covariance under grid shifts, and conjugation symmetry for
 real symbols of a fixed parity.  Each holds within a
 rounding bound fixed here, before any example runs.  A batch of input sets
 gives every set the bits it gets alone, in the engine and in the factors.
-The low-rank engine and the tensor train stay within the bounds they
-report, and so does the route where the cost rule picks them."""
+The split engine stays within the bound it reports, and so does the route
+where the cost rule picks it."""
 
 from dataclasses import replace
 
@@ -20,11 +20,9 @@ from hardylab.grid import SampledFunction, Spectrum, dft, idft, make_grid
 from hardylab.operators import (
     MultilinearOperator,
     apply_general,
-    apply_low_rank,
     apply_operator,
     apply_tensor_train,
     default_cutoff,
-    low_rank_factors,
     operator_factors,
     sets_per_pass,
     tensor_train_factors,
@@ -269,11 +267,7 @@ def test_low_rank_within_its_bound(name, data):
     op = MultilinearOperator(symbol, grid, cutoff)
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     fs = [band_limited(grid, rng, data.draw(st.integers(1, M // 2 - 1))) for _ in range(op.m)]
-    if op.m == 2:
-        factors = low_rank_factors(op.symbol, grid, cutoff, np.inf)
-        ((out, bound),) = apply_low_rank(op, factors, [fs])
-    else:
-        factors = tensor_train_factors(op.symbol, grid, cutoff, np.inf)
-        ((out, bound),) = apply_tensor_train(op, factors, [fs])
+    factors = tensor_train_factors(op.symbol, grid, cutoff, np.inf)
+    ((out, bound),) = apply_tensor_train(op, factors, [fs])
     want = apply_general(op, [fs])[0][0].values
     assert np.max(np.abs(out.values - want)) <= bound + ROUNDING * _scales(fs)

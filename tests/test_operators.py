@@ -325,8 +325,9 @@ class TestApplyGeneral:
         # pass over the same sets.  The crosses' terms live in memory maps,
         # which tracemalloc does not see; the crosses run one after another,
         # each freeing its terms before the next reads a fibre, and the last
-        # one's terms hold the core.  So the train's peak is at most the
-        # traced peak plus the largest cross's terms, at their final rank.
+        # one's terms hold the cores until they are copied out.  So the
+        # train's peak is at most the traced peak plus the largest cross's
+        # terms, at their final rank.
         import tracemalloc
 
         import hardylab.train as train
@@ -341,19 +342,19 @@ class TestApplyGeneral:
         finally:
             tracemalloc.stop()
         crosses = []
-        bond_cross = train._bond_cross
+        matrix_cross = train._matrix_cross
 
-        def counting(line, shape, max_rank, start):
-            bond = bond_cross(line, shape, max_rank, start)
-            crosses.append(bond[4] * (shape[0] + shape[1]) * bond[0].itemsize)
+        def counting(entries, shape, *args):
+            bond = matrix_cross(entries, shape, *args)
+            crosses.append(len(bond[0]) * (shape[0] + shape[1]) * bond[0].itemsize)
             return bond
 
         tracemalloc.start()
         try:
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(train, "_bond_cross", counting)
+                patch.setattr(train, "_matrix_cross", counting)
                 factors = train.tensor_train_factors(
-                    op.symbol, grid, op.cutoff, train._train_cost_cap(grid, op.cutoff)
+                    op.symbol, grid, op.cutoff, train._cost_cap(grid, op.cutoff, 3)
                 )
             train.apply_tensor_train(op, factors, sets)
             traced = tracemalloc.get_traced_memory()[1]
@@ -762,7 +763,7 @@ class TestOneRoute:
 
 
 # ---------------------------------------------------------------------------
-# The low-rank engine for two-slot groups
+# The split engine: a tensor train of every order
 # ---------------------------------------------------------------------------
 
 
@@ -825,6 +826,23 @@ def three_slot_symbols():
 THREE_SLOT = three_slot_symbols()
 
 
+def four_slot_symbol():
+    """cos(xi_1 + ... + xi_4) times 1/(1 + xi_k^2) per slot: cos of a sum
+    is a sum of two products in every split of the slots, so its train has
+    ranks (2, 2, 2)."""
+
+    def evaluate(*xis):
+        out = np.cos(sum(xi[..., 0] for xi in xis))
+        for xi in xis:
+            out = out / (1.0 + xi[..., 0] ** 2)
+        return out
+
+    return Symbol(m=4, n=1, evaluate=evaluate, name="cos4")
+
+
+SPLIT = {**TWO_SLOT, **THREE_SLOT, "cos4": four_slot_symbol()}
+
+
 def train_packets(grid):
     """Two triples of smooth wave packets."""
     x = grid.axis_points()
@@ -850,6 +868,23 @@ def train_inputs(grid):
     return atoms + train_packets(grid)
 
 
+def split_inputs(grid, m, M):
+    """The agreement cases' input sets, by arity."""
+    if m == 2:
+        return low_rank_inputs(grid)[:: 1 if M < 4096 else 2]
+    if m == 3:
+        return train_inputs(grid)
+    return [random_inputs(grid, m, seed) for seed in (40, 41)]
+
+
+def train_tensor(factors):
+    """The split as a whole (P,) * m array."""
+    out = factors.core(0)[0].T
+    for k in range(1, len(factors.cores)):
+        out = np.moveaxis(np.tensordot(out, factors.core(k), axes=(-1, 0)), -1, -2)
+    return out[..., 0]
+
+
 def lemmas_check_outputs():
     """T applied to the two atom sets configs/lemmas.ini checks (the full-
     order atoms and the decay atoms), through the rule's engine."""
@@ -865,70 +900,87 @@ def lemmas_check_outputs():
 
 class TestLowRank:
     @pytest.mark.parametrize("cut", ["uncut", "cut"])
-    @pytest.mark.parametrize("M", [1024, 4096])
-    @pytest.mark.parametrize("name", list(TWO_SLOT))
+    @pytest.mark.parametrize(
+        "name, M",
+        [(name, M) for name in TWO_SLOT for M in (1024, 4096)]
+        + [(name, 256) for name in THREE_SLOT]
+        + [("cos4", 16)],
+    )
     def test_agrees_with_exhaustive_within_bound(self, name, M, cut):
         # The engine is called directly, whatever the cost rule picks.
-        from hardylab.operators import apply_low_rank, low_rank_factors
+        from hardylab.operators import apply_tensor_train, tensor_train_factors
 
         grid = make_grid(1, 8.0, M)
-        op = MultilinearOperator(TWO_SLOT[name], grid, case_cutoff(grid, cut))
-        factors = low_rank_factors(op.symbol, grid, op.cutoff, np.inf)
-        sets = low_rank_inputs(grid)[:: 1 if M < 4096 else 2]
+        op = MultilinearOperator(SPLIT[name], grid, case_cutoff(grid, cut))
+        factors = tensor_train_factors(op.symbol, grid, op.cutoff, np.inf)
+        sets = split_inputs(grid, op.m, M)
         for (out, bound), (want, _), fs in zip(
-            apply_low_rank(op, factors, sets), apply_general(op, sets), sets
+            apply_tensor_train(op, factors, sets), apply_general(op, sets), sets
         ):
-            scale = input_scale(fs[0]) * input_scale(fs[1])
+            scale = float(np.prod([input_scale(f) for f in fs]))
+            assert 0 < bound <= factors.eps * scale * (1 + 1e-12)
             assert np.max(np.abs(out.values - want.values)) <= bound + LOW_RANK_ROUNDING * scale
-            assert bound <= factors.eps * scale * (1 + 1e-12)
 
     @pytest.mark.parametrize("cut", ["uncut", "cut"])
     def test_agrees_with_oracle_within_bound(self, cut):
-        from hardylab.operators import apply_low_rank, low_rank_factors
+        from hardylab.operators import apply_tensor_train, tensor_train_factors
 
-        grid = make_grid(1, 8.0, 1024)
-        op = MultilinearOperator(TWO_SLOT["sigma1_bilinear"], grid, case_cutoff(grid, cut))
-        factors = low_rank_factors(op.symbol, grid, op.cutoff, np.inf)
-        idx = [300, 700]
-        for fs in low_rank_inputs(grid)[1:2]:
-            (out, bound), = apply_low_rank(op, factors, [fs])
-            oracle = apply_oracle(op, fs, grid.axis_points()[idx][:, None])
-            scale = input_scale(fs[0]) * input_scale(fs[1])
-            assert np.max(np.abs(out.values[idx] - oracle)) <= bound + LOW_RANK_ROUNDING * scale
+        pair = make_grid(1, 8.0, 1024)
+        triple = make_grid(1, 8.0, 64)
+        cases = [  # (symbol, grid, points, input sets)
+            (TWO_SLOT["sigma1_bilinear"], pair, [300, 700], low_rank_inputs(pair)[1:2]),
+            (THREE_SLOT["sigma4-trilinear"], triple, [20, 40], train_packets(triple)[:1]),
+        ]
+        for symbol, grid, idx, sets in cases:
+            op = MultilinearOperator(symbol, grid, case_cutoff(grid, cut))
+            factors = tensor_train_factors(op.symbol, grid, op.cutoff, np.inf)
+            for fs in sets:
+                ((out, bound),) = apply_tensor_train(op, factors, [fs])
+                oracle = apply_oracle(op, fs, grid.axis_points()[idx][:, None])
+                scale = float(np.prod([input_scale(f) for f in fs]))
+                assert np.max(np.abs(out.values[idx] - oracle)) <= bound + LOW_RANK_ROUNDING * scale
 
     @pytest.mark.parametrize("cut", ["uncut", "cut", "ball"])
     def test_two_dimensional_split(self, cut):
         # n = 2 runs the same code on the flattened box; "ball" keeps a box
         # whose corners the cutoff masks.
-        from hardylab.operators import apply_low_rank, low_rank_factors
+        from hardylab.operators import apply_tensor_train, tensor_train_factors
 
-        grid = make_grid(2, 4.0, 16)
-        op = MultilinearOperator(planar_symbol(2), grid, case_cutoff(grid, cut))
-        factors = low_rank_factors(op.symbol, grid, op.cutoff, np.inf)
-        sets = [random_inputs(grid, 2, seed) for seed in (40, 41)]
-        for (out, bound), (want, _), fs in zip(
-            apply_low_rank(op, factors, sets), apply_general(op, sets), sets
-        ):
-            scale = input_scale(fs[0]) * input_scale(fs[1])
-            assert np.max(np.abs(out.values - want.values)) <= bound + LOW_RANK_ROUNDING * scale
+        for m, M in ((2, 16), (3, 8)):
+            grid = make_grid(2, 4.0, M)
+            op = MultilinearOperator(planar_symbol(m), grid, case_cutoff(grid, cut))
+            factors = tensor_train_factors(op.symbol, grid, op.cutoff, np.inf)
+            sets = [random_inputs(grid, m, seed) for seed in (40, 41)]
+            for (out, bound), (want, _), fs in zip(
+                apply_tensor_train(op, factors, sets), apply_general(op, sets), sets
+            ):
+                scale = float(np.prod([input_scale(f) for f in fs]))
+                assert np.max(np.abs(out.values - want.values)) <= bound + LOW_RANK_ROUNDING * scale
 
     def test_bound_is_attained_within_a_thousand(self):
-        # Plane waves at the pair where the split's residual is largest make
-        # the error that residual itself, the worst case the bound covers.
-        from hardylab.operators import _box_lattice, apply_low_rank, low_rank_factors
+        # Plane waves at the tuple where the split's residual over the whole
+        # box is largest make the error that residual itself, the worst case
+        # the bound covers.
+        from hardylab.grid import _box_lattice
+        from hardylab.operators import apply_tensor_train, tensor_train_factors
 
-        grid = make_grid(1, 8.0, 1024)
-        op = MultilinearOperator(TWO_SLOT["sigma1_bilinear"], grid)
-        factors = low_rank_factors(op.symbol, grid, None, np.inf)
-        _, xi, mask = _box_lattice(grid, None)
-        A = op.symbol.evaluate(xi[:, None, :], xi[None, :, :]) * np.outer(mask, mask)
-        residual = A - np.array(factors.u).T @ np.array(factors.v)
-        i, j = np.unravel_index(np.argmax(np.abs(residual)), A.shape)
-        x = grid.axis_points()
-        fs = [SampledFunction(grid, np.exp(2j * np.pi * xi[k, 0] * x)) for k in (i, j)]
-        (out, bound), = apply_low_rank(op, factors, [fs])
-        err = np.max(np.abs(out.values - apply_general(op, [fs])[0][0].values))
-        assert err <= bound <= 1e3 * err
+        cases = ((TWO_SLOT["sigma1_bilinear"], 1024), (THREE_SLOT["sigma4-trilinear"], 64))
+        for symbol, M in cases:
+            grid = make_grid(1, 8.0, M)
+            op = MultilinearOperator(symbol, grid)
+            factors = tensor_train_factors(op.symbol, grid, None, np.inf)
+            _, xi, mask = _box_lattice(grid, None)
+            expand = [(None,) * k + (slice(None),) + (None,) * (op.m - 1 - k) for k in range(op.m)]
+            A = op.symbol.evaluate(*[xi[e] for e in expand])
+            for e in expand:
+                A = A * mask[e]
+            residual = A - train_tensor(factors)
+            at = np.unravel_index(np.argmax(np.abs(residual)), residual.shape)
+            x = grid.axis_points()
+            fs = [SampledFunction(grid, np.exp(2j * np.pi * xi[k, 0] * x)) for k in at]
+            ((out, bound),) = apply_tensor_train(op, factors, [fs])
+            err = np.max(np.abs(out.values - apply_general(op, [fs])[0][0].values))
+            assert err <= bound <= 1e3 * err
 
     def test_bound_on_lemmas_keeps_every_decay_probe(self):
         # On lemmas' check atoms the bound is under 1e-8 of max |T|, and as
@@ -968,8 +1020,9 @@ class TestLowRank:
 
     @pytest.mark.parametrize("name", list(TWO_SLOT) + ["complex"])
     def test_split_rows_have_the_symbols_dtype(self, name):
-        # One precision: u and v are (rank, P) arrays in the symbol's dtype.
-        from hardylab.operators import low_rank_factors
+        # One precision: u = cores[0][0] and v = cores[1][:, 0] are (rank,
+        # P) arrays in the symbol's dtype.
+        from hardylab.operators import tensor_train_factors
 
         grid = make_grid(1, 8.0, 256)
         if name == "complex":
@@ -981,46 +1034,110 @@ class TestLowRank:
             )
         else:
             sym = TWO_SLOT[name]
-        factors = low_rank_factors(sym, grid, None, np.inf)
+        factors = tensor_train_factors(sym, grid, None, np.inf)
         dtype = np.asarray(sym.evaluate(np.zeros((1, 1)), np.ones((1, 1)))).dtype
         assert dtype == (np.complex128 if name == "complex" else np.float64)
-        for rows in (factors.u, factors.v):
-            assert isinstance(rows, np.ndarray) and rows.shape == (factors.rank, grid.M)
+        (rank,) = factors.ranks
+        for rows in (factors.cores[0][0], factors.cores[1][:, 0]):
+            assert isinstance(rows, np.ndarray) and rows.shape == (rank, grid.M)
             assert rows.dtype == dtype
 
     def test_batch_of_one_equals_batch_of_five(self):
-        grid = make_grid(1, 8.0, 4096)
-        op = MultilinearOperator(TWO_SLOT["sigma1_bilinear"], grid)
-        sets = [random_inputs(grid, 2, seed) for seed in range(50, 55)]
-        batch = operator_factors(op, sets)
-        assert batch[2].bound > 0
-        hardylab.operators._group_splits.cache_clear()  # the second call factors again
-        (alone,) = operator_factors(op, [sets[2]])
-        got, want = alone[0][0].values, batch[2][0][0].values
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-        assert alone.bound == batch[2].bound
+        cases = [  # (symbol, grid, cutoff)
+            (TWO_SLOT["sigma1_bilinear"], make_grid(1, 8.0, 4096), "uncut"),
+            (THREE_SLOT["sigma4-trilinear"], make_grid(1, 8.0, 256), "cut"),
+        ]
+        for symbol, grid, cut in cases:
+            op = MultilinearOperator(symbol, grid, case_cutoff(grid, cut))
+            sets = [random_inputs(grid, op.m, seed) for seed in range(50, 55)]
+            batch = operator_factors(op, sets)
+            assert batch[2].bound > 0
+            hardylab.operators._group_splits.cache_clear()  # the second call factors again
+            (alone,) = operator_factors(op, [sets[2]])
+            got, want = alone[0][0].values, batch[2][0][0].values
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            assert alone.bound == batch[2].bound
 
     def test_cost_rule(self):
-        # The rule depends on (symbol, grid, cutoff) alone.  mixed-trilinear's
-        # bilinear group (M=256, W=129) and every two-slot builtin at n = 1
-        # up to M=512 stay exhaustive; lemmas' and boundedness.ini's grids go
-        # low-rank.
-        from hardylab.operators import _rank_cap, low_rank_factors
+        # The rule, sum_k r_{k-1} r_k log2 S < W^(n(m-1)), depends on (symbol,
+        # grid, cutoff) alone and is read on the cross's ranks.  At m = 2
+        # (2 r log2 S < W^n): mixed-trilinear's bilinear group (M=256,
+        # W=129) and every two-slot builtin at n = 1 up to M=512 stay
+        # exhaustive; lemmas' and boundedness.ini's grids split.  At m = 3
+        # ((r1 + r1 r2 + r2) log2 S < W^2), by builtin, grid and cutoff at
+        # n = 1: the cross gives sigma3_factored ranks 3/3, sigma2_factored 3
+        # and 27-36, sigma4's trilinear group 27/27 at M=128 uncut and at
+        # M=256 cut (the exhaustive SVD ranks at 3e-15 there), and sigma1
+        # about 53/53 at M=256 cut, too many: it stays exhaustive, as exact
+        # SVD ranks say.
+        from hardylab.operators import _cost_cap, tensor_train_factors
 
         for M in (8, 16, 32, 64, 128, 256, 512):
             grid = make_grid(1, 8.0, M)
             for sym in TWO_SLOT.values():
                 for cutoff in (None, default_cutoff(grid)):
-                    assert low_rank_factors(sym, grid, cutoff, _rank_cap(grid, cutoff)) is None
+                    assert tensor_train_factors(sym, grid, cutoff, _cost_cap(grid, cutoff, 2)) is None
         for M in (2048, 4096):
             grid = make_grid(1, 8.0, M)
             sym = TWO_SLOT["sigma1_bilinear"]
-            factors = low_rank_factors(sym, grid, None, _rank_cap(grid, None))
-            assert factors is not None and 2 * factors.rank * np.log2(M) < M
+            factors = tensor_train_factors(sym, grid, None, _cost_cap(grid, None, 2))
+            assert factors is not None and 2 * factors.ranks[0] * np.log2(M) < M
+        train = {  # (M, cut) -> the three-slot builtins that split
+            (16, False): {"sigma3_factored"},
+            (16, True): set(),
+            (32, False): {"sigma3_factored"},
+            (32, True): {"sigma3_factored"},
+            (64, False): {"sigma3_factored", "sigma2_factored"},
+            (64, True): {"sigma3_factored"},
+            (128, False): {"sigma3_factored", "sigma2_factored", "sigma4-trilinear"},
+            (128, True): {"sigma3_factored", "sigma2_factored"},
+            (256, True): {"sigma3_factored", "sigma2_factored", "sigma4-trilinear"},
+        }
+        for (M, cut), want in train.items():
+            grid = make_grid(1, 8.0, M)
+            cutoff = default_cutoff(grid) if cut else None
+            cap = _cost_cap(grid, cutoff, 3)
+            got = set()
+            for name, sym in THREE_SLOT.items():
+                factors = tensor_train_factors(sym, grid, cutoff, cap)
+                if factors is not None:
+                    r1, r2 = factors.ranks
+                    assert r1 + r1 * r2 + r2 < cap
+                    got.add(name)
+            assert got == want, (M, cut)
+        grid = make_grid(1, 8.0, 256)
+        factors = tensor_train_factors(
+            THREE_SLOT["sigma4-trilinear"], grid, default_cutoff(grid), np.inf
+        )
+        assert factors.ranks == (27, 27)
+
+    def test_cost_cap_binds_before_the_left_bond(self):
+        # sigma1 at M=256 with the default cutoff stays exhaustive.  The
+        # ranks of its seed, the slices through the origin and the largest
+        # sampled entry, bound r1 from below, so the cost rule stops the
+        # right bond before the left one is read: under the 486,201 entries
+        # that crossing both bonds reads.
+        from dataclasses import replace
+
+        from hardylab.operators import _cost_cap, tensor_train_factors
+
+        grid = make_grid(1, 8.0, 256)
+        cutoff = default_cutoff(grid)
+        read = []
+        sym = THREE_SLOT["sigma1"]
+
+        def counting(*xis):
+            out = np.asarray(sym.evaluate(*xis))
+            read.append(out.size)
+            return out
+
+        counted = replace(sym, evaluate=counting)
+        assert tensor_train_factors(counted, grid, cutoff, _cost_cap(grid, cutoff, 3)) is None
+        assert sum(read) < 486_201
 
     def test_routes_by_the_rule(self, monkeypatch):
-        # operator_factors sends a two-slot group to the low-rank engine only
-        # where the rule picks it; apply_general is never routed.
+        # operator_factors sends a two-slot group to its split only where the
+        # rule picks it; apply_general is never routed.
         calls = []
         original = hardylab.operators.apply_general
 
@@ -1037,11 +1154,16 @@ class TestLowRank:
         assert calls == [512]
 
     def test_factor_bound_times_other_factors(self, monkeypatch):
-        # sigma2's {2, 3} groups go low-rank at M=2048 and its {1} factors
-        # are exact, so each term's bound is b times the one-slot factor's
-        # sup norm, and the sum of products is within the sum of those of
-        # the one with every group exhaustive.
-        from hardylab.operators import _rank_cap, apply_low_rank, low_rank_factors, sum_of_products
+        # sigma2's {2, 3} groups split at M=2048 and its {1} factors are
+        # exact, so each term's bound is b times the one-slot factor's sup
+        # norm, and the sum of products is within the sum of those of the
+        # one with every group exhaustive.
+        from hardylab.operators import (
+            _cost_cap,
+            apply_tensor_train,
+            sum_of_products,
+            tensor_train_factors,
+        )
 
         grid = make_grid(1, 8.0, 2048)
         op = MultilinearOperator(builtin_symbol("sigma2"), grid)
@@ -1051,12 +1173,12 @@ class TestLowRank:
         want = 0.0
         for part, (single, _) in zip(op.symbol.partitions, factors):
             pair_op = MultilinearOperator(part.symbols[1], grid)
-            split = low_rank_factors(pair_op.symbol, grid, None, _rank_cap(grid, None))
-            ((_, b),) = apply_low_rank(pair_op, split, [fs[1:]])
+            split = tensor_train_factors(pair_op.symbol, grid, None, _cost_cap(grid, None, 2))
+            ((_, b),) = apply_tensor_train(pair_op, split, [fs[1:]])
             want += b * single.max_abs()
         assert factors.bound > 0
         assert factors.bound == pytest.approx(want, rel=1e-9)
-        monkeypatch.setattr(hardylab.operators, "_rank_cap", lambda grid, cutoff: 0)
+        monkeypatch.setattr(hardylab.operators, "_cost_cap", lambda grid, cutoff, m: 0)
         hardylab.operators._group_splits.cache_clear()  # the operator's splits are kept
         exhaustive = operator_factors(op, [fs])[0]
         assert exhaustive.bound == 0.0
@@ -1064,136 +1186,19 @@ class TestLowRank:
         scale = float(np.prod([input_scale(f) for f in fs]))
         assert err <= factors.bound + LOW_RANK_ROUNDING * scale
 
-    # The tensor train for three-slot groups.
-
-    @pytest.mark.parametrize("cut", ["uncut", "cut"])
-    @pytest.mark.parametrize("name", list(THREE_SLOT))
-    def test_train_agrees_with_exhaustive_within_bound(self, name, cut):
-        # The engine is called directly, whatever the cost rule picks.
-        from hardylab.operators import apply_tensor_train, tensor_train_factors
-
-        grid = make_grid(1, 8.0, 256)
-        op = MultilinearOperator(THREE_SLOT[name], grid, case_cutoff(grid, cut))
-        factors = tensor_train_factors(op.symbol, grid, op.cutoff, np.inf)
-        sets = train_inputs(grid)
-        for (out, bound), (want, _), fs in zip(
-            apply_tensor_train(op, factors, sets), apply_general(op, sets), sets
-        ):
-            scale = float(np.prod([input_scale(f) for f in fs]))
-            assert 0 < bound <= factors.eps * scale * (1 + 1e-12)
-            assert np.max(np.abs(out.values - want.values)) <= bound + LOW_RANK_ROUNDING * scale
-
-    @pytest.mark.parametrize("cut", ["uncut", "cut"])
-    def test_train_agrees_with_oracle_within_bound(self, cut):
-        from hardylab.operators import apply_tensor_train, tensor_train_factors
-
-        grid = make_grid(1, 8.0, 64)
-        op = MultilinearOperator(THREE_SLOT["sigma4-trilinear"], grid, case_cutoff(grid, cut))
-        factors = tensor_train_factors(op.symbol, grid, op.cutoff, np.inf)
-        idx = [20, 40]
-        fs = train_packets(grid)[0]
-        ((out, bound),) = apply_tensor_train(op, factors, [fs])
-        oracle = apply_oracle(op, fs, grid.axis_points()[idx][:, None])
-        scale = float(np.prod([input_scale(f) for f in fs]))
-        assert np.max(np.abs(out.values[idx] - oracle)) <= bound + LOW_RANK_ROUNDING * scale
-
-    @pytest.mark.parametrize("cut", ["uncut", "cut", "ball"])
-    def test_train_two_dimensional(self, cut):
-        # n = 2 runs the same code on the flattened box; "ball" keeps a box
-        # whose corners the cutoff masks.
-        from hardylab.operators import apply_tensor_train, tensor_train_factors
-
-        grid = make_grid(2, 4.0, 8)
-        op = MultilinearOperator(planar_symbol(3), grid, case_cutoff(grid, cut))
-        factors = tensor_train_factors(op.symbol, grid, op.cutoff, np.inf)
-        sets = [random_inputs(grid, 3, seed) for seed in (40, 41)]
-        for (out, bound), (want, _), fs in zip(
-            apply_tensor_train(op, factors, sets), apply_general(op, sets), sets
-        ):
-            scale = float(np.prod([input_scale(f) for f in fs]))
-            assert np.max(np.abs(out.values - want.values)) <= bound + LOW_RANK_ROUNDING * scale
-
     def test_train_of_a_symbol_of_known_rank(self):
         # sigma3_factored is a sum of three products in (xi_1 | xi_2, xi_3)
-        # and in (xi_1, xi_2 | xi_3).
+        # and in (xi_1, xi_2 | xi_3); cos4 one of two products across every
+        # bond.  Each split is exact up to rounding.
         from hardylab.operators import tensor_train_factors
 
-        grid = make_grid(1, 8.0, 256)
-        for cutoff in (None, default_cutoff(grid)):
-            factors = tensor_train_factors(THREE_SLOT["sigma3_factored"], grid, cutoff, np.inf)
-            assert factors.ranks == (3, 3)
-
-    def test_train_bound_is_attained_within_a_thousand(self):
-        # Plane waves at the triple where the split's residual over the
-        # whole box is largest make the error that residual itself.
-        from hardylab.operators import _box_lattice, apply_tensor_train, tensor_train_factors
-
-        grid = make_grid(1, 8.0, 64)
-        op = MultilinearOperator(THREE_SLOT["sigma4-trilinear"], grid)
-        factors = tensor_train_factors(op.symbol, grid, None, np.inf)
-        _, xi, mask = _box_lattice(grid, None)
-        A = op.symbol.evaluate(xi[:, None, None], xi[None, :, None], xi[None, None, :])
-        A = A * mask[:, None, None] * mask[None, :, None] * mask[None, None, :]
-        split = np.einsum(
-            "ai,abc,cj,bk->ijk", factors.u, factors.core, factors.basis, factors.v, optimize=True
-        )
-        residual = A - split
-        at = np.unravel_index(np.argmax(np.abs(residual)), A.shape)
-        x = grid.axis_points()
-        fs = [SampledFunction(grid, np.exp(2j * np.pi * xi[k, 0] * x)) for k in at]
-        ((out, bound),) = apply_tensor_train(op, factors, [fs])
-        err = np.max(np.abs(out.values - apply_general(op, [fs])[0][0].values))
-        assert err <= bound <= 1e3 * err
-
-    def test_train_batch_of_one_equals_batch_of_five(self):
-        grid = make_grid(1, 8.0, 256)
-        op = MultilinearOperator(THREE_SLOT["sigma4-trilinear"], grid, default_cutoff(grid))
-        sets = [random_inputs(grid, 3, seed) for seed in range(50, 55)]
-        batch = operator_factors(op, sets)
-        assert batch[2].bound > 0
-        hardylab.operators._group_splits.cache_clear()  # the second call factors again
-        (alone,) = operator_factors(op, [sets[2]])
-        got, want = alone[0][0].values, batch[2][0][0].values
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-        assert alone.bound == batch[2].bound
-
-    def test_train_cost_rule(self):
-        # The rule, (r1 + r1 r2 + r2) log2 S < W^2, read on the cross's
-        # ranks, by builtin, grid and cutoff at n = 1.  The cross gives
-        # sigma3_factored ranks 3/3, sigma2_factored 3 and 27-36, sigma4's
-        # trilinear group 27/27 at M=128 uncut and at M=256 cut (the
-        # exhaustive SVD ranks at 3e-15 there), and sigma1 about 53/53 at
-        # M=256 cut, too many: it stays exhaustive, as exact SVD ranks say.
-        from hardylab.operators import _train_cost_cap, tensor_train_factors
-
-        train = {  # (M, cut) -> the builtins that go to the train
-            (16, False): {"sigma3_factored"},
-            (16, True): set(),
-            (32, False): {"sigma3_factored"},
-            (32, True): {"sigma3_factored"},
-            (64, False): {"sigma3_factored", "sigma2_factored"},
-            (64, True): {"sigma3_factored"},
-            (128, False): {"sigma3_factored", "sigma2_factored", "sigma4-trilinear"},
-            (128, True): {"sigma3_factored", "sigma2_factored"},
-            (256, True): {"sigma3_factored", "sigma2_factored", "sigma4-trilinear"},
-        }
-        for (M, cut), want in train.items():
+        cases = ((THREE_SLOT["sigma3_factored"], 256, (3, 3)), (SPLIT["cos4"], 16, (2, 2, 2)))
+        for symbol, M, ranks in cases:
             grid = make_grid(1, 8.0, M)
-            cutoff = default_cutoff(grid) if cut else None
-            cap = _train_cost_cap(grid, cutoff)
-            got = set()
-            for name, sym in THREE_SLOT.items():
-                factors = tensor_train_factors(sym, grid, cutoff, cap)
-                if factors is not None:
-                    r1, r2 = factors.ranks
-                    assert r1 + r1 * r2 + r2 < cap
-                    got.add(name)
-            assert got == want, (M, cut)
-        grid = make_grid(1, 8.0, 256)
-        factors = tensor_train_factors(
-            THREE_SLOT["sigma4-trilinear"], grid, default_cutoff(grid), np.inf
-        )
-        assert factors.ranks == (27, 27)
+            for cutoff in (None, default_cutoff(grid)):
+                factors = tensor_train_factors(symbol, grid, cutoff, np.inf)
+                assert factors.ranks == ranks
+                assert factors.eps < 1e-12
 
     def test_train_routing_on_mixed_trilinear(self, monkeypatch):
         # On sigma4 at M=256 with the default cutoff, apply_general runs the
@@ -1213,9 +1218,9 @@ class TestLowRank:
         assert all(f.bound > 0 for f in factors)
 
     def test_split_factored_once_per_operator(self, tmp_path, monkeypatch):
-        # One mixed-trilinear ensemble plus its checks factors the trilinear
-        # group once: every group of the operator keeps its split, the
-        # bilinear group's None included.
+        # One mixed-trilinear ensemble plus its checks factors each group
+        # once: every group of the operator keeps its split, the bilinear
+        # group's None included.
         import hardylab.cli
 
         calls = []
@@ -1229,7 +1234,9 @@ class TestLowRank:
         path = Path(__file__).resolve().parent.parent / "perfbench" / "configs" / "mixed-trilinear.ini"
         out = tmp_path / "out"
         assert hardylab.cli.main(["run", str(path), "--out", str(out), "--jobs", "1"]) == 0
-        assert calls == [sigma4_trilinear_group().name]
+        parts = _sigma4_terms()
+        groups = {sym.name for part in parts for g, sym in zip(part.groups, part.symbols) if len(g) > 1}
+        assert sorted(calls) == sorted(groups)
 
     def test_train_bound_on_mixed_trilinear_check_atoms(self):
         # On the check atoms of mixed-trilinear the trilinear group's bound
