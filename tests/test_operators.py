@@ -898,6 +898,72 @@ def lemmas_check_outputs():
     return ctx, hardylab.verify.apply_to_atoms(ctx.op, sets)
 
 
+def check_split_against_oracle(symbol, grid, cut, idx, sets):
+    """The split's output at the points ``idx`` is within its bound of the
+    oracle's."""
+    from hardylab.operators import apply_tensor_train, tensor_train_factors
+
+    op = MultilinearOperator(symbol, grid, case_cutoff(grid, cut))
+    factors = tensor_train_factors(op.symbol, grid, op.cutoff, np.inf)
+    for fs in sets:
+        ((out, bound),) = apply_tensor_train(op, factors, [fs])
+        oracle = apply_oracle(op, fs, grid.axis_points()[idx][:, None])
+        scale = float(np.prod([input_scale(f) for f in fs]))
+        assert np.max(np.abs(out.values[idx] - oracle)) <= bound + LOW_RANK_ROUNDING * scale
+
+
+def check_planar_split(m, M, cut):
+    """The split of ``planar_symbol(m)`` on an n = 2 grid agrees with the
+    exhaustive sum within its bound."""
+    from hardylab.operators import apply_tensor_train, tensor_train_factors
+
+    grid = make_grid(2, 4.0, M)
+    op = MultilinearOperator(planar_symbol(m), grid, case_cutoff(grid, cut))
+    factors = tensor_train_factors(op.symbol, grid, op.cutoff, np.inf)
+    sets = [random_inputs(grid, m, seed) for seed in (40, 41)]
+    for (out, bound), (want, _), fs in zip(
+        apply_tensor_train(op, factors, sets), apply_general(op, sets), sets
+    ):
+        scale = float(np.prod([input_scale(f) for f in fs]))
+        assert np.max(np.abs(out.values - want.values)) <= bound + LOW_RANK_ROUNDING * scale
+
+
+def check_bound_attained(symbol, M):
+    """Plane waves at the tuple of largest residual meet the bound within a
+    factor of a thousand."""
+    from hardylab.grid import _box_lattice
+    from hardylab.operators import apply_tensor_train, tensor_train_factors
+
+    grid = make_grid(1, 8.0, M)
+    op = MultilinearOperator(symbol, grid)
+    factors = tensor_train_factors(op.symbol, grid, None, np.inf)
+    _, xi, mask = _box_lattice(grid, None)
+    expand = [(None,) * k + (slice(None),) + (None,) * (op.m - 1 - k) for k in range(op.m)]
+    A = op.symbol.evaluate(*[xi[e] for e in expand])
+    for e in expand:
+        A = A * mask[e]
+    residual = A - train_tensor(factors)
+    at = np.unravel_index(np.argmax(np.abs(residual)), residual.shape)
+    x = grid.axis_points()
+    fs = [SampledFunction(grid, np.exp(2j * np.pi * xi[k, 0] * x)) for k in at]
+    ((out, bound),) = apply_tensor_train(op, factors, [fs])
+    err = np.max(np.abs(out.values - apply_general(op, [fs])[0][0].values))
+    assert err <= bound <= 1e3 * err
+
+
+def check_batch_of_one(symbol, grid, cut):
+    """Set 2 of a batch of five comes out bit for bit as it does alone."""
+    op = MultilinearOperator(symbol, grid, case_cutoff(grid, cut))
+    sets = [random_inputs(grid, op.m, seed) for seed in range(50, 55)]
+    batch = operator_factors(op, sets)
+    assert batch[2].bound > 0
+    hardylab.operators._group_splits.cache_clear()  # the second call factors again
+    (alone,) = operator_factors(op, [sets[2]])
+    got, want = alone[0][0].values, batch[2][0][0].values
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert alone.bound == batch[2].bound
+
+
 class TestLowRank:
     @pytest.mark.parametrize("cut", ["uncut", "cut"])
     @pytest.mark.parametrize(
@@ -923,64 +989,36 @@ class TestLowRank:
 
     @pytest.mark.parametrize("cut", ["uncut", "cut"])
     def test_agrees_with_oracle_within_bound(self, cut):
-        from hardylab.operators import apply_tensor_train, tensor_train_factors
+        grid = make_grid(1, 8.0, 1024)
+        check_split_against_oracle(
+            TWO_SLOT["sigma1_bilinear"], grid, cut, [300, 700], low_rank_inputs(grid)[1:2]
+        )
 
-        pair = make_grid(1, 8.0, 1024)
-        triple = make_grid(1, 8.0, 64)
-        cases = [  # (symbol, grid, points, input sets)
-            (TWO_SLOT["sigma1_bilinear"], pair, [300, 700], low_rank_inputs(pair)[1:2]),
-            (THREE_SLOT["sigma4-trilinear"], triple, [20, 40], train_packets(triple)[:1]),
-        ]
-        for symbol, grid, idx, sets in cases:
-            op = MultilinearOperator(symbol, grid, case_cutoff(grid, cut))
-            factors = tensor_train_factors(op.symbol, grid, op.cutoff, np.inf)
-            for fs in sets:
-                ((out, bound),) = apply_tensor_train(op, factors, [fs])
-                oracle = apply_oracle(op, fs, grid.axis_points()[idx][:, None])
-                scale = float(np.prod([input_scale(f) for f in fs]))
-                assert np.max(np.abs(out.values[idx] - oracle)) <= bound + LOW_RANK_ROUNDING * scale
+    @pytest.mark.parametrize("cut", ["uncut", "cut"])
+    def test_train_agrees_with_oracle_within_bound(self, cut):
+        grid = make_grid(1, 8.0, 64)
+        check_split_against_oracle(
+            THREE_SLOT["sigma4-trilinear"], grid, cut, [20, 40], train_packets(grid)[:1]
+        )
 
     @pytest.mark.parametrize("cut", ["uncut", "cut", "ball"])
     def test_two_dimensional_split(self, cut):
         # n = 2 runs the same code on the flattened box; "ball" keeps a box
         # whose corners the cutoff masks.
-        from hardylab.operators import apply_tensor_train, tensor_train_factors
+        check_planar_split(2, 16, cut)
 
-        for m, M in ((2, 16), (3, 8)):
-            grid = make_grid(2, 4.0, M)
-            op = MultilinearOperator(planar_symbol(m), grid, case_cutoff(grid, cut))
-            factors = tensor_train_factors(op.symbol, grid, op.cutoff, np.inf)
-            sets = [random_inputs(grid, m, seed) for seed in (40, 41)]
-            for (out, bound), (want, _), fs in zip(
-                apply_tensor_train(op, factors, sets), apply_general(op, sets), sets
-            ):
-                scale = float(np.prod([input_scale(f) for f in fs]))
-                assert np.max(np.abs(out.values - want.values)) <= bound + LOW_RANK_ROUNDING * scale
+    @pytest.mark.parametrize("cut", ["uncut", "cut", "ball"])
+    def test_train_two_dimensional(self, cut):
+        check_planar_split(3, 8, cut)
 
     def test_bound_is_attained_within_a_thousand(self):
         # Plane waves at the tuple where the split's residual over the whole
         # box is largest make the error that residual itself, the worst case
         # the bound covers.
-        from hardylab.grid import _box_lattice
-        from hardylab.operators import apply_tensor_train, tensor_train_factors
+        check_bound_attained(TWO_SLOT["sigma1_bilinear"], 1024)
 
-        cases = ((TWO_SLOT["sigma1_bilinear"], 1024), (THREE_SLOT["sigma4-trilinear"], 64))
-        for symbol, M in cases:
-            grid = make_grid(1, 8.0, M)
-            op = MultilinearOperator(symbol, grid)
-            factors = tensor_train_factors(op.symbol, grid, None, np.inf)
-            _, xi, mask = _box_lattice(grid, None)
-            expand = [(None,) * k + (slice(None),) + (None,) * (op.m - 1 - k) for k in range(op.m)]
-            A = op.symbol.evaluate(*[xi[e] for e in expand])
-            for e in expand:
-                A = A * mask[e]
-            residual = A - train_tensor(factors)
-            at = np.unravel_index(np.argmax(np.abs(residual)), residual.shape)
-            x = grid.axis_points()
-            fs = [SampledFunction(grid, np.exp(2j * np.pi * xi[k, 0] * x)) for k in at]
-            ((out, bound),) = apply_tensor_train(op, factors, [fs])
-            err = np.max(np.abs(out.values - apply_general(op, [fs])[0][0].values))
-            assert err <= bound <= 1e3 * err
+    def test_train_bound_is_attained_within_a_thousand(self):
+        check_bound_attained(THREE_SLOT["sigma4-trilinear"], 64)
 
     def test_bound_on_lemmas_keeps_every_decay_probe(self):
         # On lemmas' check atoms the bound is under 1e-8 of max |T|, and as
@@ -1043,33 +1081,17 @@ class TestLowRank:
             assert rows.dtype == dtype
 
     def test_batch_of_one_equals_batch_of_five(self):
-        cases = [  # (symbol, grid, cutoff)
-            (TWO_SLOT["sigma1_bilinear"], make_grid(1, 8.0, 4096), "uncut"),
-            (THREE_SLOT["sigma4-trilinear"], make_grid(1, 8.0, 256), "cut"),
-        ]
-        for symbol, grid, cut in cases:
-            op = MultilinearOperator(symbol, grid, case_cutoff(grid, cut))
-            sets = [random_inputs(grid, op.m, seed) for seed in range(50, 55)]
-            batch = operator_factors(op, sets)
-            assert batch[2].bound > 0
-            hardylab.operators._group_splits.cache_clear()  # the second call factors again
-            (alone,) = operator_factors(op, [sets[2]])
-            got, want = alone[0][0].values, batch[2][0][0].values
-            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-            assert alone.bound == batch[2].bound
+        check_batch_of_one(TWO_SLOT["sigma1_bilinear"], make_grid(1, 8.0, 4096), "uncut")
+
+    def test_train_batch_of_one_equals_batch_of_five(self):
+        check_batch_of_one(THREE_SLOT["sigma4-trilinear"], make_grid(1, 8.0, 256), "cut")
 
     def test_cost_rule(self):
         # The rule, sum_k r_{k-1} r_k log2 S < W^(n(m-1)), depends on (symbol,
         # grid, cutoff) alone and is read on the cross's ranks.  At m = 2
         # (2 r log2 S < W^n): mixed-trilinear's bilinear group (M=256,
         # W=129) and every two-slot builtin at n = 1 up to M=512 stay
-        # exhaustive; lemmas' and boundedness.ini's grids split.  At m = 3
-        # ((r1 + r1 r2 + r2) log2 S < W^2), by builtin, grid and cutoff at
-        # n = 1: the cross gives sigma3_factored ranks 3/3, sigma2_factored 3
-        # and 27-36, sigma4's trilinear group 27/27 at M=128 uncut and at
-        # M=256 cut (the exhaustive SVD ranks at 3e-15 there), and sigma1
-        # about 53/53 at M=256 cut, too many: it stays exhaustive, as exact
-        # SVD ranks say.
+        # exhaustive; lemmas' and boundedness.ini's grids split.
         from hardylab.operators import _cost_cap, tensor_train_factors
 
         for M in (8, 16, 32, 64, 128, 256, 512):
@@ -1082,6 +1104,16 @@ class TestLowRank:
             sym = TWO_SLOT["sigma1_bilinear"]
             factors = tensor_train_factors(sym, grid, None, _cost_cap(grid, None, 2))
             assert factors is not None and 2 * factors.ranks[0] * np.log2(M) < M
+
+    def test_train_cost_rule(self):
+        # At m = 3 the rule is (r1 + r1 r2 + r2) log2 S < W^2, by builtin,
+        # grid and cutoff at n = 1: the cross gives sigma3_factored ranks
+        # 3/3, sigma2_factored 3 and 27-36, sigma4's trilinear group 27/27 at
+        # M=128 uncut and at M=256 cut (the exhaustive SVD ranks at 3e-15
+        # there), and sigma1 about 53/53 at M=256 cut, too many: it stays
+        # exhaustive, as exact SVD ranks say.
+        from hardylab.operators import _cost_cap, tensor_train_factors
+
         train = {  # (M, cut) -> the three-slot builtins that split
             (16, False): {"sigma3_factored"},
             (16, True): set(),
