@@ -7,10 +7,14 @@ onto the bump-weighted polynomial space (tensor Legendre basis, for Gram
 conditioning at orders up to ~8), rescaled to sup 1/2.  The strict margin
 below 1 guards the |a| <= chi_Q bound against quadrature rounding.
 
-The atom is built on its cube's window, the index slice per axis that covers
-the cube plus one cell, and zero-embedded into the grid; its moment sums run
-over the whole grid, so it has the bits a full-grid construction gets (up to
-the sign of zeros outside the window, which are all +0).
+Every step runs on the cube's window, the index slice per axis that covers
+the closed cube plus one cell, in coordinates u = (x - c)/(ell/2) local to
+the cube: the profile from a table of powers of u, the basis from one
+Legendre Vandermonde matrix per axis, and the Gram matrix and right-hand side
+as two matrix products.  The atom is zero-embedded into the grid once.  So
+it depends on the window's u alone: atoms of one side, seed and order whose
+centres differ by whole cells, with u exact (a power-of-two spacing), are
+translates of each other bit for bit.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.polynomial import legendre
 
-from .grid import Grid, SampledFunction, _masked_moment
+from .grid import Grid, SampledFunction, _frozen, _masked_moment
 
 __all__ = [
     "Cube",
@@ -112,15 +116,17 @@ def _monomial_exponents(n: int, max_degree: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def _legendre_values(u_axes: Sequence[np.ndarray], beta: tuple[int, ...]) -> np.ndarray:
-    """Tensor Legendre polynomial P_beta evaluated on per-axis u coordinates."""
-    val = None
-    for axis, k in enumerate(beta):
-        coeffs = np.zeros(k + 1)
-        coeffs[k] = 1.0
-        axis_val = legendre.legval(u_axes[axis], coeffs)
-        val = axis_val if val is None else val * axis_val
-    return val
+def _tensor_rows(tables: Sequence[np.ndarray], exps: Sequence[tuple[int, ...]]) -> np.ndarray:
+    """The products prod_i tables[i][e_i], one row per multi-index e of
+    ``exps``, flattened over the window; ``tables[i]`` holds one row per
+    degree along axis i."""
+    n = len(tables)
+    rows = np.ones((len(exps),) + (1,) * n)
+    for axis, table in enumerate(tables):
+        shape = [len(exps)] + [1] * n
+        shape[axis + 1] = -1
+        rows = rows * table[[e[axis] for e in exps]].reshape(shape)
+    return rows.reshape(len(exps), -1)
 
 
 def _check_atom_geometry(cube: Cube, grid: Grid) -> None:
@@ -156,6 +162,13 @@ def _cube_window(cube: Cube, grid: Grid) -> tuple[slice, ...]:
     return tuple(window)
 
 
+def _window_axes(window: tuple[slice, ...], grid: Grid) -> list[np.ndarray]:
+    """The cell centres of each axis of a window, ``grid.axis_points()[sl]``
+    without building the whole axis."""
+    half = grid.M // 2
+    return [grid.dx * np.arange(sl.start - half, sl.stop - half, dtype=np.float64) for sl in window]
+
+
 def make_atom(
     cube: Cube,
     p: float,
@@ -174,47 +187,34 @@ def make_atom(
     _check_atom_geometry(cube, grid)
 
     window = _cube_window(cube, grid)
-    axes = [grid.axis_points()[sl] for sl in window]
-    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    c = np.asarray(cube.center)
-    u = (pts - c) / (cube.side / 2.0)
-    inside = np.all(np.abs(u) < 1.0, axis=-1)
-    w = _bump_weight(u)
+    u_axes = [
+        (x - c) / (cube.side / 2.0) for x, c in zip(_window_axes(window, grid), cube.center)
+    ]
+    w = _bump_weight(np.stack(np.meshgrid(*u_axes, indexing="ij"), axis=-1)).ravel()
 
     rng = np.random.default_rng(seed)
     poly_exps = _monomial_exponents(grid.n, N + 2)
     poly_coeffs = rng.standard_normal(len(poly_exps))
-    u_axes = [u[..., i] for i in range(grid.n)]
-    poly = np.zeros(w.shape)
-    for coeff, exps in zip(poly_coeffs, poly_exps):
-        mono = np.ones(w.shape)
-        for axis, k in enumerate(exps):
-            if k:
-                mono = mono * u_axes[axis] ** k
-        poly += coeff * mono
-    f0 = w * poly
-
-    # Every sum runs over the whole grid with zeros outside the window, so
-    # numpy's pairwise tree, and with it every bit of the moment system, is
-    # the one a full-grid construction gets.
-    full = np.zeros(grid.shape)
-
-    def grid_sum(x: np.ndarray) -> float:
-        full[window] = x
-        return np.sum(full)
+    powers = []
+    for u in u_axes:
+        table = np.empty((N + 3, len(u)))
+        table[0] = 1.0
+        for k in range(1, N + 3):
+            np.multiply(table[k - 1], u, out=table[k])
+        powers.append(table)
+    f0 = w * (poly_coeffs @ _tensor_rows(powers, poly_exps))
 
     if skip_projection:
         values = f0
     else:
-        betas = _monomial_exponents(grid.n, N)
-        basis = [_legendre_values(u_axes, beta) * inside for beta in betas]
-        nb = len(basis)
-        gram = np.empty((nb, nb))
-        rhs = np.empty(nb)
-        for i in range(nb):
-            rhs[i] = grid_sum(basis[i] * f0)
-            for j in range(i, nb):
-                gram[i, j] = gram[j, i] = grid_sum(basis[i] * basis[j] * w)
+        # Tensor Legendre rows P_beta(u), |beta| <= N; w vanishes outside
+        # the open cube, so every sum below is over the cube alone.
+        basis = _tensor_rows(
+            [legendre.legvander(u, N).T for u in u_axes], _monomial_exponents(grid.n, N)
+        )
+        weighted = basis * w
+        gram = weighted @ basis.T
+        rhs = basis @ f0
         try:
             coeffs = np.linalg.solve(gram, rhs)
         except np.linalg.LinAlgError as exc:
@@ -226,13 +226,14 @@ def make_atom(
                 f"moment system ill-conditioned for cube {cube}: relative residual "
                 f"{residual / max(scale, 1.0):.3e}"
             )
-        values = f0 - w * sum(cf * b for cf, b in zip(coeffs, basis))
+        values = f0 - coeffs @ weighted
 
     peak = np.max(np.abs(values))
     if peak == 0.0:
         raise ValueError("degenerate atom: projection annihilated the profile")
-    full[window] = values * (0.5 / peak)
-    return Atom(cube, SampledFunction(grid, full), float(p), N, seed)
+    full = np.zeros(grid.shape, dtype=np.complex128)
+    full[window] = (values * (0.5 / peak)).reshape([len(u) for u in u_axes])
+    return Atom(cube, SampledFunction(grid, _frozen(full)), float(p), N, seed)
 
 
 def make_infinity_atom(grid: Grid, f: Callable[..., complex]) -> Atom:
@@ -270,6 +271,9 @@ def make_atomic_sum(
     """Assemble sum(lambda_k a_k) from (lambda, cube, seed) triples.
 
     The pointwise bound |realized| <= majorant is verified at construction.
+    Each atom and indicator is added on its cube's window, which holds the
+    closed cube: outside it both are +0, so the sums are bit for bit those
+    over the whole grid.
     """
     realized = np.zeros(grid.shape, dtype=np.complex128)
     majorant = np.zeros(grid.shape, dtype=np.float64)
@@ -277,8 +281,10 @@ def make_atomic_sum(
         if lam < 0:
             raise ValueError(f"coefficients must be nonnegative, got {lam}")
         atom = make_atom(cube, p, N, seed, grid)
-        realized += lam * atom.values.values
-        majorant += lam * cube.contains(grid.points())
+        window = _cube_window(cube, grid)
+        realized[window] += lam * atom.values.values[window]
+        pts = np.stack(np.meshgrid(*_window_axes(window, grid), indexing="ij"), axis=-1)
+        majorant[window] += lam * cube.contains(pts)
     realized_f = SampledFunction(grid, realized)
     majorant_f = SampledFunction(grid, majorant)
     excess = np.abs(realized_f.values) - np.abs(majorant_f.values)

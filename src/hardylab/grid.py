@@ -272,26 +272,31 @@ def _fft_forward(values: np.ndarray) -> np.ndarray:
     return np.fft.fftn(_half_shift(values))
 
 
-def _fft_inverse(coeffs: np.ndarray) -> np.ndarray:
-    """Centred samples of an FFT-order spectrum, unscaled: the inverse of
-    ``_fft_forward`` up to rounding."""
-    return _half_shift(np.fft.ifftn(coeffs))
+def _transform(values: np.ndarray, grid: Grid) -> np.ndarray:
+    """``dft``'s coefficients in FFT order, writeable: the rectangle-rule
+    transform, dx^n fftn(_half_shift(values)), not shifted back."""
+    coeffs = _fft_forward(values)
+    coeffs *= grid.dx**grid.n
+    return coeffs
+
+
+def _inverse_in_place(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
+    """``idft`` of an FFT-order spectrum, written over ``coeffs`` and left
+    in FFT order: ifftn / dx^n.  ``_half_shift`` takes it to centred order."""
+    np.fft.ifftn(coeffs, out=coeffs)
+    coeffs /= grid.dx**grid.n
+    return coeffs
 
 
 def dft(f: SampledFunction) -> Spectrum:
     """Forward transform, rectangle rule: dx^n * FFT with centered indexing."""
-    g = f.grid
-    coeffs = _half_shift(_fft_forward(f.values))
-    coeffs *= g.dx**g.n
-    return Spectrum(g, _frozen(coeffs))
+    return Spectrum(f.grid, _frozen(_half_shift(_transform(f.values, f.grid))))
 
 
 def idft(s: Spectrum) -> SampledFunction:
     """Inverse transform; exact inverse of dft up to rounding."""
-    g = s.grid
-    values = _fft_inverse(_half_shift(s.coefficients))
-    values /= g.dx**g.n
-    return SampledFunction(g, _frozen(values))
+    values = _inverse_in_place(_half_shift(s.coefficients), s.grid)
+    return SampledFunction(s.grid, _frozen(_half_shift(values)))
 
 
 def lp_quasinorm(f: SampledFunction, p: float) -> float:

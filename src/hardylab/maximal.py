@@ -17,7 +17,15 @@ from dataclasses import dataclass
 from functools import lru_cache
 import numpy as np
 
-from .grid import Grid, SampledFunction, Spectrum, dft, idft, lp_quasinorm
+from .grid import (
+    Grid,
+    SampledFunction,
+    _frozen,
+    _half_shift,
+    _inverse_in_place,
+    _transform,
+    lp_quasinorm,
+)
 
 __all__ = [
     "BumpProfile",
@@ -120,24 +128,27 @@ def _periodized_kernel(bump: BumpProfile, t: float, grid: Grid) -> np.ndarray:
 
 @lru_cache(maxsize=4)
 def _kernel_spectra(bump: BumpProfile, ladder: ScaleLadder, grid: Grid) -> tuple[np.ndarray, ...]:
-    """The transforms of the ladder's kernels (read-only), one per scale.
-    They are cached as one entry per ladder, so a ladder of any length
-    walked in order never evicts its own kernels."""
+    """The transforms of the ladder's kernels in FFT order (read-only), one
+    per scale.  They are cached as one entry per ladder, so a ladder of any
+    length walked in order never evicts its own kernels."""
     return tuple(
-        dft(SampledFunction(grid, _periodized_kernel(bump, t, grid))).coefficients
-        for t in ladder.scales
+        _frozen(_transform(_periodized_kernel(bump, t, grid), grid)) for t in ladder.scales
     )
 
 
 def smooth_maximal(f: SampledFunction, bump: BumpProfile, ladder: ScaleLadder) -> SampledFunction:
-    """sup over ladder scales of |phi_t * f|, convolution done spectrally."""
+    """sup over ladder scales of |phi_t * f|, convolution done spectrally.
+    The transforms stay in FFT order and the supremum is shifted to centred
+    order once, so it is bit for bit the one taken over idft(dft(f) * the
+    kernel's dft) at each scale."""
     grid = f.grid
-    spec_f = dft(f).coefficients
+    spec_f = _transform(f.values, grid)
+    conv = np.empty_like(spec_f)
     best = np.zeros(grid.shape)
     for kernel in _kernel_spectra(bump, ladder, grid):
-        conv = idft(Spectrum(grid, spec_f * kernel))
-        best = np.maximum(best, np.abs(conv.values))
-    return SampledFunction(grid, best)
+        np.multiply(spec_f, kernel, out=conv)
+        np.maximum(best, np.abs(_inverse_in_place(conv, grid)), out=best)
+    return SampledFunction(grid, _half_shift(best))
 
 
 def _ball_offsets(r: float, grid: Grid) -> np.ndarray:

@@ -52,8 +52,9 @@ outputs.  A group is applied by one of three engines:
   the largest residual of the split sampled on seeded lattice entries and
   fibres; ``operator_factors`` carries it into ``Factors.bound``.
 * ``apply_linear`` — a one-slot group is a 1-linear multiplier on its
-  input's forward transform, computed once per input and shared by every
-  term; bit for bit ``apply_general`` at m = 1, at a third of its cost.
+  input's forward transform, computed once per input in FFT order and
+  shared by every term, and one inverse transform per group; bit for bit
+  ``apply_general`` at m = 1, at a third of its cost.
 
 Each group's split, or the rule's "exhaustive", is found when the
 operator is first applied (``_group_split``) and kept for as long as that
@@ -96,8 +97,12 @@ from .grid import (
     SampledFunction,
     Spectrum,
     _box,
+    _frozen,
+    _half_shift,
+    _inverse_in_place,
     _masked_moment,
     _slot_mask,
+    _transform,
     dft,
     idft,
 )
@@ -467,24 +472,26 @@ def apply_oracle(
 @lru_cache(maxsize=8)
 def _one_slot_weights(op: MultilinearOperator) -> Mapping[Symbol, np.ndarray]:
     """Per distinct one-slot symbol of the operator's terms, its weights
-    sym(k * dxi) * ``_slot_mask`` on the lattice (read-only).  Keyed on the
-    operator, so each weight array is computed once however many terms
-    share it."""
+    sym(k * dxi) * ``_slot_mask`` on the lattice in FFT order (read-only).
+    Keyed on the operator, so each weight array is computed once however
+    many terms share it."""
     freqs = op.grid.frequencies()
     mask = _slot_mask(freqs, op.cutoff)
     weights = {}
     for part in op.symbol.partitions:
         for grp, sym in zip(part.groups, part.symbols):
             if len(grp) == 1 and sym not in weights:
-                weights[sym] = np.asarray(sym.evaluate(freqs)) * mask
-                weights[sym].setflags(write=False)
+                weights[sym] = _frozen(_half_shift(np.asarray(sym.evaluate(freqs)) * mask))
     return MappingProxyType(weights)
 
 
-def apply_linear(weights: np.ndarray, spec: Spectrum) -> SampledFunction:
+def apply_linear(grid: Grid, weights: np.ndarray, coeffs: np.ndarray) -> SampledFunction:
     """A 1-linear multiplier, given by its weights on the lattice, applied to
-    an input given by its spectrum."""
-    return idft(Spectrum(spec.grid, spec.coefficients * weights))
+    an input given by its transform (``_transform``), both in FFT order:
+    one inverse transform, in place over their product.  Bit for bit
+    idft(Spectrum(dft(f).coefficients * weights)) with centred weights."""
+    values = _inverse_in_place(coeffs * weights, grid)
+    return SampledFunction(grid, _frozen(_half_shift(values)))
 
 
 class Factors(tuple):
@@ -538,10 +545,10 @@ def operator_factors(
             for done, out in zip(applied, outs):
                 done[grp, sym] = out
     for fs, done in zip(sets, applied):
-        spectra = {l: dft(fs[l]) for l in singles}
+        spectra = {l: _transform(fs[l].values, op.grid) for l in singles}
         for grp, sym in groups:
             if len(grp) == 1:
-                done[grp, sym] = apply_linear(weights[sym], spectra[grp[0]]), 0.0
+                done[grp, sym] = apply_linear(op.grid, weights[sym], spectra[grp[0]]), 0.0
     results = []
     for done in applied:
         outs = [[done[grp, sym] for grp, sym in zip(part.groups, part.symbols)] for part in terms]

@@ -10,7 +10,7 @@ import hardylab
 import hardylab.maximal
 
 from hardylab.atoms import Cube, make_atom
-from hardylab.grid import SampledFunction, lp_quasinorm, make_grid, sample
+from hardylab.grid import SampledFunction, Spectrum, dft, idft, lp_quasinorm, make_grid, sample
 from hardylab.maximal import (
     ScaleLadder,
     hl_maximal,
@@ -147,6 +147,27 @@ class TestSmoothMaximal:
         second = smooth_maximal(f, bump, ladder)
         assert len(calls) == 33
         assert np.array_equal(first.values.view(np.uint64), second.values.view(np.uint64))
+
+    @pytest.mark.parametrize("n, M", [(1, 1024), (2, 64)])
+    def test_equals_dft_idft_loop_bitwise(self, n, M):
+        # The sweep runs in FFT order and shifts once; it must give the
+        # bits of a loop through dft and idft at every scale.
+        from hardylab.maximal import _periodized_kernel
+
+        grid = make_grid(n, 8.0, M)
+        bump = make_bump(n)
+        ladder = make_ladder(grid, half_steps=True)
+        rng = np.random.default_rng(n)
+        values = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+        f = SampledFunction(grid, values)
+        spec_f = dft(f).coefficients
+        want = np.zeros(grid.shape)
+        for t in ladder.scales:
+            kernel = dft(SampledFunction(grid, _periodized_kernel(bump, t, grid))).coefficients
+            conv = idft(Spectrum(grid, spec_f * kernel))
+            want = np.maximum(want, np.abs(conv.values))
+        got = smooth_maximal(f, bump, ladder).values
+        assert np.array_equal(got.view(np.uint64), want.astype(np.complex128).view(np.uint64))
 
     def test_plateau_value_with_conv_oracle(self, grid1024, bump, ladder):
         # For t <= 1 the whole bump mass sits inside the plateau of the
