@@ -23,7 +23,6 @@ import dataclasses
 import hashlib
 import json
 import math
-import os
 import sys
 import time
 from pathlib import Path
@@ -188,8 +187,8 @@ def _parse_floats(text: str) -> tuple[float, ...]:
 
 
 # Section -> key -> (target, parser): the only keys a config file may set, in
-# lower case as configparser reads them.  [checks] and [tolerances] fill the run
-# options, the rest ExperimentConfig.from_dict's fields (which checks ``kind``).
+# lower case as configparser reads them.  [checks] fills the run options, the
+# rest ExperimentConfig.from_dict's fields (which checks ``kind``).
 CONFIG_SCHEMA = {
     "operator": {
         "symbol": ("symbol", str),
@@ -213,19 +212,18 @@ CONFIG_SCHEMA = {
         for name in ("boundedness", "scale_invariance", "cancellation", "decay",
                      "local_estimate", "pointwise_majorant", "fs_inequality")
     },
-    "tolerances": {name: (name, float) for name in DEFAULT_TOLERANCES},
 }
 
 
 def load_config(path: str) -> tuple[ExperimentConfig, dict]:
     """Parse a run config; returns the ensemble config and the run options
-    (every check's flag, and the tolerances the file sets).  Any section or
-    key outside CONFIG_SCHEMA is a ValueError."""
+    (every check's flag).  Any section or key outside CONFIG_SCHEMA is a
+    ValueError."""
     # No default section, so a [DEFAULT] header is one more unknown section.
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",), default_section="")
     if not parser.read(path):
         raise ValueError(f"cannot read config file {path}")
-    options = {"checks": dict.fromkeys(CONFIG_SCHEMA["checks"], False), "tolerances": {}}
+    options = {"checks": dict.fromkeys(CONFIG_SCHEMA["checks"], False)}
     options["checks"]["boundedness"] = True
     fields: dict = {}
     for section in parser.sections():
@@ -259,7 +257,6 @@ def _check_atoms(ctx: RunContext, partner_order: int):
 def _run_checks(ctx: RunContext, options: dict, jobs: int, out: Path) -> dict:
     config, idx = ctx.config, ctx.idx
     checks = options["checks"]
-    tolerances = {**DEFAULT_TOLERANCES, **options["tolerances"]}
     results: dict[str, dict] = {}
     records: tuple[TrialRecord, ...] = ()
 
@@ -276,7 +273,7 @@ def _run_checks(ctx: RunContext, options: dict, jobs: int, out: Path) -> dict:
         _write_ratio_histogram(out / "ratio_hist.dat", [t.ratio for t in report.trials])
 
     if checks["scale_invariance"]:
-        tol = tolerances["scale_invariance"]
+        tol = DEFAULT_TOLERANCES["scale_invariance"]
         count = min(config.trials, 20)
         if checks["boundedness"]:
             base = records[:count]
@@ -301,7 +298,7 @@ def _run_checks(ctx: RunContext, options: dict, jobs: int, out: Path) -> dict:
     full = applied.get("full")
 
     if checks["cancellation"]:
-        tol = tolerances["cancellation"]
+        tol = DEFAULT_TOLERANCES["cancellation"]
         rep = check_cancellation(full, idx.s, tolerance=tol)
         results["cancellation"] = {
             "pass": rep.passed,
@@ -412,7 +409,6 @@ def cmd_run(args) -> int:
         "config": config.to_dict(),
         "config_sha256": config_hash,
         "checks": options["checks"],
-        "tolerances": options["tolerances"],
         "created_unix": time.time(),
         "version": __version__,
         "jobs": args.jobs,
@@ -515,16 +511,11 @@ def main(argv=None) -> int:
     )
     p_sym.set_defaults(func=cmd_verify_symbol)
 
-    # A string default goes through type=int, so a bad HARDYLAB_JOBS is a
-    # usage error of `run` alone.
-    default_jobs = os.environ.get("HARDYLAB_JOBS", "1")
     p_run = sub.add_parser("run", help="run configured checks and write reports")
     p_run.add_argument("config")
     p_run.add_argument("--out", default="out", help="output directory")
     p_run.add_argument("--seed", type=int, default=None, help="override master seed")
-    p_run.add_argument(
-        "--jobs", type=int, default=default_jobs, help="parallel trial workers"
-    )
+    p_run.add_argument("--jobs", type=int, default=1, help="parallel trial workers")
     p_run.set_defaults(func=cmd_run)
 
     p_rep = sub.add_parser("replay", help="recompute one trial from a report")

@@ -9,6 +9,14 @@ discretized by the rectangle rule, so that coefficients carry physical units
 (the DC coefficient of f == 1 is the box volume).  Frequencies are the
 physical points k * dxi with dxi = 1/(2L) for k = -M/2, ..., M/2 - 1, not
 bare integer indices; every route of an operator reads this one lattice.
+
+Scale convention: only ``dft``/``idft`` (centred order) carry the
+rectangle-rule weight dx^n.  The engines use the unscaled pair
+``_fft_forward``/``_fft_inverse`` (FFT order), and each multiplier carries
+its own quadrature weight: dx^n in a smooth maximal kernel, none in a
+one-slot weight, M^-(m-1)n = (dx dxi)^((m-1)n) on the exhaustive sum over
+m - 1 free frequency integrals.  Where dx is a power of two both
+conventions give the same bits.
 """
 
 from __future__ import annotations
@@ -272,30 +280,29 @@ def _fft_forward(values: np.ndarray) -> np.ndarray:
     return np.fft.fftn(_half_shift(values))
 
 
-def _transform(values: np.ndarray, grid: Grid) -> np.ndarray:
-    """``dft``'s coefficients in FFT order, writeable: the rectangle-rule
-    transform, dx^n fftn(_half_shift(values)), not shifted back."""
-    coeffs = _fft_forward(values)
-    coeffs *= grid.dx**grid.n
-    return coeffs
-
-
-def _inverse_in_place(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
-    """``idft`` of an FFT-order spectrum, written over ``coeffs`` and left
-    in FFT order: ifftn / dx^n.  ``_half_shift`` takes it to centred order."""
-    np.fft.ifftn(coeffs, out=coeffs)
-    coeffs /= grid.dx**grid.n
-    return coeffs
+def _fft_inverse(coeffs: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Unscaled inverse FFT over the last n axes, ifftn without a dx^n
+    weight, left in FFT order; any leading axes are rows transformed one by
+    one.  Written over ``coeffs``, or into ``out``.  At n = 1 it calls
+    ``np.fft.ifft`` directly: ifftn's axis handling costs as much as one
+    length-4096 transform."""
+    out = coeffs if out is None else out
+    if n == 1:
+        return np.fft.ifft(coeffs, out=out)
+    return np.fft.ifftn(coeffs, axes=tuple(range(-n, 0)), out=out)
 
 
 def dft(f: SampledFunction) -> Spectrum:
     """Forward transform, rectangle rule: dx^n * FFT with centered indexing."""
-    return Spectrum(f.grid, _frozen(_half_shift(_transform(f.values, f.grid))))
+    coeffs = _fft_forward(f.values)
+    coeffs *= f.grid.dx**f.grid.n
+    return Spectrum(f.grid, _frozen(_half_shift(coeffs)))
 
 
 def idft(s: Spectrum) -> SampledFunction:
     """Inverse transform; exact inverse of dft up to rounding."""
-    values = _inverse_in_place(_half_shift(s.coefficients), s.grid)
+    values = _fft_inverse(_half_shift(s.coefficients), s.grid.n)
+    values /= s.grid.dx**s.grid.n
     return SampledFunction(s.grid, _frozen(_half_shift(values)))
 
 

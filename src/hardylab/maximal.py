@@ -20,10 +20,10 @@ import numpy as np
 from .grid import (
     Grid,
     SampledFunction,
+    _fft_forward,
+    _fft_inverse,
     _frozen,
     _half_shift,
-    _inverse_in_place,
-    _transform,
     lp_quasinorm,
 )
 
@@ -129,25 +129,29 @@ def _periodized_kernel(bump: BumpProfile, t: float, grid: Grid) -> np.ndarray:
 @lru_cache(maxsize=4)
 def _kernel_spectra(bump: BumpProfile, ladder: ScaleLadder, grid: Grid) -> tuple[np.ndarray, ...]:
     """The transforms of the ladder's kernels in FFT order (read-only), one
-    per scale.  They are cached as one entry per ladder, so a ladder of any
-    length walked in order never evicts its own kernels."""
-    return tuple(
-        _frozen(_transform(_periodized_kernel(bump, t, grid), grid)) for t in ladder.scales
-    )
+    per scale, times the quadrature weight dx^n.  They are cached as one
+    entry per ladder, so a ladder of any length walked in order never
+    evicts its own kernels."""
+    spectra = []
+    for t in ladder.scales:
+        spec = _fft_forward(_periodized_kernel(bump, t, grid))
+        spec *= grid.dx**grid.n
+        spectra.append(_frozen(spec))
+    return tuple(spectra)
 
 
 def smooth_maximal(f: SampledFunction, bump: BumpProfile, ladder: ScaleLadder) -> SampledFunction:
-    """sup over ladder scales of |phi_t * f|, convolution done spectrally.
-    The transforms stay in FFT order and the supremum is shifted to centred
-    order once, so it is bit for bit the one taken over idft(dft(f) * the
-    kernel's dft) at each scale."""
+    """sup over ladder scales of |phi_t * f|, convolution done spectrally
+    with unscaled transforms in FFT order, the supremum shifted to centred
+    order once.  Where dx is a power of two it is bit for bit the one taken
+    over idft(dft(f) * the kernel's dft) at each scale."""
     grid = f.grid
-    spec_f = _transform(f.values, grid)
+    spec_f = _fft_forward(f.values)
     conv = np.empty_like(spec_f)
     best = np.zeros(grid.shape)
     for kernel in _kernel_spectra(bump, ladder, grid):
         np.multiply(spec_f, kernel, out=conv)
-        np.maximum(best, np.abs(_inverse_in_place(conv, grid)), out=best)
+        np.maximum(best, np.abs(_fft_inverse(conv, grid.n)), out=best)
     return SampledFunction(grid, _half_shift(best))
 
 

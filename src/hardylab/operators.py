@@ -56,6 +56,9 @@ outputs.  A group is applied by one of three engines:
   shared by every term, and one inverse transform per group; bit for bit
   ``apply_general`` at m = 1, at a third of its cost.
 
+All three engines follow module ``grid``'s scale convention: unscaled
+transforms, and one weight, M^-(m-1)n, on the exhaustive sum.
+
 Each group's split, or the rule's "exhaustive", is found when the
 operator is first applied (``_group_split``) and kept for as long as that
 operator is the one applied.  Each distinct group factor is applied once
@@ -97,13 +100,12 @@ from .grid import (
     SampledFunction,
     Spectrum,
     _box,
+    _fft_forward,
+    _fft_inverse,
     _frozen,
     _half_shift,
-    _inverse_in_place,
     _masked_moment,
     _slot_mask,
-    _transform,
-    dft,
     idft,
 )
 from .symbols import Symbol
@@ -198,29 +200,19 @@ def _check_budget(op: MultilinearOperator) -> None:
         )
 
 
-# Tuples per chunk of output frequencies.  Measured on this engine for
-# sigma1_bilinear at M=4096, a shape the cost rule now sends to its tensor
-# train (4,096 tuples per frequency), passes of 1, 5 and 32 sets across
-# 2^13..2^17 (2 cores, numpy 2.4, medians of 5): 2^15 was fastest for 1 and
-# 5 sets (0.18 s and 0.62 s, against 0.20 s and 0.65 s at 2^16; 32 sets ran
-# fastest at 2^13, 3.3 s against 3.7 s), and each chunk temporary is 512 KiB,
-# so the chunk stays in cache.  The count is of rows of the whole lattice,
-# M^(n(m-1)) tuples each, since every row is reduced at that length; the
-# symbol runs on the box's W^(n(m-1)) of them.  A row longer than the chunk
-# runs one frequency at a time: a trilinear group at M=256 has 65,536, of
-# which the default cutoff's box holds 129^2 = 16,641, but the cost rule
-# sends sigma4's trilinear group there to its tensor train, and the
-# exhaustive engine now sees such rows only for trilinear symbols of high
-# rank (sigma1) and in the tests.
+# Tuples per chunk of output frequencies.  2^15 was the fastest of
+# 2^13..2^17 for a bilinear group at M=4096 (4,096 tuples per frequency) in
+# passes of 1 and 5 sets (2 cores, numpy 2.4), and each chunk temporary is
+# 512 KiB, so the chunk stays in cache.  The count is of rows of the whole
+# lattice, M^(n(m-1)) tuples each, since every row is reduced at that length;
+# a row longer than the chunk runs one frequency at a time.
 _MAX_CHUNK_ELEMENTS = 2**15
 
 # Bytes of per-set free products one engine pass may hold.  The sets of a
 # batch share every chunk's index windows and symbol values; this caps what
 # each set adds (16 W^(n(m-1)) bytes, one per box tuple): 7 sets at M=256
-# trilinear with the default cutoff, and 32, the trials' batch, for lemmas'
-# bilinear group at M=4096.  Both of those groups now run on their tensor
-# trains, set by set, but the cap still sets the trials' batches
-# (``sets_per_pass``), which no output depends on.
+# trilinear with the default cutoff, 32 for a bilinear group at M=4096.  It
+# sets the batches (``sets_per_pass``), on which no output depends.
 _MAX_BATCH_BYTES = 2**21
 
 
@@ -242,7 +234,7 @@ def _set_operands(
     """One input set's free products, in the free tuples' order, and the
     length-B windows of its last slot's spectrum, reversed and doubled along
     the last axis.  The slot spectra are not kept."""
-    spectra = [dft(f).coefficients.ravel() * mask for f in inputs]
+    spectra = [_half_shift(_fft_forward(f.values)).ravel() * mask for f in inputs]
     free_prod = np.ones(free_idx.shape[1], dtype=np.complex128)
     for spec, idx in zip(spectra, free_idx):
         free_prod *= spec[idx]
@@ -259,8 +251,10 @@ def apply_general(
     Per set it returns the spatial output together with the grouped output
     spectrum g(eta): for each eta, the symbol-weighted products of input
     coefficients over all frequency tuples whose (wrapped) slot sum equals
-    eta, carrying the quadrature weight of the m-1 free frequency integrals.
-    The spatial output is exactly idft(g).
+    eta, from unscaled transforms, weighted by M^-(m-1)n = (dx dxi)^((m-1)n)
+    for the m-1 free frequency integrals.  Its unscaled inverse is the
+    spatial output; g is returned times dx^n, in ``dft``'s units, so the
+    output is idft(g), bit for bit where dx is a power of two.
 
     The lattice, the index windows and the symbol values of each chunk are
     computed once and serve every set, whose terms are then formed and
@@ -360,9 +354,11 @@ def apply_general(
 
     results = []
     for g_flat in g_flats:
-        g_flat *= grid.dxi ** ((m - 1) * n)
-        g = Spectrum(grid, g_flat.reshape(grid.shape))
-        results.append((idft(g), g))
+        g_flat /= M ** ((m - 1) * n)
+        g = g_flat.reshape(grid.shape)
+        values = _half_shift(_fft_inverse(_half_shift(g), n))
+        g *= grid.dx**n
+        results.append((SampledFunction(grid, _frozen(values)), Spectrum(grid, g)))
     return results
 
 
@@ -487,10 +483,11 @@ def _one_slot_weights(op: MultilinearOperator) -> Mapping[Symbol, np.ndarray]:
 
 def apply_linear(grid: Grid, weights: np.ndarray, coeffs: np.ndarray) -> SampledFunction:
     """A 1-linear multiplier, given by its weights on the lattice, applied to
-    an input given by its transform (``_transform``), both in FFT order:
-    one inverse transform, in place over their product.  Bit for bit
-    idft(Spectrum(dft(f).coefficients * weights)) with centred weights."""
-    values = _inverse_in_place(coeffs * weights, grid)
+    an input given by its unscaled transform (``_fft_forward``), both in FFT
+    order: one unscaled inverse, in place over their product.  Where dx is a
+    power of two it is bit for bit idft(Spectrum(dft(f).coefficients *
+    weights)) with centred weights."""
+    values = _fft_inverse(coeffs * weights, grid.n)
     return SampledFunction(grid, _frozen(_half_shift(values)))
 
 
@@ -545,7 +542,7 @@ def operator_factors(
             for done, out in zip(applied, outs):
                 done[grp, sym] = out
     for fs, done in zip(sets, applied):
-        spectra = {l: _transform(fs[l].values, op.grid) for l in singles}
+        spectra = {l: _fft_forward(fs[l].values) for l in singles}
         for grp, sym in groups:
             if len(grp) == 1:
                 done[grp, sym] = apply_linear(op.grid, weights[sym], spectra[grp[0]]), 0.0

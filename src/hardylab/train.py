@@ -31,7 +31,9 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
-from .grid import Grid, SampledFunction, _box, _box_lattice, _fft_forward, _frozen, _half_shift
+from .grid import (
+    Grid, SampledFunction, _box, _box_lattice, _fft_forward, _fft_inverse, _frozen, _half_shift
+)
 from .symbols import Symbol
 
 if TYPE_CHECKING:
@@ -647,9 +649,9 @@ def apply_tensor_train(
     index b, the r_{m-2} waves of slot m-1 into b and the one wave of slot m
     from b are transformed in one call, and the left waves' sum times the
     last wave is added into one accumulator.  At m = 2 that is two
-    transforms per term into one reused (2, S) buffer.  The unscaled
-    transforms need no weight: dx^n of the forward transform cancels 1/dx^n
-    of each inverse, and each free integral's dxi^n is an inverse's 1/S.
+    transforms per term into one reused (2, S) buffer.  The grid's unscaled
+    pair needs no weight: each free integral's (dx dxi)^n = 1/S is one
+    inverse's 1/S.
     The cost is sum_k r_{k-1} r_k + m transforms of length S per set.  The
     sets run one after another through the same steps, so each output is
     bit for bit that of the set alone.  The caller checks the sets.
@@ -664,13 +666,7 @@ def apply_tensor_train(
     width = max([len(cores[-2]) + 1] + [core.shape[1] for core in cores[:-2]])
     spectra = np.zeros((width, S), dtype=np.complex128)
     waves = np.empty((width,) + grid.shape, dtype=np.complex128)
-    axes = tuple(range(1, grid.n + 1))
-
-    def inverse(count: int) -> np.ndarray:
-        """The inverse transforms of the first ``count`` rows of spectra."""
-        if grid.n == 1:  # ifftn's axis handling costs as much as a length-4096 transform
-            return np.fft.ifft(spectra[:count], out=waves[:count])
-        return np.fft.ifftn(spectra[:count].reshape(waves[:count].shape), axes=axes, out=waves[:count])
+    rows = spectra.reshape(waves.shape)  # the same spectra, one grid-shaped row each
 
     results = []
     for fs in sets:
@@ -681,7 +677,7 @@ def apply_tensor_train(
             for a in range(len(cores[k])):
                 weights = factors.core(k, a)
                 spectra[: len(weights), index] = c * weights
-                block = inverse(len(weights))
+                block = _fft_inverse(rows[: len(weights)], grid.n, out=waves[: len(weights)])
                 new += block if acc is None else acc[a] * block
             acc = new
         total = np.zeros(grid.shape, dtype=np.complex128)
@@ -689,7 +685,7 @@ def apply_tensor_train(
         for b in range(len(cores[-1])):
             spectra[:count, index] = coeffs[-2] * factors.core(op.m - 2, (slice(None), b))
             spectra[count, index] = coeffs[-1] * factors.core(op.m - 1, (b, 0))
-            block = inverse(count + 1)
+            block = _fft_inverse(rows[: count + 1], grid.n, out=waves[: count + 1])
             left = block[0] if acc is None else (acc * block[:count]).sum(axis=0)
             left *= block[count]
             total += left

@@ -106,7 +106,10 @@ class TestConfigParsing:
             pytest.param("half_steps = false", "half_step = true", "half_step", id="ladder"),
             pytest.param("boundedness = true", "nosuch = true", "nosuch", id="checks"),
             pytest.param(
-                "cancellation = 1e-5", "cancelation = 1e30", "cancelation", id="tolerances"
+                "half_steps = false",
+                "half_steps = false\n\n[tolerances]\ncancellation = 1e30",
+                "unknown config section [tolerances]",
+                id="tolerances",
             ),
             pytest.param("[ensemble]", "[ensembel]", "ensembel", id="section"),
             pytest.param("trials = 4", "trials = abc", "[ensemble] trials", id="bad-value"),
@@ -122,8 +125,9 @@ class TestConfigParsing:
         # Every section and key comes from the schema: a misspelt one is not
         # dropped, it stops the run before anything is written.  A value its
         # parser rejects names its section and key; an empty item in a list
-        # is rejected, not dropped (constant_one takes its arity from p).
-        text = BASE_CONFIG + "\n[ladder]\nhalf_steps = false\n\n[tolerances]\ncancellation = 1e-5\n"
+        # is rejected, not dropped (constant_one takes its arity from p).  No
+        # config sets a check's pass threshold: [tolerances] is unknown.
+        text = BASE_CONFIG + "\n[ladder]\nhalf_steps = false\n"
         assert old in text
         path = tmp_path / "bad.ini"
         path.write_text(text.replace(old, new))
@@ -157,26 +161,23 @@ class TestVerifySymbolCommand:
         assert code == 1
 
 
-class TestJobsEnvironment:
-    def test_bad_value_is_a_usage_error_of_run(self, config_file, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("HARDYLAB_JOBS", "abc")
+class TestJobsOption:
+    def test_bad_value_is_a_usage_error_of_run(self, config_file, tmp_path, capsys):
         out = tmp_path / "o"
         with pytest.raises(SystemExit) as exc:
-            main(["run", str(config_file), "--out", str(out)])
+            main(["run", str(config_file), "--out", str(out), "--jobs", "abc"])
         assert exc.value.code == 2
         assert "--jobs" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_bad_value_does_not_touch_verify_symbol(self, monkeypatch):
-        # verify-symbol takes no --jobs, so it never reads the variable.
-        monkeypatch.setenv("HARDYLAB_JOBS", "abc")
-        assert main(["verify-symbol", "sigma1", "--orders", "1"]) == 0
-
-    def test_good_value_is_the_default(self, config_file, tmp_path, monkeypatch):
-        monkeypatch.setenv("HARDYLAB_JOBS", "2")
-        out = tmp_path / "o"
-        assert main(["run", str(config_file), "--out", str(out)]) == 0
-        assert json.loads((out / "manifest.json").read_text())["jobs"] == 2
+    def test_environment_does_not_set_the_default(self, config_file, tmp_path, monkeypatch):
+        # --jobs is the one knob: a HARDYLAB_JOBS left in the environment,
+        # good or bad, is not read.
+        for value in ("2", "abc"):
+            monkeypatch.setenv("HARDYLAB_JOBS", value)
+            out = tmp_path / value
+            assert main(["run", str(config_file), "--out", str(out)]) == 0
+            assert json.loads((out / "manifest.json").read_text())["jobs"] == 1
 
 
 class TestRunCommand:

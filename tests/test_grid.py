@@ -190,6 +190,27 @@ class TestFftOrder:
         assert np.array_equal(got.view(np.uint64), np.fft.ifftshift(v).view(np.uint64))
         assert got is not v and not np.shares_memory(got, v)
 
+    @pytest.mark.parametrize("shape", [(5, 4096), (3, 64, 64)], ids=["n1", "n2"])
+    def test_inverse_over_rows_equals_row_calls(self, shape):
+        # The unscaled inverse transforms the last n axes of stacked rows,
+        # in place or into out=: every bit is that of a call on each row
+        # alone and of np.fft.ifftn, over the row axes or over a whole row.
+        from hardylab.grid import _fft_inverse
+
+        n = len(shape) - 1
+        v = self._signed_zeros(shape, n)
+        want = np.fft.ifftn(v, axes=tuple(range(1, n + 1)))
+        into = np.empty_like(v)
+        got = [
+            _fft_inverse(v.copy(), n),
+            _fft_inverse(v.copy(), n, out=into),
+            np.stack([_fft_inverse(row.copy(), n) for row in v]),
+            np.stack([np.fft.ifftn(row) for row in v]),
+        ]
+        assert got[1] is into
+        for arr in got:
+            assert np.array_equal(arr.view(np.uint64), want.view(np.uint64))
+
     def test_outputs_are_read_only_and_owned(self):
         g = make_grid(1, 8.0, 16)
         f = _wrap(g, self._signed_zeros(16, 1))
