@@ -170,14 +170,25 @@ class TestJobsOption:
         assert "--jobs" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_environment_does_not_set_the_default(self, config_file, tmp_path, monkeypatch):
-        # --jobs is the one knob: a HARDYLAB_JOBS left in the environment,
-        # good or bad, is not read.
-        for value in ("2", "abc"):
-            monkeypatch.setenv("HARDYLAB_JOBS", value)
-            out = tmp_path / value
-            assert main(["run", str(config_file), "--out", str(out)]) == 0
-            assert json.loads((out / "manifest.json").read_text())["jobs"] == 1
+
+class TestJobsEnvironment:
+    # --jobs is the one knob: no command reads a HARDYLAB_JOBS left in the
+    # environment, good or bad.
+    def test_bad_value_does_not_touch_verify_symbol(self, monkeypatch):
+        monkeypatch.setenv("HARDYLAB_JOBS", "abc")
+        assert main(["verify-symbol", "sigma1", "--orders", "1"]) == 0
+
+    def test_bad_value_does_not_touch_run(self, config_file, tmp_path, monkeypatch):
+        monkeypatch.setenv("HARDYLAB_JOBS", "abc")
+        out = tmp_path / "o"
+        assert main(["run", str(config_file), "--out", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["jobs"] == 1
+
+    def test_good_value_is_not_the_default(self, config_file, tmp_path, monkeypatch):
+        monkeypatch.setenv("HARDYLAB_JOBS", "2")
+        out = tmp_path / "o"
+        assert main(["run", str(config_file), "--out", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["jobs"] == 1
 
 
 class TestRunCommand:
