@@ -181,7 +181,20 @@ def make_atom(
 
     Deterministic in (cube, p, N, seed, grid).  ``skip_projection`` keeps the
     raw random bump (a negative control for cancellation-sensitive checks).
+    The atom is its window values (``_atom_window``) zero-embedded into the
+    grid.
     """
+    window, values = _atom_window(cube, N, seed, grid, skip_projection)
+    full = np.zeros(grid.shape, dtype=np.complex128)
+    full[window] = values
+    return Atom(cube, SampledFunction(grid, _frozen(full)), float(p), N, seed)
+
+
+def _atom_window(
+    cube: Cube, N: int, seed: int, grid: Grid, skip_projection: bool = False
+) -> tuple[tuple[slice, ...], np.ndarray]:
+    """The cube's window (``_cube_window``) and the atom's complex values
+    on it, the window of ``make_atom``'s values."""
     if N < 0:
         raise ValueError("moment order must be nonnegative")
     _check_atom_geometry(cube, grid)
@@ -231,9 +244,8 @@ def make_atom(
     peak = np.max(np.abs(values))
     if peak == 0.0:
         raise ValueError("degenerate atom: projection annihilated the profile")
-    full = np.zeros(grid.shape, dtype=np.complex128)
-    full[window] = (values * (0.5 / peak)).reshape([len(u) for u in u_axes])
-    return Atom(cube, SampledFunction(grid, _frozen(full)), float(p), N, seed)
+    shape = [len(u) for u in u_axes]
+    return window, (values * (0.5 / peak)).reshape(shape).astype(np.complex128)
 
 
 def make_infinity_atom(grid: Grid, f: Callable[..., complex]) -> Atom:
@@ -271,26 +283,26 @@ def make_atomic_sum(
     """Assemble sum(lambda_k a_k) from (lambda, cube, seed) triples.
 
     The pointwise bound |realized| <= majorant is verified at construction.
-    Each atom and indicator is added on its cube's window, which holds the
-    closed cube: outside it both are +0, so the sums are bit for bit those
-    over the whole grid.
+    Each atom (``_atom_window``, no full-grid atom is built) and indicator
+    is added on its cube's window, which holds the closed cube: outside it
+    both are +0, so the sums are bit for bit those over the whole grid.
     """
     realized = np.zeros(grid.shape, dtype=np.complex128)
     majorant = np.zeros(grid.shape, dtype=np.float64)
     for lam, cube, seed in entries:
         if lam < 0:
             raise ValueError(f"coefficients must be nonnegative, got {lam}")
-        atom = make_atom(cube, p, N, seed, grid)
-        window = _cube_window(cube, grid)
-        realized[window] += lam * atom.values.values[window]
+        window, values = _atom_window(cube, N, seed, grid)
+        realized[window] += lam * values
         pts = np.stack(np.meshgrid(*_window_axes(window, grid), indexing="ij"), axis=-1)
         majorant[window] += lam * cube.contains(pts)
-    realized_f = SampledFunction(grid, realized)
-    majorant_f = SampledFunction(grid, majorant)
-    excess = np.abs(realized_f.values) - np.abs(majorant_f.values)
+    excess = np.abs(realized)
+    excess -= majorant
     if np.any(excess > 1e-12 * max(float(np.max(majorant)), 1.0)):
         raise AssertionError("majorant domination violated at construction")
-    return FiniteAtomicSum(realized_f, majorant_f)
+    return FiniteAtomicSum(
+        SampledFunction(grid, _frozen(realized)), SampledFunction(grid, majorant)
+    )
 
 
 def moments(

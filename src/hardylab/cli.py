@@ -405,7 +405,6 @@ def cmd_run(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     config_hash = hashlib.sha256(dumps_17g(config.to_dict()).encode()).hexdigest()
     manifest = {
-        "config_path": str(args.config),
         "config": config.to_dict(),
         "config_sha256": config_hash,
         "checks": options["checks"],

@@ -40,6 +40,15 @@ __all__ = [
 ]
 
 
+# Elements of one working chunk.  The exhaustive engine (module
+# ``operators``) takes its output frequencies in chunks of this many free
+# tuples, and ``smooth_maximal`` takes its ladder in blocks of rows that fit
+# in it.  2^15 was the fastest of 2^13..2^17 for a bilinear group at M=4096
+# (4,096 tuples per frequency) in passes of 1 and 5 sets (2 cores, numpy
+# 2.4), and a complex chunk is 512 KiB, so it stays in cache.
+_MAX_CHUNK_ELEMENTS = 2**15
+
+
 def _is_power_of_two(m: int) -> bool:
     return m >= 1 and (m & (m - 1)) == 0
 
@@ -104,14 +113,21 @@ class Grid:
 
 def _frozen_complex(values: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """A read-only complex128 C-ordered copy of ``values``, or ``values``
-    itself when it is already one that owns its data (``_frozen``): a
-    transform's fresh output is taken without a second copy."""
+    itself when it is already read-only, complex128 and C-contiguous, and
+    either owns its data (``_frozen``) or is a view of a read-only array
+    that does: a transform's fresh output, or a row of a frozen stack, is
+    taken without a second copy.  Anything else, a view of a writable array
+    included, is copied."""
+    owner = values
+    if isinstance(values, np.ndarray) and isinstance(values.base, np.ndarray):
+        owner = values.base
     owned = (
         isinstance(values, np.ndarray)
         and values.dtype == np.complex128
         and values.flags.c_contiguous
-        and values.flags.owndata
         and not values.flags.writeable
+        and owner.flags.owndata
+        and not owner.flags.writeable
     )
     arr = values if owned else np.array(values, dtype=np.complex128, order="C")
     if arr.shape != shape:
@@ -221,18 +237,41 @@ def sample(f: Callable[..., complex], grid: Grid) -> SampledFunction:
     return SampledFunction(grid, values)
 
 
-def _half_shift(a: np.ndarray) -> np.ndarray:
-    """A copy of a grid-shaped array rolled by M/2 on every axis, as slice
-    copies.  For the grid's even M this is both ``np.fft.fftshift`` and
+def _half_shift(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """A grid-shaped array rolled by M/2 on every axis, as slice copies,
+    written into ``out`` (cast to its dtype) or a fresh array.  For the
+    grid's even M this is both ``np.fft.fftshift`` and
     ``np.fft.ifftshift``: it maps centred order (index j at k = j - M/2) to
     FFT order (index k mod M) and back.  At M = 1 it is a copy."""
     M = a.shape[0]
     h = M // 2
-    out = np.empty_like(a)
+    out = np.empty_like(a) if out is None else out
     halves = ((slice(0, M - h), slice(h, M)), (slice(M - h, M), slice(0, h)))
     for corner in itertools.product(halves, repeat=a.ndim):
         out[tuple(dst for _, dst in corner)] = a[tuple(src for src, _ in corner)]
     return out
+
+
+def _half_shift_rows(rows: np.ndarray, n: int) -> np.ndarray:
+    """``_half_shift`` of each row of a (k, *shape) stack over its last n
+    axes, in place: for the grid's even M the roll swaps each pair of
+    opposite corners, through one corner-sized buffer reused for every row.
+    Returns ``rows``."""
+    M = rows.shape[-1]
+    h = M // 2
+    low, high = slice(0, h), slice(M - h, M)
+    buf = np.empty((h,) * n, dtype=rows.dtype)
+    pairs = [
+        (corner, tuple(high if s is low else low for s in corner))
+        for corner in itertools.product((low, high), repeat=n)
+        if corner[0] is low
+    ]
+    for row in rows:
+        for corner, opposite in pairs:
+            np.copyto(buf, row[corner])
+            row[corner] = row[opposite]
+            row[opposite] = buf
+    return rows
 
 
 def _slot_mask(xi: np.ndarray, cutoff: float | None) -> np.ndarray:
@@ -277,7 +316,22 @@ def _box_lattice(
 
 def _fft_forward(values: np.ndarray) -> np.ndarray:
     """Unscaled FFT of centred samples, in FFT order: fftn(_half_shift(values))."""
-    return np.fft.fftn(_half_shift(values))
+    return _fft_forward_rows([values])[0]
+
+
+def _fft_forward_rows(arrays: Sequence[np.ndarray]) -> np.ndarray:
+    """``_fft_forward`` of each of some grid-shaped arrays, as the rows of
+    one (k, *shape) stack: each array is half-shifted into its row, and one
+    unscaled FFT runs in place over the last n axes of the stack.  Each row
+    is bit for bit the transform of its array alone.  At n = 1 it calls
+    ``np.fft.fft`` directly, as ``_fft_inverse`` does."""
+    n = arrays[0].ndim
+    stack = np.empty((len(arrays),) + arrays[0].shape, dtype=np.complex128)
+    for row, values in zip(stack, arrays):
+        _half_shift(values, out=row)
+    if n == 1:
+        return np.fft.fft(stack, out=stack)
+    return np.fft.fftn(stack, axes=tuple(range(-n, 0)), out=stack)
 
 
 def _fft_inverse(coeffs: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
@@ -317,7 +371,8 @@ def lp_quasinorm(f: SampledFunction, p: float) -> float:
         raise ValueError(f"exponent must be positive or inf, got {p}")
     g = f.grid
     mags = np.abs(f.values)
-    total = float(np.sum(mags**p)) * g.dx**g.n
+    mags **= p
+    total = float(np.sum(mags)) * g.dx**g.n
     return float(total ** (1.0 / p))
 
 

@@ -15,9 +15,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Sequence
+
 import numpy as np
 
 from .grid import (
+    _MAX_CHUNK_ELEMENTS,
     Grid,
     SampledFunction,
     _fft_forward,
@@ -142,17 +145,41 @@ def _kernel_spectra(bump: BumpProfile, ladder: ScaleLadder, grid: Grid) -> tuple
 
 def smooth_maximal(f: SampledFunction, bump: BumpProfile, ladder: ScaleLadder) -> SampledFunction:
     """sup over ladder scales of |phi_t * f|, convolution done spectrally
-    with unscaled transforms in FFT order, the supremum shifted to centred
-    order once.  Where dx is a power of two it is bit for bit the one taken
-    over idft(dft(f) * the kernel's dft) at each scale."""
+    with unscaled transforms in FFT order, the scales in blocks of rows
+    with one stacked inverse each (``_ladder_supremum``), and the supremum
+    shifted to centred order once, straight into the complex output.
+    Besides the output it holds f^, one block and two real rows, within
+    ``_MAX_CHUNK_ELEMENTS`` complex elements.  Where dx is a power of two it
+    is bit for bit the one taken over idft(dft(f) * the kernel's dft) at
+    each scale."""
     grid = f.grid
-    spec_f = _fft_forward(f.values)
-    conv = np.empty_like(spec_f)
-    best = np.zeros(grid.shape)
-    for kernel in _kernel_spectra(bump, ladder, grid):
-        np.multiply(spec_f, kernel, out=conv)
-        np.maximum(best, np.abs(_fft_inverse(conv, grid.n)), out=best)
-    return SampledFunction(grid, _half_shift(best))
+    best = _ladder_supremum(f.values, _kernel_spectra(bump, ladder, grid))
+    out = _half_shift(best, out=np.empty(grid.shape, dtype=np.complex128))
+    return SampledFunction(grid, _frozen(out))
+
+
+def _ladder_supremum(values: np.ndarray, kernels: Sequence[np.ndarray]) -> np.ndarray:
+    """max over the kernels of |inverse(f^ * kernel)|, in FFT order, for
+    centred samples f.  The scales run in blocks of rows, each one stacked
+    inverse transform in place: as many rows as keep f^, the block, one
+    magnitude row and the running maximum within ``_MAX_CHUNK_ELEMENTS``
+    complex elements (2 rows at M=8192), and at least one.  Stacked rows
+    transform bit for bit as lone ones, and the maximum is taken scale by
+    scale in ladder order, so no bit depends on the block."""
+    n = values.ndim
+    spec_f = _fft_forward(values)
+    rows = max(1, _MAX_CHUNK_ELEMENTS // values.size - 2)
+    block = np.empty((min(rows, len(kernels)),) + values.shape, dtype=np.complex128)
+    mag = np.empty(values.shape)
+    best = np.zeros(values.shape)
+    for start in range(0, len(kernels), rows):
+        part = kernels[start : start + rows]
+        conv = block[: len(part)]
+        for row, kernel in zip(conv, part):
+            np.multiply(spec_f, kernel, out=row)
+        for row in _fft_inverse(conv, n):
+            np.maximum(best, np.abs(row, out=mag), out=best)
+    return best
 
 
 def _ball_offsets(r: float, grid: Grid) -> np.ndarray:

@@ -52,8 +52,12 @@ outputs.  A group is applied by one of three engines:
   the largest residual of the split sampled on seeded lattice entries and
   fibres; ``operator_factors`` carries it into ``Factors.bound``.
 * ``apply_linear`` — a one-slot group is a 1-linear multiplier on its
-  input's forward transform, computed once per input in FFT order and
-  shared by every term, and one inverse transform per group; bit for bit
+  input's forward transform, in FFT order and shared by every term.  Per
+  input set, one stacked forward call transforms all the one-slot inputs
+  (``_fft_forward_rows``), and one ``apply_linear`` call takes all the
+  one-slot groups: one stacked inverse and one half shift per row, in
+  place, whose rows are the group outputs, with no copy.  Stacked rows
+  transform bit for bit as lone ones, so each output is bit for bit
   ``apply_general`` at m = 1, at a third of its cost.
 
 All three engines follow module ``grid``'s scale convention: unscaled
@@ -63,10 +67,10 @@ Each group's split, or the rule's "exhaustive", is found when the
 operator is first applied (``_group_split``) and kept for as long as that
 operator is the one applied.  Each distinct group factor is applied once
 per input set and each one-slot weight array is evaluated once per
-operator.  The pointwise
-majorants are built from the factor outputs, and the output is one shared
-sum over terms of their products, so the factors and the output come from a
-single application.
+operator.  The pointwise majorants are built from the factor outputs, and
+the output is one shared sum over terms of their products, multiplied and
+added in place (``sum_of_products``), so the factors and the output come
+from a single application.
 
 ``apply_oracle`` evaluates the same frequency sum literally, term by term in
 lexicographic order with exactly-rounded accumulation, at a handful of
@@ -96,14 +100,17 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .grid import (
+    _MAX_CHUNK_ELEMENTS,
     Grid,
     SampledFunction,
     Spectrum,
     _box,
     _fft_forward,
+    _fft_forward_rows,
     _fft_inverse,
     _frozen,
     _half_shift,
+    _half_shift_rows,
     _masked_moment,
     _slot_mask,
     idft,
@@ -199,14 +206,6 @@ def _check_budget(op: MultilinearOperator) -> None:
             f"frequency tuples, over the cost budget {op.budget}"
         )
 
-
-# Tuples per chunk of output frequencies.  2^15 was the fastest of
-# 2^13..2^17 for a bilinear group at M=4096 (4,096 tuples per frequency) in
-# passes of 1 and 5 sets (2 cores, numpy 2.4), and each chunk temporary is
-# 512 KiB, so the chunk stays in cache.  The count is of rows of the whole
-# lattice, M^(n(m-1)) tuples each, since every row is reduced at that length;
-# a row longer than the chunk runs one frequency at a time.
-_MAX_CHUNK_ELEMENTS = 2**15
 
 # Bytes of per-set free products one engine pass may hold.  The sets of a
 # batch share every chunk's index windows and symbol values; this caps what
@@ -325,6 +324,10 @@ def apply_general(
     del free_idx
 
     g_flats = [np.empty(S, dtype=np.complex128) for _ in sets]
+    # Output frequencies run in chunks of at most _MAX_CHUNK_ELEMENTS tuples
+    # (module grid).  The count is of rows of the whole lattice, F tuples
+    # each, since every row is reduced at that length; a row longer than the
+    # chunk runs one frequency at a time.
     chunk = max(1, min(S, _MAX_CHUNK_ELEMENTS // F))
     # Rows of all F free tuples, zero outside the box (see the docstring);
     # each set's terms are written into the box view.
@@ -481,14 +484,26 @@ def _one_slot_weights(op: MultilinearOperator) -> Mapping[Symbol, np.ndarray]:
     return MappingProxyType(weights)
 
 
-def apply_linear(grid: Grid, weights: np.ndarray, coeffs: np.ndarray) -> SampledFunction:
-    """A 1-linear multiplier, given by its weights on the lattice, applied to
-    an input given by its unscaled transform (``_fft_forward``), both in FFT
-    order: one unscaled inverse, in place over their product.  Where dx is a
-    power of two it is bit for bit idft(Spectrum(dft(f).coefficients *
-    weights)) with centred weights."""
-    values = _fft_inverse(coeffs * weights, grid.n)
-    return SampledFunction(grid, _frozen(_half_shift(values)))
+def apply_linear(
+    grid: Grid, weights: Sequence[np.ndarray], coeffs: Sequence[np.ndarray]
+) -> list[SampledFunction]:
+    """1-linear multipliers, each given by its weights on the lattice,
+    applied to inputs given by their unscaled transforms (``_fft_forward``),
+    both in FFT order, one output per (weights, coeffs) pair.  The products
+    are the rows of one stack, which takes one unscaled inverse and one
+    half shift per row, both in place, and is then frozen: each output is a
+    read-only row of it, taken without a copy.  Stacked rows transform bit
+    for bit as lone ones, so where dx is a power of two each output is bit
+    for bit idft(Spectrum(dft(f).coefficients * weights)) with centred
+    weights."""
+    rows = np.empty((len(weights),) + grid.shape, dtype=np.complex128)
+    for row, w, c in zip(rows, weights, coeffs):
+        # The weights are cast into the row first: c * w would cast real
+        # weights through numpy's 8,192-element buffer, 128 KiB per call.
+        row[...] = w
+        np.multiply(c, row, out=row)
+    _half_shift_rows(_fft_inverse(rows, grid.n), grid.n)
+    return [SampledFunction(grid, row) for row in _frozen(rows)]
 
 
 class Factors(tuple):
@@ -511,24 +526,26 @@ def operator_factors(
     op: MultilinearOperator, sets: Sequence[Sequence[SampledFunction]]
 ) -> list[Factors]:
     """Per input set, per term of ``Symbol.partitions``, the output of each
-    group: T_j^rho f_j for a one-slot group (one forward transform per
-    input, shared by every term), T_{I_g} on its own inputs for a larger
-    one, which for a general symbol is the whole operator.  Every group
-    inherits the operator's cutoff and budget.  A group that several terms
-    name with the same symbol is applied once, and its output stands in
-    every one of them.  Each group of two or more slots runs on all the
-    sets at once (``_apply_group``): on its tensor train when the cost
-    rule picks it, else in
-    ``apply_general`` passes of ``sets_per_pass`` sets, whose symbol is
-    evaluated once for all of them.  Either way each set's factors are bit
-    for bit those of the set alone; one-slot groups run set by set."""
+    group: T_j^rho f_j for a one-slot group, T_{I_g} on its own inputs for
+    a larger one, which for a general symbol is the whole operator.  Every
+    group inherits the operator's cutoff and budget.  A group that several
+    terms name with the same symbol is applied once, and its output stands
+    in every one of them.  Each group of two or more slots runs on all the
+    sets at once (``_apply_group``): on its tensor train when the cost rule
+    picks it, else in ``apply_general`` passes of ``sets_per_pass`` sets,
+    whose symbol is evaluated once for all of them.  Either way each set's
+    factors are bit for bit those of the set alone.  One-slot groups run
+    set by set: one stacked forward transform of the set's one-slot inputs
+    (``_fft_forward_rows``), shared by every term, and one ``apply_linear``
+    call over all its one-slot groups."""
     _check_sets(op, sets)
     terms = op.symbol.partitions
     groups = dict.fromkeys(
         (grp, sym) for part in terms for grp, sym in zip(part.groups, part.symbols)
     )
     weights = _one_slot_weights(op)
-    singles = sorted({grp[0] for grp, _ in groups if len(grp) == 1})
+    linear = [(grp, sym) for grp, sym in groups if len(grp) == 1]
+    singles = sorted({grp[0] for grp, _ in linear})
     applied: list[dict[tuple[tuple[int, ...], Symbol], tuple[SampledFunction, float]]] = [
         {} for _ in sets
     ]
@@ -542,10 +559,14 @@ def operator_factors(
             for done, out in zip(applied, outs):
                 done[grp, sym] = out
     for fs, done in zip(sets, applied):
-        spectra = {l: _fft_forward(fs[l].values) for l in singles}
-        for grp, sym in groups:
-            if len(grp) == 1:
-                done[grp, sym] = apply_linear(op.grid, weights[sym], spectra[grp[0]]), 0.0
+        if not linear:
+            break
+        spectra = dict(zip(singles, _fft_forward_rows([fs[l].values for l in singles])))
+        outs = apply_linear(
+            op.grid, [weights[sym] for _, sym in linear], [spectra[grp[0]] for grp, _ in linear]
+        )
+        for key, out in zip(linear, outs):
+            done[key] = out, 0.0
     results = []
     for done in applied:
         outs = [[done[grp, sym] for grp, sym in zip(part.groups, part.symbols)] for part in terms]
@@ -559,15 +580,17 @@ def operator_factors(
 
 
 def sum_of_products(factors: Factors) -> SampledFunction:
-    """Sum over terms of the pointwise product of each term's factors."""
+    """Sum over terms of the pointwise product of each term's factors,
+    multiplied and added in place: one product buffer serves every term."""
     grid = factors[0][0].grid
     total = np.zeros(grid.shape, dtype=np.complex128)
+    buf = None
     for term in factors:
-        prod = None
-        for f in term:
-            prod = f.values if prod is None else prod * f.values
-        total = total + prod
-    return SampledFunction(grid, total)
+        prod = term[0].values
+        for f in term[1:]:
+            prod = buf = np.multiply(prod, f.values, out=buf)
+        total += prod
+    return SampledFunction(grid, _frozen(total))
 
 
 def apply_operator(op: MultilinearOperator, fs: Sequence[SampledFunction]) -> SampledFunction:

@@ -398,13 +398,14 @@ class TestOneApplicationPerAtomSet:
                 2,
             ),
             # sigma3's six rank-one terms name 18 one-slot factors, of which
-            # 12 are distinct (slot, symbol) pairs; each is applied once.
+            # 12 are distinct (slot, symbol) pairs; each is applied once, all
+            # 12 of a set in one apply_linear call.
             (
                 MIXED_CONFIG.replace("sigma4", "sigma3"),
                 3,
                 2,
                 lambda trials: 0,
-                lambda trials: 12 * (trials + 1),
+                lambda trials: trials + 1,
                 0,
             ),
         ],
@@ -415,7 +416,8 @@ class TestOneApplicationPerAtomSet:
         expected_passes,
     ):
         # Counts input sets through the engine and its passes: each call
-        # ``apply_general(op, sets)`` is one pass over its sets.
+        # ``apply_general(op, sets)`` is one pass over its sets, and each
+        # ``apply_linear`` call takes every one-slot group of one set.
         calls = {"apply_general": [], "apply_linear": []}
         passes = []
         general = hardylab.operators.apply_general

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hardylab.grid import (
+    SampledFunction,
     Spectrum,
     dft,
     idft,
@@ -210,6 +211,51 @@ class TestFftOrder:
         assert got[1] is into
         for arr in got:
             assert np.array_equal(arr.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("shape", [(3, 8192), (3, 64, 64)], ids=["n1", "n2"])
+    def test_forward_over_rows_equals_row_calls(self, shape):
+        # The stacked forward transform half-shifts each array into its row
+        # and transforms the stack in place: every bit is that of
+        # _fft_forward on each array alone and of fftn(ifftshift(row)).
+        from hardylab.grid import _fft_forward, _fft_forward_rows
+
+        v = self._signed_zeros(shape, 20 + len(shape))
+        got = _fft_forward_rows(list(v))
+        assert got.shape == shape and not np.shares_memory(got, v)
+        for row, values in zip(got, v):
+            lone = _fft_forward(values)
+            literal = np.fft.fftn(np.fft.ifftshift(values))
+            assert np.array_equal(row.view(np.uint64), lone.view(np.uint64))
+            assert np.array_equal(row.view(np.uint64), literal.view(np.uint64))
+
+    @pytest.mark.parametrize("shape", [(3, 8192), (3, 64, 64), (2, 2, 2)], ids=["n1", "n2", "M2"])
+    def test_half_shift_rows_in_place(self, shape):
+        from hardylab.grid import _half_shift, _half_shift_rows
+
+        v = self._signed_zeros(shape, 30 + len(shape))
+        want = np.stack([_half_shift(row) for row in v])
+        got = _half_shift_rows(v, len(shape) - 1)
+        assert got is v
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_rows_of_a_frozen_stack_are_taken_without_a_copy(self):
+        # A read-only, C-contiguous row of a read-only array that owns its
+        # data is taken as it is; a view of a writable array, read-only or
+        # not, a view of memory the base does not own, and a non-contiguous
+        # view are copied.
+        g = make_grid(1, 8.0, 16)
+        stack = self._signed_zeros((3, 32), 7)
+        writable = stack[1, :16]
+        assert not np.shares_memory(SampledFunction(g, writable).values, stack)
+        read_only = stack[1, :16]
+        read_only.setflags(write=False)
+        assert not np.shares_memory(SampledFunction(g, read_only).values, stack)
+        stack.setflags(write=False)
+        taken = SampledFunction(g, stack[1, :16]).values
+        assert taken.base is stack and np.shares_memory(taken, stack)
+        assert not np.shares_memory(SampledFunction(g, stack[1, ::2]).values, stack)
+        foreign = np.frombuffer(stack.tobytes(), dtype=np.complex128).reshape(3, 32)
+        assert not np.shares_memory(SampledFunction(g, foreign[1, :16]).values, foreign)
 
     def test_outputs_are_read_only_and_owned(self):
         g = make_grid(1, 8.0, 16)

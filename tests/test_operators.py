@@ -635,6 +635,96 @@ class TestDistinctFactorsOnce:
         assert not any(w.flags.writeable for w in weights.values())
 
 
+def planar_linear(j):
+    """A complex one-slot symbol on R^2, one per j."""
+
+    def evaluate(xi):
+        u, v = xi[..., 0], xi[..., 1]
+        return (1.0 + (j + 1) * u * v) / (1.0 + u * u + 2.0 * v * v) + 0.5j * np.sin(u - j * v)
+
+    return Symbol(m=1, n=2, evaluate=evaluate, name=f"planar_linear{j}")
+
+
+class TestStackedOneSlotGroups:
+    # operator_factors transforms a set's one-slot inputs in one stacked
+    # forward call and applies all its one-slot groups in one stacked,
+    # in-place inverse (apply_linear), whose rows are the factors.
+    @pytest.mark.parametrize("case", ["sigma3-M8192", "product-n2-M64"])
+    def test_factors_equal_per_group_form(self, case):
+        # Each factor, as uint64, is the per-group form
+        # _half_shift(_fft_inverse(fftn(_half_shift(f)) * w)), one lone
+        # forward and one lone inverse per group.
+        from hardylab.grid import _fft_inverse, _half_shift
+        from hardylab.operators import _one_slot_weights
+
+        if case == "sigma3-M8192":
+            grid = make_grid(1, 8.0, 8192)
+            sym = builtin_symbol("sigma3")
+        else:
+            grid = make_grid(2, 4.0, 64)
+            a, b, c = (planar_linear(j) for j in range(3))
+            sym = make_product_symbol([[a, b, c], [b, c, a], [a, a, c]])
+        op = MultilinearOperator(sym, grid, cutoff=default_cutoff(grid))
+        fs = random_inputs(grid, 3, 92)
+        factors = operator_factors(op, [fs])[0]
+        weights = _one_slot_weights(op)
+        seen = set()
+        for part, term in zip(op.symbol.partitions, factors):
+            for (slot,), single, got in zip(part.groups, part.symbols, term):
+                seen.add((slot, single))
+                spec = np.fft.fftn(_half_shift(fs[slot].values))
+                want = _half_shift(_fft_inverse(spec * weights[single], grid.n))
+                assert np.array_equal(got.values.view(np.uint64), want.view(np.uint64))
+        assert len(seen) == (12 if case == "sigma3-M8192" else 7)
+
+    def test_factors_are_read_only_rows_of_one_stack(self):
+        grid = make_grid(1, 8.0, 256)
+        op = MultilinearOperator(builtin_symbol("sigma3"), grid)
+        factors = operator_factors(op, [random_inputs(grid, 3, 93)])[0]
+        outs = list({id(f): f for term in factors for f in term}.values())
+        assert len(outs) == 12
+        stack = outs[0].values.base
+        for f in outs:
+            assert not f.values.flags.writeable
+            assert f.values.base is stack
+            with pytest.raises(ValueError):
+                f.values[0] = 1.0
+        assert not stack.flags.writeable and stack.shape == (12, 256)
+
+    def test_peak_memory_of_a_product_trial_stage(self):
+        # Bound from the design, fixed before the first run: the outputs
+        # plus at most 4 rows of 16 S bytes, for one smooth_maximal call
+        # and one sigma3 operator_factors call at M=8192.  Caches (kernel
+        # spectra, one-slot weights, transform plans) are warmed first.
+        import tracemalloc
+
+        from hardylab.maximal import make_bump, make_ladder, smooth_maximal
+
+        grid = make_grid(1, 8.0, 8192)
+        S = grid.size
+        op = MultilinearOperator(builtin_symbol("sigma3"), grid, cutoff=default_cutoff(grid))
+        bump, ladder = make_bump(1), make_ladder(grid)
+        fs = random_inputs(grid, 3, 94)
+        operator_factors(op, [fs])
+        smooth_maximal(fs[0], bump, ladder)
+        for stage in ("maximal", "factors"):
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                if stage == "maximal":
+                    out = smooth_maximal(fs[0], bump, ladder)
+                    outputs = out.values.nbytes
+                else:
+                    out = operator_factors(op, [fs])[0]
+                    outputs = sum(
+                        f.values.nbytes for f in {id(f): f for t in out for f in t}.values()
+                    )
+                peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+            assert peak <= outputs + 4 * 16 * S, (stage, peak, outputs)
+
+
 @pytest.mark.parametrize("cutoff", [-1.0, -1e-300, float("nan")])
 def test_bad_cutoff_rejected(grid32, cutoff):
     # A negative or NaN radius would mask every frequency and leave the
