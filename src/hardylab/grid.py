@@ -41,11 +41,12 @@ __all__ = [
 
 
 # Elements of one working chunk.  The exhaustive engine (module
-# ``operators``) takes its output frequencies in chunks of this many free
-# tuples, and ``smooth_maximal`` takes its ladder in blocks of rows that fit
-# in it.  2^15 was the fastest of 2^13..2^17 for a bilinear group at M=4096
-# (4,096 tuples per frequency) in passes of 1 and 5 sets (2 cores, numpy
-# 2.4), and a complex chunk is 512 KiB, so it stays in cache.
+# ``operators``) takes its output frequencies in chunks whose terms and
+# gathered last-slot values fit in it, and ``smooth_maximal`` takes its
+# ladder in blocks of rows that fit in it.  2^15 was the fastest of
+# 2^13..2^17 for a bilinear group at M=4096 (4,096 tuples per frequency)
+# in passes of 1 and 5 sets (2 cores, numpy 2.4), and a complex chunk is
+# 512 KiB, so it stays in cache.
 _MAX_CHUNK_ELEMENTS = 2**15
 
 
@@ -285,14 +286,9 @@ def _box(grid: Grid, cutoff: float | None) -> tuple[int, int]:
     """Start and width (a, W) of the contiguous run of axis indices whose
     frequency has |xi| <= cutoff; (0, M) with no cutoff.  The cube of these
     runs holds every lattice point ``_slot_mask`` keeps, since no coordinate
-    of a point is larger in magnitude than its norm.
-
-    A run of one frequency (cutoff < dxi) is widened to two: numpy forms a
-    one-element in-place complex product in a scalar loop that rounds
-    differently from its vector loop, so the engine's arrays keep at least
-    two elements, as they have on the whole lattice."""
+    of a point is larger in magnitude than its norm."""
     keep = np.flatnonzero(np.abs(grid.axis_frequencies()) <= (np.inf if cutoff is None else cutoff))
-    return int(keep[0]), max(2, len(keep))
+    return int(keep[0]), len(keep)
 
 
 def _box_lattice(

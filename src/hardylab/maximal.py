@@ -6,8 +6,8 @@ renormalized to unit discrete mass at every scale so that averaging a
 constant reproduces the constant exactly.  The rough maximal function uses
 the r^{-n} normalization (not the ball-volume one) and balls clipped at the
 box, with cells included when their center lies in the open ball.  Its ball
-sums are zero-padded convolutions done with numpy.fft, the one FFT library
-the package uses.
+sums are linear convolutions zero-padded to 2M per axis, done with numpy's
+real transforms.
 """
 
 from __future__ import annotations
@@ -182,72 +182,39 @@ def _ladder_supremum(values: np.ndarray, kernels: Sequence[np.ndarray]) -> np.nd
     return best
 
 
-def _ball_offsets(r: float, grid: Grid) -> np.ndarray:
-    """Indicator stencil of cell offsets whose centers lie in the open ball |y| < r."""
-    reach = int(np.ceil(r / grid.dx))
-    axis = grid.dx * np.arange(-reach, reach + 1, dtype=np.float64)
+def _offset_dist2(grid: Grid) -> np.ndarray:
+    """Squared lengths |k dx|^2 of the cell offsets k on the (2M,)^n padded
+    lattice in FFT order, and inf where some |k_i| = M: no such offset joins
+    two cells of the box, so every ball stencil is cropped to |k_i| <= M - 1."""
+    k = np.fft.fftfreq(2 * grid.M, 1.0 / (2 * grid.M))  # 0, ..., M-1, -M, ..., -1
+    axis = np.where(k > -grid.M, k * grid.dx, np.inf)
     mesh = np.meshgrid(*([axis] * grid.n), indexing="ij")
-    dist2 = sum(ax * ax for ax in mesh)
-    return (dist2 < r * r).astype(np.float64)
-
-
-def _next_fast_len(n: int) -> int:
-    """The smallest 2^a 3^b 5^c >= n, for n >= 1: each 3^b 5^c below the
-    next power of two, doubled until it reaches n."""
-    best = 1 << (n - 1).bit_length()
-    p3 = 1
-    while p3 < best:
-        p35 = p3
-        while p35 < best:
-            best = min(best, p35 << ((n - 1) // p35).bit_length())
-            p35 *= 5
-        p3 *= 3
-    return best
-
-
-def _convolve_same(a: np.ndarray, kern: np.ndarray, a_spectrum: dict | None = None) -> np.ndarray:
-    """Zero-padded linear convolution of real arrays, cropped to a's shape
-    about the centre of the full result: ``scipy.signal.fftconvolve``'s
-    "same" mode, computed as it does it (the same pocketfft transforms at
-    the same padded lengths, scaled once by 1/N), so the sums agree bit for
-    bit.  ``a_spectrum`` keeps a's last transform by its padded shape, for
-    a caller that convolves one array with kernels of nondecreasing size."""
-    full = [sa + sk - 1 for sa, sk in zip(a.shape, kern.shape)]
-    fshape = [_next_fast_len(s) for s in full]
-    axes = tuple(range(a.ndim))
-    a_spectrum = {} if a_spectrum is None else a_spectrum
-    key = tuple(fshape)
-    if key not in a_spectrum:
-        a_spectrum.clear()
-        a_spectrum[key] = np.fft.rfftn(a, fshape, axes=axes)
-    # a_spec * kern_spec, written over kern_spec.  Its operands stay in
-    # that order: numpy's complex product is not bitwise commutative, and
-    # kern_spec * a_spec (what numpy's elision of a temporary right operand
-    # computes) differs in the last bit.
-    spec = np.fft.rfftn(kern, fshape, axes=axes)
-    np.multiply(a_spectrum[key], spec, out=spec)
-    conv = np.fft.irfftn(spec, fshape, axes=axes, norm="forward") * (1.0 / np.prod(fshape))
-    start = [(s - sa) // 2 for s, sa in zip(full, a.shape)]
-    return conv[tuple(slice(b, b + sa) for b, sa in zip(start, a.shape))]
+    return sum(ax * ax for ax in mesh)
 
 
 def hl_maximal(f: SampledFunction, ladder: ScaleLadder) -> SampledFunction:
     """sup over ladder radii of r^{-n} * integral of |f| over B(x, r) within the box.
 
-    Balls are clipped at the box boundary (zero-padded linear convolution), so
-    no mass wraps around.  The ladder is ascending, so the padded length
-    never falls, and |f| is transformed once per distinct length (7 for
-    the 14 scales at M=8192).
+    Balls are clipped at the box boundary: the ball sums are linear
+    convolutions of |f| with the ball's stencil, zero-padded to 2M per axis,
+    which is exact for any radius since the stencil is cropped to offsets
+    under M (``_offset_dist2``).  |f| is transformed once per call, and
+    each radius takes one transform of its stencil, the offsets with
+    |k dx| < r, and one inverse.
     """
     grid = f.grid
-    mags = np.abs(f.values)
+    axes = tuple(range(grid.n))
+    pad = (2 * grid.M,) * grid.n
+    box = (slice(grid.M),) * grid.n
+    dist2 = _offset_dist2(grid)
+    spec_abs = np.fft.rfftn(np.abs(f.values), pad, axes=axes)
     best = np.zeros(grid.shape)
-    mags_spectrum: dict = {}
     for r in ladder.scales:
-        kern = _ball_offsets(r, grid)
-        summed = _convolve_same(mags, kern, mags_spectrum)
-        np.maximum(best, summed * (grid.dx**grid.n / r**grid.n), out=best)
-    np.clip(best, 0.0, None, out=best)
+        spec = np.fft.rfftn((dist2 < r * r).astype(np.float64))
+        spec *= spec_abs
+        summed = np.fft.irfftn(spec, pad, axes=axes)[box]
+        summed *= grid.dx**grid.n / r**grid.n
+        np.maximum(best, summed, out=best)
     return SampledFunction(grid, best)
 
 

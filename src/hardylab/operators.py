@@ -24,8 +24,8 @@ outputs.  A group is applied by one of three engines:
   output frequency: W = M without a cutoff, M/2+1 at the default one.  The
   cost budget still counts M^(m n).  The wrapped last slot is read as
   contiguous windows of its spectrum (see ``apply_general``), and output
-  frequencies are processed in chunks of at most ``_MAX_CHUNK_ELEMENTS``
-  tuples of the whole lattice, so the working set stays in cache.
+  frequencies are processed in chunks whose terms and gathered last-slot
+  values fit in ``_MAX_CHUNK_ELEMENTS``, so the working set stays in cache.
   A group of two or more slots that the cost rule below keeps runs here,
   as the operator with that group's symbol on its own inputs.  One pass
   takes a batch of input sets: each chunk's index windows and symbol
@@ -77,15 +77,14 @@ lexicographic order with exactly-rounded accumulation, at a handful of
 arbitrary spatial points.  It shares no transforms or grouping with the fast
 paths and serves as the independent cross-check.
 
-Determinism: within each output frequency the summation runs over free
-frequency tuples in lexicographic order, reduced along a contiguous axis by
-numpy's fixed pairwise tree, so results are bitwise independent of how the
-output-frequency range is partitioned into chunks or across workers, and of
-how the last slot's values are gathered into that axis.  The axis is the
-row of all M^(n(m-1)) free tuples, zero outside the box, so the tree sees
-the row a sum over the whole lattice would.  The tensor train takes each
-set through the same steps in the same order, so its outputs do not depend
-on the batch either.
+Determinism: within each output frequency the summation runs over the
+W^(n(m-1)) free tuples of the cutoff's box in lexicographic order, reduced
+along a contiguous axis of that fixed length by numpy's fixed pairwise
+tree, so results are bitwise independent of how the output-frequency range
+is partitioned into chunks or across workers, and of how the last slot's
+values are gathered into that axis.  The tensor train takes each set
+through the same steps in the same order, so its outputs do not depend on
+the batch either.
 """
 
 from __future__ import annotations
@@ -267,15 +266,9 @@ def apply_general(
 
     Box: the free slots run only over the cube of the W axis frequencies
     with |xi| <= cutoff (``_box``; W = M with no cutoff), since every other
-    free tuple has a masked slot and its term is an exact zero.  Each set's
-    terms, formed over the box, are written to their lexicographic positions
-    in a row of all F = M^(n(m-1)) free tuples that is zero elsewhere and
-    kept for the pass, and that row is what ``sum(axis=1)`` reduces.  So
-    the pairwise tree adds the same values at the same positions as it
-    would over the whole lattice, where the dropped terms were zeros too
-    (possibly -0.0; a zero leaves every partial sum that is not itself zero
-    unchanged, so at most the sign of an exactly-zero row sum could move,
-    and the uint64 tests against the whole-lattice engine see none move).
+    free tuple has a masked slot and its term is an exact zero.  Each output
+    frequency's terms form one row of the Fb = W^(n(m-1)) box tuples in
+    lexicographic order, and ``sum(axis=1)`` reduces that row.
 
     Window gather: the box tuples split into blocks of B = W consecutive
     tuples (B = 1 when m = 1) in which only the last axis of the last free
@@ -286,7 +279,7 @@ def apply_general(
     same way from the 1-D axis frequencies.  Only the leading indices and
     the window start are computed per (output frequency, block).  The gather
     places the same values at the same positions of each output frequency's
-    (F,) row as an index gather would, and every row is reduced by one
+    (Fb,) row as an index gather would, and every row is reduced by one
     ``sum(axis=1)`` over the whole row, so no bit of the output depends on
     the gather or on the chunk size.
     """
@@ -306,7 +299,7 @@ def apply_general(
     # slot outside the box is an exact zero and is not formed.
     a, W = _box(grid, op.cutoff)
     d = n * (m - 1)  # free axes
-    F, Fb = M**d, W**d  # free tuples of the whole lattice, of the box
+    Fb = W**d  # free tuples of the box
     box = np.ravel_multi_index(tuple(np.indices((W,) * n).reshape(n, -1) + a), grid.shape)
     free_idx = box[np.indices((W**n,) * (m - 1)).reshape(m - 1, Fb)]
     free_xis = [xi_flat[idx][None, :, :] for idx in free_idx]
@@ -324,15 +317,11 @@ def apply_general(
     del free_idx
 
     g_flats = [np.empty(S, dtype=np.complex128) for _ in sets]
-    # Output frequencies run in chunks of at most _MAX_CHUNK_ELEMENTS tuples
-    # (module grid).  The count is of rows of the whole lattice, F tuples
-    # each, since every row is reduced at that length; a row longer than the
-    # chunk runs one frequency at a time.
-    chunk = max(1, min(S, _MAX_CHUNK_ELEMENTS // F))
-    # Rows of all F free tuples, zero outside the box (see the docstring);
-    # each set's terms are written into the box view.
-    row = np.zeros((chunk, F), dtype=np.complex128)
-    in_box = row.reshape((chunk,) + (M,) * d)[(slice(None),) + (slice(a, a + W),) * d]
+    # Output frequencies run in chunks of rows of Fb terms: as many rows as
+    # keep the terms and their gathered last-slot values within
+    # _MAX_CHUNK_ELEMENTS (module grid), and at least one.
+    chunk = max(1, min(S, _MAX_CHUNK_ELEMENTS // (2 * Fb)))
+    row = np.empty((chunk, Fb), dtype=np.complex128)
     half = M // 2
     for start in range(0, S, chunk):
         stop = min(start + chunk, S)
@@ -349,11 +338,10 @@ def apply_general(
             xi_last[..., axis] = axis_xi[ix][..., None]
         xi_last[..., -1] = xi_win[win]
         sigma = np.asarray(op.symbol.evaluate(*free_xis, xi_last.reshape(C, Fb, n)))
-        sigma = sigma.reshape((C,) + (W,) * d)
         for g_flat, (free_prod, spec_win) in zip(g_flats, operands):
-            terms = np.multiply(sigma, free_prod.reshape((W,) * d), out=in_box[:C])
-            terms *= spec_win[lead + win].reshape(sigma.shape)
-            g_flat[start:stop] = row[:C].sum(axis=1)
+            terms = np.multiply(sigma, free_prod, out=row[:C])
+            terms *= spec_win[lead + win].reshape(C, Fb)
+            g_flat[start:stop] = terms.sum(axis=1)
 
     results = []
     for g_flat in g_flats:

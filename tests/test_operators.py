@@ -5,7 +5,16 @@ import pytest
 
 import hardylab.operators
 import hardylab.verify
-from hardylab.grid import SampledFunction, Spectrum, dft, idft, make_grid, pointwise_product, sample
+from hardylab.grid import (
+    SampledFunction,
+    Spectrum,
+    _box,
+    dft,
+    idft,
+    make_grid,
+    pointwise_product,
+    sample,
+)
 from hardylab.operators import (
     MultilinearOperator,
     apply_general,
@@ -107,19 +116,26 @@ ENGINE_CUTS = [
 
 
 def index_tuple_engine(op, *fs):
-    """Reference copy of the exhaustive engine as it was before window
-    gathers: the wrapped last slot is gathered from grid-shaped arrays with
-    one (chunk, F) index array per axis.  Returns the output spectrum."""
+    """Reference copy of the exhaustive engine with no window gathers.  The
+    free slots run in lexicographic order over the tuples of the cutoff's
+    box, the axis frequencies with |xi| <= cutoff on each axis, and the
+    wrapped last slot is gathered from grid-shaped arrays with one (chunk, F)
+    index array per axis.  Each output frequency is reduced over its row of
+    F box tuples.  Returns the output spectrum."""
     grid = op.grid
     m, n, M, S = op.m, grid.n, grid.M, grid.size
-    axes = np.meshgrid(*[np.arange(-M // 2, M // 2, dtype=np.int32)] * n, indexing="ij")
+    ks = np.arange(-M // 2, M // 2, dtype=np.int32)
+    axes = np.meshgrid(*[ks] * n, indexing="ij")
     k_flat = np.stack([ax.ravel() for ax in axes], axis=1)
     xi_flat = k_flat * grid.dxi
     mask = np.ones(S)
+    box_axis = np.arange(M)
     if op.cutoff is not None:
         mask = (np.linalg.norm(xi_flat, axis=-1) <= op.cutoff).astype(np.float64)
+        box_axis = np.flatnonzero(np.abs(ks * grid.dxi) <= op.cutoff)
+    box = np.ravel_multi_index(np.meshgrid(*[box_axis] * n, indexing="ij"), grid.shape).ravel()
     spectra = [dft(f).coefficients.ravel() * mask for f in fs]
-    free_idx = np.indices((S,) * (m - 1)).reshape(m - 1, S ** (m - 1))
+    free_idx = box[np.indices((box.size,) * (m - 1)).reshape(m - 1, box.size ** (m - 1))]
     F = free_idx.shape[1]
     free_prod = np.ones(F, dtype=np.complex128)
     free_ksum = np.zeros((F, n), dtype=np.int64)
@@ -246,8 +262,10 @@ class TestApplyGeneral:
         op = MultilinearOperator(sym, grid, cutoff=case_cutoff(grid, cut))
         base, _ = apply_general(op, [fs])[0]
         if chunk == "ragged":
-            # Three output frequencies per chunk; 3 divides neither 32 nor 64.
-            chunk = 3 * grid.size ** (m - 1)
+            # Three output frequencies per chunk, each holding two rows of
+            # the box's free tuples; 3 divides neither 32 nor 64.
+            _, W = _box(grid, op.cutoff)
+            chunk = 3 * 2 * W ** (n * (m - 1))
             assert grid.size % 3
         monkeypatch.setattr(ops, "_MAX_CHUNK_ELEMENTS", chunk)
         chunked, _ = apply_general(op, [fs])[0]
@@ -257,13 +275,10 @@ class TestApplyGeneral:
         "m, n, cut", [pytest.param(*case, id="m{}-n{}-{}".format(*case)) for case in ENGINE_CUTS]
     )
     def test_window_gather_equals_index_tuple_engine(self, m, n, cut):
-        # The window gather over the cutoff's box reads the same values into
-        # the same (F,) rows, zero outside the box, so every bit of the
-        # output matches the index-tuple reference over the whole lattice
-        # (compared as uint64 views, so the sign of zero counts).  Four draws:
-        # in a one-frequency box at m = 3, n = 2 the one free product is
-        # rounded by numpy's scalar loop, unless the box is widened, and
-        # differs from the vector loop's in about a third of draws.
+        # The window gather reads the same values into the same rows of the
+        # box's free tuples as the index-tuple reference, so every bit of the
+        # output matches it (compared as uint64 views, so the sign of zero
+        # counts).  Four draws; in a one-frequency box each row is one term.
         for seed in range(70, 74):
             grid, sym, fs = engine_case(m, n, seed=seed)
             op = MultilinearOperator(sym, grid, cutoff=case_cutoff(grid, cut))
