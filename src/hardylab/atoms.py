@@ -185,7 +185,7 @@ def make_atom(
     grid.
     """
     window, values = _atom_window(cube, N, seed, grid, skip_projection)
-    full = np.zeros(grid.shape, dtype=np.complex128)
+    full = np.zeros(grid.shape)
     full[window] = values
     return Atom(cube, SampledFunction(grid, _frozen(full)), float(p), N, seed)
 
@@ -193,8 +193,8 @@ def make_atom(
 def _atom_window(
     cube: Cube, N: int, seed: int, grid: Grid, skip_projection: bool = False
 ) -> tuple[tuple[slice, ...], np.ndarray]:
-    """The cube's window (``_cube_window``) and the atom's complex values
-    on it, the window of ``make_atom``'s values."""
+    """The cube's window (``_cube_window``) and the atom's real values on
+    it, the window of ``make_atom``'s values."""
     if N < 0:
         raise ValueError("moment order must be nonnegative")
     _check_atom_geometry(cube, grid)
@@ -245,7 +245,7 @@ def _atom_window(
     if peak == 0.0:
         raise ValueError("degenerate atom: projection annihilated the profile")
     shape = [len(u) for u in u_axes]
-    return window, (values * (0.5 / peak)).reshape(shape).astype(np.complex128)
+    return window, (values * (0.5 / peak)).reshape(shape)
 
 
 def make_infinity_atom(grid: Grid, f: Callable[..., complex]) -> Atom:
@@ -263,7 +263,7 @@ def make_infinity_atom(grid: Grid, f: Callable[..., complex]) -> Atom:
 def cube_indicator(cube: Cube, grid: Grid) -> SampledFunction:
     """Characteristic function of the closed cube, sampled at cell centers."""
     mask = cube.contains(grid.points())
-    return SampledFunction(grid, mask.astype(np.complex128))
+    return SampledFunction(grid, _frozen(mask.astype(np.float64)))
 
 
 @dataclass(frozen=True)
@@ -287,8 +287,8 @@ def make_atomic_sum(
     is added on its cube's window, which holds the closed cube: outside it
     both are +0, so the sums are bit for bit those over the whole grid.
     """
-    realized = np.zeros(grid.shape, dtype=np.complex128)
-    majorant = np.zeros(grid.shape, dtype=np.float64)
+    realized = np.zeros(grid.shape)
+    majorant = np.zeros(grid.shape)
     for lam, cube, seed in entries:
         if lam < 0:
             raise ValueError(f"coefficients must be nonnegative, got {lam}")
@@ -301,7 +301,7 @@ def make_atomic_sum(
     if np.any(excess > 1e-12 * max(float(np.max(majorant)), 1.0)):
         raise AssertionError("majorant domination violated at construction")
     return FiniteAtomicSum(
-        SampledFunction(grid, _frozen(realized)), SampledFunction(grid, majorant)
+        SampledFunction(grid, _frozen(realized)), SampledFunction(grid, _frozen(majorant))
     )
 
 

@@ -112,9 +112,9 @@ class Grid:
         return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
 
 
-def _frozen_complex(values: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """A read-only complex128 C-ordered copy of ``values``, or ``values``
-    itself when it is already read-only, complex128 and C-contiguous, and
+def _frozen_array(values: np.ndarray, shape: tuple[int, ...], dtype: type) -> np.ndarray:
+    """A read-only ``dtype`` C-ordered copy of ``values``, or ``values``
+    itself when it is already read-only, of ``dtype`` and C-contiguous, and
     either owns its data (``_frozen``) or is a view of a read-only array
     that does: a transform's fresh output, or a row of a frozen stack, is
     taken without a second copy.  Anything else, a view of a writable array
@@ -124,13 +124,13 @@ def _frozen_complex(values: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
         owner = values.base
     owned = (
         isinstance(values, np.ndarray)
-        and values.dtype == np.complex128
+        and values.dtype == dtype
         and values.flags.c_contiguous
         and not values.flags.writeable
         and owner.flags.owndata
         and not owner.flags.writeable
     )
-    arr = values if owned else np.array(values, dtype=np.complex128, order="C")
+    arr = values if owned else np.array(values, dtype=dtype, order="C")
     if arr.shape != shape:
         raise ValueError(f"value array has shape {arr.shape}, expected {shape}")
     arr.setflags(write=False)
@@ -146,13 +146,16 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SampledFunction:
-    """Complex-valued function sampled on a grid.  Immutable."""
+    """Function sampled on a grid.  Immutable.  A float64 array stays
+    float64, so a real field stays real; anything else is stored as
+    complex128.  A transform reads a real x as x + 0j, bit for bit."""
 
     grid: Grid
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", _frozen_complex(self.values, self.grid.shape))
+        dtype = np.float64 if getattr(self.values, "dtype", None) == np.float64 else np.complex128
+        object.__setattr__(self, "values", _frozen_array(self.values, self.grid.shape, dtype))
 
     def __add__(self, other: "SampledFunction") -> "SampledFunction":
         _require_same_grid(self.grid, other.grid)
@@ -183,7 +186,7 @@ class Spectrum:
 
     def __post_init__(self) -> None:
         object.__setattr__(
-            self, "coefficients", _frozen_complex(self.coefficients, self.grid.shape)
+            self, "coefficients", _frozen_array(self.coefficients, self.grid.shape, np.complex128)
         )
 
     def at_zero(self) -> complex:

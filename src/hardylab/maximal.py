@@ -146,16 +146,15 @@ def _kernel_spectra(bump: BumpProfile, ladder: ScaleLadder, grid: Grid) -> tuple
 def smooth_maximal(f: SampledFunction, bump: BumpProfile, ladder: ScaleLadder) -> SampledFunction:
     """sup over ladder scales of |phi_t * f|, convolution done spectrally
     with unscaled transforms in FFT order, the scales in blocks of rows
-    with one stacked inverse each (``_ladder_supremum``), and the supremum
-    shifted to centred order once, straight into the complex output.
-    Besides the output it holds f^, one block and two real rows, within
+    with one stacked inverse each (``_ladder_supremum``), and the real
+    supremum shifted to centred order once, as the output.  Besides the
+    output it holds f^, one block and two real rows, within
     ``_MAX_CHUNK_ELEMENTS`` complex elements.  Where dx is a power of two it
     is bit for bit the one taken over idft(dft(f) * the kernel's dft) at
     each scale."""
     grid = f.grid
     best = _ladder_supremum(f.values, _kernel_spectra(bump, ladder, grid))
-    out = _half_shift(best, out=np.empty(grid.shape, dtype=np.complex128))
-    return SampledFunction(grid, _frozen(out))
+    return SampledFunction(grid, _frozen(_half_shift(best)))
 
 
 def _ladder_supremum(values: np.ndarray, kernels: Sequence[np.ndarray]) -> np.ndarray:
@@ -215,7 +214,7 @@ def hl_maximal(f: SampledFunction, ladder: ScaleLadder) -> SampledFunction:
         summed = np.fft.irfftn(spec, pad, axes=axes)[box]
         summed *= grid.dx**grid.n / r**grid.n
         np.maximum(best, summed, out=best)
-    return SampledFunction(grid, best)
+    return SampledFunction(grid, _frozen(best))
 
 
 def power_maximal(f: SampledFunction, r: float, ladder: ScaleLadder) -> SampledFunction:
@@ -230,9 +229,9 @@ def power_maximal(f: SampledFunction, r: float, ladder: ScaleLadder) -> SampledF
     if r < 1:
         raise ValueError(f"power must satisfy r >= 1, got {r}")
     grid = f.grid
-    powered = SampledFunction(grid, np.abs(f.values) ** r)
+    powered = SampledFunction(grid, _frozen(np.abs(f.values) ** r))
     maximal = hl_maximal(powered, ladder)
-    return SampledFunction(grid, np.abs(maximal.values) ** (1.0 / r))
+    return SampledFunction(grid, _frozen(maximal.values ** (1.0 / r)))
 
 
 def hp_quasinorm(

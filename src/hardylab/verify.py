@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .atoms import Atom, Cube, _monomial_exponents, cube_indicator, dilate_cube, make_atomic_sum
-from .grid import Grid, SampledFunction, dft, lp_quasinorm, make_grid
+from .grid import Grid, SampledFunction, _frozen, dft, lp_quasinorm, make_grid
 from .maximal import BumpProfile, ScaleLadder, hp_quasinorm, hl_maximal, make_bump, make_ladder, power_maximal, smooth_maximal
 from .operators import (
     DEFAULT_COST_BUDGET,
@@ -194,7 +194,7 @@ class CancellationReport:
         return self.max_normalized < self.tolerance
 
 
-# Pass thresholds of the checks that take one, unless a run sets its own.
+# Pass thresholds of the checks that take one; every run uses these.
 DEFAULT_TOLERANCES = {"cancellation": 1e-5, "scale_invariance": 0.2}
 
 
@@ -367,10 +367,8 @@ def _local_lp(values: np.ndarray, mask: np.ndarray, r: float, grid: Grid) -> flo
 
 @lru_cache(maxsize=16)
 def _maximal_indicator(cube: Cube, grid: Grid, ladder: ScaleLadder) -> np.ndarray:
-    """|M chi_Q| on the grid (read-only), computed once per cube, grid and ladder."""
-    mx = np.abs(hl_maximal(cube_indicator(cube, grid), ladder).values)
-    mx.setflags(write=False)
-    return mx
+    """M chi_Q on the grid (read-only), computed once per cube, grid and ladder."""
+    return hl_maximal(cube_indicator(cube, grid), ladder).values
 
 
 @dataclass(frozen=True)
@@ -406,8 +404,7 @@ def check_local_estimate(
         raise ValueError("the 3 sqrt(n)-dilate of the smallest cube contains no grid point")
 
     lhs_direct = _local_lp(t.out.values, mask_ss, r, grid)
-    mt = hl_maximal(t.out, ladder)
-    lhs_maximal = _local_lp(mt.values, mask_ss, r, grid)
+    lhs_maximal = _local_lp(hl_maximal(t.out, ladder).values, mask_ss, r, grid)
 
     m, n = t.op.m, grid.n
     exponent = (n + N + 1) / (m * n)
@@ -469,7 +466,7 @@ def _product_majorant(
         first = np.ones(grid.shape)
         inf_prod = 1.0
         for mx, applied in zip(mchis, applied_term):
-            fac = 1.0 + np.abs(power_maximal(applied, float(m), ladder).values)
+            fac = 1.0 + power_maximal(applied, float(m), ladder).values
             first = first * mx ** e * fac
             inf_prod *= float(np.min((mx ** e * fac)[star_mask]))
         terms.append((first, inf_prod))
@@ -492,7 +489,7 @@ def _mixed_majorant(
         inf_prod = 1.0
         for grp, applied in zip(part.groups, applied_part):
             smallest = min(grp, key=lambda l: atoms[l].cube.side)
-            mg_pow = np.abs(power_maximal(applied, float(part.group_count), ladder).values)
+            mg_pow = power_maximal(applied, float(part.group_count), ladder).values
             star_small = _maximal_indicator(dilate_cube(atoms[smallest].cube, "star"), grid, ladder)
             b = star_small ** (len(grp) * (n + N + 1) / (m * n)) * mg_pow
             prod = np.ones(grid.shape)
@@ -524,7 +521,7 @@ def check_pointwise_majorant(
     n = grid.n
     bump = bump or make_bump(n)
     ladder = ladder or make_ladder(grid)
-    lhs = np.abs(smooth_maximal(t.out, bump, ladder).values)
+    lhs = smooth_maximal(t.out, bump, ladder).values
 
     smallest = min(range(len(atoms)), key=lambda i: atoms[i].cube.side)
     star_mask = dilate_cube(atoms[smallest].cube, "star").contains(grid.points())
@@ -594,8 +591,8 @@ def check_fs_inequality(
         mx = _maximal_indicator(cube, grid, ladder)
         lhs_field += lam * mx**gamma
         rhs_field += lam * cube.contains(grid.points())
-    lhs = lp_quasinorm(SampledFunction(grid, lhs_field), p)
-    rhs = lp_quasinorm(SampledFunction(grid, rhs_field), p)
+    lhs = lp_quasinorm(SampledFunction(grid, _frozen(lhs_field)), p)
+    rhs = lp_quasinorm(SampledFunction(grid, _frozen(rhs_field)), p)
     return FsReport(lhs, rhs, lhs / rhs, False)
 
 
@@ -623,6 +620,13 @@ class ExperimentConfig:
     half_steps: bool = False
     budget: int = DEFAULT_COST_BUDGET
     dilatable: bool = False
+
+    def __post_init__(self) -> None:
+        # trials = 0 is a check-only run; max_atoms < 1 leaves no atom to draw.
+        if self.trials < 0:
+            raise ValueError(f"trials must be nonnegative, got {self.trials}")
+        if self.max_atoms < 1:
+            raise ValueError(f"max_atoms must be at least 1, got {self.max_atoms}")
 
     def to_dict(self) -> dict:
         return asdict(self)

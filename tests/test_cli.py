@@ -136,6 +136,31 @@ class TestConfigParsing:
         assert name in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, value", [("trials", -3), ("max_atoms", 0), ("max_atoms", -1)])
+    def test_out_of_range_ensemble_key_is_config_error(self, tmp_path, capsys, key, value):
+        # A negative trial count used to run as no trials, and max_atoms = 0
+        # aborted every trial inside numpy.  Both now stop a run, and the
+        # replay of a report that holds them, naming the key.
+        text = re.sub(rf"^{key} = \d+$", f"{key} = {value}", BASE_CONFIG, flags=re.M)
+        assert text != BASE_CONFIG
+        path = tmp_path / "bad.ini"
+        path.write_text(text)
+        out = tmp_path / "o"
+        assert main(["run", str(path), "--out", str(out)]) == 2
+        assert f"{key} must be" in capsys.readouterr().err
+        assert not out.exists()
+        report = tmp_path / "report.json"
+        report.write_text(json.dumps({"config": {key: value}, "trials": []}))
+        assert main(["replay", str(report), "0"]) == 2
+        assert f"{key} must be" in capsys.readouterr().err
+
+    def test_zero_trials_loads(self, tmp_path):
+        # A run of the non-ensemble checks alone sets trials = 0.
+        path = tmp_path / "checks.ini"
+        path.write_text(BASE_CONFIG.replace("trials = 4", "trials = 0"))
+        config, _ = load_config(str(path))
+        assert config.trials == 0
+
     def test_readme_config_table_matches_schema(self):
         # The README's config table lists one key per row; it must name the
         # same sections and keys the loader accepts.
