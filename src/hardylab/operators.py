@@ -63,14 +63,14 @@ outputs.  A group is applied by one of three engines:
 All three engines follow module ``grid``'s scale convention: unscaled
 transforms, and one weight, M^-(m-1)n, on the exhaustive sum.
 
-Each group's split, or the rule's "exhaustive", is found when the
-operator is first applied (``_group_split``) and kept for as long as that
-operator is the one applied.  Each distinct group factor is applied once
-per input set and each one-slot weight array is evaluated once per
-operator.  The pointwise majorants are built from the factor outputs, and
-the output is one shared sum over terms of their products, multiplied and
-added in place (``sum_of_products``), so the factors and the output come
-from a single application.
+How each distinct group runs is decided in one place, the operator's
+``_plan``: every one-slot group's weights, and every larger group's split
+or the rule's "exhaustive", found when the operator is first applied and
+kept for as long as that operator is the one applied.  Each distinct
+group factor is applied once per input set.  The pointwise majorants are
+built from the factor outputs, and the output is one shared sum over terms
+of their products, multiplied and added in place (``sum_of_products``), so
+the factors and the output come from a single application.
 
 ``apply_oracle`` evaluates the same frequency sum literally, term by term in
 lexicographic order with exactly-rounded accumulation, at a handful of
@@ -92,8 +92,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -353,48 +352,6 @@ def apply_general(
     return results
 
 
-@lru_cache(maxsize=1)
-def _group_splits(op: MultilinearOperator) -> dict[Symbol, TensorTrainFactors | None]:
-    """The splits ``_group_split`` has found for the groups of ``op``, by
-    group symbol.  Keyed on the operator, so every group of one operator
-    keeps its answer for as long as that operator is the one applied."""
-    return {}
-
-
-def _group_split(op: MultilinearOperator, symbol: Symbol) -> TensorTrainFactors | None:
-    """The operator's group with this symbol split as a tensor train
-    (``tensor_train_factors``) where the cost rule, ``_cost_cap``, picks it,
-    else None.  The group's cost budget is checked first.  Computed when the
-    group is first applied, and kept in ``_group_splits``."""
-    splits = _group_splits(op)
-    if symbol not in splits:
-        group = replace(op, symbol=symbol)
-        _check_budget(group)
-        cap = _cost_cap(op.grid, op.cutoff, group.m)
-        splits[symbol] = tensor_train_factors(symbol, op.grid, op.cutoff, cap)
-    return splits[symbol]
-
-
-def _apply_group(
-    op: MultilinearOperator,
-    sets: Sequence[Sequence[SampledFunction]],
-    split: TensorTrainFactors | None,
-) -> list[tuple[SampledFunction, float]]:
-    """A group of two or more slots, as the operator ``op``, applied to each
-    set, with a bound on each output's error: on its tensor train when
-    ``split`` is one (``_group_split``), and otherwise in ``apply_general``
-    passes of ``sets_per_pass`` sets, exact up to rounding (bound 0).  The
-    split depends on (symbol, grid, cutoff) alone, never on the sets."""
-    if split is not None:
-        return apply_tensor_train(op, split, sets)
-    step = sets_per_pass(op)
-    return [
-        (out, 0.0)
-        for start in range(0, len(sets), step)
-        for out, _ in apply_general(op, sets[start : start + step])
-    ]
-
-
 def _quadrature_dft(f: SampledFunction) -> np.ndarray:
     """Direct rectangle-rule transform (no FFT), for the oracle path."""
     grid = f.grid
@@ -456,22 +413,6 @@ def apply_oracle(
     return out
 
 
-@lru_cache(maxsize=8)
-def _one_slot_weights(op: MultilinearOperator) -> Mapping[Symbol, np.ndarray]:
-    """Per distinct one-slot symbol of the operator's terms, its weights
-    sym(k * dxi) * ``_slot_mask`` on the lattice in FFT order (read-only).
-    Keyed on the operator, so each weight array is computed once however
-    many terms share it."""
-    freqs = op.grid.frequencies()
-    mask = _slot_mask(freqs, op.cutoff)
-    weights = {}
-    for part in op.symbol.partitions:
-        for grp, sym in zip(part.groups, part.symbols):
-            if len(grp) == 1 and sym not in weights:
-                weights[sym] = _frozen(_half_shift(np.asarray(sym.evaluate(freqs)) * mask))
-    return MappingProxyType(weights)
-
-
 def apply_linear(
     grid: Grid, weights: Sequence[np.ndarray], coeffs: Sequence[np.ndarray]
 ) -> list[SampledFunction]:
@@ -510,6 +451,40 @@ class Factors(tuple):
         return self
 
 
+Group = tuple[tuple[int, ...], Symbol]  # a group's slots and its symbol
+
+
+@lru_cache(maxsize=1)
+def _plan(op: MultilinearOperator) -> tuple[
+    tuple[tuple[Group, np.ndarray], ...], tuple[tuple[Group, TensorTrainFactors | None], ...]
+]:
+    """How ``operator_factors`` applies each distinct group of the
+    operator's terms, in term order: the one-slot groups, each with its
+    weights sym(k * dxi) * ``_slot_mask`` on the lattice in FFT order
+    (read-only), and the larger ones, each with its tensor train
+    (``tensor_train_factors``) where the cost rule, ``_cost_cap``, picks
+    it, else None for ``apply_general``.  A larger group's cost budget is
+    checked before its cross.  Each symbol is evaluated or split once
+    however many groups name it, and the plan is kept for as long as its
+    operator is the one applied."""
+    freqs = op.grid.frequencies()
+    mask = _slot_mask(freqs, op.cutoff)
+    found: dict[Symbol, np.ndarray | TensorTrainFactors | None] = {}
+    linear: dict[Group, np.ndarray] = {}
+    larger: dict[Group, TensorTrainFactors | None] = {}
+    for part in op.symbol.partitions:
+        for grp, sym in zip(part.groups, part.symbols):
+            if sym not in found:
+                if len(grp) == 1:
+                    found[sym] = _frozen(_half_shift(np.asarray(sym.evaluate(freqs)) * mask))
+                else:
+                    _check_budget(replace(op, symbol=sym))
+                    cap = _cost_cap(op.grid, op.cutoff, len(grp))
+                    found[sym] = tensor_train_factors(sym, op.grid, op.cutoff, cap)
+            (linear if len(grp) == 1 else larger)[grp, sym] = found[sym]
+    return tuple(linear.items()), tuple(larger.items())
+
+
 def operator_factors(
     op: MultilinearOperator, sets: Sequence[Sequence[SampledFunction]]
 ) -> list[Factors]:
@@ -518,46 +493,49 @@ def operator_factors(
     a larger one, which for a general symbol is the whole operator.  Every
     group inherits the operator's cutoff and budget.  A group that several
     terms name with the same symbol is applied once, and its output stands
-    in every one of them.  Each group of two or more slots runs on all the
-    sets at once (``_apply_group``): on its tensor train when the cost rule
-    picks it, else in ``apply_general`` passes of ``sets_per_pass`` sets,
-    whose symbol is evaluated once for all of them.  Either way each set's
-    factors are bit for bit those of the set alone.  One-slot groups run
-    set by set: one stacked forward transform of the set's one-slot inputs
-    (``_fft_forward_rows``), shared by every term, and one ``apply_linear``
-    call over all its one-slot groups."""
+    in every one of them.  The operator's ``_plan`` is found before any
+    group runs.  Each group of two or more slots runs on all the sets at
+    once: on its tensor train when the plan holds one, else in
+    ``apply_general`` passes of ``sets_per_pass`` sets, whose symbol is
+    evaluated once for all of them, exact up to rounding (bound 0).
+    Either way each set's factors are bit for bit those of the set alone.
+    One-slot groups run set by set: one stacked forward transform of the
+    set's one-slot inputs (``_fft_forward_rows``), shared by every term,
+    and one ``apply_linear`` call over all its one-slot groups."""
     _check_sets(op, sets)
-    terms = op.symbol.partitions
-    groups = dict.fromkeys(
-        (grp, sym) for part in terms for grp, sym in zip(part.groups, part.symbols)
-    )
-    weights = _one_slot_weights(op)
-    linear = [(grp, sym) for grp, sym in groups if len(grp) == 1]
-    singles = sorted({grp[0] for grp, _ in linear})
-    applied: list[dict[tuple[tuple[int, ...], Symbol], tuple[SampledFunction, float]]] = [
-        {} for _ in sets
-    ]
+    if not sets:
+        return []
     # Every split before any pass: a split's crosses are freed in whole
     # pages, while an exhaustive pass leaves the heap larger.
-    splits = {sym: _group_split(op, sym) for grp, sym in groups if len(grp) > 1 and sets}
-    for grp, sym in groups:
-        if sym in splits:
-            batch = [[fs[l] for l in grp] for fs in sets]
-            outs = _apply_group(replace(op, symbol=sym), batch, splits[sym])
-            for done, out in zip(applied, outs):
-                done[grp, sym] = out
+    linear, larger = _plan(op)
+    applied: list[dict[Group, tuple[SampledFunction, float]]] = [{} for _ in sets]
+    for (grp, sym), split in larger:
+        group = replace(op, symbol=sym)
+        batch = [[fs[l] for l in grp] for fs in sets]
+        if split is not None:
+            outs = apply_tensor_train(group, split, batch)
+        else:
+            step = sets_per_pass(group)
+            outs = [
+                (out, 0.0)
+                for start in range(0, len(batch), step)
+                for out, _ in apply_general(group, batch[start : start + step])
+            ]
+        for done, out in zip(applied, outs):
+            done[grp, sym] = out
+    singles = sorted({grp[0] for (grp, _), _ in linear})
     for fs, done in zip(sets, applied):
         if not linear:
             break
         spectra = dict(zip(singles, _fft_forward_rows([fs[l].values for l in singles])))
-        outs = apply_linear(
-            op.grid, [weights[sym] for _, sym in linear], [spectra[grp[0]] for grp, _ in linear]
-        )
-        for key, out in zip(linear, outs):
+        coeffs = [spectra[grp[0]] for (grp, _), _ in linear]
+        outs = apply_linear(op.grid, [w for _, w in linear], coeffs)
+        for (key, _), out in zip(linear, outs):
             done[key] = out, 0.0
+    terms = op.symbol.partitions
     results = []
     for done in applied:
-        outs = [[done[grp, sym] for grp, sym in zip(part.groups, part.symbols)] for part in terms]
+        outs = [[done[key] for key in zip(part.groups, part.symbols)] for part in terms]
         bound = 0.0
         for term in outs:
             if any(b for _, b in term):

@@ -11,8 +11,10 @@ trial index), and trial records carry the full atom geometry.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import asdict, dataclass, fields
 from functools import lru_cache, partial
+from itertools import chain
 from typing import Callable, Sequence
 
 import numpy as np
@@ -434,6 +436,19 @@ class MajorantReport:
         return np.isfinite(self.ratio_sup)
 
 
+def _once_per_key(keys, factors, compute):
+    """``compute(key, factor)`` for every factor of every term, in order,
+    computed once per distinct key and dropped after the key's last use,
+    so a factor that several terms share takes its maximal function once."""
+    left = Counter(chain(*keys))
+    kept: dict = {}
+    for key, factor in zip(chain(*keys), chain(*factors)):
+        if key not in kept:
+            kept[key] = compute(key, factor)
+        left[key] -= 1
+        yield kept[key] if left[key] else kept.pop(key)
+
+
 # Each builder returns one (first, inf_prod) pair per term of the operator;
 # the majorant is the sum over terms of first + M(chi_Q1)^((n+s+1)/n) inf_prod.
 
@@ -461,12 +476,15 @@ def _product_majorant(
     grid = t.op.grid
     n, m, N = grid.n, len(t.atoms), idx.N
     e = (n + N + 1) / (m * n)
+    keys = [list(zip(part.groups, part.symbols)) for part in t.op.symbol.partitions]
+    facs = _once_per_key(
+        keys, t.factors, lambda key, f: 1.0 + power_maximal(f, float(m), ladder).values
+    )
     terms = []
-    for applied_term in t.factors:
+    for _ in keys:
         first = np.ones(grid.shape)
         inf_prod = 1.0
-        for mx, applied in zip(mchis, applied_term):
-            fac = 1.0 + power_maximal(applied, float(m), ladder).values
+        for mx, fac in zip(mchis, facs):  # one term's factors: mchis runs out first
             first = first * mx ** e * fac
             inf_prod *= float(np.min((mx ** e * fac)[star_mask]))
         terms.append((first, inf_prod))
@@ -483,13 +501,17 @@ def _mixed_majorant(
     atoms, grid = t.atoms, t.op.grid
     n, m, N = grid.n, len(atoms), idx.N
     e = (n + N + 1) / (m * n)
+    parts = t.op.symbol.partitions
+    keys = [[(*key, part.group_count) for key in zip(part.groups, part.symbols)] for part in parts]
+    pows = _once_per_key(
+        keys, t.factors, lambda key, f: power_maximal(f, float(key[2]), ladder).values
+    )
     terms = []
-    for part, applied_part in zip(t.op.symbol.partitions, t.factors):
+    for term_keys in keys:
         first = np.ones(grid.shape)
         inf_prod = 1.0
-        for grp, applied in zip(part.groups, applied_part):
+        for (grp, _, _), mg_pow in zip(term_keys, pows):  # term_keys runs out first
             smallest = min(grp, key=lambda l: atoms[l].cube.side)
-            mg_pow = power_maximal(applied, float(part.group_count), ladder).values
             star_small = _maximal_indicator(dilate_cube(atoms[smallest].cube, "star"), grid, ladder)
             b = star_small ** (len(grp) * (n + N + 1) / (m * n)) * mg_pow
             prod = np.ones(grid.shape)
@@ -583,6 +605,7 @@ def check_fs_inequality(
         return FsReport(0.0, 0.0, None, True)
     lhs_field = np.zeros(grid.shape)
     rhs_field = np.zeros(grid.shape)
+    points = grid.points()
     for cube, lam in zip(cubes, lambdas):
         if lam < 0:
             raise ValueError("coefficients must be nonnegative")
@@ -590,7 +613,7 @@ def check_fs_inequality(
             continue
         mx = _maximal_indicator(cube, grid, ladder)
         lhs_field += lam * mx**gamma
-        rhs_field += lam * cube.contains(grid.points())
+        rhs_field += lam * cube.contains(points)
     lhs = lp_quasinorm(SampledFunction(grid, _frozen(lhs_field)), p)
     rhs = lp_quasinorm(SampledFunction(grid, _frozen(rhs_field)), p)
     return FsReport(lhs, rhs, lhs / rhs, False)
@@ -623,10 +646,23 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         # trials = 0 is a check-only run; max_atoms < 1 leaves no atom to draw.
+        # Every other bound here is one that no trial could succeed outside.
         if self.trials < 0:
             raise ValueError(f"trials must be nonnegative, got {self.trials}")
         if self.max_atoms < 1:
             raise ValueError(f"max_atoms must be at least 1, got {self.max_atoms}")
+        if not all(math.isfinite(ell) and ell > 0 for ell in self.ell_choices):
+            raise ValueError(
+                f"ell_choices ([ensemble] ell) must be finite and positive, got {self.ell_choices}"
+            )
+        if not (math.isfinite(self.center_span) and self.center_span >= 0):
+            raise ValueError(f"center_span must be finite and nonnegative, got {self.center_span}")
+        if self.N_override is not None and self.N_override < 0:
+            raise ValueError(
+                f"N_override ([indices] n_moments) must be nonnegative, got {self.N_override}"
+            )
+        if self.budget < 1:
+            raise ValueError(f"budget must be at least 1, got {self.budget}")
 
     def to_dict(self) -> dict:
         return asdict(self)

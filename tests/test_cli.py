@@ -154,6 +154,29 @@ class TestConfigParsing:
         assert main(["replay", str(report), "0"]) == 2
         assert f"{key} must be" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "old, new, key",
+        [
+            pytest.param("ell = 0.5", "ell = 0", "ell", id="ell-zero"),
+            pytest.param("ell = 0.5", "ell = 0.5, inf", "ell", id="ell-inf"),
+            pytest.param("n_moments = 2", "n_moments = -1", "n_moments", id="n_moments"),
+            pytest.param("center_span = 0.2", "center_span = nan", "center_span", id="span-nan"),
+            pytest.param("center_span = 0.2", "center_span = -0.1", "center_span", id="span-neg"),
+            pytest.param("seed = 31", "seed = 31\nbudget = 0", "budget", id="budget"),
+        ],
+    )
+    def test_out_of_range_key_is_config_error(self, tmp_path, capsys, old, new, key):
+        # Each of these values used to load and then abort every trial of
+        # the run.  Now it stops the run before anything is written, and
+        # the message names the key.
+        assert old in BASE_CONFIG
+        path = tmp_path / "bad.ini"
+        path.write_text(BASE_CONFIG.replace(old, new))
+        out = tmp_path / "o"
+        assert main(["run", str(path), "--out", str(out)]) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
     def test_zero_trials_loads(self, tmp_path):
         # A run of the non-ensemble checks alone sets trials = 0.
         path = tmp_path / "checks.ini"

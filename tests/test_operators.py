@@ -238,6 +238,26 @@ class TestApplyGeneral:
             operator_factors(op, [fs])
         assert str(raised.value) == message
 
+    def test_each_group_budget_is_checked_before_its_cross(self, monkeypatch):
+        # sigma4's bilinear group comes first in term order.  Over budget,
+        # it stops the plan before any cross runs; within budget, its cross
+        # runs and the trilinear group then stops the plan before its own.
+        calls = []
+        original = hardylab.operators.tensor_train_factors
+
+        def counting(symbol, *args):
+            calls.append(symbol.m)
+            return original(symbol, *args)
+
+        monkeypatch.setattr(hardylab.operators, "tensor_train_factors", counting)
+        g = make_grid(1, 8.0, 256)
+        fs = [band_limited(g, s) for s in (1, 2, 3)]
+        for budget, slots, done in ((256**2 - 1, 2, []), (256**2, 3, [2])):
+            op = MultilinearOperator(builtin_symbol("sigma4"), g, default_cutoff(g), budget)
+            with pytest.raises(ValueError, match=rf"^a {slots}-slot group on 256 grid points"):
+                operator_factors(op, [fs])
+            assert calls == done
+
     def test_grid_mismatch(self, grid32):
         other = make_grid(1, 8.0, 64)
         op = MultilinearOperator(builtin_symbol("sigma1_bilinear"), grid32)
@@ -623,7 +643,7 @@ class TestDistinctFactorsOnce:
         assert len({id(f) for term in factors for f in term}) == 12
 
     def test_second_application_evaluates_no_slot_symbol(self):
-        from hardylab.operators import _one_slot_weights
+        from hardylab.operators import _plan
         from hardylab.symbols import _sigma3_terms
 
         calls = []
@@ -645,9 +665,10 @@ class TestDistinctFactorsOnce:
         second = apply_operator(op, fs)
         assert len(calls) == 6
         assert np.array_equal(first.values.view(np.uint64), second.values.view(np.uint64))
-        weights = _one_slot_weights(op)
-        assert len(weights) == 6
-        assert not any(w.flags.writeable for w in weights.values())
+        linear, larger = _plan(op)
+        weights = {sym: w for (_, sym), w in linear}
+        assert len(weights) == 6 and larger == ()
+        assert not any(w.flags.writeable for _, w in linear)
 
 
 def planar_linear(j):
@@ -670,7 +691,7 @@ class TestStackedOneSlotGroups:
         # _half_shift(_fft_inverse(fftn(_half_shift(f)) * w)), one lone
         # forward and one lone inverse per group.
         from hardylab.grid import _fft_inverse, _half_shift
-        from hardylab.operators import _one_slot_weights
+        from hardylab.operators import _plan
 
         if case == "sigma3-M8192":
             grid = make_grid(1, 8.0, 8192)
@@ -682,13 +703,13 @@ class TestStackedOneSlotGroups:
         op = MultilinearOperator(sym, grid, cutoff=default_cutoff(grid))
         fs = random_inputs(grid, 3, 92)
         factors = operator_factors(op, [fs])[0]
-        weights = _one_slot_weights(op)
+        weights = dict(_plan(op)[0])
         seen = set()
         for part, term in zip(op.symbol.partitions, factors):
             for (slot,), single, got in zip(part.groups, part.symbols, term):
                 seen.add((slot, single))
                 spec = np.fft.fftn(_half_shift(fs[slot].values))
-                want = _half_shift(_fft_inverse(spec * weights[single], grid.n))
+                want = _half_shift(_fft_inverse(spec * weights[(slot,), single], grid.n))
                 assert np.array_equal(got.values.view(np.uint64), want.view(np.uint64))
         assert len(seen) == (12 if case == "sigma3-M8192" else 7)
 
@@ -1072,7 +1093,7 @@ def check_batch_of_one(symbol, grid, cut):
     sets = [random_inputs(grid, op.m, seed) for seed in range(50, 55)]
     batch = operator_factors(op, sets)
     assert batch[2].bound > 0
-    hardylab.operators._group_splits.cache_clear()  # the second call factors again
+    hardylab.operators._plan.cache_clear()  # the second call factors again
     (alone,) = operator_factors(op, [sets[2]])
     got, want = alone[0][0].values, batch[2][0][0].values
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
@@ -1326,7 +1347,7 @@ class TestLowRank:
         assert factors.bound > 0
         assert factors.bound == pytest.approx(want, rel=1e-9)
         monkeypatch.setattr(hardylab.operators, "_cost_cap", lambda grid, cutoff, m: 0)
-        hardylab.operators._group_splits.cache_clear()  # the operator's splits are kept
+        hardylab.operators._plan.cache_clear()  # the operator's splits are kept
         exhaustive = operator_factors(op, [fs])[0]
         assert exhaustive.bound == 0.0
         err = np.max(np.abs(sum_of_products(factors).values - sum_of_products(exhaustive).values))
@@ -1384,6 +1405,7 @@ class TestLowRank:
         parts = _sigma4_terms()
         groups = {sym.name for part in parts for g, sym in zip(part.groups, part.symbols) if len(g) > 1}
         assert sorted(calls) == sorted(groups)
+        assert len(calls) == 2
 
     def test_train_bound_on_mixed_trilinear_check_atoms(self):
         # On the check atoms of mixed-trilinear the trilinear group's bound

@@ -10,7 +10,7 @@ from hardylab.grid import SampledFunction, Spectrum, make_grid
 from hardylab.maximal import hl_maximal, make_bump, make_ladder, power_maximal, smooth_maximal
 from hardylab.operators import (
     MultilinearOperator,
-    _group_splits,
+    _plan,
     apply_general,
     apply_operator,
     apply_oracle,
@@ -82,7 +82,7 @@ def test_operator_reads_real_inputs_as_their_complex_casts(name, M, cut):
     real, cast = real_and_cast(grid, op.m, M)
     assert same_bits(apply_operator(op, real).values, apply_operator(op, cast).values)
     if name == "sigma4":
-        assert any(split is not None for split in _group_splits(op).values())
+        assert any(split is not None for _, split in _plan(op)[1])
 
 
 @pytest.mark.parametrize("name, M", [("sigma1_bilinear", 64), ("sigma1", 32)])

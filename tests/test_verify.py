@@ -6,7 +6,7 @@ import pytest
 
 import hardylab.operators
 import hardylab.verify
-from hardylab.atoms import Cube, make_atom
+from hardylab.atoms import Cube, dilate_cube, make_atom
 from hardylab.grid import make_grid
 from hardylab.maximal import make_ladder
 from hardylab.operators import MultilinearOperator, apply_operator, default_cutoff
@@ -417,6 +417,72 @@ class TestMajorantReadsTheFactors:
         rep = check_pointwise_majorant(t, idx)
         assert calls == []
         assert rep.kind == op.symbol.kind and rep.passed
+
+    @pytest.mark.parametrize("name, distinct, occurrences", [("sigma3", 12, 18), ("sigma2", 7, 8)])
+    def test_majorant_takes_each_distinct_factor_once(
+        self, grid256, trilinear_atoms, monkeypatch, name, distinct, occurrences
+    ):
+        # sigma3's six terms name 18 one-slot factors, 12 of them distinct
+        # (group, symbol) pairs; sigma2's four terms name 8 factors, 7 of
+        # them distinct.  power_maximal runs once for each distinct one, and
+        # the ratio is bit for bit that of a loop over every occurrence.
+        op = MultilinearOperator(builtin_symbol(name), grid256)
+        t = apply_to_atoms(op, [trilinear_atoms])[0]
+        idx = index_arithmetic((2.0, 2.0, 2.0), 1, N_override=6)
+        calls = []
+        original = hardylab.verify.power_maximal
+
+        def counting(f, r, ladder):
+            calls.append(id(f))
+            return original(f, r, ladder)
+
+        def per_occurrence_product(t, mchis, star_mask, idx, ladder):
+            grid = t.op.grid
+            n, m, N = grid.n, len(t.atoms), idx.N
+            e = (n + N + 1) / (m * n)
+            terms = []
+            for applied_term in t.factors:
+                first = np.ones(grid.shape)
+                inf_prod = 1.0
+                for mx, applied in zip(mchis, applied_term):
+                    fac = 1.0 + counting(applied, float(m), ladder).values
+                    first = first * mx**e * fac
+                    inf_prod *= float(np.min((mx**e * fac)[star_mask]))
+                terms.append((first, inf_prod))
+            return terms
+
+        def per_occurrence_mixed(t, mchis, star_mask, idx, ladder):
+            atoms, grid = t.atoms, t.op.grid
+            n, m, N = grid.n, len(atoms), idx.N
+            e = (n + N + 1) / (m * n)
+            terms = []
+            for part, applied_part in zip(t.op.symbol.partitions, t.factors):
+                first = np.ones(grid.shape)
+                inf_prod = 1.0
+                for grp, applied in zip(part.groups, applied_part):
+                    smallest = min(grp, key=lambda l: atoms[l].cube.side)
+                    mg_pow = counting(applied, float(part.group_count), ladder).values
+                    star = dilate_cube(atoms[smallest].cube, "star")
+                    star_small = hardylab.verify._maximal_indicator(star, grid, ladder)
+                    b = star_small ** (len(grp) * (n + N + 1) / (m * n)) * mg_pow
+                    prod = np.ones(grid.shape)
+                    for l in grp:
+                        prod = prod * mchis[l] ** e
+                    b = b + prod
+                    first = first * b
+                    inf_prod *= float(np.min(b[star_mask]))
+                terms.append((first, inf_prod))
+            return terms
+
+        monkeypatch.setattr(hardylab.verify, "power_maximal", counting)
+        rep = check_pointwise_majorant(t, idx)
+        assert len(calls) == len(set(calls)) == distinct
+        reference = per_occurrence_product if name == "sigma3" else per_occurrence_mixed
+        monkeypatch.setattr(hardylab.verify, f"_{op.symbol.kind}_majorant", reference)
+        want = check_pointwise_majorant(t, idx)
+        assert len(calls) == distinct + occurrences
+        sups = np.array([rep.ratio_sup, want.ratio_sup]).view(np.uint64)
+        assert sups[0] == sups[1] and rep.kind == want.kind == op.symbol.kind
 
 
 class TestFsInequality:
