@@ -524,12 +524,12 @@ def operator_factors(
         for done, out in zip(applied, outs):
             done[grp, sym] = out
     singles = sorted({grp[0] for (grp, _), _ in linear})
+    weights = [w for _, w in linear]
     for fs, done in zip(sets, applied):
         if not linear:
             break
         spectra = dict(zip(singles, _fft_forward_rows([fs[l].values for l in singles])))
-        coeffs = [spectra[grp[0]] for (grp, _), _ in linear]
-        outs = apply_linear(op.grid, [w for _, w in linear], coeffs)
+        outs = apply_linear(op.grid, weights, [spectra[grp[0]] for (grp, _), _ in linear])
         for (key, _), out in zip(linear, outs):
             done[key] = out, 0.0
     terms = op.symbol.partitions
