@@ -467,6 +467,7 @@ def _plan(op: MultilinearOperator) -> tuple[
     checked before its cross.  Each symbol is evaluated or split once
     however many groups name it, and the plan is kept for as long as its
     operator is the one applied."""
+    _plan.cache_clear()  # the previous operator's splits go before this one's crosses
     freqs = op.grid.frequencies()
     mask = _slot_mask(freqs, op.cutoff)
     found: dict[Symbol, np.ndarray | TensorTrainFactors | None] = {}

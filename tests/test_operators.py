@@ -1407,6 +1407,23 @@ class TestLowRank:
         assert sorted(calls) == sorted(groups)
         assert len(calls) == 2
 
+    def test_previous_plan_is_dropped_before_the_next_cross(self, monkeypatch):
+        # Only one operator's splits are held at a time: a second operator's
+        # cross runs after the first operator's plan has gone.
+        held = []
+        original = hardylab.operators.tensor_train_factors
+
+        def counting(*args):
+            held.append(hardylab.operators._plan.cache_info().currsize)
+            return original(*args)
+
+        monkeypatch.setattr(hardylab.operators, "tensor_train_factors", counting)
+        sym = TWO_SLOT["sigma1_bilinear"]
+        for M in (512, 1024):
+            grid = make_grid(1, 8.0, M)
+            operator_factors(MultilinearOperator(sym, grid), [random_inputs(grid, 2, 62)])
+        assert held == [0, 0]
+
     def test_train_bound_on_mixed_trilinear_check_atoms(self):
         # On the check atoms of mixed-trilinear the trilinear group's bound
         # is under 1e-8 of max |T|.
