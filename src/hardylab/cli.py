@@ -33,6 +33,7 @@ from . import __version__
 from .atoms import _monomial_exponents, make_atom
 from .symbols import (
     BUILTIN_NAMES,
+    MAX_DERIVATIVE_ORDER,
     builtin_symbol,
     cm_condition_ratio,
     dyadic_shells,
@@ -187,7 +188,7 @@ def _parse_floats(text: str) -> tuple[float, ...]:
 
 
 # Section -> key -> (target, parser): the only keys a config file may set, in
-# lower case as configparser reads them.  [checks] fills the run options, the
+# lower case as configparser reads them.  [checks] fills the check flags, the
 # rest ExperimentConfig.from_dict's fields (which checks ``kind``).
 CONFIG_SCHEMA = {
     "operator": {
@@ -216,15 +217,14 @@ CONFIG_SCHEMA = {
 
 
 def load_config(path: str) -> tuple[ExperimentConfig, dict]:
-    """Parse a run config; returns the ensemble config and the run options
-    (every check's flag).  Any section or key outside CONFIG_SCHEMA is a
-    ValueError."""
+    """Parse a run config; returns the ensemble config and every check's
+    flag.  Any section or key outside CONFIG_SCHEMA is a ValueError."""
     # No default section, so a [DEFAULT] header is one more unknown section.
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",), default_section="")
     if not parser.read(path):
         raise ValueError(f"cannot read config file {path}")
-    options = {"checks": dict.fromkeys(CONFIG_SCHEMA["checks"], False)}
-    options["checks"]["boundedness"] = True
+    checks = dict.fromkeys(CONFIG_SCHEMA["checks"], False)
+    checks["boundedness"] = True
     fields: dict = {}
     for section in parser.sections():
         if section not in CONFIG_SCHEMA:
@@ -234,10 +234,10 @@ def load_config(path: str) -> tuple[ExperimentConfig, dict]:
                 raise ValueError(f"unknown key {key!r} in [{section}]")
             target, parse = CONFIG_SCHEMA[section][key]
             try:
-                options.get(section, fields)[target] = parse(text)
+                (checks if section == "checks" else fields)[target] = parse(text)
             except ValueError as exc:
                 raise ValueError(f"[{section}] {key}: {exc}") from None
-    return ExperimentConfig.from_dict(fields), options
+    return ExperimentConfig.from_dict(fields), checks
 
 
 def _check_atoms(ctx: RunContext, partner_order: int):
@@ -254,9 +254,8 @@ def _check_atoms(ctx: RunContext, partner_order: int):
     ]
 
 
-def _run_checks(ctx: RunContext, options: dict, jobs: int, out: Path) -> dict:
+def _run_checks(ctx: RunContext, checks: dict, jobs: int, out: Path) -> dict:
     config, idx = ctx.config, ctx.idx
-    checks = options["checks"]
     results: dict[str, dict] = {}
     records: tuple[TrialRecord, ...] = ()
 
@@ -393,7 +392,7 @@ def _write_decay_points(path: Path, rep: DecayReport) -> None:
 
 def cmd_run(args) -> int:
     try:
-        config, options = load_config(args.config)
+        config, checks = load_config(args.config)
         if args.seed is not None:
             config = dataclasses.replace(config, seed=args.seed)
         ctx = run_context(config)  # surfaces exponent/type conflicts as config errors
@@ -407,7 +406,7 @@ def cmd_run(args) -> int:
     manifest = {
         "config": config.to_dict(),
         "config_sha256": config_hash,
-        "checks": options["checks"],
+        "checks": checks,
         "created_unix": time.time(),
         "version": __version__,
         "jobs": args.jobs,
@@ -415,7 +414,7 @@ def cmd_run(args) -> int:
     (out / "manifest.json").write_text(dumps_17g(manifest) + "\n")
 
     try:
-        payload = _run_checks(ctx, options, args.jobs, out)
+        payload = _run_checks(ctx, checks, args.jobs, out)
     except ValueError as exc:
         (out / "FAILED").write_text(f"error: {exc}\n")
         print(f"config error: {exc}", file=sys.stderr)
@@ -453,16 +452,15 @@ def cmd_replay(args) -> int:
     try:
         report = json.loads(Path(args.report).read_text())
         config = ExperimentConfig.from_dict(report["config"])
-        trials = report["trials"]
-    except (OSError, ValueError, KeyError) as exc:
+        match = [t for t in report["trials"] if t["trial_id"] == args.trial_id]
+        trial = TrialRecord.from_dict(match[0]) if match else None
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"error reading report: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    match = [t for t in trials if t["trial_id"] == args.trial_id]
-    if not match:
+    if trial is None:
         print(f"trial {args.trial_id} not found in report", file=sys.stderr)
         return EXIT_USAGE
-    trial = TrialRecord.from_dict(match[0])
     try:
         lhs, rhs, ratio = replay_trial(run_context(config), trial)
     except ValueError as exc:
@@ -487,6 +485,21 @@ def cmd_replay(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _int_from(lo: int, hi: float = math.inf):
+    """An argparse type for an integer from ``lo`` to ``hi``; anything else
+    is a usage error."""
+
+    def parse(text: str) -> int:
+        try:
+            if lo <= (value := int(text)) <= hi:
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected an integer from {lo} to {hi}, got {text!r}")
+
+    return parse
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="hardylab",
@@ -501,8 +514,12 @@ def main(argv=None) -> int:
 
     p_sym = sub.add_parser("verify-symbol", help="check a builtin multiplier symbol")
     p_sym.add_argument("name")
-    p_sym.add_argument("--orders", type=int, default=2, help="max derivative order")
-    p_sym.add_argument("--shells", type=int, default=4, help="dyadic shell range 2^-k..2^k")
+    p_sym.add_argument(
+        "--orders", type=_int_from(0, MAX_DERIVATIVE_ORDER), default=2, help="max derivative order"
+    )
+    p_sym.add_argument(
+        "--shells", type=_int_from(0), default=4, help="dyadic shell range 2^-k..2^k"
+    )
     p_sym.add_argument(
         "--require-plane-vanishing",
         action="store_true",

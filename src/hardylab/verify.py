@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import asdict, dataclass, fields
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import chain
 from typing import Callable, Sequence
 
@@ -647,6 +647,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         # trials = 0 is a check-only run; max_atoms < 1 leaves no atom to draw.
         # Every other bound here is one that no trial could succeed outside.
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.trials < 0:
             raise ValueError(f"trials must be nonnegative, got {self.trials}")
         if self.max_atoms < 1:
@@ -832,7 +834,6 @@ class ExperimentReport:
 
 
 Entries = Sequence[Sequence[tuple[float, Cube, int]]]  # per input, its (lambda, cube, seed)
-TrialValues = tuple[float, float, float, str]  # lhs, rhs, ratio, flags
 
 
 def _attempt(labels: Sequence[str], stage: Callable, *args):
@@ -847,11 +848,10 @@ def _attempt(labels: Sequence[str], stage: Callable, *args):
         raise RuntimeError(f"{', '.join(labels)}: {exc!r}") from exc
 
 
-def _trial_inputs(ctx: RunContext, draw: Callable[[], Entries]):
-    """Stage 1: the trial's entries, its realized inputs and its rhs, the
-    product of the majorants' quasinorms (the majorants are not kept)."""
+def _trial_inputs(ctx: RunContext, entries: Entries):
+    """Stage 1: the trial's realized inputs and its rhs, the product of the
+    majorants' quasinorms (the majorants are not kept)."""
     idx = ctx.idx
-    entries = draw()
     sums = [
         make_atomic_sum(inp, p_l, idx.N, ctx.grid)
         for inp, p_l in zip(entries, idx.exponents)
@@ -859,7 +859,7 @@ def _trial_inputs(ctx: RunContext, draw: Callable[[], Entries]):
     rhs = 1.0
     for s, p_l in zip(sums, idx.exponents):
         rhs *= lp_quasinorm(s.majorant, p_l)
-    return entries, [s.realized for s in sums], rhs
+    return [s.realized for s in sums], rhs
 
 
 def _apply_batch(op: MultilinearOperator, sets) -> list[SampledFunction]:
@@ -867,78 +867,64 @@ def _apply_batch(op: MultilinearOperator, sets) -> list[SampledFunction]:
     return [sum_of_products(factors) for factors in operator_factors(op, sets)]
 
 
-def _trial_values(ctx: RunContext, out: SampledFunction, rhs: float) -> TrialValues:
-    """Stage 3: the output's H^p quasinorm against rhs."""
+def _trial_values(ctx: RunContext, out: SampledFunction, rhs: float):
+    """Stage 3: the output's H^p quasinorm against rhs, as lhs, rhs, ratio, flags."""
     lhs = hp_quasinorm(out, ctx.idx.p, ctx.bump, ctx.ladder)
     if rhs == 0.0:
         return lhs, rhs, 0.0, "vacuous"
     return lhs, rhs, lhs / rhs, ""
 
 
-def _run_batch(
-    ctx: RunContext, draws: Sequence[Callable[[], Entries]], labels: Sequence[str]
-) -> list[tuple[Entries, TrialValues] | ValueError]:
-    """One batch of staged trials: each trial draws its atoms and builds its
-    inputs, T is applied to all of them in one batched application, and each
-    output is measured.  A ValueError in the shared application aborts every
-    trial of the batch."""
-    staged = [_attempt([name], _trial_inputs, ctx, draw) for name, draw in zip(labels, draws)]
-    live = [k for k, st in enumerate(staged) if not isinstance(st, ValueError)]
-    outs = _attempt([labels[k] for k in live], _apply_batch, ctx.op, [staged[k][1] for k in live])
-    for j, k in enumerate(live):
-        entries, rhs = staged[k][0], staged[k][2]
-        if isinstance(outs, ValueError):
-            staged[k] = outs
-        else:
-            values = _attempt([labels[k]], _trial_values, ctx, outs[j], rhs)
-            staged[k] = values if isinstance(values, ValueError) else (entries, values)
-    return staged
-
-
 def _run_staged(
-    ctx: RunContext, draws: Sequence[Callable[[], Entries]], labels: Sequence[str]
-) -> list[tuple[Entries, TrialValues] | ValueError]:
-    """Per trial, its entries and values, or the ValueError that aborts it.
-    Trials run in batches of ``sets_per_pass(ctx.op)`` (``_run_batch``), and
-    every value is bit for bit that of the trial run alone."""
+    ctx: RunContext, trials: Sequence[tuple[int, int, Entries | ValueError]]
+) -> list[TrialRecord]:
+    """The record of each (trial_id, seed, entries) trial; entries may be the
+    ValueError its draw raised.  Trials run in batches of
+    ``sets_per_pass(ctx.op)``: each builds its inputs, T is applied to all of
+    them in one batched application, and each output is measured.  A
+    ValueError aborts the trials its stage served, and every value is bit for
+    bit that of the trial run alone."""
     step = sets_per_pass(ctx.op)
-    return [
-        result
-        for start in range(0, len(draws), step)
-        for result in _run_batch(ctx, draws[start : start + step], labels[start : start + step])
-    ]
+    records = []
+    for start in range(0, len(trials), step):
+        batch = trials[start : start + step]
+        labels = [f"trial {i} (seed {seed})" for i, seed, _ in batch]
+        staged = [
+            e if isinstance(e, ValueError) else _attempt([name], _trial_inputs, ctx, e)
+            for name, (_, _, e) in zip(labels, batch)
+        ]
+        live = [k for k, st in enumerate(staged) if not isinstance(st, ValueError)]
+        outs = _attempt([labels[k] for k in live], _apply_batch, ctx.op, [staged[k][0] for k in live])
+        for j, k in enumerate(live):
+            staged[k] = outs if isinstance(outs, ValueError) else _attempt(
+                [labels[k]], _trial_values, ctx, outs[j], staged[k][1]
+            )
+        for (i, seed, entries), values in zip(batch, staged):
+            if isinstance(values, ValueError):
+                entries, values = (), (math.nan, math.nan, math.nan, f"aborted: {values}")
+            records.append(TrialRecord(i, seed, tuple(map(tuple, entries)), *values))
+    return records
 
 
-def compute_trial_values(ctx: RunContext, entries: Entries) -> TrialValues:
-    """LHS, RHS, ratio and flags for one trial given its atom entries: the
-    staged trials on a batch of one.  A ValueError is raised, not recorded."""
-    (result,) = _run_staged(ctx, [lambda: entries], ["trial"])
-    if isinstance(result, ValueError):
-        raise result
-    return result[1]
+def compute_trial_values(ctx: RunContext, record: TrialRecord) -> TrialRecord:
+    """The recorded trial staged alone from its entries, under its own id
+    and seed; an abort raises a ValueError with its reason."""
+    (again,) = _run_staged(ctx, [(record.trial_id, record.seed, record.inputs)])
+    if again.flags.startswith("aborted: "):
+        raise ValueError(again.flags.removeprefix("aborted: "))
+    return again
 
 
 def run_trials(ctx: RunContext, indices: Sequence[int]) -> list[TrialRecord]:
-    """The records of the given trials, staged together (``_run_staged``).
-    A precondition failure aborts just its trial; the seed in the record is
-    enough to reproduce the draw."""
-    config, m = ctx.config, ctx.idx.m
-    seeds = [trial_seed(config.seed, i) for i in indices]
-    results = _run_staged(
-        ctx,
-        [partial(draw_trial_entries, config, seed, m, ctx.grid) for seed in seeds],
-        [f"trial {i} (seed {seed})" for i, seed in zip(indices, seeds)],
-    )
-    records = []
-    for i, seed, result in zip(indices, seeds, results):
-        if isinstance(result, ValueError):
-            records.append(
-                TrialRecord(i, seed, (), math.nan, math.nan, math.nan, f"aborted: {result}")
-            )
-        else:
-            entries, values = result
-            records.append(TrialRecord(i, seed, tuple(tuple(inp) for inp in entries), *values))
-    return records
+    """The records of the given trials, each drawn and then all staged
+    together.  A precondition failure aborts just its trial; the seed in the
+    record is enough to reproduce the draw."""
+    config, m, grid = ctx.config, ctx.idx.m, ctx.grid
+    seeds = [(i, trial_seed(config.seed, i)) for i in indices]
+    return _run_staged(ctx, [
+        (i, seed, _attempt([f"trial {i} (seed {seed})"], draw_trial_entries, config, seed, m, grid))
+        for i, seed in seeds
+    ])
 
 
 def run_trial(ctx: RunContext, trial_index: int) -> TrialRecord:
@@ -985,8 +971,8 @@ def replay_trial(ctx: RunContext, record: TrialRecord) -> tuple[float, float, fl
     """Recompute a trial from its recorded atom entries (bit-for-bit contract)."""
     if record.flags.startswith("aborted"):
         raise ValueError(f"trial {record.trial_id} aborted at construction; nothing to replay")
-    lhs, rhs, ratio, _ = compute_trial_values(ctx, record.inputs)
-    return lhs, rhs, ratio
+    again = compute_trial_values(ctx, record)
+    return again.lhs, again.rhs, again.ratio
 
 
 # ---------------------------------------------------------------------------
@@ -1031,23 +1017,18 @@ def scale_invariance_test(
         )
     if dilation not in (0.5, 1.0, 2.0):
         raise ValueError(f"dilation must be one of 1/2, 1, 2, got {dilation}")
-    # Up to the first aborted record, which raises its reason after the
-    # trials before it, as it would in a trial-by-trial loop.
-    stop = next((k for k, r in enumerate(records) if r.flags.startswith("aborted")), len(records))
-    live = [r for r in records[:stop] if r.flags != "vacuous"]
-    results = _run_staged(
-        ctx,
-        [partial(_dilated_entries, r.inputs, dilation) for r in live],
-        [f"trial {r.trial_id} (seed {r.seed})" for r in live],
+    aborted = next((r for r in records if r.flags.startswith("aborted")), None)
+    if aborted is not None:
+        raise ValueError(f"trial {aborted.trial_id} {aborted.flags}")
+    live = [r for r in records if r.flags != "vacuous"]
+    scaled = _run_staged(
+        ctx, [(r.trial_id, r.seed, _dilated_entries(r.inputs, dilation)) for r in live]
     )
     deviations = []
-    for record, result in zip(live, results):
-        if isinstance(result, ValueError):
-            raise result
-        scaled = result[1][2]
-        deviations.append(abs(scaled - record.ratio) / record.ratio)
-    if stop < len(records):
-        raise ValueError(f"trial {records[stop].trial_id} {records[stop].flags}")
+    for record, again in zip(live, scaled):
+        if again.flags.startswith("aborted: "):
+            raise ValueError(again.flags.removeprefix("aborted: "))
+        deviations.append(abs(again.ratio - record.ratio) / record.ratio)
     if not deviations:
         raise ValueError("all trials vacuous; nothing to compare")
     return ScaleInvarianceReport(dilation, tuple(deviations))

@@ -76,11 +76,12 @@ class TestJsonWriter:
 
 class TestConfigParsing:
     def test_load(self, config_file):
-        config, options = load_config(str(config_file))
+        config, checks = load_config(str(config_file))
         assert config.symbol == "sigma1_bilinear"
         assert config.exponents == (1.0, 1.0)
         assert config.M == 512
-        assert options["checks"]["boundedness"]
+        assert checks["boundedness"]
+        assert checks.keys() == CONFIG_SCHEMA["checks"].keys()
 
     def test_infinite_exponent(self, tmp_path):
         path = tmp_path / "inf.ini"
@@ -163,6 +164,7 @@ class TestConfigParsing:
             pytest.param("center_span = 0.2", "center_span = nan", "center_span", id="span-nan"),
             pytest.param("center_span = 0.2", "center_span = -0.1", "center_span", id="span-neg"),
             pytest.param("seed = 31", "seed = 31\nbudget = 0", "budget", id="budget"),
+            pytest.param("seed = 31", "seed = -1", "seed", id="seed"),
         ],
     )
     def test_out_of_range_key_is_config_error(self, tmp_path, capsys, old, new, key):
@@ -175,6 +177,14 @@ class TestConfigParsing:
         out = tmp_path / "o"
         assert main(["run", str(path), "--out", str(out)]) == 2
         assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_seed_option_is_config_error(self, config_file, tmp_path, capsys):
+        # --seed replaces the config's seed before anything is written, so
+        # it is checked as the config key is.
+        out = tmp_path / "o"
+        assert main(["run", str(config_file), "--out", str(out), "--seed", "-3"]) == 2
+        assert "seed must be nonnegative" in capsys.readouterr().err
         assert not out.exists()
 
     def test_zero_trials_loads(self, tmp_path):
@@ -207,6 +217,17 @@ class TestVerifySymbolCommand:
     def test_constant_fails_plane_requirement(self, capsys):
         code = main(["verify-symbol", "constant_one", "--require-plane-vanishing", "--orders", "0"])
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "option, value", [("--orders", "3"), ("--orders", "-1"), ("--shells", "-1")]
+    )
+    def test_out_of_range_argument_is_usage_error(self, capsys, option, value):
+        # --orders 3 went past the derivative cap, --orders -1 checked no
+        # derivative and passed, --shells -1 left no shell to sample.
+        with pytest.raises(SystemExit) as exc:
+            main(["verify-symbol", "sigma1", option, value])
+        assert exc.value.code == 2
+        assert f"argument {option}: expected an integer" in capsys.readouterr().err
 
 
 class TestJobsOption:
@@ -541,6 +562,19 @@ class TestReplayCommand:
 
     def test_bad_report_path(self, tmp_path):
         assert main(["replay", str(tmp_path / "missing.json"), "0"]) == 2
+
+    @pytest.mark.parametrize(
+        "record, missing",
+        [({"seed": 0}, "trial_id"), ({"trial_id": 0}, "inputs")],
+        ids=["no-trial_id", "no-inputs"],
+    )
+    def test_malformed_trial_record_is_read_error(self, tmp_path, capsys, record, missing):
+        # A record without its id or its entries is an unreadable report
+        # (exit 2), not a replay mismatch (exit 1).
+        report = tmp_path / "report.json"
+        report.write_text(json.dumps({"config": {}, "trials": [record]}))
+        assert main(["replay", str(report), "0"]) == 2
+        assert f"error reading report: '{missing}'" in capsys.readouterr().err
 
     def test_unknown_config_key_is_read_error(self, config_file, tmp_path, capsys):
         out = tmp_path / "out"

@@ -615,6 +615,19 @@ class TestBoundednessEnsemble:
         with pytest.raises(RuntimeError, match="trial 0"):
             run_boundedness_ensemble(cfg)
 
+    def test_fault_in_a_replay_names_the_trial(self, monkeypatch):
+        # A replay stages the recorded trial under its own id and seed.
+        cfg = _ensemble_config(trials=3)
+        records = run_boundedness_ensemble(cfg).trials
+
+        def failing(*args, **kwargs):
+            raise AssertionError("atomic sum broken")
+
+        monkeypatch.setattr(hardylab.verify, "make_atomic_sum", failing)
+        seed = trial_seed(cfg.seed, 2)
+        with pytest.raises(RuntimeError, match=rf"^trial 2 \(seed {seed}\): AssertionError"):
+            replay_trial(run_context(cfg), records[2])
+
 
 # One small config per operator class; the mixed one runs its three trials in
 # one pass, the product one trial by trial.
@@ -692,6 +705,22 @@ class TestScaleInvariance:
         assert records[0].flags.startswith("aborted")
         with pytest.raises(ValueError, match="cannot fit"):
             scale_invariance_test(run_context(cfg), records, 2.0)
+
+    def test_aborted_base_trial_raises_before_any_trial_runs(self, monkeypatch):
+        # With the live record first, its dilated trial is not run either.
+        cfg = _ensemble_config(trials=4, seed=0, ell_choices=(0.5, 1.0), dilatable=True)
+        records = sorted(run_boundedness_ensemble(cfg).trials, key=lambda t: bool(t.flags))
+        first_aborted = next(t for t in records if t.flags.startswith("aborted"))
+        assert not records[0].flags
+        calls = []
+        engine = hardylab.verify.operator_factors
+        monkeypatch.setattr(
+            hardylab.verify, "operator_factors", lambda *a: calls.append(1) or engine(*a)
+        )
+        with pytest.raises(ValueError) as info:
+            scale_invariance_test(run_context(cfg), records, 2.0)
+        assert str(info.value) == f"trial {first_aborted.trial_id} {first_aborted.flags}"
+        assert calls == []
 
     def test_identity_dilation(self):
         cfg = _ensemble_config(trials=2, dilatable=True)
