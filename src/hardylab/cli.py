@@ -531,7 +531,12 @@ def main(argv=None) -> int:
     p_run.add_argument("config")
     p_run.add_argument("--out", default="out", help="output directory")
     p_run.add_argument("--seed", type=int, default=None, help="override master seed")
-    p_run.add_argument("--jobs", type=int, default=1, help="parallel trial workers")
+    p_run.add_argument(
+        "--jobs",
+        type=_int_from(1),
+        default=1,
+        help="parallel trial workers (at least 1; capped at one per trial slice and per CPU)",
+    )
     p_run.set_defaults(func=cmd_run)
 
     p_rep = sub.add_parser("replay", help="recompute one trial from a report")

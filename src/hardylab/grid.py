@@ -71,8 +71,8 @@ class Grid:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError(f"dimension must be a positive integer, got {self.n}")
-        if not (self.L > 0):
-            raise ValueError(f"half-width must be positive, got {self.L}")
+        if not (0 < self.L < np.inf):
+            raise ValueError(f"half-width L must be finite and positive, got {self.L}")
         if not _is_power_of_two(self.M):
             raise ValueError(f"points per axis must be a power of two, got {self.M}")
 

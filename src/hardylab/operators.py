@@ -387,9 +387,8 @@ def apply_oracle(
         raise ValueError(f"points must lie in R^{n}, got shape {pts.shape}")
     if pts.shape[0] > 16:
         raise ValueError("oracle accepts at most 16 evaluation points")
+    _check_budget(op)
     S = grid.size
-    if S**m > op.budget:
-        raise ValueError("oracle tuple count exceeds the cost budget")
 
     k_flat = _flat_freq_ints(grid)
     xi_flat = k_flat * grid.dxi

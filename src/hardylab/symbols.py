@@ -16,8 +16,9 @@ at the all-zero tuple; the constant symbol stays 1 everywhere.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from math import comb
+from itertools import product
 from typing import Callable, Sequence
 
 import numpy as np
@@ -455,63 +456,51 @@ def _slot_norm_sum(samples: np.ndarray) -> np.ndarray:
     return np.sum(np.linalg.norm(samples, axis=2), axis=1)
 
 
-def _fd_partial(sym: Symbol, samples: np.ndarray, alpha: Sequence[int]) -> np.ndarray:
-    """Central finite-difference estimate of d^alpha sigma at each sample.
-
-    alpha is a multi-index over the m*n flattened coordinates.  The step is
-    relative, h = FD_STEP_SCALE * (|xi_1| + ... + |xi_m|), one central stencil
-    application per derivative order.
-    """
-    m, n = sym.m, sym.n
-    alpha = tuple(int(a) for a in alpha)
-    if len(alpha) != m * n:
-        raise ValueError(f"multi-index must have {m * n} entries, got {len(alpha)}")
-    order = sum(alpha)
-    scales = _slot_norm_sum(samples)
-    if np.any(scales == 0):
-        raise ValueError("sample set contains the frequency origin")
-    if order == 0:
+def _central_difference(sym: Symbol, samples: np.ndarray, directions, step: np.ndarray) -> np.ndarray:
+    """Central-difference estimate of the derivative of sigma along the
+    directions d_1, ..., d_k, each of shape (m, n), at each sample: sigma at
+    the 2^k points samples + step * (+-d_1 +- ... +- d_k), the first sign
+    varying slowest, each signed by the product of its signs, summed and
+    divided by (2 step)^k.  ``step`` holds one step per sample; with no
+    direction this is sigma itself."""
+    m = sym.m
+    if not directions:
         return np.asarray(sym.evaluate(*[samples[:, j] for j in range(m)]))
-    h = FD_STEP_SCALE * scales
-
-    directions = [d for d, a in enumerate(alpha) for _ in range(a)]
-    stencil: list[tuple[np.ndarray, float]] = [(np.zeros(m * n, dtype=np.int64), 1.0)]
-    for d in directions:
-        split: list[tuple[np.ndarray, float]] = []
-        for vec, sgn in stencil:
-            up = vec.copy()
-            up[d] += 1
-            dn = vec.copy()
-            dn[d] -= 1
-            split.append((up, sgn))
-            split.append((dn, -sgn))
-        stencil = split
-
     out = np.zeros(samples.shape[0], dtype=np.complex128)
-    for vec, sgn in stencil:
-        pts = samples + h[:, None, None] * vec.reshape(m, n)[None]
-        if np.any(_slot_norm_sum(pts) == 0):
-            bad = np.nonzero(_slot_norm_sum(pts) == 0)[0]
-            raise ValueError(f"finite-difference stencil crosses the origin at samples {bad.tolist()}")
-        out += sgn * np.asarray(sym.evaluate(*[pts[:, j] for j in range(m)]))
-    return out / (2.0 * h) ** order
+    for signs in product((1.0, -1.0), repeat=len(directions)):
+        offset = sum((s * d for s, d in zip(signs, directions)), np.zeros(samples.shape[1:]))
+        pts = samples + step[:, None, None] * offset[None]
+        crossed = np.nonzero(_slot_norm_sum(pts) == 0)[0]
+        if crossed.size:
+            raise ValueError(f"finite-difference stencil crosses the origin at samples {crossed.tolist()}")
+        out += math.prod(signs) * np.asarray(sym.evaluate(*[pts[:, j] for j in range(m)]))
+    return out / (2.0 * step) ** len(directions)
 
 
 def cm_condition_ratio(sym: Symbol, alpha: Sequence[int], samples) -> float:
     """sup over samples of |d^alpha sigma(xi)| * (|xi_1|+...+|xi_m|)^{|alpha|}.
 
     A finite, shell-stable value is the numerical signature of the classical
-    multiplier derivative bound; derivatives are estimated by relative-step
-    central differences, capped at second order.
+    multiplier derivative bound.  alpha is a multi-index over the m*n
+    flattened coordinates; d^alpha is estimated by ``_central_difference``
+    along the coordinate axes with the relative step
+    h = FD_STEP_SCALE * (|xi_1| + ... + |xi_m|), capped at second order.
     """
-    pts = _as_samples(samples, sym.m, sym.n)
+    m, n = sym.m, sym.n
+    pts = _as_samples(samples, m, n)
     alpha = tuple(int(a) for a in alpha)
     order = sum(alpha)
     if order > MAX_DERIVATIVE_ORDER:
         raise ValueError(f"derivative order {order} exceeds cap {MAX_DERIVATIVE_ORDER}")
-    deriv = _fd_partial(sym, pts, alpha)
-    weight = _slot_norm_sum(pts) ** order
-    return float(np.max(np.abs(deriv) * weight))
+    if len(alpha) != m * n:
+        raise ValueError(f"multi-index must have {m * n} entries, got {len(alpha)}")
+    scales = _slot_norm_sum(pts)
+    if np.any(scales == 0):
+        raise ValueError("sample set contains the frequency origin")
+    axes = np.eye(m * n).reshape(m * n, m, n)
+    directions = [axes[d] for d, a in enumerate(alpha) for _ in range(a)]
+    deriv = _central_difference(sym, pts, directions, FD_STEP_SCALE * scales)
+    return float(np.max(np.abs(deriv) * scales**order))
 
 
 @dataclass(frozen=True)
@@ -530,8 +519,9 @@ def plane_vanishing_order(sym: Symbol, order: int, samples) -> PlaneVanishingRep
     """Residuals of sigma and its transverse derivatives on the plane.
 
     Order-0 residual is max |sigma| over the samples; order k probes the k-th
-    directional derivative along the plane normal (1, ..., 1)/sqrt(m n) by
-    central differences with relative step.
+    directional derivative along the plane normal u = (1, ..., 1)/sqrt(m n)
+    by ``_central_difference`` along k copies of u with step h/2, so its
+    points lie within h of the sample.
     """
     pts = _as_samples(samples, sym.m, sym.n)
     if order < 0:
@@ -544,23 +534,13 @@ def plane_vanishing_order(sym: Symbol, order: int, samples) -> PlaneVanishingRep
     if np.any(off > 1e-12 * np.maximum(scales, 1.0)):
         raise ValueError("samples do not lie on the plane sum(xi_j) = 0")
 
-    m, n = sym.m, sym.n
-    u = np.full((m, n), 1.0 / np.sqrt(m * n))
-    h = FD_STEP_SCALE * scales
-    residuals = []
-    for k in range(order + 1):
-        if k == 0:
-            vals = np.asarray(sym.evaluate(*[pts[:, j] for j in range(m)]))
-        else:
-            acc = np.zeros(pts.shape[0], dtype=np.complex128)
-            for i in range(k + 1):
-                shift = (k / 2.0 - i) * h
-                moved = pts + shift[:, None, None] * u[None]
-                coeff = (-1.0) ** i * comb(k, i)
-                acc += coeff * np.asarray(sym.evaluate(*[moved[:, j] for j in range(m)]))
-            vals = acc / h**k
-        residuals.append(float(np.max(np.abs(vals))))
-    return PlaneVanishingReport(tuple(residuals), pts.shape[0])
+    u = np.full((sym.m, sym.n), 1.0 / np.sqrt(sym.m * sym.n))
+    step = FD_STEP_SCALE * scales / 2.0
+    residuals = tuple(
+        float(np.max(np.abs(_central_difference(sym, pts, [u] * k, step))))
+        for k in range(order + 1)
+    )
+    return PlaneVanishingReport(residuals, pts.shape[0])
 
 
 def forms_agree(sym_a: Symbol, sym_b: Symbol, samples) -> float:

@@ -11,8 +11,9 @@ trial index), and trial records carry the full atom geometry.
 from __future__ import annotations
 
 import math
+import os
 from collections import Counter
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from functools import lru_cache
 from itertools import chain
 from typing import Callable, Sequence
@@ -25,6 +26,7 @@ from .maximal import BumpProfile, ScaleLadder, hp_quasinorm, hl_maximal, make_bu
 from .operators import (
     DEFAULT_COST_BUDGET,
     MultilinearOperator,
+    _check_budget,
     default_cutoff,
     operator_factors,
     sets_per_pass,
@@ -169,27 +171,14 @@ def apply_to_atoms(
 
 
 @dataclass(frozen=True)
-class MomentCheck:
-    alpha: tuple[int, ...]
-    spectral: complex
-    spatial: complex
-    normalized_spectral: float
-    normalized_spatial: float
-
-
-@dataclass(frozen=True)
 class CancellationReport:
-    checks: tuple[MomentCheck, ...]
+    """The largest normalized output moment over |alpha| <= s, spectral or
+    spatial, against the pass threshold."""
+
     output_l1: float
     length_scale: float
     tolerance: float
-
-    @property
-    def max_normalized(self) -> float:
-        return max(
-            max(c.normalized_spectral for c in self.checks),
-            max(c.normalized_spatial for c in self.checks),
-        )
+    max_normalized: float
 
     @property
     def passed(self) -> bool:
@@ -214,20 +203,12 @@ def check_cancellation(
     ell = min(a.cube.side for a in t.atoms)
     scale = max(norm1, np.finfo(float).tiny)
     spectrum = dft(t.out)
-    checks = []
+    normalized = []
     for alpha in _monomial_exponents(t.op.grid.n, s):
         est = spectral_moment(spectrum, alpha)
         denom = scale * ell ** sum(alpha)
-        checks.append(
-            MomentCheck(
-                alpha,
-                est.spectral,
-                est.spatial,
-                abs(est.spectral) / denom,
-                abs(est.spatial) / denom,
-            )
-        )
-    return CancellationReport(tuple(checks), norm1, ell, tolerance)
+        normalized += [abs(est.spectral) / denom, abs(est.spatial) / denom]
+    return CancellationReport(norm1, ell, tolerance, max(normalized))
 
 
 # ---------------------------------------------------------------------------
@@ -721,12 +702,19 @@ class RunContext:
 @lru_cache(maxsize=8)
 def run_context(config: ExperimentConfig) -> RunContext:
     """The run context of a config; repeated calls return the same object,
-    so the ensemble, its pool workers and the checks each build it once."""
+    so the ensemble, its pool workers and the checks each build it once.
+    A group of two or more slots over the cost budget is a ValueError here,
+    before any trial or check runs."""
     grid = make_grid(config.n, config.L, config.M)
+    op = resolve_operator(config, grid)
+    for part in op.symbol.partitions:
+        for grp, sym in zip(part.groups, part.symbols):
+            if len(grp) > 1:
+                _check_budget(replace(op, symbol=sym))
     return RunContext(
         config,
         grid,
-        resolve_operator(config, grid),
+        op,
         resolve_index(config),
         make_bump(grid.n),
         make_ladder(grid, half_steps=config.half_steps),
@@ -938,18 +926,19 @@ def _run_trials_in_worker(config: ExperimentConfig, indices: Sequence[int]) -> l
 def run_boundedness_ensemble(config: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
     """Run the ratio ensemble: per trial, the maximal-function quasinorm of the
     output over the product of majorant quasinorms, with replayable records.
-    With ``jobs`` > 1 the pool workers take contiguous slices of trials.
+    With ``jobs`` > 1 the pool workers take contiguous slices of trials; the
+    pool opens no more workers than there are slices or CPUs.
 
     The ensemble fails when any trial aborts: an abort is a ValueError, which
     an inadmissible draw raises but so can a fault in the program."""
     ctx = run_context(config)
     indices = list(range(config.trials))
-    if jobs > 1:
+    if jobs > 1 and indices:
         from concurrent.futures import ProcessPoolExecutor
 
         size = max(1, min(sets_per_pass(ctx.op), -(-len(indices) // jobs)))
         slices = [indices[k : k + size] for k in range(0, len(indices), size)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(slices), os.cpu_count() or 1)) as pool:
             parts = pool.map(_run_trials_in_worker, [config] * len(slices), slices)
             records = [record for part in parts for record in part]
     else:

@@ -165,6 +165,7 @@ class TestConfigParsing:
             pytest.param("center_span = 0.2", "center_span = -0.1", "center_span", id="span-neg"),
             pytest.param("seed = 31", "seed = 31\nbudget = 0", "budget", id="budget"),
             pytest.param("seed = 31", "seed = -1", "seed", id="seed"),
+            pytest.param("L = 8", "L = inf", "half-width L", id="L-inf"),
         ],
     )
     def test_out_of_range_key_is_config_error(self, tmp_path, capsys, old, new, key):
@@ -238,6 +239,42 @@ class TestJobsOption:
         assert exc.value.code == 2
         assert "--jobs" in capsys.readouterr().err
         assert not out.exists()
+
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_below_one_is_a_usage_error_of_run(self, config_file, tmp_path, capsys, value):
+        # --jobs 0 used to run serially and record "jobs": 0.
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main(["run", str(config_file), "--out", str(out), "--jobs", value])
+        assert exc.value.code == 2
+        assert "argument --jobs: expected an integer from 1" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestBudgetIsAConfigError:
+    def test_over_budget_stops_run_and_replay(self, config_file, tmp_path, capsys):
+        # sigma1_bilinear at M = 512 has 512^2 = 262144 frequency tuples.
+        # Over the budget, a boundedness-only run used to abort every trial
+        # and exit 1, and a run with a check that applies T exited 2.  Both
+        # now stop before anything is written, as the replay of such a
+        # report does.
+        message = "over the cost budget 262143"
+        for checks in ("", "cancellation = true\n"):
+            path = tmp_path / "over.ini"
+            path.write_text(BASE_CONFIG.replace("seed = 31", "seed = 31\nbudget = 262143") + checks)
+            out = tmp_path / "o"
+            assert main(["run", str(path), "--out", str(out)]) == 2
+            assert message in capsys.readouterr().err
+            assert not out.exists()
+        good = tmp_path / "good"
+        assert main(["run", str(config_file), "--out", str(good)]) == 0
+        report = json.loads((good / "report.json").read_text())
+        report["config"]["budget"] = 262143
+        (good / "report.json").write_text(json.dumps(report))
+        capsys.readouterr()
+        assert main(["replay", str(good / "report.json"), "0"]) == 2
+        assert "error: a 2-slot group on 512 grid points has S^m = 262144" in capsys.readouterr().err
 
 
 class TestJobsEnvironment:

@@ -1,3 +1,5 @@
+import itertools
+import math
 from dataclasses import fields
 
 import numpy as np
@@ -5,6 +7,7 @@ import pytest
 
 from hardylab.symbols import (
     BUILTIN_NAMES,
+    FD_STEP_SCALE,
     Partition,
     Symbol,
     builtin_symbol,
@@ -252,6 +255,75 @@ class TestPlaneVanishing:
         pts = random_frequency_tuples(3, 1, 5, seed=9)
         with pytest.raises(ValueError, match="plane"):
             plane_vanishing_order(builtin_symbol("sigma1"), 0, pts)
+
+
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+def _evaluate(sym, pts):
+    return np.asarray(sym.evaluate(*[pts[:, j] for j in range(sym.m)]))
+
+
+def _splitting_cm_ratio(sym, alpha, pts):
+    """cm_condition_ratio with d^alpha from a stencil of integer offsets that
+    splits each point into an up and a down one per unit of alpha."""
+    m, n = sym.m, sym.n
+    scales = np.sum(np.linalg.norm(pts, axis=2), axis=1)
+    order = sum(alpha)
+    if order == 0:
+        return float(np.max(np.abs(_evaluate(sym, pts))))
+    h = FD_STEP_SCALE * scales
+    stencil = [(np.zeros(m * n, dtype=np.int64), 1.0)]
+    for d in [d for d, a in enumerate(alpha) for _ in range(a)]:
+        split = []
+        for vec, sgn in stencil:
+            up, dn = vec.copy(), vec.copy()
+            up[d] += 1
+            dn[d] -= 1
+            split += [(up, sgn), (dn, -sgn)]
+        stencil = split
+    deriv = np.zeros(pts.shape[0], dtype=np.complex128)
+    for vec, sgn in stencil:
+        deriv += sgn * _evaluate(sym, pts + h[:, None, None] * vec.reshape(m, n)[None])
+    return float(np.max(np.abs(deriv / (2.0 * h) ** order) * scales**order))
+
+
+def _binomial_plane_residual(sym, k, pts):
+    """The order-k plane residual from the (k+1)-point binomial stencil
+    sum_i (-1)^i C(k, i) sigma(xi + (k/2 - i) h u) / h^k."""
+    u = np.full((sym.m, sym.n), 1.0 / np.sqrt(sym.m * sym.n))
+    h = FD_STEP_SCALE * np.sum(np.linalg.norm(pts, axis=2), axis=1)
+    acc = np.zeros(pts.shape[0], dtype=np.complex128)
+    for i in range(k + 1):
+        moved = pts + ((k / 2.0 - i) * h)[:, None, None] * u[None]
+        acc += (-1.0) ** i * math.comb(k, i) * _evaluate(sym, moved)
+    return float(np.max(np.abs(acc / h**k)))
+
+
+class TestCentralDifference:
+    # Both symbol conditions read one central-difference stencil.  At
+    # orders 1 and 2 it forms the same points, signs, summation order and
+    # divisor as the stencils each condition used to build for itself, so
+    # the figures agree bit for bit.
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_plane_residuals_equal_binomial_stencil(self, name):
+        sym = builtin_symbol(name)
+        pts = plane_samples(sym.m, sym.n, 100, seed=3)
+        rep = plane_vanishing_order(sym, 2, pts)
+        want = [_binomial_plane_residual(sym, k, pts) for k in (1, 2)]
+        assert np.array_equal(_bits(rep.residuals[1:]), _bits(want))
+
+    @pytest.mark.parametrize("name", ["sigma1", "sigma1_bilinear"])
+    @pytest.mark.parametrize("radius", [0.5, 4.0])
+    def test_cm_ratio_equals_splitting_stencil(self, name, radius):
+        sym = builtin_symbol(name)
+        pts = sphere_directions(sym.m, sym.n, 32, seed=4) * radius
+        alphas = [a for a in itertools.product(range(3), repeat=sym.m) if sum(a) <= 2]
+        assert len(alphas) == (10 if sym.m == 3 else 6)
+        got = [cm_condition_ratio(sym, alpha, pts) for alpha in alphas]
+        want = [_splitting_cm_ratio(sym, alpha, pts) for alpha in alphas]
+        assert np.array_equal(_bits(got), _bits(want))
 
 
 class TestPartition:

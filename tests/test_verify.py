@@ -6,13 +6,14 @@ import pytest
 
 import hardylab.operators
 import hardylab.verify
-from hardylab.atoms import Cube, dilate_cube, make_atom
-from hardylab.grid import make_grid
+from hardylab.atoms import Cube, _monomial_exponents, dilate_cube, make_atom
+from hardylab.grid import dft, lp_quasinorm, make_grid
 from hardylab.maximal import make_ladder
-from hardylab.operators import MultilinearOperator, apply_operator, default_cutoff
+from hardylab.operators import MultilinearOperator, apply_operator, default_cutoff, spectral_moment
 from hardylab.symbols import (
     BUILTIN_NAMES,
     Partition,
+    Symbol,
     builtin_symbol,
     make_mixed_symbol,
     make_product_symbol,
@@ -173,6 +174,53 @@ class TestCancellation:
         ]
         rep = check_cancellation(apply_to_atoms(op, [atoms])[0], s=0, tolerance=1e-10)
         assert rep.passed
+
+
+def _moment_maximum(t, s):
+    """The largest of |spectral| and |spatial| / (|T|_1 ell^|alpha|) over
+    |alpha| <= s, as a per-multi-index record of both moments reads it."""
+    spectrum = dft(t.out)
+    scale = max(lp_quasinorm(t.out, 1.0), np.finfo(float).tiny)
+    ell = min(a.cube.side for a in t.atoms)
+    spectral, spatial = [], []
+    for alpha in _monomial_exponents(t.op.grid.n, s):
+        est = spectral_moment(spectrum, alpha)
+        spectral.append(abs(est.spectral) / (scale * ell ** sum(alpha)))
+        spatial.append(abs(est.spatial) / (scale * ell ** sum(alpha)))
+    return max(max(spectral), max(spatial))
+
+
+def _planar_bump():
+    return Symbol(
+        m=1,
+        n=2,
+        evaluate=lambda xi: (xi[..., 0] + 2.0 * xi[..., 1]) / (1.0 + np.sum(xi * xi, axis=-1)),
+        name="planar_bump",
+    )
+
+
+class TestCancellationMaximum:
+    # check_cancellation keeps only the largest normalized moment; it is
+    # the maximum of every multi-index's spectral and spatial moment.
+    @pytest.mark.parametrize("s", [0, 1, 2])
+    def test_n1(self, grid256, trilinear_atoms, s):
+        op = MultilinearOperator(
+            builtin_symbol("sigma1"), grid256, cutoff=default_cutoff(grid256)
+        )
+        t = apply_to_atoms(op, [trilinear_atoms])[0]
+        rep = check_cancellation(t, s=s)
+        want = np.float64(_moment_maximum(t, s))
+        assert np.float64(rep.max_normalized).view(np.uint64) == want.view(np.uint64)
+
+    def test_n2(self):
+        grid = make_grid(2, 8.0, 512)
+        op = MultilinearOperator(_planar_bump(), grid)
+        atom = make_atom(Cube((0.0, 0.0), 0.5), 1.0, 2, seed=4, grid=grid)
+        t = apply_to_atoms(op, [[atom]])[0]
+        rep = check_cancellation(t, s=1)
+        want = np.float64(_moment_maximum(t, 1))
+        assert want > 0
+        assert np.float64(rep.max_normalized).view(np.uint64) == want.view(np.uint64)
 
 
 class TestDecay:
@@ -691,6 +739,65 @@ class TestStagedTrials:
     def test_two_jobs_equal_one(self, kind):
         cfg = _ensemble_config(**BATCHED_CONFIGS[kind])
         assert run_boundedness_ensemble(cfg, jobs=2) == run_boundedness_ensemble(cfg, jobs=1)
+
+
+class TestWorkerCap:
+    # The pool opens at most one worker per trial slice and per CPU,
+    # whatever --jobs asks for.  No test here starts a process: the pool is
+    # a stand-in that runs its map in this process and records the worker
+    # count each pool was opened with.
+    @pytest.fixture
+    def opened(self, monkeypatch):
+        import concurrent.futures
+
+        opened = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                opened.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        return opened
+
+    def test_one_trial_opens_one_worker(self, opened):
+        cfg = _ensemble_config(trials=1)
+        assert run_boundedness_ensemble(cfg, jobs=3) == run_boundedness_ensemble(cfg, jobs=1)
+        assert opened == [1]
+
+    @pytest.mark.parametrize("cpus, workers", [(2, 2), (None, 1), (64, 3)])
+    def test_capped_by_cpus(self, monkeypatch, opened, cpus, workers):
+        # Six trials in slices of two: three slices.
+        monkeypatch.setattr(hardylab.verify.os, "cpu_count", lambda: cpus)
+        cfg = _ensemble_config(trials=6)
+        assert run_boundedness_ensemble(cfg, jobs=3) == run_boundedness_ensemble(cfg, jobs=1)
+        assert opened == [workers]
+
+    def test_no_trials_opens_no_pool(self, opened):
+        rep = run_boundedness_ensemble(_ensemble_config(trials=0), jobs=2)
+        assert rep.trials == () and opened == []
+
+
+class TestBudgetAtContext:
+    def test_over_budget_group_is_refused_before_any_trial(self):
+        # sigma1_bilinear at M=512 has 512^2 = 262144 frequency tuples.
+        cfg = _ensemble_config(budget=512**2 - 1)
+        with pytest.raises(ValueError, match="over the cost budget 262143"):
+            run_context(cfg)
+        assert run_context(_ensemble_config(budget=512**2)).op.budget == 512**2
+
+    def test_one_slot_groups_are_not_counted(self):
+        # sigma3's groups are all one slot: no S^m cross or pass runs.
+        cfg = _ensemble_config(symbol="sigma3", exponents=(1.0, 1.0, 1.0), budget=1)
+        assert run_context(cfg).op.symbol.kind == "product"
 
 
 class TestScaleInvariance:
