@@ -129,14 +129,18 @@ def _tensor_rows(tables: Sequence[np.ndarray], exps: Sequence[tuple[int, ...]]) 
     return rows.reshape(len(exps), -1)
 
 
+def _check_side(side: float, grid: Grid) -> None:
+    """A ValueError unless a cube of this side spans the 16 grid cells an
+    atom needs."""
+    cells = side / grid.dx
+    if cells < 16.0 - 1e-12:
+        raise ValueError(f"cube side {side} spans {cells:.2f} grid cells, need at least 16")
+
+
 def _check_atom_geometry(cube: Cube, grid: Grid) -> None:
     if cube.n != grid.n:
         raise ValueError(f"cube dimension {cube.n} does not match grid dimension {grid.n}")
-    cells = cube.side / grid.dx
-    if cells < 16.0 - 1e-12:
-        raise ValueError(
-            f"cube side {cube.side} spans {cells:.2f} grid cells, need at least 16"
-        )
+    _check_side(cube.side, grid)
     outer = dilate_cube(cube, "starstar")
     margin = cube.side
     for c in cube.center:
@@ -194,7 +198,9 @@ def _atom_window(
     cube: Cube, N: int, seed: int, grid: Grid, skip_projection: bool = False
 ) -> tuple[tuple[slice, ...], np.ndarray]:
     """The cube's window (``_cube_window``) and the atom's real values on
-    it, the window of ``make_atom``'s values."""
+    it, the window of ``make_atom``'s values.  Its seed-independent work is
+    cached (``_atom_geometry``); a call computes its seed's coefficients,
+    the profile, the solve and its checks."""
     if N < 0:
         raise ValueError("moment order must be nonnegative")
     _check_atom_geometry(cube, grid)
@@ -203,30 +209,15 @@ def _atom_window(
     u_axes = [
         (x - c) / (cube.side / 2.0) for x, c in zip(_window_axes(window, grid), cube.center)
     ]
-    w = _bump_weight(np.stack(np.meshgrid(*u_axes, indexing="ij"), axis=-1)).ravel()
+    w, powers, basis, weighted, gram = _atom_geometry(N, tuple(u.tobytes() for u in u_axes))
 
     rng = np.random.default_rng(seed)
-    poly_exps = _monomial_exponents(grid.n, N + 2)
-    poly_coeffs = rng.standard_normal(len(poly_exps))
-    powers = []
-    for u in u_axes:
-        table = np.empty((N + 3, len(u)))
-        table[0] = 1.0
-        for k in range(1, N + 3):
-            np.multiply(table[k - 1], u, out=table[k])
-        powers.append(table)
-    f0 = w * (poly_coeffs @ _tensor_rows(powers, poly_exps))
+    poly_coeffs = rng.standard_normal(powers.shape[0])
+    f0 = w * (poly_coeffs @ powers)
 
     if skip_projection:
         values = f0
     else:
-        # Tensor Legendre rows P_beta(u), |beta| <= N; w vanishes outside
-        # the open cube, so every sum below is over the cube alone.
-        basis = _tensor_rows(
-            [legendre.legvander(u, N).T for u in u_axes], _monomial_exponents(grid.n, N)
-        )
-        weighted = basis * w
-        gram = weighted @ basis.T
         rhs = basis @ f0
         try:
             coeffs = np.linalg.solve(gram, rhs)
@@ -246,6 +237,32 @@ def _atom_window(
         raise ValueError("degenerate atom: projection annihilated the profile")
     shape = [len(u) for u in u_axes]
     return window, (values * (0.5 / peak)).reshape(shape)
+
+
+@lru_cache(maxsize=8)
+def _atom_geometry(N: int, u_key: tuple[bytes, ...]) -> tuple[np.ndarray, ...]:
+    """The seed-independent work of an order-N atom on a window whose local
+    coordinates u have the bytes ``u_key`` per axis, read-only: the bump
+    weight w, the power-table rows (|e| <= N + 2), the tensor Legendre rows
+    P_beta(u) (|beta| <= N), the rows w P_beta and their Gram matrix.  Keyed
+    by N and the bytes of u, so a hit is exactly a fresh computation."""
+    u_axes = [np.frombuffer(b) for b in u_key]
+    n = len(u_axes)
+    w = _bump_weight(np.stack(np.meshgrid(*u_axes, indexing="ij"), axis=-1)).ravel()
+    tables = []
+    for u in u_axes:
+        table = np.empty((N + 3, len(u)))
+        table[0] = 1.0
+        for k in range(1, N + 3):
+            np.multiply(table[k - 1], u, out=table[k])
+        tables.append(table)
+    powers = _tensor_rows(tables, _monomial_exponents(n, N + 2))
+    # w vanishes outside the open cube, so every sum over the weighted rows
+    # is over the cube alone.
+    basis = _tensor_rows([legendre.legvander(u, N).T for u in u_axes], _monomial_exponents(n, N))
+    weighted = basis * w
+    gram = weighted @ basis.T
+    return tuple(_frozen(a) for a in (w, powers, basis, weighted, gram))
 
 
 def make_infinity_atom(grid: Grid, f: Callable[..., complex]) -> Atom:

@@ -17,6 +17,11 @@ its own quadrature weight: dx^n in a smooth maximal kernel, none in a
 one-slot weight, M^-(m-1)n = (dx dxi)^((m-1)n) on the exhaustive sum over
 m - 1 free frequency integrals.  Where dx is a power of two both
 conventions give the same bits.
+
+Real rows take the unscaled half-spectrum pair ``_real_forward``/
+``_real_inverse`` with no half shift: the shifts would multiply the
+spectrum by (-1)^(k_1+...+k_n) on both sides, so a multiplier in FFT order
+takes unshifted centred samples to the centred output.
 """
 
 from __future__ import annotations
@@ -148,7 +153,8 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 class SampledFunction:
     """Function sampled on a grid.  Immutable.  A float64 array stays
     float64, so a real field stays real; anything else is stored as
-    complex128.  A transform reads a real x as x + 0j, bit for bit."""
+    complex128.  Every transform reads a real x exactly as it reads its
+    complex cast x + 0j."""
 
     grid: Grid
     values: np.ndarray
@@ -256,28 +262,6 @@ def _half_shift(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def _half_shift_rows(rows: np.ndarray, n: int) -> np.ndarray:
-    """``_half_shift`` of each row of a (k, *shape) stack over its last n
-    axes, in place: for the grid's even M the roll swaps each pair of
-    opposite corners, through one corner-sized buffer reused for every row.
-    Returns ``rows``."""
-    M = rows.shape[-1]
-    h = M // 2
-    low, high = slice(0, h), slice(M - h, M)
-    buf = np.empty((h,) * n, dtype=rows.dtype)
-    pairs = [
-        (corner, tuple(high if s is low else low for s in corner))
-        for corner in itertools.product((low, high), repeat=n)
-        if corner[0] is low
-    ]
-    for row in rows:
-        for corner, opposite in pairs:
-            np.copyto(buf, row[corner])
-            row[corner] = row[opposite]
-            row[opposite] = buf
-    return rows
-
-
 def _slot_mask(xi: np.ndarray, cutoff: float | None) -> np.ndarray:
     """1.0 where the slot frequency has |xi| <= cutoff, else 0.0."""
     if cutoff is None:
@@ -314,23 +298,13 @@ def _box_lattice(
 
 
 def _fft_forward(values: np.ndarray) -> np.ndarray:
-    """Unscaled FFT of centred samples, in FFT order: fftn(_half_shift(values))."""
-    return _fft_forward_rows([values])[0]
-
-
-def _fft_forward_rows(arrays: Sequence[np.ndarray]) -> np.ndarray:
-    """``_fft_forward`` of each of some grid-shaped arrays, as the rows of
-    one (k, *shape) stack: each array is half-shifted into its row, and one
-    unscaled FFT runs in place over the last n axes of the stack.  Each row
-    is bit for bit the transform of its array alone.  At n = 1 it calls
+    """Unscaled FFT of centred samples, in FFT order: fftn(_half_shift(values)),
+    transformed in place in a fresh complex array.  At n = 1 it calls
     ``np.fft.fft`` directly, as ``_fft_inverse`` does."""
-    n = arrays[0].ndim
-    stack = np.empty((len(arrays),) + arrays[0].shape, dtype=np.complex128)
-    for row, values in zip(stack, arrays):
-        _half_shift(values, out=row)
-    if n == 1:
-        return np.fft.fft(stack, out=stack)
-    return np.fft.fftn(stack, axes=tuple(range(-n, 0)), out=stack)
+    shifted = _half_shift(values, out=np.empty(values.shape, dtype=np.complex128))
+    if values.ndim == 1:
+        return np.fft.fft(shifted, out=shifted)
+    return np.fft.fftn(shifted, out=shifted)
 
 
 def _fft_inverse(coeffs: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
@@ -343,6 +317,34 @@ def _fft_inverse(coeffs: np.ndarray, n: int, out: np.ndarray | None = None) -> n
     if n == 1:
         return np.fft.ifft(coeffs, out=out)
     return np.fft.ifftn(coeffs, axes=tuple(range(-n, 0)), out=out)
+
+
+def _real_parts(values: np.ndarray) -> list[tuple[complex, np.ndarray]]:
+    """A field as the (unit, real array) pairs that sum to it: a float64
+    field alone, else its real part (unit 1) and imaginary part (unit 1j),
+    each unless it is exactly zero (read by max and min, which take no
+    cast buffer on a strided part as np.any does)."""
+    if values.dtype == np.float64:
+        return [(1, values)]
+    return [(u, part) for u, part in ((1, values.real), (1j, values.imag)) if part.max() or part.min()]
+
+
+def _real_forward(rows: np.ndarray, n: int) -> np.ndarray:
+    """Unscaled half spectra (last axis M/2 + 1) of the real rows of a
+    (k, *shape) stack, each bit for bit as a lone one."""
+    if n == 1:
+        return np.fft.rfft(rows)
+    return np.fft.rfftn(rows, axes=tuple(range(-n, 0)))
+
+
+def _real_inverse(half: np.ndarray, shape: tuple[int, ...], out: np.ndarray | None = None) -> np.ndarray:
+    """Unscaled inverse of ``_real_forward`` to rows of grid ``shape``, into
+    ``out`` (a strided view will do) or a fresh array, each row bit for bit
+    as a lone one."""
+    n = len(shape)
+    if n == 1:
+        return np.fft.irfft(half, shape[0], out=out)
+    return np.fft.irfftn(half, shape, axes=tuple(range(-n, 0)), out=out)
 
 
 def dft(f: SampledFunction) -> Spectrum:

@@ -27,6 +27,9 @@ from .grid import (
     _fft_inverse,
     _frozen,
     _half_shift,
+    _real_forward,
+    _real_inverse,
+    _real_parts,
     lp_quasinorm,
 )
 
@@ -134,7 +137,8 @@ def _kernel_spectra(bump: BumpProfile, ladder: ScaleLadder, grid: Grid) -> tuple
     """The transforms of the ladder's kernels in FFT order (read-only), one
     per scale, times the quadrature weight dx^n.  They are cached as one
     entry per ladder, so a ladder of any length walked in order never
-    evicts its own kernels."""
+    evicts its own kernels; a real field reads a view of their first
+    M/2 + 1 columns."""
     spectra = []
     for t in ladder.scales:
         spec = _fft_forward(_periodized_kernel(bump, t, grid))
@@ -144,41 +148,51 @@ def _kernel_spectra(bump: BumpProfile, ladder: ScaleLadder, grid: Grid) -> tuple
 
 
 def smooth_maximal(f: SampledFunction, bump: BumpProfile, ladder: ScaleLadder) -> SampledFunction:
-    """sup over ladder scales of |phi_t * f|, convolution done spectrally
-    with unscaled transforms in FFT order, the scales in blocks of rows
-    with one stacked inverse each (``_ladder_supremum``), and the real
-    supremum shifted to centred order once, as the output.  Besides the
-    output it holds f^, one block and two real rows, within
-    ``_MAX_CHUNK_ELEMENTS`` complex elements.  Where dx is a power of two it
-    is bit for bit the one taken over idft(dft(f) * the kernel's dft) at
-    each scale."""
-    grid = f.grid
-    best = _ladder_supremum(f.values, _kernel_spectra(bump, ladder, grid))
-    return SampledFunction(grid, _frozen(_half_shift(best)))
+    """sup over ladder scales of |phi_t * f|, convolution done spectrally,
+    the scales in blocks of rows with one stacked inverse each
+    (``_ladder_supremum``): on half spectra for a field whose real or
+    imaginary part is exactly zero, float64 ones included, else on full
+    ones, bit for bit the loop over idft(dft(f) * the kernel's dft) where dx
+    is a power of two."""
+    best = _ladder_supremum(f.values, _kernel_spectra(bump, ladder, f.grid))
+    return SampledFunction(f.grid, _frozen(best))
 
 
 def _ladder_supremum(values: np.ndarray, kernels: Sequence[np.ndarray]) -> np.ndarray:
-    """max over the kernels of |inverse(f^ * kernel)|, in FFT order, for
-    centred samples f.  The scales run in blocks of rows, each one stacked
-    inverse transform in place: as many rows as keep f^, the block, one
-    magnitude row and the running maximum within ``_MAX_CHUNK_ELEMENTS``
-    complex elements (2 rows at M=8192), and at least one.  Stacked rows
-    transform bit for bit as lone ones, and the maximum is taken scale by
-    scale in ladder order, so no bit depends on the block."""
-    n = values.ndim
-    spec_f = _fft_forward(values)
-    rows = max(1, _MAX_CHUNK_ELEMENTS // values.size - 2)
-    block = np.empty((min(rows, len(kernels)),) + values.shape, dtype=np.complex128)
-    mag = np.empty(values.shape)
+    """max over the kernels (FFT order) of |inverse(f^ * kernel)| for
+    centred samples f, in centred order, taken scale by scale, so no bit
+    depends on the blocks.  With at most one nonzero part (``_real_parts``;
+    |i g| = |g|), that part takes one unshifted forward real transform and,
+    per block of scales, one stacked inverse real transform against a view
+    of the kernels' first M/2 + 1 columns, whose magnitudes are taken in
+    place: no shift.  Otherwise f is half-shifted, each block takes one
+    stacked complex inverse in place, and the maximum is shifted back.  A
+    block has as many rows, at least one, as keep f^, the block, the
+    magnitudes and the maximum within ``_MAX_CHUNK_ELEMENTS`` complex
+    elements: 3 rows at M=8192 on half spectra, 2 on full ones."""
+    parts = _real_parts(values)
+    full = len(parts) > 1
+    if full:
+        spec_f = _fft_forward(values)
+    else:
+        spec_f = _real_forward((parts[0][1] if parts else values.real)[None], values.ndim)[0]
+    rows = max(1, _MAX_CHUNK_ELEMENTS // values.size - 1 - full)
+    half = spec_f.shape[-1]
+    block = np.empty((min(rows, len(kernels)),) + spec_f.shape, dtype=np.complex128)
+    mags = np.empty(values.shape if full else (len(block),) + values.shape)
     best = np.zeros(values.shape)
     for start in range(0, len(kernels), rows):
         part = kernels[start : start + rows]
         conv = block[: len(part)]
         for row, kernel in zip(conv, part):
-            np.multiply(spec_f, kernel, out=row)
-        for row in _fft_inverse(conv, n):
-            np.maximum(best, np.abs(row, out=mag), out=best)
-    return best
+            np.multiply(spec_f, kernel[..., :half], out=row)
+        if full:
+            for row in _fft_inverse(conv, values.ndim):
+                np.maximum(best, np.abs(row, out=mags), out=best)
+        else:
+            for row in _real_inverse(conv, values.shape, out=mags[: len(part)]):
+                np.maximum(best, np.abs(row, out=row), out=best)
+    return _half_shift(best, out=mags) if full else best
 
 
 def _offset_dist2(grid: Grid) -> np.ndarray:

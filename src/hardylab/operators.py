@@ -3,8 +3,8 @@
 Every route takes the ``MultilinearOperator``, reads its grid, cutoff and
 budget from it, and checks its inputs with ``_check_inputs``.  All routes
 read one frequency lattice, k * dxi (``Grid.frequencies``), and drop
-frequencies through one cutoff mask, ``_slot_mask``, so a one-slot group is
-bit for bit the general engine at m = 1 for any L.
+frequencies through one cutoff mask, ``_slot_mask``, so a one-slot group
+reads the weights the general engine reads at m = 1, for any L.
 
 One application route, ``apply_operator``: every symbol is read as a sum
 of partition terms (``Symbol.partitions``; a general symbol is one term with
@@ -52,13 +52,14 @@ outputs.  A group is applied by one of three engines:
   the largest residual of the split sampled on seeded lattice entries and
   fibres; ``operator_factors`` carries it into ``Factors.bound``.
 * ``apply_linear`` — a one-slot group is a 1-linear multiplier on its
-  input's forward transform, in FFT order and shared by every term.  Per
-  input set, one stacked forward call transforms all the one-slot inputs
-  (``_fft_forward_rows``), and one ``apply_linear`` call takes all the
-  one-slot groups: one stacked inverse and one half shift per row, in
-  place, whose rows are the group outputs, with no copy.  Stacked rows
-  transform bit for bit as lone ones, so each output is bit for bit
-  ``apply_general`` at m = 1, at a third of its cost.
+  input's transform, shared by every term, on half spectra: its weights are
+  kept as the parts that take a real row to a real row
+  (``_hermitian_parts``).  Per input set, one stacked forward real
+  transform takes the nonzero real and imaginary parts of the one-slot
+  inputs, and one ``apply_linear`` call takes all the one-slot groups into
+  one zeroed complex stack, so a real input gives a real row or i times
+  one, with exact zeros in the other part.  It agrees with
+  ``apply_general`` at m = 1 up to rounding.
 
 All three engines follow module ``grid``'s scale convention: unscaled
 transforms, and one weight, M^-(m-1)n, on the exhaustive sum.
@@ -104,12 +105,13 @@ from .grid import (
     Spectrum,
     _box,
     _fft_forward,
-    _fft_forward_rows,
     _fft_inverse,
     _frozen,
     _half_shift,
-    _half_shift_rows,
     _masked_moment,
+    _real_forward,
+    _real_inverse,
+    _real_parts,
     _slot_mask,
     idft,
 )
@@ -413,25 +415,56 @@ def apply_oracle(
 
 
 def apply_linear(
-    grid: Grid, weights: Sequence[np.ndarray], coeffs: Sequence[np.ndarray]
+    grid: Grid,
+    weights: Sequence[Sequence[tuple[complex, np.ndarray]]],
+    coeffs: Sequence[Sequence[tuple[complex, np.ndarray]]],
 ) -> list[SampledFunction]:
-    """1-linear multipliers, each given by its weights on the lattice,
-    applied to inputs given by their unscaled transforms (``_fft_forward``),
-    both in FFT order, one output per (weights, coeffs) pair.  The products
-    are the rows of one stack, which takes one unscaled inverse and one
-    half shift per row, both in place, and is then frozen: each output is a
-    read-only row of it, taken without a copy.  Stacked rows transform bit
-    for bit as lone ones, so where dx is a power of two each output is bit
-    for bit idft(Spectrum(dft(f).coefficients * weights)) with centred
-    weights."""
-    rows = np.empty((len(weights),) + grid.shape, dtype=np.complex128)
-    for row, w, c in zip(rows, weights, coeffs):
-        # The weights are cast into the row first: c * w would cast real
-        # weights through numpy's 8,192-element buffer, 128 KiB per call.
-        row[...] = w
-        np.multiply(c, row, out=row)
-    _half_shift_rows(_fft_inverse(rows, grid.n), grid.n)
-    return [SampledFunction(grid, row) for row in _frozen(rows)]
+    """1-linear multipliers, each given by its (unit, half-lattice weights)
+    parts (``_plan``), applied to inputs given by the (unit, half spectrum)
+    pairs of their nonzero real parts (``_real_parts``, ``_real_forward``),
+    one output per (weights, coeffs) pair.  Each product spectrum * weights
+    reaches the real part of the output or, when unit * unit is imaginary,
+    the imaginary part, with the sign of unit * unit; the products that
+    reach one part are summed in order, the first written and a sign -1
+    negating exactly, and take one inverse real transform.  The outputs are
+    the read-only rows of one zeroed complex stack, so a part no product
+    reaches stays exactly 0.  The rows are ordered so that the real parts
+    reached are one run of rows and the imaginary ones another, and each run
+    takes stacked inverse real transforms written straight into it, in
+    blocks of as many parts, at least one, as keep the input spectra and the
+    block within ``_MAX_CHUNK_ELEMENTS`` complex elements."""
+    reached: dict[tuple[int, int], list] = {}  # (output, part) -> its (sign, spectrum, weights)
+    for g, (parts, comps) in enumerate(zip(weights, coeffs)):
+        for u, spec in comps:
+            for v, w in parts:
+                unit = u * v
+                reached.setdefault((g, int(unit.imag != 0)), []).append(
+                    (unit.real + unit.imag, spec, w)
+                )
+    # Parts reached, as bits: real only (1), both (3), imaginary only (2), none (0).
+    kinds = [sum(1 << p for h, p in reached if h == g) for g in range(len(weights))]
+    order = sorted(range(len(weights)), key=lambda g: (3, 0, 2, 1)[kinds[g]])
+    at = {g: i for i, g in enumerate(order)}
+    rows = np.zeros((len(weights),) + grid.shape, dtype=np.complex128)
+    half = grid.shape[:-1] + (grid.M // 2 + 1,)
+    held = len({id(spec) for comps in coeffs for _, spec in comps})
+    step = max(1, _MAX_CHUNK_ELEMENTS // math.prod(half) - held)
+    block = np.empty((min(step, len(reached)),) + half, dtype=np.complex128)
+    for p, target in enumerate((rows.real, rows.imag)):
+        run = sorted((at[g], prods) for (g, q), prods in reached.items() if q == p)
+        for start in range(0, len(run), step):
+            part = run[start : start + step]
+            for row, (_, prods) in zip(block, part):
+                (sign, spec, w), *rest = prods
+                np.multiply(spec, w, out=row)
+                if sign < 0:
+                    np.negative(row, out=row)
+                for sign, spec, w in rest:
+                    (np.add if sign > 0 else np.subtract)(row, spec * w, out=row)
+            top = part[0][0]
+            _real_inverse(block[: len(part)], grid.shape, out=target[top : top + len(part)])
+    _frozen(rows)
+    return [SampledFunction(grid, rows[at[g]]) for g in range(len(weights))]
 
 
 class Factors(tuple):
@@ -451,16 +484,35 @@ class Factors(tuple):
 
 
 Group = tuple[tuple[int, ...], Symbol]  # a group's slots and its symbol
+HalfWeights = tuple[tuple[complex, np.ndarray], ...]  # a one-slot group's weight parts
+
+
+def _hermitian_parts(w: np.ndarray) -> HalfWeights:
+    """Lattice weights w in FFT order as read-only (unit, weights) parts on
+    the first M/2 + 1 entries of the last axis: (w(k) + conj w(-k))/2 with
+    unit 1 and -i (w(k) - conj w(-k))/2 with unit 1j, each of which takes a
+    real row's half spectrum to a real row's.  A part that is exactly zero
+    is dropped: an exactly even real symbol keeps the first, and an exactly
+    odd one the second once the cutoff masks the Nyquist frequency."""
+    M = w.shape[-1]
+    w = w.astype(np.complex128)
+    mirror = np.conj(w[np.ix_(*[(-np.arange(M)) % M] * w.ndim)])
+    herm = (w + mirror) / 2
+    diff = (w - mirror) / 2
+    anti = np.empty_like(diff)
+    anti.real, anti.imag = diff.imag, -diff.real
+    halves = ((unit, part[..., : M // 2 + 1]) for unit, part in ((1, herm), (1j, anti)))
+    return tuple((unit, _frozen(part.copy())) for unit, part in halves if np.any(part))
 
 
 @lru_cache(maxsize=1)
 def _plan(op: MultilinearOperator) -> tuple[
-    tuple[tuple[Group, np.ndarray], ...], tuple[tuple[Group, TensorTrainFactors | None], ...]
+    tuple[tuple[Group, HalfWeights], ...], tuple[tuple[Group, TensorTrainFactors | None], ...]
 ]:
     """How ``operator_factors`` applies each distinct group of the
-    operator's terms, in term order: the one-slot groups, each with its
-    weights sym(k * dxi) * ``_slot_mask`` on the lattice in FFT order
-    (read-only), and the larger ones, each with its tensor train
+    operator's terms, in term order: the one-slot groups, each with the
+    ``_hermitian_parts`` of its weights sym(k * dxi) * ``_slot_mask`` on the
+    lattice in FFT order, and the larger ones, each with its tensor train
     (``tensor_train_factors``) where the cost rule, ``_cost_cap``, picks
     it, else None for ``apply_general``.  A larger group's cost budget is
     checked before its cross.  Each symbol is evaluated or split once
@@ -469,14 +521,14 @@ def _plan(op: MultilinearOperator) -> tuple[
     _plan.cache_clear()  # the previous operator's splits go before this one's crosses
     freqs = op.grid.frequencies()
     mask = _slot_mask(freqs, op.cutoff)
-    found: dict[Symbol, np.ndarray | TensorTrainFactors | None] = {}
-    linear: dict[Group, np.ndarray] = {}
+    found: dict[Symbol, HalfWeights | TensorTrainFactors | None] = {}
+    linear: dict[Group, HalfWeights] = {}
     larger: dict[Group, TensorTrainFactors | None] = {}
     for part in op.symbol.partitions:
         for grp, sym in zip(part.groups, part.symbols):
             if sym not in found:
                 if len(grp) == 1:
-                    found[sym] = _frozen(_half_shift(np.asarray(sym.evaluate(freqs)) * mask))
+                    found[sym] = _hermitian_parts(_half_shift(np.asarray(sym.evaluate(freqs)) * mask))
                 else:
                     _check_budget(replace(op, symbol=sym))
                     cap = _cost_cap(op.grid, op.cutoff, len(grp))
@@ -499,9 +551,10 @@ def operator_factors(
     ``apply_general`` passes of ``sets_per_pass`` sets, whose symbol is
     evaluated once for all of them, exact up to rounding (bound 0).
     Either way each set's factors are bit for bit those of the set alone.
-    One-slot groups run set by set: one stacked forward transform of the
-    set's one-slot inputs (``_fft_forward_rows``), shared by every term,
-    and one ``apply_linear`` call over all its one-slot groups."""
+    One-slot groups run set by set: one stacked forward real transform of
+    the nonzero real parts of the set's one-slot inputs (``_real_parts``),
+    shared by every term, and one ``apply_linear`` call over all its
+    one-slot groups."""
     _check_sets(op, sets)
     if not sets:
         return []
@@ -528,8 +581,11 @@ def operator_factors(
     for fs, done in zip(sets, applied):
         if not linear:
             break
-        spectra = dict(zip(singles, _fft_forward_rows([fs[l].values for l in singles])))
-        outs = apply_linear(op.grid, weights, [spectra[grp[0]] for (grp, _), _ in linear])
+        parts = {l: _real_parts(fs[l].values) for l in singles}
+        rows = [part for l in singles for _, part in parts[l]]
+        half = iter(_real_forward(np.stack(rows), op.grid.n) if rows else ())
+        comps = {l: [(unit, next(half)) for unit, _ in parts[l]] for l in singles}
+        outs = apply_linear(op.grid, weights, [comps[grp[0]] for (grp, _), _ in linear])
         for (key, _), out in zip(linear, outs):
             done[key] = out, 0.0
     terms = op.symbol.partitions
@@ -547,14 +603,16 @@ def operator_factors(
 
 def sum_of_products(factors: Factors) -> SampledFunction:
     """Sum over terms of the pointwise product of each term's factors,
-    multiplied and added in place: one product buffer serves every term."""
+    multiplied and added in place: one complex128 product buffer serves
+    every term whatever the factors' dtypes, so a factor's exactly zero part
+    stays exactly zero in the products."""
     grid = factors[0][0].grid
     total = np.zeros(grid.shape, dtype=np.complex128)
-    buf = None
+    buf = np.empty(grid.shape, dtype=np.complex128)
     for term in factors:
         prod = term[0].values
         for f in term[1:]:
-            prod = buf = np.multiply(prod, f.values, out=buf)
+            prod = np.multiply(prod, f.values, out=buf)
         total += prod
     return SampledFunction(grid, _frozen(total))
 

@@ -452,8 +452,12 @@ def dyadic_shells(lo_exp: int = -4, hi_exp: int = 4) -> tuple[float, ...]:
 
 
 def _slot_norm_sum(samples: np.ndarray) -> np.ndarray:
-    """|xi_1| + ... + |xi_m| per sample."""
-    return np.sum(np.linalg.norm(samples, axis=2), axis=1)
+    """|xi_1| + ... + |xi_m| per sample.  Each slot is divided by its
+    largest |coordinate| before its norm is taken and multiplied back after,
+    so no slot's squares underflow; at n = 1 this is |xi_j| exactly."""
+    big = np.max(np.abs(samples), axis=2)
+    unit = samples / np.where(big > 0, big, 1.0)[..., None]
+    return np.sum(np.linalg.norm(unit, axis=2) * big, axis=1)
 
 
 def _central_difference(sym: Symbol, samples: np.ndarray, directions, step: np.ndarray) -> np.ndarray:

@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .atoms import Atom, Cube, _monomial_exponents, cube_indicator, dilate_cube, make_atomic_sum
+from .atoms import Atom, Cube, _check_side, _monomial_exponents, cube_indicator, dilate_cube, make_atomic_sum
 from .grid import Grid, SampledFunction, _frozen, dft, lp_quasinorm, make_grid
 from .maximal import BumpProfile, ScaleLadder, hp_quasinorm, hl_maximal, make_bump, make_ladder, power_maximal, smooth_maximal
 from .operators import (
@@ -704,8 +704,13 @@ def run_context(config: ExperimentConfig) -> RunContext:
     """The run context of a config; repeated calls return the same object,
     so the ensemble, its pool workers and the checks each build it once.
     A group of two or more slots over the cost budget is a ValueError here,
-    before any trial or check runs."""
+    before any trial or check runs, and so is a largest ``ell`` too narrow
+    for any atom (``atoms._check_side``)."""
     grid = make_grid(config.n, config.L, config.M)
+    try:
+        _check_side(max(config.ell_choices), grid)
+    except ValueError as exc:
+        raise ValueError(f"no [ensemble] ell can hold an atom: {exc}") from None
     op = resolve_operator(config, grid)
     for part in op.symbol.partitions:
         for grp, sym in zip(part.groups, part.symbols):

@@ -12,6 +12,7 @@ from numpy.polynomial import legendre
 from hardylab.atoms import (
     Atom,
     Cube,
+    _atom_geometry,
     _bump_weight,
     _check_atom_geometry,
     _cube_window,
@@ -241,6 +242,48 @@ class TestExactTranslates:
             a, b = (make_atom(Cube(c, 0.75), 1.0, N, 70 + N, grid, skip) for c in centres)
             assert np.array_equal(window_bits(a), window_bits(b))
             assert np.count_nonzero(a.values.values) == np.count_nonzero(b.values.values)
+
+
+class TestGeometryCache:
+    # _atom_window caches a window's seed-independent geometry by N and the
+    # bytes of its u, so an atom built on a warm cache is, as uint64, the
+    # atom built on a cold one, for an off-grid centre (u inexact) and at
+    # n = 2.
+    @pytest.mark.parametrize("skip", [False, True], ids=["projected", "raw"])
+    @pytest.mark.parametrize(
+        "n, M, centre", [(1, 1024, (0.3,)), (2, 512, (0.3, -0.45))], ids=["n1", "n2"]
+    )
+    def test_cold_and_warm_atoms_are_equal(self, n, M, centre, skip):
+        grid = make_grid(n, 8.0, M)
+        cube = Cube(centre, 0.5)
+        assert any(c / grid.dx != round(c / grid.dx) for c in centre)
+        cold = []
+        for seed in (1, 2):
+            _atom_geometry.cache_clear()
+            cold.append(make_atom(cube, 1.0, 4, seed, grid, skip))
+        hits = _atom_geometry.cache_info().hits
+        for seed, atom in zip((1, 2), cold):
+            warm = make_atom(cube, 1.0, 4, seed, grid, skip)
+            assert np.array_equal(window_bits(warm), window_bits(atom))
+        info = _atom_geometry.cache_info()
+        assert info.hits == hits + 2 and info.currsize == 1
+
+    def test_translates_share_one_entry_and_the_cache_is_bounded(self):
+        # Grid-aligned centres leave u exact: translates are one entry.
+        # Off-grid centres give a new u each, and the cache keeps at most
+        # its maximum, evicting the oldest.
+        grid = make_grid(1, 8.0, 1024)
+        _atom_geometry.cache_clear()
+        for k in range(5):
+            make_atom(Cube((k * 0.25,), 0.5), 1.0, 2, k, grid)
+        assert _atom_geometry.cache_info().currsize == 1
+        size = _atom_geometry.cache_info().maxsize
+        for k in range(2 * size):
+            make_atom(Cube((0.001 * (k + 1),), 0.5), 1.0, 2, k, grid)
+        assert _atom_geometry.cache_info().currsize == size == 8
+        # What a hit returns is shared, so it is read-only.
+        geometry = _atom_geometry(2, (np.linspace(-1.2, 1.2, 40).tobytes(),))
+        assert len(geometry) == 5 and not any(a.flags.writeable for a in geometry)
 
 
 def full_grid_atomic_sum(entries, p, N, grid):

@@ -277,6 +277,18 @@ class TestBudgetIsAConfigError:
         assert "error: a 2-slot group on 512 grid points has S^m = 262144" in capsys.readouterr().err
 
 
+class TestNarrowEllIsAConfigError:
+    def test_huge_box_stops_the_run(self, tmp_path, capsys):
+        # A finite L so large that no ell spans 16 grid cells used to write
+        # a summary of aborted trials and exit 1.
+        path = tmp_path / "wide.ini"
+        path.write_text(BASE_CONFIG.replace("L = 8", "L = 1e308"))
+        out = tmp_path / "o"
+        assert main(["run", str(path), "--out", str(out)]) == 2
+        assert "no [ensemble] ell can hold an atom" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestJobsEnvironment:
     # --jobs is the one knob: no command reads a HARDYLAB_JOBS left in the
     # environment, good or bad.

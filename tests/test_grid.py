@@ -214,29 +214,26 @@ class TestFftOrder:
 
     @pytest.mark.parametrize("shape", [(3, 8192), (3, 64, 64)], ids=["n1", "n2"])
     def test_forward_over_rows_equals_row_calls(self, shape):
-        # The stacked forward transform half-shifts each array into its row
-        # and transforms the stack in place: every bit is that of
-        # _fft_forward on each array alone and of fftn(ifftshift(row)).
-        from hardylab.grid import _fft_forward, _fft_forward_rows
+        # The stacked real transforms run over the last n axes of real rows,
+        # and the inverse writes into out=, here the imaginary part of
+        # complex rows: every bit is that of np.fft.rfftn and irfftn on each
+        # row alone.  _fft_forward of a complex array is fftn(ifftshift(v)).
+        from hardylab.grid import _fft_forward, _real_forward, _real_inverse
 
+        n = len(shape) - 1
         v = self._signed_zeros(shape, 20 + len(shape))
-        got = _fft_forward_rows(list(v))
-        assert got.shape == shape and not np.shares_memory(got, v)
-        for row, values in zip(got, v):
-            lone = _fft_forward(values)
+        half = _real_forward(v.real, n)
+        assert half.shape == shape[:-1] + (shape[-1] // 2 + 1,)
+        into = np.zeros(shape, dtype=np.complex128)
+        _real_inverse(half, shape[1:], out=into.imag)
+        assert not into.real.any()
+        for row, h, back, values in zip(v.real, half, into.imag, v):
+            lone = np.fft.rfftn(row)
+            assert np.array_equal(h.view(np.uint64), lone.view(np.uint64))
+            lone = np.fft.irfftn(h, shape[1:], axes=tuple(range(n)))
+            assert np.array_equal(back.view(np.uint64), lone.view(np.uint64))
             literal = np.fft.fftn(np.fft.ifftshift(values))
-            assert np.array_equal(row.view(np.uint64), lone.view(np.uint64))
-            assert np.array_equal(row.view(np.uint64), literal.view(np.uint64))
-
-    @pytest.mark.parametrize("shape", [(3, 8192), (3, 64, 64), (2, 2, 2)], ids=["n1", "n2", "M2"])
-    def test_half_shift_rows_in_place(self, shape):
-        from hardylab.grid import _half_shift, _half_shift_rows
-
-        v = self._signed_zeros(shape, 30 + len(shape))
-        want = np.stack([_half_shift(row) for row in v])
-        got = _half_shift_rows(v, len(shape) - 1)
-        assert got is v
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            assert np.array_equal(_fft_forward(values).view(np.uint64), literal.view(np.uint64))
 
     def test_rows_of_a_frozen_stack_are_taken_without_a_copy(self):
         # A read-only, C-contiguous row of a read-only array that owns its

@@ -170,6 +170,36 @@ class TestSmoothMaximal:
         got = smooth_maximal(f, bump, ladder).values
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
+    @pytest.mark.parametrize("n, M", [(1, 1024), (2, 64)])
+    def test_real_field_runs_on_half_spectra(self, n, M):
+        # A float64 field f and i f, whose real part is exactly zero, run on
+        # half spectra: both are, as uint64, a loop of lone real transforms
+        # of the unshifted f against the first M/2 + 1 columns of the cached
+        # kernel spectra, which needs no shift.  Against the dft/idft loop
+        # they agree within a bound fixed before the first run: 1e-12 sup |f|
+        # (every kernel has unit mass, so each average is at most sup |f|).
+        from hardylab.maximal import _kernel_spectra, _periodized_kernel
+
+        grid = make_grid(n, 8.0, M)
+        bump = make_bump(n)
+        ladder = make_ladder(grid, half_steps=True)
+        values = np.random.default_rng(10 + n).standard_normal(grid.shape)
+        axes = tuple(range(n))
+        spec = np.fft.rfftn(values)
+        want = np.zeros(grid.shape)
+        for kernel in _kernel_spectra(bump, ladder, grid):
+            conv = np.fft.irfftn(spec * kernel[..., : M // 2 + 1], grid.shape, axes=axes)
+            want = np.maximum(want, np.abs(conv))
+        for field in (values, 1j * values):
+            got = smooth_maximal(SampledFunction(grid, field), bump, ladder).values
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        spec_f = dft(SampledFunction(grid, values)).coefficients
+        loop = np.zeros(grid.shape)
+        for t in ladder.scales:
+            kernel = dft(SampledFunction(grid, _periodized_kernel(bump, t, grid))).coefficients
+            loop = np.maximum(loop, np.abs(idft(Spectrum(grid, spec_f * kernel)).values))
+        assert np.max(np.abs(want - loop)) <= 1e-12 * np.max(np.abs(values))
+
     def test_plateau_value_with_conv_oracle(self, grid1024, bump, ladder):
         # For t <= 1 the whole bump mass sits inside the plateau of the
         # indicator of [-1, soft 1], so the small-scale average is 1; oracle =

@@ -84,6 +84,50 @@ def random_inputs(grid, m, seed):
     return [SampledFunction(grid, v) for v in values]
 
 
+def literal_half_parts(w):
+    """FFT-order lattice weights as (unit, half-lattice weights) parts, by
+    the literal formula: the Hermitian part (w + conj w(-k))/2 with unit 1
+    and -i times the anti-Hermitian part with unit 1j, w(-k) taken with
+    np.flip and np.roll, on the first M/2 + 1 entries of the last axis, a
+    part that is exactly zero dropped."""
+    w = np.asarray(w, dtype=np.complex128)
+    axes = tuple(range(w.ndim))
+    mirror = np.conj(np.roll(np.flip(w, axes), 1, axes))
+    herm = (w + mirror) / 2
+    diff = (w - mirror) / 2
+    anti = np.empty_like(diff)
+    anti.real, anti.imag = diff.imag, -diff.real
+    h = w.shape[-1] // 2 + 1
+    return [(u, part[..., :h]) for u, part in ((1, herm), (1j, anti)) if np.any(part[..., :h])]
+
+
+def half_spectrum_form(values, parts, shape):
+    """A one-slot group's output in its half-spectrum per-group form, from
+    lone transforms: each nonzero real part (unit u, row a) of the input
+    and each weight part (unit v, weights w) give the product
+    rfftn(a) * w, which reaches the real part of a zeroed complex row, or
+    its imaginary part when u v is imaginary, with the sign of u v; the
+    products that reach one part are summed in order and take one irfftn."""
+    axes = tuple(range(len(shape)))
+    if values.dtype == np.float64:
+        comps = [(1, values)]
+    else:
+        comps = [(u, a) for u, a in ((1, values.real), (1j, values.imag)) if np.any(a)]
+    sums = {}
+    for u, a in comps:
+        spec = np.fft.rfftn(a)
+        for v, w in parts:
+            unit, prod = u * v, spec * w
+            if unit.real + unit.imag < 0:
+                prod = -prod
+            key = unit.imag != 0
+            sums[key] = sums[key] + prod if key in sums else prod
+    out = np.zeros(shape, dtype=np.complex128)
+    for imag, total in sums.items():
+        (out.imag if imag else out.real)[...] = np.fft.irfftn(total, shape, axes=axes)
+    return out
+
+
 def engine_case(m, n, seed):
     """A small non-separable m-linear case on a grid of 32 (n = 1) or 8 x 8
     (n = 2) points, with one input per slot."""
@@ -586,10 +630,13 @@ class TestMixedPath:
 
 class TestOneSlotGroups:
     # apply_operator sends a one-slot group to apply_linear on the input's
-    # transform; that output must equal the general engine's at m = 1 bit for
-    # bit (compared as uint64 views, so the sign of zero counts).  L = 3 and 5
-    # give a frequency spacing 1/(2L) that is not a power of two, so the two
-    # routes agree only if they read the same frequency lattice.
+    # half spectra.  Its weights must be those of the general engine's
+    # lattice at m = 1 bit for bit (compared as uint64 views, so the sign of
+    # zero counts), and its output must agree with the general engine's
+    # within a bound fixed before the first run: 1e-12 times sum |f^ w| / M,
+    # the sup-norm bound of the output read from its spectrum.  L = 3 and 5
+    # give a frequency spacing 1/(2L) that is not a power of two, so the
+    # weights agree only if both routes read the same frequency lattice.
     @pytest.mark.parametrize("terms", [_sigma2_terms, _sigma4_terms], ids=["sigma2", "sigma4"])
     @pytest.mark.parametrize("cut", [False, True])
     @pytest.mark.parametrize(
@@ -616,11 +663,23 @@ class TestOneSlotGroups:
             if len(grp) == 1
         }
         assert singles
+        from hardylab.grid import _slot_mask
+        from hardylab.operators import _flat_freq_ints, _plan
+
+        xi_flat = _flat_freq_ints(grid) * grid.dxi  # apply_general's lattice
+        mask = _slot_mask(xi_flat, cutoff)
         for sym in singles.values():
             single = MultilinearOperator(make_product_symbol([[sym]]), grid, cutoff)
             fast = operator_factors(single, [[f]])[0][0][0].values
+            lattice = np.fft.ifftshift(np.asarray(sym.evaluate(xi_flat)) * mask)
+            ((_, parts),) = _plan(single)[0]
+            want = literal_half_parts(lattice)
+            assert [u for u, _ in parts] == [u for u, _ in want]
+            for (_, got), (_, ref) in zip(parts, want):
+                assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
             dense = apply_general(MultilinearOperator(sym, grid, cutoff), [[f]])[0][0].values
-            assert np.array_equal(fast.view(np.uint64), dense.view(np.uint64))
+            bound = 1e-12 * np.sum(np.abs(np.fft.fft(np.fft.ifftshift(f.values)) * lattice)) / grid.M
+            assert np.max(np.abs(fast - dense)) <= bound
 
 
 class TestDistinctFactorsOnce:
@@ -637,9 +696,10 @@ class TestDistinctFactorsOnce:
         mask = _slot_mask(freqs, op.cutoff)
         for part, term in zip(op.symbol.terms, factors):
             for (slot,), sym, got in zip(part.groups, part.symbols, term):
-                weights = np.asarray(sym.evaluate(freqs)) * mask
-                want = idft(Spectrum(grid, dft(fs[slot]).coefficients * weights))
-                assert np.array_equal(got.values.view(np.uint64), want.values.view(np.uint64))
+                parts = literal_half_parts(np.fft.ifftshift(np.asarray(sym.evaluate(freqs)) * mask))
+                assert len(parts) == 1  # every sigma3 factor is exactly even or odd
+                want = half_spectrum_form(fs[slot].values, parts, grid.shape)
+                assert np.array_equal(got.values.view(np.uint64), want.view(np.uint64))
         assert len({id(f) for term in factors for f in term}) == 12
 
     def test_second_application_evaluates_no_slot_symbol(self):
@@ -666,31 +726,41 @@ class TestDistinctFactorsOnce:
         assert len(calls) == 6
         assert np.array_equal(first.values.view(np.uint64), second.values.view(np.uint64))
         linear, larger = _plan(op)
-        weights = {sym: w for (_, sym), w in linear}
+        weights = {sym: parts for (_, sym), parts in linear}
         assert len(weights) == 6 and larger == ()
-        assert not any(w.flags.writeable for _, w in linear)
+        # One half-lattice part each: l2 and l4 are even (unit 1), l1 odd
+        # (unit 1j, -i times its anti-Hermitian part).
+        units = [u for parts in weights.values() for u, _ in parts]
+        assert len(units) == 6 and set(units) == {1, 1j}
+        for parts in weights.values():
+            for _, w in parts:
+                assert w.shape == (grid.M // 2 + 1,) and not w.flags.writeable
 
 
 def planar_linear(j):
-    """A complex one-slot symbol on R^2, one per j."""
+    """A complex one-slot symbol on R^2, one per j, neither Hermitian nor
+    anti-Hermitian on the lattice: its even real and odd imaginary terms
+    are Hermitian, its odd real term is not."""
 
     def evaluate(xi):
         u, v = xi[..., 0], xi[..., 1]
-        return (1.0 + (j + 1) * u * v) / (1.0 + u * u + 2.0 * v * v) + 0.5j * np.sin(u - j * v)
+        even = (1.0 + (j + 1) * u * v) / (1.0 + u * u + 2.0 * v * v)
+        return even + 0.5j * np.sin(u - j * v) + 0.25 * (u - j * v) / (1.0 + u * u + v * v)
 
     return Symbol(m=1, n=2, evaluate=evaluate, name=f"planar_linear{j}")
 
 
 class TestStackedOneSlotGroups:
-    # operator_factors transforms a set's one-slot inputs in one stacked
-    # forward call and applies all its one-slot groups in one stacked,
-    # in-place inverse (apply_linear), whose rows are the factors.
+    # operator_factors transforms the real parts of a set's one-slot inputs
+    # in one stacked forward real call and applies all its one-slot groups
+    # in one apply_linear call, whose stack's rows are the factors.
     @pytest.mark.parametrize("case", ["sigma3-M8192", "product-n2-M64"])
     def test_factors_equal_per_group_form(self, case):
-        # Each factor, as uint64, is the per-group form
-        # _half_shift(_fft_inverse(fftn(_half_shift(f)) * w)), one lone
-        # forward and one lone inverse per group.
-        from hardylab.grid import _fft_inverse, _half_shift
+        # Each factor, as uint64, is the half-spectrum per-group form
+        # (half_spectrum_form), lone real transforms per group on the plan's
+        # weight parts.  The complex inputs have both parts, and so do the
+        # planar symbols' weights, so there every output part sums two
+        # products.
         from hardylab.operators import _plan
 
         if case == "sigma3-M8192":
@@ -704,12 +774,12 @@ class TestStackedOneSlotGroups:
         fs = random_inputs(grid, 3, 92)
         factors = operator_factors(op, [fs])[0]
         weights = dict(_plan(op)[0])
+        assert {len(parts) for parts in weights.values()} == {1 if case == "sigma3-M8192" else 2}
         seen = set()
         for part, term in zip(op.symbol.partitions, factors):
             for (slot,), single, got in zip(part.groups, part.symbols, term):
                 seen.add((slot, single))
-                spec = np.fft.fftn(_half_shift(fs[slot].values))
-                want = _half_shift(_fft_inverse(spec * weights[(slot,), single], grid.n))
+                want = half_spectrum_form(fs[slot].values, weights[(slot,), single], grid.shape)
                 assert np.array_equal(got.values.view(np.uint64), want.view(np.uint64))
         assert len(seen) == (12 if case == "sigma3-M8192" else 7)
 

@@ -15,8 +15,9 @@ from hardylab.operators import (
     apply_operator,
     apply_oracle,
     default_cutoff,
+    operator_factors,
 )
-from hardylab.symbols import builtin_symbol
+from hardylab.symbols import _sigma3_terms, builtin_symbol, make_product_symbol
 
 
 def test_float64_stays_float64_and_the_rest_is_complex128():
@@ -98,3 +99,32 @@ def test_exhaustive_and_oracle_read_real_inputs_as_their_complex_casts(name, M):
     real, cast = real_and_cast(small, op.m, M + 2)
     points = [[-3.5], [0.0], [2.25]]
     assert same_bits(apply_oracle(op, real, points), apply_oracle(op, cast, points))
+
+
+def test_one_slot_outputs_of_real_atoms_keep_an_exact_zero_part():
+    # At the default cutoff each of sigma3's one-slot factors is exactly
+    # even or odd, so on a real atom it is a real row or i times one, with
+    # exact zeros in the other part; every term has one odd factor, so the
+    # output's real part is exactly 0.  Even factors alone give an output
+    # whose imaginary part is exactly 0.
+    grid = make_grid(1, 8.0, 256)
+    cutoff = default_cutoff(grid)
+    atoms = [
+        make_atom(Cube((c,), 1.0), 1.0, 2, seed, grid).values
+        for seed, c in enumerate((0.5, -0.25, 0.0))
+    ]
+    op = MultilinearOperator(builtin_symbol("sigma3"), grid, cutoff=cutoff)
+    factors = operator_factors(op, [atoms])[0]
+    for f in {id(f): f for term in factors for f in term}.values():
+        assert f.values.dtype == np.complex128
+        assert np.any(f.values.real) != np.any(f.values.imag)
+    out = apply_operator(op, atoms).values
+    assert out.dtype == np.complex128 and not np.any(out.real) and np.any(out.imag)
+    l4, l2, _ = _sigma3_terms()[0]
+    even = MultilinearOperator(make_product_symbol([[l4, l2, l2], [l2, l4, l4]]), grid, cutoff)
+    out = apply_operator(even, atoms).values
+    assert out.dtype == np.complex128 and not np.any(out.imag) and np.any(out.real)
+    # An input with no nonzero part reaches no output part.
+    zero = SampledFunction(grid, np.zeros(grid.shape, dtype=np.complex128))
+    for term in operator_factors(op, [[zero] * 3])[0]:
+        assert all(f.values.dtype == np.complex128 and not np.any(f.values) for f in term)

@@ -301,6 +301,29 @@ def _binomial_plane_residual(sym, k, pts):
     return float(np.max(np.abs(acc / h**k)))
 
 
+class TestSlotNormUnderflow:
+    # Each slot is scaled by its largest |coordinate| before its norm, so a
+    # slot far below sqrt(tiny) still has a length.
+    SAMPLE = [[[1e-170], [-1e-170]]]
+
+    def test_plane_residual_of_a_tiny_sample(self):
+        rep = plane_vanishing_order(builtin_symbol("sigma1_bilinear"), 0, self.SAMPLE)
+        assert rep.residuals == (0.0,)
+
+    @pytest.mark.parametrize("alpha", [(0, 0), (1, 0), (0, 1)])
+    def test_cm_ratio_accepts_a_tiny_sample(self, alpha):
+        assert cm_condition_ratio(builtin_symbol("sigma1_bilinear"), alpha, self.SAMPLE) == 0.0
+
+    def test_n1_norm_is_the_absolute_value(self):
+        from hardylab.symbols import _slot_norm_sum
+
+        # Magnitudes from 1e-200 to 1e194: squares that underflow or overflow.
+        scales = 10.0 ** np.arange(-200, 200, 400 / 64)[:, None, None]
+        pts = np.random.default_rng(4).standard_normal((64, 3, 1)) * scales
+        want = np.abs(pts[:, 0, 0]) + np.abs(pts[:, 1, 0]) + np.abs(pts[:, 2, 0])
+        assert np.array_equal(_slot_norm_sum(pts).view(np.uint64), want.view(np.uint64))
+
+
 class TestCentralDifference:
     # Both symbol conditions read one central-difference stencil.  At
     # orders 1 and 2 it forms the same points, signs, summation order and

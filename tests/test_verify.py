@@ -800,6 +800,19 @@ class TestBudgetAtContext:
         assert run_context(cfg).op.symbol.kind == "product"
 
 
+class TestNarrowEllAtContext:
+    def test_no_ell_can_hold_an_atom(self):
+        # At L = 1e308 a grid cell is far wider than any ell: no trial could
+        # build an atom, so the context refuses the config.  The threshold
+        # is the atoms' own: 16 cells of the largest ell.
+        with pytest.raises(ValueError, match=r"no \[ensemble\] ell can hold an atom: cube side 0.5"):
+            run_context(_ensemble_config(L=1e308))
+        dx = 2 * 8.0 / 512
+        with pytest.raises(ValueError, match="spans 15.00 grid cells, need at least 16"):
+            run_context(_ensemble_config(ell_choices=(15 * dx,)))
+        assert run_context(_ensemble_config(ell_choices=(0.25, 16 * dx))).grid.M == 512
+
+
 class TestScaleInvariance:
     def test_requires_homogeneous_symbol(self):
         cfg = _ensemble_config(symbol="sigma2", exponents=(2.0, 2.0, 2.0))
