@@ -385,8 +385,8 @@ def _write_ratio_histogram(path: Path, ratios) -> None:
 
 def _write_decay_points(path: Path, rep: DecayReport) -> None:
     lines = ["# log10_distance log10_magnitude"]
-    for d, v in zip(rep.point_distance, rep.point_magnitude):
-        lines.append(f"{_format_float(float(np.log10(d)))} {_format_float(float(np.log10(v)))}")
+    for d, v in zip(np.log10(rep.point_distance), np.log10(rep.point_magnitude)):
+        lines.append(f"{_format_float(float(d))} {_format_float(float(v))}")
     path.write_text("\n".join(lines) + "\n", newline="\n")
 
 

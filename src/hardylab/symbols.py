@@ -55,8 +55,12 @@ MAX_DERIVATIVE_ORDER = 2
 class Symbol:
     """An m-linear multiplier on (R^n)^m.
 
-    ``evaluate`` takes m float arrays of shape (..., n) and returns a complex
-    (or float) array of shape (...).  Evaluators must be pure and reentrant.
+    ``evaluate`` takes m float arrays of broadcast-compatible shapes (..., n),
+    each with at least one leading axis, and returns a complex (or float)
+    array of their broadcast shape (...), equal bit for bit to what it
+    returns on their ``np.broadcast_arrays``: the split engine passes the
+    gathered frequencies of a fibre without broadcasting them.  Evaluators
+    must be pure and reentrant.
     """
 
     m: int
@@ -466,10 +470,18 @@ def _central_difference(sym: Symbol, samples: np.ndarray, directions, step: np.n
     the 2^k points samples + step * (+-d_1 +- ... +- d_k), the first sign
     varying slowest, each signed by the product of its signs, summed and
     divided by (2 step)^k.  ``step`` holds one step per sample; with no
-    direction this is sigma itself."""
+    direction this is sigma itself.  A divisor that is not a normal float
+    (a second-order step below about 1e-154 underflows) is an error."""
     m = sym.m
     if not directions:
         return np.asarray(sym.evaluate(*[samples[:, j] for j in range(m)]))
+    divisor = (2.0 * step) ** len(directions)
+    bad = np.nonzero(~(np.isfinite(divisor) & (divisor >= np.finfo(np.float64).tiny)))[0]
+    if bad.size:
+        raise ValueError(
+            f"finite-difference divisor (2 step)^{len(directions)} is not a normal float"
+            f" at samples {bad.tolist()}"
+        )
     out = np.zeros(samples.shape[0], dtype=np.complex128)
     for signs in product((1.0, -1.0), repeat=len(directions)):
         offset = sum((s * d for s, d in zip(signs, directions)), np.zeros(samples.shape[1:]))
@@ -478,7 +490,7 @@ def _central_difference(sym: Symbol, samples: np.ndarray, directions, step: np.n
         if crossed.size:
             raise ValueError(f"finite-difference stencil crosses the origin at samples {crossed.tolist()}")
         out += math.prod(signs) * np.asarray(sym.evaluate(*[pts[:, j] for j in range(m)]))
-    return out / (2.0 * step) ** len(directions)
+    return out / divisor
 
 
 def cm_condition_ratio(sym: Symbol, alpha: Sequence[int], samples) -> float:

@@ -32,7 +32,8 @@ from typing import TYPE_CHECKING, Callable, Sequence
 import numpy as np
 
 from .grid import (
-    Grid, SampledFunction, _box, _box_lattice, _fft_forward, _fft_inverse, _frozen, _half_shift
+    _MAX_CHUNK_ELEMENTS, Grid, SampledFunction, _box, _box_lattice, _fft_forward, _fft_inverse, _frozen,
+    _half_shift,
 )
 from .symbols import Symbol
 
@@ -127,12 +128,22 @@ def tensor_train_factors(
         return None
     index, xi, mask = _box_lattice(grid, cutoff)
     P = len(xi)
+    masked = bool(np.any(mask != 1.0))
 
     def entries(*idx) -> np.ndarray:
         """A at the broadcast indices idx: ints, index arrays, or slice(None)
-        for a whole mode."""
-        held = np.broadcast_arrays(*(xi[x] for x in idx))
-        return np.asarray(symbol.evaluate(*held)) * math.prod(mask[x] for x in idx)
+        for a whole mode.  The symbol reads the gathered frequencies
+        unbroadcast (``Symbol``), an int as a one-point axis: on a numpy
+        scalar, power is libm's and can differ from the array loop's in the
+        last bit.  The mask product is skipped where it is the identity, an
+        all-ones mask (every n = 1 box) on float64 values; on complex
+        values x * 1.0 can flip the sign of a zero part."""
+        values = np.asarray(
+            symbol.evaluate(*(xi[x : x + 1] if isinstance(x, (int, np.integer)) else xi[x] for x in idx))
+        )
+        if masked or values.dtype != mask.dtype:
+            values = values * math.prod(mask[x] for x in idx)
+        return values
 
     split = _cross(entries, (P,) * m, max_cost, floor, (0,) * m, True)
     if split is None:
@@ -260,12 +271,12 @@ def _right_bond(
     w v on every row, and its pivot rows; or None once its rank reaches
     ``cap``."""
     N = shape[-2]
-    lead = np.array(held).T
+    columns = (*(ax[:, None] for ax in np.array(held).T), np.arange(N)[None, :])
 
     def unfolding(x, y) -> np.ndarray:
         """Row x = (h, j) (slice(None): every row)."""
         if isinstance(x, slice):
-            return entries(*(ax[:, None] for ax in lead), np.arange(N)[None, :], y).ravel()
+            return entries(*columns, y).ravel()
         h, j = divmod(int(x), N)
         return entries(*held[h], j, y)
 
@@ -295,17 +306,23 @@ def _slabs(entries: Entries, shape: tuple[int, ...], J: np.ndarray) -> Entries:
     """The tensor [A(..., J), delta] of one order less, whose last index c =
     t N + j reads A(..., j, J[t]) for t < len(J) and, for t = len(J), delta:
     1 at the origin, else 0.  Its crosses read it by lines, a row with
-    slice(None) for every c.  ``shape`` is A's."""
+    slice(None) for every c and a column with one int c, which reads one
+    slab's column as ``entries`` gives it.  ``shape`` is A's."""
     N = shape[-2]
+    row, pivots = np.arange(N)[None, :], J[:, None]
 
     def sub(*idx) -> np.ndarray:
         *lead, c = idx
-        lead = [np.arange(n) if isinstance(x, slice) else x for x, n in zip(lead, shape)]
         if isinstance(c, slice):
-            slabs = entries(*lead, np.arange(N)[None, :], J[:, None])
-            delta = np.zeros((1, N), dtype=slabs.dtype)
-            delta[0, 0] = all(x == 0 for x in lead)
-            return np.concatenate([slabs, delta]).ravel()
+            slabs = entries(*lead, row, pivots)
+            out = np.zeros((len(J) + 1) * N, dtype=slabs.dtype)
+            out[: slabs.size] = slabs.ravel()
+            out[slabs.size] = all(x == 0 for x in lead)
+            return out
+        if isinstance(c, (int, np.integer)) and c < len(J) * N:  # a column of one slab
+            t, j = divmod(int(c), N)
+            return entries(*lead, j, J[t])
+        lead = [np.arange(n) if isinstance(x, slice) else x for x, n in zip(lead, shape)]
         *lead, c = np.broadcast_arrays(*lead, c)
         t, j = np.divmod(c, N)
         on = t < len(J)
@@ -449,20 +466,21 @@ def _aca(
     while r < max_rank and i < len(used) and not used[i]:
         row = line(i, 0) - U[:r, i] @ V[:r]
         used[i] = True
-        j = int(np.argmax(np.abs(row)))
+        j = int(np.abs(row).argmax())
         if row[j] == 0:
-            i = int(np.argmin(used)) if not used.all() else len(used)
+            i = int(used.argmin()) if not used.all() else len(used)
             continue
-        V[r] = row / row[j]
-        U[r] = line(j, 1) - V[:r, j] @ U[:r]
-        frob2 += 2.0 * float(np.sum((U[:r] @ U[r].conj()) * (V[:r] @ V[r].conj())).real)
-        size = float(np.linalg.norm(U[r]) * np.linalg.norm(V[r]))
+        u, v = U[r], V[r]
+        np.divide(row, row[j], out=v)
+        np.subtract(line(j, 1), V[:r, j] @ U[:r], out=u)
+        frob2 += 2.0 * float(((U[:r] @ u.conj()) * (V[:r] @ v.conj())).sum().real)
+        size = float(np.linalg.norm(u) * np.linalg.norm(v))
         frob2 += size * size
         r += 1
         pivots.append((i, j))
         if size <= _ACA_TOL * math.sqrt(max(frob2, 0.0)):
             break
-        i = int(np.argmax(np.where(used, -1.0, np.abs(U[r - 1]))))
+        i = int(np.where(used, -1.0, np.abs(u)).argmax())
     return r, frob2
 
 
@@ -473,13 +491,15 @@ def _orthonormalize(rows: np.ndarray) -> np.ndarray:
     r = len(rows)
     R = np.zeros((r, r), dtype=rows.dtype)
     for k in range(r):
+        row, before = rows[k], rows[:k]
         for _ in range(2):
-            c = (rows[:k] @ rows[k].conj()).conj()
-            rows[k] -= c @ rows[:k]
+            c = (before @ row.conj()).conj()
+            row -= c @ before
             R[:k, k] += c
-        R[k, k] = np.linalg.norm(rows[k])
-        if R[k, k] > 0:
-            rows[k] /= R[k, k]
+        norm = np.linalg.norm(row)
+        R[k, k] = norm
+        if norm > 0:
+            row /= norm
     return R
 
 
@@ -491,15 +511,15 @@ def _column_basis(K: np.ndarray, tol: float) -> np.ndarray:
     limit = tol * float(np.linalg.norm(K))
     basis = np.zeros((len(K), 0), dtype=K.dtype)
     while True:
-        norms2 = np.sum(np.abs(rest) ** 2, axis=0)
-        if math.sqrt(float(np.sum(norms2))) <= limit or basis.shape[1] == min(K.shape):
+        norms2 = (np.abs(rest) ** 2).sum(axis=0)
+        if math.sqrt(float(norms2.sum())) <= limit or basis.shape[1] == min(K.shape):
             return basis
-        q = rest[:, int(np.argmax(norms2))].copy()
+        q = rest[:, int(norms2.argmax())].copy()
         for _ in range(2):
             q -= basis @ (basis.conj().T @ q)
         q /= np.linalg.norm(q)
         basis = np.column_stack([basis, q])
-        rest -= np.outer(q, q.conj() @ rest)
+        rest -= q[:, None] * (q.conj() @ rest)
 
 
 def _slab_basis(slabs: np.ndarray, limit: float) -> np.ndarray:
@@ -647,11 +667,14 @@ def apply_tensor_train(
     slot 1, r_0 = 1), and slot k + 1 adds to them one block of r_{k+1}
     transforms per row.  The last two slots stream over the last bond: per
     index b, the r_{m-2} waves of slot m-1 into b and the one wave of slot m
-    from b are transformed in one call, and the left waves' sum times the
-    last wave is added into one accumulator.  At m = 2 that is two
-    transforms per term into one reused (2, S) buffer.  The grid's unscaled
-    pair needs no weight: each free integral's (dx dxi)^n = 1/S is one
-    inverse's 1/S.
+    from b are transformed, and the left waves' sum times the last wave is
+    added into one accumulator, b by b.  Two indices b share one inverse
+    call where their rows fit in _MAX_CHUNK_ELEMENTS: at m = 2 that is four
+    transforms per call, two terms.  The products are formed on the P box
+    points and transformed in place in one reused buffer, which holds what
+    separate spectra and waves buffers of one index each did.  The grid's
+    unscaled pair needs no weight: each free integral's (dx dxi)^n = 1/S is
+    one inverse's 1/S.
     The cost is sum_k r_{k-1} r_k + m transforms of length S per set.  The
     sets run one after another through the same steps, so each output is
     bit for bit that of the set alone.  The caller checks the sets.
@@ -662,11 +685,23 @@ def apply_tensor_train(
     grid, cores, index = op.grid, factors.cores, factors.index
     if len(cores) != op.m or len(factors.mask) != _box(grid, op.cutoff)[1] ** grid.n:
         raise ValueError("the factors are not a split of this operator's box")
-    S = grid.size
-    width = max([len(cores[-2]) + 1] + [core.shape[1] for core in cores[:-2]])
+    S, P = grid.size, len(factors.mask)
+    count = len(cores[-2])  # per index of the last bond: count waves of slot m-1, one of slot m
+    group = max(1, min(2, _MAX_CHUNK_ELEMENTS // ((count + 1) * S)))  # last-bond indices per call
+    width = max([group * (count + 1)] + [core.shape[1] for core in cores[:-2]])
     spectra = np.zeros((width, S), dtype=np.complex128)
-    waves = np.empty((width,) + grid.shape, dtype=np.complex128)
-    rows = spectra.reshape(waves.shape)  # the same spectra, one grid-shaped row each
+    rows = spectra.reshape((width,) + grid.shape)  # the same spectra, one grid-shaped row each
+    # The products are formed on the P box points; a box smaller than the
+    # lattice reaches zeroed rows through one flat index per call.
+    box = spectra if isinstance(index, slice) else np.empty((width, P), dtype=np.complex128)
+    flat = None if box is spectra else (np.arange(width)[:, None] * S + index).ravel()
+
+    def inverse(k: int) -> np.ndarray:
+        """The inverse transforms of the first k rows of ``box``, in place."""
+        if flat is not None:
+            spectra[:k] = 0.0
+            spectra.reshape(-1)[flat[: k * P]] = box[:k].reshape(-1)
+        return _fft_inverse(rows[:k], grid.n)
 
     results = []
     for fs in sets:
@@ -676,19 +711,23 @@ def apply_tensor_train(
             new = np.zeros((cores[k].shape[1],) + grid.shape, dtype=np.complex128)
             for a in range(len(cores[k])):
                 weights = factors.core(k, a)
-                spectra[: len(weights), index] = c * weights
-                block = _fft_inverse(rows[: len(weights)], grid.n, out=waves[: len(weights)])
+                np.multiply(c, weights, out=box[: len(weights)])
+                block = inverse(len(weights))
                 new += block if acc is None else acc[a] * block
             acc = new
         total = np.zeros(grid.shape, dtype=np.complex128)
-        count = len(cores[-2])
-        for b in range(len(cores[-1])):
-            spectra[:count, index] = coeffs[-2] * factors.core(op.m - 2, (slice(None), b))
-            spectra[count, index] = coeffs[-1] * factors.core(op.m - 1, (b, 0))
-            block = _fft_inverse(rows[: count + 1], grid.n, out=waves[: count + 1])
-            left = block[0] if acc is None else (acc * block[:count]).sum(axis=0)
-            left *= block[count]
-            total += left
+        bonds = range(len(cores[-1]))
+        for start in range(0, len(bonds), group):
+            step = bonds[start : start + group]  # the last-bond indices of one inverse call
+            for t, b in enumerate(step):
+                at = t * (count + 1)
+                np.multiply(coeffs[-2], factors.core(op.m - 2, (slice(None), b)), out=box[at : at + count])
+                np.multiply(coeffs[-1], factors.core(op.m - 1, (b, 0)), out=box[at + count])
+            for block in inverse(len(step) * (count + 1)).reshape(len(step), count + 1, *grid.shape):
+                waves = block[:count]  # spent after this, so the products overwrite them
+                left = waves[0] if acc is None else np.multiply(acc, waves, out=waves).sum(axis=0)
+                left *= block[count]
+                total += left
         bound = factors.eps
         for c in coeffs:
             bound *= float(np.abs(c) @ factors.mask) / S

@@ -674,3 +674,25 @@ class TestLegacyKind:
         edited.write_text(json.dumps(report))
         for trial in report["trials"]:
             assert main(["replay", str(edited), str(trial["trial_id"])]) == code
+
+
+def test_decay_points_file_equals_the_per_point_loop(tmp_path):
+    # decay_fit.dat takes one np.log10 per column; the file is byte for byte
+    # what the per-point loop below writes, on distances and magnitudes over
+    # the whole double range, powers of ten and a zero included.
+    import numpy as np
+
+    from hardylab.cli import _format_float, _write_decay_points
+    from hardylab.verify import DecayReport
+
+    rng = np.random.default_rng(12)
+    distance = np.concatenate([10.0 ** rng.uniform(-300, 300, 4000), [1.0, 10.0, 0.1, 1e-5, 5e-324]])
+    magnitude = np.concatenate([rng.random(4000) * 10.0 ** rng.integers(-30, 30, 4000), [1e300, 1.0, 3.0, 0.0, 2.0]])
+    rep = DecayReport(0.0, 0.0, 0.0, 0.0, 0.0, 0, 0, distance, magnitude)
+    with np.errstate(divide="ignore"):
+        _write_decay_points(tmp_path / "decay_fit.dat", rep)
+        lines = ["# log10_distance log10_magnitude"]
+        for d, v in zip(rep.point_distance, rep.point_magnitude):
+            lines.append(f"{_format_float(float(np.log10(d)))} {_format_float(float(np.log10(v)))}")
+    want = ("\n".join(lines) + "\n").encode()
+    assert (tmp_path / "decay_fit.dat").read_bytes() == want

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -313,6 +314,18 @@ class TestSlotNormUnderflow:
     @pytest.mark.parametrize("alpha", [(0, 0), (1, 0), (0, 1)])
     def test_cm_ratio_accepts_a_tiny_sample(self, alpha):
         assert cm_condition_ratio(builtin_symbol("sigma1_bilinear"), alpha, self.SAMPLE) == 0.0
+
+    def test_second_order_divisor_underflow_raises_without_warning(self):
+        # (2 step)^2 underflows to 0 at this sample, so order 2 is an error
+        # naming the sample, raised before sigma is evaluated.
+        sym = builtin_symbol("sigma1_bilinear")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"not a normal float at samples \[0\]"):
+                cm_condition_ratio(sym, (1, 1), self.SAMPLE)
+            with pytest.raises(ValueError, match=r"not a normal float at samples \[0\]"):
+                plane_vanishing_order(sym, 2, self.SAMPLE)
+            assert plane_vanishing_order(sym, 1, self.SAMPLE).residuals == (0.0, 0.0)
 
     def test_n1_norm_is_the_absolute_value(self):
         from hardylab.symbols import _slot_norm_sum
