@@ -150,7 +150,8 @@ class MultilinearOperator:
 
     ``cutoff`` drops every frequency tuple containing a slot with |xi_j|
     larger than the radius.  ``None`` disables the cutoff; a negative or NaN
-    radius is a ValueError.
+    radius is a ValueError, and so is a group of two or more slots over
+    ``budget`` (``_check_budget``).
     """
 
     symbol: Symbol
@@ -165,6 +166,8 @@ class MultilinearOperator:
             )
         if self.cutoff is not None and not self.cutoff >= 0:
             raise ValueError(f"cutoff must be a non-negative radius or None, got {self.cutoff}")
+        for m in (len(grp) for part in self.symbol.partitions for grp in part.groups if len(grp) > 1):
+            _check_budget(self, m)
 
     @property
     def m(self) -> int:
@@ -196,13 +199,13 @@ def _check_inputs(op: MultilinearOperator, fs: Sequence[SampledFunction]) -> Non
             raise ValueError("all inputs must share the operator's grid")
 
 
-def _check_budget(op: MultilinearOperator) -> None:
-    """The cost budget counts the S^m tuples of the whole lattice, whichever
-    engine applies the operator; it is checked before either runs."""
-    tuples = op.grid.size**op.m
+def _check_budget(op: MultilinearOperator, m: int) -> None:
+    """The cost budget counts the S^m tuples of an m-slot group's whole
+    lattice, whichever engine applies it."""
+    tuples = op.grid.size**m
     if tuples > op.budget:
         raise ValueError(
-            f"a {op.m}-slot group on {op.grid.size} grid points has S^m = {tuples} "
+            f"a {m}-slot group on {op.grid.size} grid points has S^m = {tuples} "
             f"frequency tuples, over the cost budget {op.budget}"
         )
 
@@ -285,7 +288,7 @@ def apply_general(
     the gather or on the chunk size.
     """
     _check_sets(op, sets)
-    _check_budget(op)
+    _check_budget(op, op.m)
     grid = op.grid
     m, n, M = op.m, grid.n, grid.M
     S = grid.size
@@ -389,7 +392,7 @@ def apply_oracle(
         raise ValueError(f"points must lie in R^{n}, got shape {pts.shape}")
     if pts.shape[0] > 16:
         raise ValueError("oracle accepts at most 16 evaluation points")
-    _check_budget(op)
+    _check_budget(op, op.m)
     S = grid.size
 
     k_flat = _flat_freq_ints(grid)
@@ -514,10 +517,9 @@ def _plan(op: MultilinearOperator) -> tuple[
     ``_hermitian_parts`` of its weights sym(k * dxi) * ``_slot_mask`` on the
     lattice in FFT order, and the larger ones, each with its tensor train
     (``tensor_train_factors``) where the cost rule, ``_cost_cap``, picks
-    it, else None for ``apply_general``.  A larger group's cost budget is
-    checked before its cross.  Each symbol is evaluated or split once
-    however many groups name it, and the plan is kept for as long as its
-    operator is the one applied."""
+    it, else None for ``apply_general``.  Each symbol is evaluated or split
+    once however many groups name it, and the plan is kept for as long as
+    its operator is the one applied."""
     _plan.cache_clear()  # the previous operator's splits go before this one's crosses
     freqs = op.grid.frequencies()
     mask = _slot_mask(freqs, op.cutoff)
@@ -530,7 +532,6 @@ def _plan(op: MultilinearOperator) -> tuple[
                 if len(grp) == 1:
                     found[sym] = _hermitian_parts(_half_shift(np.asarray(sym.evaluate(freqs)) * mask))
                 else:
-                    _check_budget(replace(op, symbol=sym))
                     cap = _cost_cap(op.grid, op.cutoff, len(grp))
                     found[sym] = tensor_train_factors(sym, op.grid, op.cutoff, cap)
             (linear if len(grp) == 1 else larger)[grp, sym] = found[sym]

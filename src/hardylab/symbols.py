@@ -96,7 +96,10 @@ class Symbol:
         if len(xis) != self.m:
             raise ValueError(f"symbol has arity {self.m}, got {len(xis)} arguments")
         coords = [self._canonical(x) for x in xis]
-        return np.asarray(self.evaluate(*coords))
+        shape = np.broadcast_shapes(*(x.shape[:-1] for x in coords))
+        # At least one leading axis, as ``evaluate`` requires: on a numpy
+        # scalar, power is libm's and can differ in the last bit.
+        return np.asarray(self.evaluate(*(x if x.ndim > 1 else x[None] for x in coords))).reshape(shape)
 
     def _canonical(self, x) -> np.ndarray:
         arr = np.asarray(x, dtype=np.float64)

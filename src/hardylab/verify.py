@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import os
 from collections import Counter
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 from functools import lru_cache
 from itertools import chain
 from typing import Callable, Sequence
@@ -26,7 +26,6 @@ from .maximal import BumpProfile, ScaleLadder, hp_quasinorm, hl_maximal, make_bu
 from .operators import (
     DEFAULT_COST_BUDGET,
     MultilinearOperator,
-    _check_budget,
     default_cutoff,
     operator_factors,
     sets_per_pass,
@@ -362,6 +361,10 @@ class LocalEstimateReport:
     ratio_direct: float
     ratio_maximal: float
 
+    @property
+    def passed(self) -> bool:
+        return math.isfinite(self.ratio_direct) and math.isfinite(self.ratio_maximal)
+
 
 def check_local_estimate(
     t: AtomOutput,
@@ -605,6 +608,11 @@ def check_fs_inequality(
 # ---------------------------------------------------------------------------
 
 
+# Keys of older configs and reports that are no longer fields, each with the
+# one value a run still uses: the operator's cost budget and the dyadic ladder.
+_FIXED_KEYS = {"budget": DEFAULT_COST_BUDGET, "half_steps": False}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything needed to reproduce an ensemble run."""
@@ -621,8 +629,6 @@ class ExperimentConfig:
     center_span: float = 0.25
     N_override: int | None = None
     use_cutoff: bool = False
-    half_steps: bool = False
-    budget: int = DEFAULT_COST_BUDGET
     dilatable: bool = False
 
     def __post_init__(self) -> None:
@@ -644,8 +650,6 @@ class ExperimentConfig:
             raise ValueError(
                 f"N_override ([indices] n_moments) must be nonnegative, got {self.N_override}"
             )
-        if self.budget < 1:
-            raise ValueError(f"budget must be at least 1, got {self.budget}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -653,10 +657,15 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         """The config whose fields ``d`` sets.  A ``kind`` entry, as older
-        configs and reports hold, must match the symbol's and is dropped; any
-        other key that is not a field is a ValueError."""
+        configs and reports hold, must match the symbol's and is dropped, and
+        so is a ``budget`` or ``half_steps`` entry at the value every run now
+        uses (``_FIXED_KEYS``); any other key that is not a field is a
+        ValueError."""
         kwargs = dict(d)
         kind = kwargs.pop("kind", None)
+        for name, fixed in _FIXED_KEYS.items():
+            if name in kwargs and (value := kwargs.pop(name)) != fixed:
+                raise ValueError(f"config key {name} is fixed at {fixed}, got {value}")
         unknown = kwargs.keys() - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
@@ -678,7 +687,7 @@ def resolve_symbol(config: ExperimentConfig) -> Symbol:
 
 def resolve_operator(config: ExperimentConfig, grid: Grid) -> MultilinearOperator:
     cutoff = default_cutoff(grid) if config.use_cutoff else None
-    return MultilinearOperator(resolve_symbol(config), grid, cutoff=cutoff, budget=config.budget)
+    return MultilinearOperator(resolve_symbol(config), grid, cutoff=cutoff)
 
 
 def resolve_index(config: ExperimentConfig) -> IndexData:
@@ -703,27 +712,16 @@ class RunContext:
 def run_context(config: ExperimentConfig) -> RunContext:
     """The run context of a config; repeated calls return the same object,
     so the ensemble, its pool workers and the checks each build it once.
-    A group of two or more slots over the cost budget is a ValueError here,
-    before any trial or check runs, and so is a largest ``ell`` too narrow
-    for any atom (``atoms._check_side``)."""
+    A group of two or more slots over the cost budget is a ValueError here
+    (``MultilinearOperator``), before any trial or check runs, and so is a
+    largest ``ell`` too narrow for any atom (``atoms._check_side``)."""
     grid = make_grid(config.n, config.L, config.M)
     try:
         _check_side(max(config.ell_choices), grid)
     except ValueError as exc:
         raise ValueError(f"no [ensemble] ell can hold an atom: {exc}") from None
     op = resolve_operator(config, grid)
-    for part in op.symbol.partitions:
-        for grp, sym in zip(part.groups, part.symbols):
-            if len(grp) > 1:
-                _check_budget(replace(op, symbol=sym))
-    return RunContext(
-        config,
-        grid,
-        op,
-        resolve_index(config),
-        make_bump(grid.n),
-        make_ladder(grid, half_steps=config.half_steps),
-    )
+    return RunContext(config, grid, op, resolve_index(config), make_bump(grid.n), make_ladder(grid))
 
 
 def trial_seed(master_seed: int, trial_index: int) -> int:
@@ -988,10 +986,15 @@ def _dilated_entries(inputs: Entries, dilation: float) -> Entries:
 class ScaleInvarianceReport:
     dilation: float
     deviations: tuple[float, ...]
+    tolerance: float
 
     @property
     def max_deviation(self) -> float:
         return max(self.deviations)
+
+    @property
+    def passed(self) -> bool:
+        return self.max_deviation < self.tolerance
 
 
 def scale_invariance_test(
@@ -1025,4 +1028,4 @@ def scale_invariance_test(
         deviations.append(abs(again.ratio - record.ratio) / record.ratio)
     if not deviations:
         raise ValueError("all trials vacuous; nothing to compare")
-    return ScaleInvarianceReport(dilation, tuple(deviations))
+    return ScaleInvarianceReport(dilation, tuple(deviations), DEFAULT_TOLERANCES["scale_invariance"])

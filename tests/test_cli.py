@@ -104,11 +104,14 @@ class TestConfigParsing:
             pytest.param("n_moments = 2", "n_moment = 2", "n_moment", id="indices"),
             pytest.param("M = 512", "Mm = 4096", "mm", id="grid"),
             pytest.param("trials = 4", "trial = 3", "trial", id="ensemble"),
-            pytest.param("half_steps = false", "half_step = true", "half_step", id="ladder"),
+            pytest.param("seed = 31", "seed = 31\nbudget = 67108864", "unknown key 'budget' in [ensemble]", id="budget"),
+            pytest.param(
+                "[checks]", "[ladder]\nhalf_steps = false\n\n[checks]", "unknown config section [ladder]", id="ladder"
+            ),
             pytest.param("boundedness = true", "nosuch = true", "nosuch", id="checks"),
             pytest.param(
-                "half_steps = false",
-                "half_steps = false\n\n[tolerances]\ncancellation = 1e30",
+                "boundedness = true",
+                "boundedness = true\n\n[tolerances]\ncancellation = 1e30",
                 "unknown config section [tolerances]",
                 id="tolerances",
             ),
@@ -127,11 +130,11 @@ class TestConfigParsing:
         # dropped, it stops the run before anything is written.  A value its
         # parser rejects names its section and key; an empty item in a list
         # is rejected, not dropped (constant_one takes its arity from p).  No
-        # config sets a check's pass threshold: [tolerances] is unknown.
-        text = BASE_CONFIG + "\n[ladder]\nhalf_steps = false\n"
-        assert old in text
+        # config sets a check's pass threshold or the scale ladder:
+        # [tolerances] and [ladder] are unknown.
+        assert old in BASE_CONFIG
         path = tmp_path / "bad.ini"
-        path.write_text(text.replace(old, new))
+        path.write_text(BASE_CONFIG.replace(old, new))
         out = tmp_path / "o"
         assert main(["run", str(path), "--out", str(out)]) == 2
         assert name in capsys.readouterr().err
@@ -163,7 +166,7 @@ class TestConfigParsing:
             pytest.param("n_moments = 2", "n_moments = -1", "n_moments", id="n_moments"),
             pytest.param("center_span = 0.2", "center_span = nan", "center_span", id="span-nan"),
             pytest.param("center_span = 0.2", "center_span = -0.1", "center_span", id="span-neg"),
-            pytest.param("seed = 31", "seed = 31\nbudget = 0", "budget", id="budget"),
+            pytest.param("seed = 31", "seed = 31\nbudget = 0", "unknown key 'budget' in [ensemble]", id="budget"),
             pytest.param("seed = 31", "seed = -1", "seed", id="seed"),
             pytest.param("L = 8", "L = inf", "half-width L", id="L-inf"),
         ],
@@ -194,6 +197,16 @@ class TestConfigParsing:
         path.write_text(BASE_CONFIG.replace("trials = 4", "trials = 0"))
         config, _ = load_config(str(path))
         assert config.trials == 0
+
+    def test_zero_trials_with_scale_invariance_is_config_error(self, tmp_path, capsys):
+        # scale_invariance compares trials; with none it used to write the
+        # manifest, summary and histogram before it stopped.
+        path = tmp_path / "none.ini"
+        path.write_text(BASE_CONFIG.replace("trials = 4", "trials = 0") + "scale_invariance = true\n")
+        out = tmp_path / "o"
+        assert main(["run", str(path), "--out", str(out)]) == 2
+        assert "[checks] scale_invariance compares trials" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
 
     def test_readme_config_table_matches_schema(self):
         # The README's config table lists one key per row; it must name the
@@ -254,15 +267,16 @@ class TestJobsOption:
 
 class TestBudgetIsAConfigError:
     def test_over_budget_stops_run_and_replay(self, config_file, tmp_path, capsys):
-        # sigma1_bilinear at M = 512 has 512^2 = 262144 frequency tuples.
-        # Over the budget, a boundedness-only run used to abort every trial
-        # and exit 1, and a run with a check that applies T exited 2.  Both
-        # now stop before anything is written, as the replay of such a
-        # report does.
-        message = "over the cost budget 262143"
+        # sigma1_bilinear at M = 16384 has 16384^2 = 2^28 frequency tuples,
+        # over the fixed budget 2^26.  Over the budget, a boundedness-only
+        # run used to abort every trial and exit 1, and a run with a check
+        # that applies T exited 2.  Both now stop before anything is
+        # written.  A report whose config holds another budget does not
+        # replay.
+        message = "a 2-slot group on 16384 grid points has S^m = 268435456 frequency tuples, over the cost budget 67108864"
         for checks in ("", "cancellation = true\n"):
             path = tmp_path / "over.ini"
-            path.write_text(BASE_CONFIG.replace("seed = 31", "seed = 31\nbudget = 262143") + checks)
+            path.write_text(BASE_CONFIG.replace("M = 512", "M = 16384") + checks)
             out = tmp_path / "o"
             assert main(["run", str(path), "--out", str(out)]) == 2
             assert message in capsys.readouterr().err
@@ -274,7 +288,51 @@ class TestBudgetIsAConfigError:
         (good / "report.json").write_text(json.dumps(report))
         capsys.readouterr()
         assert main(["replay", str(good / "report.json"), "0"]) == 2
-        assert "error: a 2-slot group on 512 grid points has S^m = 262144" in capsys.readouterr().err
+        assert "config key budget is fixed at 67108864, got 262143" in capsys.readouterr().err
+
+
+class TestRetiredKeys:
+    # ``[ensemble] budget`` and ``[ladder] half_steps`` were config keys that
+    # no shipped config set; every run now uses the default budget and the
+    # dyadic ladder, and a config that names either is refused
+    # (``TestConfigParsing``).  A report written before they went, holding
+    # those values, still replays.  OLD_REPORT is the config and trials of
+    # such a report, from a run of BASE_CONFIG with trials = 2 and
+    # max_atoms = 1.
+    OLD_REPORT = {
+        "config": {
+            "symbol": "sigma1_bilinear", "exponents": [1, 1], "n": 1, "L": 8, "M": 512, "trials": 2,
+            "max_atoms": 1, "seed": 31, "ell_choices": [0.5], "center_span": 0.2, "N_override": 2,
+            "use_cutoff": False, "half_steps": False, "budget": 67108864, "dilatable": False,
+        },
+        "trials": [
+            {
+                "trial_id": 0, "seed": 14956886363141900091,
+                "inputs": [[[1, [-0.6875], 0.5, 731544342]], [[1, [-0.09375], 0.5, 230389925]]],
+                "lhs": 0.0011239654049180114, "rhs": 0.2822265625, "ratio": 0.003982493337840982, "flags": "",
+            },
+            {
+                "trial_id": 1, "seed": 5348923116395856039,
+                "inputs": [[[1, [-1.5625], 0.5, 702386618]], [[1, [-0.625], 0.5, 1983507841]]],
+                "lhs": 0.000400479190887493, "rhs": 0.2822265625, "ratio": 0.0014189989324179682, "flags": "",
+            },
+        ],
+    }
+
+    def test_old_report_replays_bit_exactly(self, tmp_path, capsys):
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(self.OLD_REPORT))
+        for trial in (0, 1):
+            assert main(["replay", str(path), str(trial)]) == 0
+            assert "bit-exact match" in capsys.readouterr().out
+
+    def test_old_report_with_half_steps_is_read_error(self, tmp_path, capsys):
+        report = json.loads(json.dumps(self.OLD_REPORT))
+        report["config"]["half_steps"] = True
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(report))
+        assert main(["replay", str(path), "0"]) == 2
+        assert "config key half_steps is fixed at False, got True" in capsys.readouterr().err
 
 
 class TestNarrowEllIsAConfigError:
@@ -562,29 +620,6 @@ class TestOneApplicationPerAtomSet:
         assert len(calls["apply_general"]) == expected(trials)
         assert len(calls["apply_linear"]) == expected_linear(trials)
         assert len(passes) == expected_passes
-
-
-class TestLadderReachesTheChecks:
-    def test_half_steps_change_local_estimate_and_majorant(self, tmp_path):
-        # The config's ladder is the one the checks use: refining it by
-        # half steps moves the maximal-function ratios.
-        base = FULL_CONFIG.replace("M = 4096", "M = 512").split("[checks]")[0]
-        results = {}
-        for half in ("true", "false"):
-            cfg = tmp_path / f"half_{half}.ini"
-            cfg.write_text(
-                base
-                + "[checks]\nboundedness = false\nlocal_estimate = true\n"
-                + "pointwise_majorant = true\n\n[ladder]\nhalf_steps = "
-                + half
-                + "\n"
-            )
-            out = tmp_path / half
-            assert main(["run", str(cfg), "--out", str(out)]) == 0
-            results[half] = json.loads((out / "report.json").read_text())["summary"]["checks"]
-        on, off = results["true"], results["false"]
-        assert on["local_estimate"]["ratio_maximal"] != off["local_estimate"]["ratio_maximal"]
-        assert on["pointwise_majorant"]["ratio_sup"] != off["pointwise_majorant"]["ratio_sup"]
 
 
 class TestReplayCommand:

@@ -265,27 +265,31 @@ class TestApplyGeneral:
         assert err < 1e-12
 
     def test_cost_budget_guard(self):
+        # An operator with a group over its budget cannot be built.  One
+        # whose groups are all one slot can, and the exhaustive engine still
+        # refuses it, since it evaluates the whole symbol densely.
         g = make_grid(1, 8.0, 64)
-        op = MultilinearOperator(builtin_symbol("sigma1"), g, budget=1000)
-        fs = [band_limited(g, s) for s in (1, 2, 3)]
         with pytest.raises(ValueError, match="budget"):
-            apply_general(op, [fs])[0]
+            MultilinearOperator(builtin_symbol("sigma1"), g, budget=1000)
+        op = MultilinearOperator(builtin_symbol("sigma3"), g, budget=1000)
+        fs = [band_limited(g, s) for s in (1, 2, 3)]
+        with pytest.raises(ValueError, match="S\\^m = 262144 frequency tuples, over the cost budget 1000"):
+            apply_general(op, [fs])
 
     def test_cost_budget_message(self):
-        # The check runs before either engine, so it names the group's tuple
-        # count and the budget, not an engine.
+        # The check runs when the operator is built, before either engine,
+        # so it names the group's tuple count and the budget, not an engine.
         g = make_grid(1, 8.0, 64)
-        op = MultilinearOperator(builtin_symbol("sigma4"), g, budget=1000)
-        fs = [band_limited(g, s) for s in (1, 2, 3)]
         message = "a 2-slot group on 64 grid points has S^m = 4096 frequency tuples, over the cost budget 1000"
         with pytest.raises(ValueError) as raised:
-            operator_factors(op, [fs])
+            MultilinearOperator(builtin_symbol("sigma4"), g, budget=1000)
         assert str(raised.value) == message
 
     def test_each_group_budget_is_checked_before_its_cross(self, monkeypatch):
         # sigma4's bilinear group comes first in term order.  Over budget,
-        # it stops the plan before any cross runs; within budget, its cross
-        # runs and the trilinear group then stops the plan before its own.
+        # it stops the construction; within budget, the trilinear group
+        # does.  No cross runs before either refusal, and building an
+        # operator within budget runs none: its first application does.
         calls = []
         original = hardylab.operators.tensor_train_factors
 
@@ -295,12 +299,13 @@ class TestApplyGeneral:
 
         monkeypatch.setattr(hardylab.operators, "tensor_train_factors", counting)
         g = make_grid(1, 8.0, 256)
-        fs = [band_limited(g, s) for s in (1, 2, 3)]
-        for budget, slots, done in ((256**2 - 1, 2, []), (256**2, 3, [2])):
-            op = MultilinearOperator(builtin_symbol("sigma4"), g, default_cutoff(g), budget)
+        for budget, slots in ((256**2 - 1, 2), (256**2, 3)):
             with pytest.raises(ValueError, match=rf"^a {slots}-slot group on 256 grid points"):
-                operator_factors(op, [fs])
-            assert calls == done
+                MultilinearOperator(builtin_symbol("sigma4"), g, default_cutoff(g), budget)
+        op = MultilinearOperator(builtin_symbol("sigma4"), g, default_cutoff(g), 256**3)
+        assert calls == []
+        operator_factors(op, [[band_limited(g, s) for s in (1, 2, 3)]])
+        assert calls == [2, 3]
 
     def test_grid_mismatch(self, grid32):
         other = make_grid(1, 8.0, 64)

@@ -108,6 +108,18 @@ class TestBuiltins:
         rep = plane_vanishing_order(sym, 0, pts)
         assert rep.max_residual < 1e-12
 
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_point_call_equals_array_evaluation(self, name):
+        # A call at one point evaluates on a leading axis of one, as the
+        # array evaluation does: on numpy scalars a power is libm's, and
+        # sigma2 at (0, 1/16, 5/16) read one ulp off its array value.
+        sym = builtin_symbol(name)
+        pts = np.vstack([random_frequency_tuples(sym.m, 1, 200, seed=3)[..., 0], [0.0, 1 / 16, 5 / 16][: sym.m]])
+        array = sym(*pts.T)
+        point = [sym(*row) for row in pts]
+        assert all(value.shape == () for value in point)
+        assert np.array_equal(np.asarray(point).view(np.uint64), array.view(np.uint64))
+
     def test_finite_on_random_tuples(self):
         pts = random_frequency_tuples(3, 1, 500, seed=9)
         for name in VANISHING + ["constant_one"]:

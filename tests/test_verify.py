@@ -20,6 +20,8 @@ from hardylab.symbols import (
 )
 from hardylab.verify import (
     ExperimentConfig,
+    LocalEstimateReport,
+    ScaleInvarianceReport,
     apply_to_atoms,
     check_cancellation,
     check_decay_lemma,
@@ -788,16 +790,21 @@ class TestWorkerCap:
 
 class TestBudgetAtContext:
     def test_over_budget_group_is_refused_before_any_trial(self):
-        # sigma1_bilinear at M=512 has 512^2 = 262144 frequency tuples.
-        cfg = _ensemble_config(budget=512**2 - 1)
+        # sigma1_bilinear at M=512 has 512^2 = 262144 frequency tuples.  The
+        # operator refuses a budget below that; a run, whose budget is the
+        # default 2^26, is refused at M=16384 before any trial.
+        grid = make_grid(1, 8.0, 512)
+        sym = builtin_symbol("sigma1_bilinear")
         with pytest.raises(ValueError, match="over the cost budget 262143"):
-            run_context(cfg)
-        assert run_context(_ensemble_config(budget=512**2)).op.budget == 512**2
+            MultilinearOperator(sym, grid, budget=512**2 - 1)
+        assert MultilinearOperator(sym, grid, budget=512**2).budget == 512**2
+        with pytest.raises(ValueError, match="over the cost budget 67108864"):
+            run_context(_ensemble_config(M=16384))
 
     def test_one_slot_groups_are_not_counted(self):
         # sigma3's groups are all one slot: no S^m cross or pass runs.
-        cfg = _ensemble_config(symbol="sigma3", exponents=(1.0, 1.0, 1.0), budget=1)
-        assert run_context(cfg).op.symbol.kind == "product"
+        op = MultilinearOperator(builtin_symbol("sigma3"), make_grid(1, 8.0, 512), budget=1)
+        assert op.symbol.kind == "product"
 
 
 class TestNarrowEllAtContext:
@@ -811,6 +818,21 @@ class TestNarrowEllAtContext:
         with pytest.raises(ValueError, match="spans 15.00 grid cells, need at least 16"):
             run_context(_ensemble_config(ell_choices=(15 * dx,)))
         assert run_context(_ensemble_config(ell_choices=(0.25, 16 * dx))).grid.M == 512
+
+
+class TestVerdictsFromReports:
+    # The command line writes each check's verdict, and its threshold where
+    # it has one, from the check's report.
+    def test_scale_invariance_passes_below_its_tolerance(self):
+        rep = ScaleInvarianceReport(2.0, (0.1, 0.3), 0.3)
+        assert rep.max_deviation == 0.3 and not rep.passed
+        assert ScaleInvarianceReport(2.0, (0.1, 0.3), 0.5).passed
+
+    @pytest.mark.parametrize(
+        "direct, maximal, passed", [(1.0, 2.0, True), (math.inf, 2.0, False), (1.0, math.nan, False)]
+    )
+    def test_local_estimate_passes_when_both_ratios_are_finite(self, direct, maximal, passed):
+        assert LocalEstimateReport(1.0, 1.0, 1.0, direct, maximal).passed == passed
 
 
 class TestScaleInvariance:
